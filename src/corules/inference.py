@@ -8,14 +8,22 @@ auxiliary inductive phase of the generated interpretation.
 The three interpretations:
 
 * ``ind_interpretation``: the least closed set (judgments with a finite
-  proof tree), computed by Kleene iteration upward from the empty set.
+  proof tree).
 * ``coind_interpretation``: the largest consistent set (judgments with a
-  finite or infinite proof tree), computed downward from the full universe.
+  finite or infinite proof tree).
 * ``gen_interpretation``: the coinductive interpretation of the system
   restricted to conclusions that are inductively derivable once corules
   are allowed. With no corules this collapses to the inductive
   interpretation; with one coaxiom per judgment it collapses to the
   coinductive one.
+
+One counting engine computes all three in time linear in the size of the
+system: ``_least`` fires each rule, layer by layer, once its count of
+unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
+layer is still its Kleene round; ``_greatest`` drops each judgment whose
+count of live rules reaches zero (Liu & Smolka). Finite proofs read the
+rounds and firing rules ``_least`` records; consistency witnesses are the
+first declared rules supported inside the checked set.
 
 ``is_closed``, ``is_consistent``, and ``bounded_coinduction_check``
 mechanize the induction, coinduction, and bounded coinduction proof
@@ -28,8 +36,7 @@ everything here can be freely shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"
@@ -106,22 +113,22 @@ class JudgmentSet:
 
     @classmethod
     def of(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
-        bits = 0
+        digits = bytearray(b"0" * size)
         for j in ids:
             if not 0 <= j < size:
                 raise ValueError(f"judgment id {j} out of range for universe of {size}")
-            bits |= 1 << j
-        return cls(size, bits)
+            digits[j] = ord("1")
+        return cls(size, int(digits[::-1] or b"0", 2))
 
     def __contains__(self, j: int) -> bool:
         return 0 <= j < self.size and bool(self.bits >> j & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        digits = format(self.bits, "b")[::-1]
+        j = digits.find("1")
+        while j >= 0:
+            yield j
+            j = digits.find("1", j + 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -202,66 +209,93 @@ class InferenceSystem:
         """The rules of the system, with corules appended when requested."""
         return self.rules + self.corules if use_corules else self.rules
 
-    @cached_property
-    def _rule_masks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((_premise_mask(r), 1 << r.conclusion) for r in self.rules)
-
-    @cached_property
-    def _corule_masks(self) -> tuple[tuple[int, int], ...]:
-        return tuple((_premise_mask(r), 1 << r.conclusion) for r in self.corules)
-
-
-def _premise_mask(r: Rule) -> int:
-    mask = 0
-    for p in r.premises:
-        mask |= 1 << p
-    return mask
-
-
-def _step_bits(masks: Iterable[tuple[int, int]], bits: int) -> int:
-    out = 0
-    for premise_mask, conclusion_bit in masks:
-        if bits & premise_mask == premise_mask:
-            out |= conclusion_bit
-    return out
-
-
-def _masks(system: InferenceSystem, use_corules: bool) -> tuple[tuple[int, int], ...]:
-    return system._rule_masks + system._corule_masks if use_corules else system._rule_masks
-
 
 def apply_step(system: InferenceSystem, s: JudgmentSet,
                use_corules: bool = False) -> JudgmentSet:
     """One inference step: conclusions of all rules whose premises lie in ``s``.
 
     This is the monotone operator whose least and greatest fixed points are
-    the inductive and coinductive interpretations.
+    the inductive and coinductive interpretations. Tests use this plain scan
+    as the reference for the engine.
     """
     if s.size != system.universe_size:
         raise ValueError("judgment set sized for a different universe")
-    return JudgmentSet(s.size, _step_bits(_masks(system, use_corules), s.bits))
+    return JudgmentSet.of(s.size, (r.conclusion for r in system.all_rules(use_corules)
+                                   if all(p in s for p in r.premises)))
 
 
-def _kleene(masks, start: int, size: int) -> tuple[int, int]:
-    """Iterate the step from ``start`` to a fixed point.
+def _least(n: int, rules: Sequence[Rule]) -> tuple[list[Optional[int]], list[Optional[int]]]:
+    """Per judgment, its Kleene round (1-based) in the least fixed point of ``rules``
+    and the first declared rule firing then; None twice outside the fixed point."""
+    rounds: list[Optional[int]] = [None] * n
+    firing: list[Optional[int]] = [None] * n
+    waiting = [len(r.premises) for r in rules]
+    users: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(rules):
+        for p in r.premises:
+            users[p].append(i)
+    ready = [i for i, count in enumerate(waiting) if not count]
+    layer = 1
+    while ready:
+        later = []  # rules whose last premise is derived in this layer
+        for i in ready:
+            c = rules[i].conclusion
+            if rounds[c] is None:
+                rounds[c], firing[c] = layer, i
+                for k in users[c]:
+                    waiting[k] -= 1
+                    if not waiting[k]:
+                        later.append(k)
+        ready = sorted(later)
+        layer += 1
+    return rounds, firing
 
-    Returns (fixpoint bits, number of step applications). Monotone ascent or
-    descent over a universe of ``size`` judgments must stabilize within
-    ``size + 1`` applications; exceeding that bound is an engine bug.
-    """
-    current = start
-    for rounds in range(1, size + 2):
-        nxt = _step_bits(masks, current)
-        if nxt == current:
-            return current, rounds
-        current = nxt
-    raise InternalError(f"no fixed point within {size + 1} iterations")
+
+def _greatest(n: int, rules: Sequence[Rule], live: set[int]) -> set[int]:
+    """The greatest fixed point of ``rules`` inside ``live``."""
+    support = [0] * n
+    kept = bytearray(len(rules))
+    users: list[list[int]] = [[] for _ in range(n)]
+    for i, r in enumerate(rules):
+        if r.conclusion in live and r.premises <= live:
+            kept[i] = 1
+            support[r.conclusion] += 1
+            for p in r.premises:
+                users[p].append(i)
+    alive = {j for j in live if support[j]}
+    doomed = list(live - alive)
+    while doomed:
+        for i in users[doomed.pop()]:
+            if kept[i]:
+                kept[i] = 0
+                c = rules[i].conclusion
+                support[c] -= 1
+                if not support[c]:
+                    alive.remove(c)
+                    doomed.append(c)
+    return alive
+
+
+def _first_support(rules: Sequence[Rule], inside: set[int]) -> dict[int, int]:
+    """Per judgment of ``inside``, the index of the first declared rule that
+    concludes it from premises inside; judgments with no such rule are absent."""
+    first: dict[int, int] = {}
+    for i, r in enumerate(rules):
+        if r.conclusion in inside and r.conclusion not in first and r.premises <= inside:
+            first[r.conclusion] = i
+    return first
+
+
+def _bound(system: InferenceSystem) -> set[int]:
+    """The judgments inductively derivable once corules are admitted."""
+    rounds, _ = _least(system.universe_size, system.all_rules(use_corules=True))
+    return {j for j, r in enumerate(rounds) if r is not None}
 
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
-    bits, _ = _kleene(_masks(system, use_corules), 0, system.universe_size)
-    return JudgmentSet(system.universe_size, bits)
+    rounds, _ = _least(system.universe_size, system.all_rules(use_corules))
+    return JudgmentSet.of(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -271,8 +305,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = system.universe_size
-    bits, _ = _kleene(system._rule_masks, (1 << n) - 1, n)
-    return JudgmentSet(n, bits)
+    return JudgmentSet.of(n, _greatest(n, system.rules, set(range(n))))
 
 
 def derivation_rounds(system: InferenceSystem,
@@ -283,21 +316,7 @@ def derivation_rounds(system: InferenceSystem,
     rule that first derives a judgment all have strictly smaller rounds,
     which is what makes extracted proof trees finite.
     """
-    n = system.universe_size
-    masks = _masks(system, use_corules)
-    rounds: list[Optional[int]] = [None] * n
-    current = 0
-    for r in range(1, n + 2):
-        nxt = _step_bits(masks, current)
-        if nxt == current:
-            return tuple(rounds)
-        new = nxt & ~current
-        while new:
-            low = new & -new
-            rounds[low.bit_length() - 1] = r
-            new ^= low
-        current = nxt
-    raise InternalError(f"no fixed point within {n + 1} iterations")
+    return tuple(_least(system.universe_size, system.all_rules(use_corules))[0])
 
 
 def restrict(system: InferenceSystem, s: JudgmentSet) -> InferenceSystem:
@@ -315,15 +334,16 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     """The corule-generated interpretation.
 
     First the inductive interpretation with corules admitted is computed;
-    then the coinductive interpretation of the system restricted to those
+    then the greatest fixed point of the rules below it, which is the
+    coinductive interpretation of the system restricted to those
     conclusions. The result is a fixed point of the restricted step,
     in general neither its least nor its greatest.
     """
-    bound = ind_interpretation(system, use_corules=True)
-    result = coind_interpretation(restrict(system, bound))
-    if not result.is_subset_of(bound):
+    bound = _bound(system)
+    alive = _greatest(system.universe_size, system.rules, bound)
+    if not alive <= bound:
         raise InternalError("generated interpretation escaped its inductive bound")
-    return result
+    return JudgmentSet.of(system.universe_size, alive)
 
 
 @dataclass(frozen=True)
@@ -365,10 +385,9 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     """
     if s.size != system.universe_size:
         raise ValueError("judgment set sized for a different universe")
-    hits = []
-    for idx, r in enumerate(system.rules):
-        if all(p in s for p in r.premises) and r.conclusion not in s:
-            hits.append((r.conclusion, idx, r))
+    inside = set(s)
+    hits = [(r.conclusion, idx, r) for idx, r in enumerate(system.rules)
+            if r.conclusion not in inside and r.premises <= inside]
     hits.sort(key=lambda h: (h[0], h[1]))
     failures = tuple(Failure(c, CLOSEDNESS, r) for c, _, r in hits)
     return CheckReport(not failures, failures)
@@ -383,16 +402,11 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     """
     if s.size != system.universe_size:
         raise ValueError("judgment set sized for a different universe")
-    failures = []
-    witnesses: dict[int, Rule] = {}
-    for j in s:
-        for r in system.rules:
-            if r.conclusion == j and all(p in s for p in r.premises):
-                witnesses[j] = r
-                break
-        else:
-            failures.append(Failure(j, CONSISTENCY, None))
-    return CheckReport(not failures, tuple(failures), witnesses)
+    members = s.ids()
+    first = _first_support(system.rules, set(members))
+    failures = tuple(Failure(j, CONSISTENCY, None) for j in members if j not in first)
+    witnesses = {j: system.rules[first[j]] for j in members if j in first}
+    return CheckReport(not failures, failures, witnesses)
 
 
 def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> CheckReport:
@@ -411,13 +425,14 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     """
     if spec.size != system.universe_size:
         raise ValueError("judgment set sized for a different universe")
-    bound = ind_interpretation(system, use_corules=True)
+    bound = _bound(system)
     failures = [Failure(j, BOUNDEDNESS, None) for j in spec if j not in bound]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
     ok = not failures
-    if ok and not spec.is_subset_of(gen_interpretation(system)):
-        raise InternalError("bounded and consistent spec escaped the "
-                            "generated interpretation")
+    if ok:
+        if not _greatest(spec.size, system.rules, bound).issuperset(spec):
+            raise InternalError("bounded and consistent spec escaped the "
+                                "generated interpretation")
     return CheckReport(ok, tuple(failures), consistency.witnesses)

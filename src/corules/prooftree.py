@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .inference import (
-    InferenceSystem,
-    InternalError,
-    coind_interpretation,
-    derivation_rounds,
-    ind_interpretation,
-    restrict,
-)
+from .inference import InferenceSystem, InternalError, _bound, _first_support, _greatest, _least
 
 
 class StructuralError(Exception):
@@ -44,7 +37,21 @@ class FiniteProofTree:
         object.__setattr__(self, "children", tuple(self.children))
 
     def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
+        """Nodes on a longest root-to-leaf path; a shared subproof is measured once."""
+        depths: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in depths:
+                stack.pop()
+                continue
+            pending = [c for c in node.children if id(c) not in depths]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                depths[id(node)] = 1 + max((depths[id(c)] for c in node.children), default=0)
+        return depths[id(self)]
 
 
 @dataclass(frozen=True)
@@ -84,11 +91,16 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
 
     True iff at every node the referenced rule concludes the node's judgment
     and the children are exactly one subtree per premise. A node that uses a
-    corule is rejected unless ``allow_corules`` is set.
+    corule is rejected unless ``allow_corules`` is set. A subproof shared by
+    several nodes is checked once.
     """
+    seen: set[int] = set()
     stack = [tree]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         r = _combined_rule(system, node.rule_index)
         if node.rule_index >= len(system.rules) and not allow_corules:
             return False
@@ -110,28 +122,27 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     strictly decrease toward the leaves and the tree depth never exceeds the
     universe size.
     """
-    rounds = derivation_rounds(system, use_corules=allow_corules)
     if not 0 <= j < system.universe_size:
         raise ValueError(f"judgment id {j} out of range")
+    rules = system.all_rules(allow_corules)
+    rounds, firing = _least(system.universe_size, rules)
     if rounds[j] is None:
         return None
-    candidates = list(enumerate(system.all_rules(allow_corules)))
+    needed = {j}
+    stack = [j]
+    while stack:
+        k = stack.pop()
+        if firing[k] is None:
+            raise InternalError(f"judgment {k} derivable at round {rounds[k]} "
+                                "but no rule fires")
+        fresh = rules[firing[k]].premises - needed
+        needed |= fresh
+        stack.extend(fresh)
     memo: dict[int, FiniteProofTree] = {}
-
-    def build(k: int) -> FiniteProofTree:
-        if k in memo:
-            return memo[k]
-        rk = rounds[k]
-        for idx, r in candidates:
-            if r.conclusion != k:
-                continue
-            if all(rounds[p] is not None and rounds[p] < rk for p in r.premises):
-                children = tuple(build(p) for p in sorted(r.premises))
-                memo[k] = FiniteProofTree(k, idx, children)
-                return memo[k]
-        raise InternalError(f"judgment {k} derivable at round {rk} but no rule fires")
-
-    return build(j)
+    for k in sorted(needed, key=rounds.__getitem__):
+        premises = sorted(rules[firing[k]].premises)
+        memo[k] = FiniteProofTree(k, firing[k], tuple(memo[p] for p in premises))
+    return memo[j]
 
 
 def _validate_rational(tree: RationalProofTree, system: InferenceSystem) -> None:
@@ -169,7 +180,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     root lies in the generated interpretation.
     """
     _validate_rational(tree, system)
-    bound = ind_interpretation(system, use_corules=True)
+    bound = _bound(system)
     for node in tree.nodes:
         r = system.rules[node.rule_index]
         if r.conclusion != node.judgment:
@@ -194,62 +205,44 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     """
     if not 0 <= j < system.universe_size:
         raise ValueError(f"judgment id {j} out of range")
-    bound = ind_interpretation(system, use_corules=True)
-    restricted = restrict(system, bound)
-    gen = coind_interpretation(restricted)
+    n = system.universe_size
+    gen = _greatest(n, system.rules, _bound(system))
     if j not in gen:
         return None
-    rounds = derivation_rounds(restricted)
-    eligible = [(idx, r) for idx, r in enumerate(system.rules) if r.conclusion in bound]
-
-    def witness(k: int) -> int:
-        rk = rounds[k]
-        if rk is not None:
-            for idx, r in eligible:
-                if r.conclusion == k and all(
-                        rounds[p] is not None and rounds[p] < rk for p in r.premises):
-                    return idx
-        for idx, r in eligible:
-            if r.conclusion == k and all(p in gen for p in r.premises):
-                return idx
-        raise InternalError(f"judgment {k} in generated interpretation "
-                            "but no rule sustains it")
-
-    nodes: list[Optional[RationalNode]] = []
-    index: dict[int, int] = {}
-
-    def build(k: int) -> int:
-        if k in index:
-            return index[k]
-        ni = len(nodes)
-        index[k] = ni
-        nodes.append(None)
-        idx = witness(k)
-        children = tuple(build(p) for p in sorted(system.rules[idx].premises))
-        nodes[ni] = RationalNode(k, idx, children)
-        return ni
-
-    build(j)
-    assert all(n is not None for n in nodes)
+    _, firing = _least(n, system.rules)
+    sustaining = _first_support(system.rules, gen)
+    chosen: dict[int, int] = {}  # judgment -> rule index, in pre-order
+    stack = [j]
+    while stack:
+        k = stack.pop()
+        if k in chosen:
+            continue
+        chosen[k] = sustaining.get(k) if firing[k] is None else firing[k]
+        if chosen[k] is None:
+            raise InternalError(f"judgment {k} in generated interpretation "
+                                "but no rule sustains it")
+        stack.extend(sorted(system.rules[chosen[k]].premises, reverse=True))
+    index = {k: ni for ni, k in enumerate(chosen)}
+    nodes = (RationalNode(k, idx, tuple(index[p] for p in sorted(system.rules[idx].premises)))
+             for k, idx in chosen.items())
     return RationalProofTree(tuple(nodes), root=0)
 
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(tree.nodes)
-
-    def visit(i: int) -> bool:
-        color[i] = GRAY
-        for c in tree.nodes[i].children:
-            if color[c] == GRAY:
-                return False
-            if color[c] == WHITE and not visit(c):
-                return False
-        color[i] = BLACK
-        return True
-
-    return all(color[i] != WHITE or visit(i) for i in range(len(tree.nodes)))
+    parents = [0] * len(tree.nodes)
+    for node in tree.nodes:
+        for c in node.children:
+            parents[c] += 1
+    ready = [i for i, count in enumerate(parents) if not count]
+    removed = 0
+    while ready:
+        removed += 1
+        for c in tree.nodes[ready.pop()].children:
+            parents[c] -= 1
+            if not parents[c]:
+                ready.append(c)
+    return removed == len(tree.nodes)
 
 
 def _rule_name(system: InferenceSystem, index: int) -> str:
@@ -261,14 +254,12 @@ def _rule_name(system: InferenceSystem, index: int) -> str:
 def format_finite(tree: FiniteProofTree, system: InferenceSystem) -> str:
     """Indented text rendering of a finite proof tree."""
     lines: list[str] = []
-
-    def emit(node: FiniteProofTree, depth: int) -> None:
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         label = system.label_of(node.judgment)
         lines.append(f"{'  ' * depth}{label}  [{_rule_name(system, node.rule_index)}]")
-        for c in node.children:
-            emit(c, depth + 1)
-
-    emit(tree, 0)
+        stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
 
@@ -280,18 +271,16 @@ def format_rational(tree: RationalProofTree, system: InferenceSystem) -> str:
     """
     lines: list[str] = []
     seen: set[int] = set()
-
-    def emit(ni: int, depth: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        ni, depth = stack.pop()
         pad = "  " * depth
         if ni in seen:
             lines.append(f"{pad}^{ni}")
-            return
+            continue
         seen.add(ni)
         node = tree.nodes[ni]
         label = system.label_of(node.judgment)
         lines.append(f"{pad}{ni}: {label}  [rule {node.rule_index}]")
-        for c in node.children:
-            emit(c, depth + 1)
-
-    emit(tree.root, 0)
+        stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)

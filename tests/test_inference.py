@@ -17,6 +17,7 @@ from corules import (
     bounded_coinduction_check,
     coind_interpretation,
     derivation_rounds,
+    extract_finite_proof,
     gen_interpretation,
     ind_interpretation,
     is_closed,
@@ -68,6 +69,13 @@ class TestJudgmentSet:
 
     def test_iteration_is_ascending(self):
         assert JudgmentSet.of(8, [5, 1, 7]).ids() == (1, 5, 7)
+
+    def test_iteration_matches_membership_on_large_sets(self):
+        rng = random.Random(4)
+        for size in (0, 1, 63, 64, 65, 5000, 20000):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                s = JudgmentSet(size, sum(1 << j for j in range(size) if rng.random() < density))
+                assert list(s) == [j for j in range(size) if j in s]
 
 
 class TestSystemValidation:
@@ -264,6 +272,61 @@ class TestKleeneBehavior:
         doubled = InferenceSystem(3, sys_.rules + sys_.rules)
         assert ind_interpretation(sys_) == ind_interpretation(doubled)
         assert coind_interpretation(sys_) == coind_interpretation(doubled)
+
+
+def upward_stages(system, use_corules=False):
+    """The sets S_0 = {} and S_r = step(S_(r-1)), via the apply_step reference."""
+    stages = [JudgmentSet.empty(system.universe_size)]
+    while True:
+        nxt = apply_step(system, stages[-1], use_corules=use_corules)
+        if nxt == stages[-1]:
+            return stages
+        stages.append(nxt)
+
+
+def downward_fixpoint(system):
+    current = JudgmentSet.full(system.universe_size)
+    while (nxt := apply_step(system, current)) != current:
+        current = nxt
+    return current
+
+
+class TestEngineAgainstStepReference:
+    """Seeded systems too large for the 2^n oracles, against Kleene iteration
+    of ``apply_step``."""
+
+    SYSTEMS = [random_system(random.Random(seed), max_universe=40, max_rules=90,
+                             max_corules=10, max_premises=3) for seed in range(150)]
+
+    def test_rounds_are_kleene_stages(self):
+        for sys_ in self.SYSTEMS:
+            for flag in (False, True):
+                stages = upward_stages(sys_, flag)
+                want = [next((r for r, s in enumerate(stages) if j in s), None)
+                        for j in range(sys_.universe_size)]
+                assert derivation_rounds(sys_, flag) == tuple(want)
+                assert ind_interpretation(sys_, flag) == stages[-1]
+
+    def test_coind_and_gen_are_downward_iterations(self):
+        for sys_ in self.SYSTEMS:
+            assert coind_interpretation(sys_) == downward_fixpoint(sys_)
+            bound = upward_stages(sys_, use_corules=True)[-1]
+            assert gen_interpretation(sys_) == downward_fixpoint(restrict(sys_, bound))
+
+    def test_finite_proofs_use_first_rule_firing_at_first_stage(self):
+        for sys_ in self.SYSTEMS:
+            for flag in (False, True):
+                stages = upward_stages(sys_, flag)
+                rules = sys_.all_rules(flag)
+                for j in stages[-1]:
+                    stack = [extract_finite_proof(sys_, j, allow_corules=flag)]
+                    while stack:
+                        node = stack.pop()
+                        r = next(r for r, s in enumerate(stages) if node.judgment in s)
+                        first = next(i for i, x in enumerate(rules) if x.conclusion ==
+                                     node.judgment and x.premises <= set(stages[r - 1]))
+                        assert node.rule_index == first
+                        stack.extend(node.children)
 
 
 class TestIsClosed:

@@ -20,6 +20,8 @@ from corules import (
     is_acyclic,
     rule,
 )
+from corules.cli import parse_system, run
+from corules.prooftree import format_finite, format_rational
 
 from util import ind_oracle, random_system
 
@@ -107,6 +109,64 @@ class TestExtractFinite:
                     assert (tree is not None) == (j in ind)
                     if tree is not None:
                         assert check_finite(tree, sys_, allow_corules=flag)
+
+
+def chain_text(n):
+    """c0 <- ; c(i) <- c(i-1): the proof of the last judgment is n deep."""
+    lines = ["judgments: " + " ".join(f"c{i}" for i in range(n)), "rule: c0 <-"]
+    lines += [f"rule: c{i} <- c{i - 1}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def ladder_system(rungs):
+    """a(i+1) <- a(i) b(i) and b(i) <- a(i), with a(i) = 2i and b(i) = 2i + 1.
+    The proof of a(rungs) shares every subproof, so as a tree it is 2^rungs big."""
+    rules = [rule(0)]
+    for i in range(rungs):
+        rules += [rule(2 * i + 2, 2 * i, 2 * i + 1), rule(2 * i + 1, 2 * i)]
+    return InferenceSystem(2 * rungs + 2, tuple(rules))
+
+
+class TestDeepAndSharedProofs:
+    DEPTH = 2000
+
+    def test_deep_chain_proofs(self, tmp_path, capsys):
+        n = self.DEPTH
+        path = tmp_path / "chain.inf"
+        path.write_text(chain_text(n), encoding="utf-8")
+        system = parse_system(chain_text(n)).system
+        finite = extract_finite_proof(system, n - 1)
+        assert check_finite(finite, system)
+        assert finite.depth() == n
+        text = format_finite(finite, system)
+        assert text.count("\n") == n - 1 and text.endswith("\n" + "  " * (n - 1) + "c0  [rule 0]")
+        rational = extract_rational_proof(system, n - 1)
+        assert check_rational_in_gen(rational, system) and is_acyclic(rational)
+        assert [node.judgment for node in rational.nodes] == list(range(n - 1, -1, -1))
+        assert format_rational(rational, system).count("\n") == n - 1
+        for extra in ([], ["--rational"]):
+            assert run(["prove", str(path), f"c{n - 1}"] + extra) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.count("\n") == n
+
+    def test_deep_cycle_rational_proof(self):
+        # c(i) <- c(i+1) around a cycle of DEPTH judgments, admitted by one coaxiom
+        n = self.DEPTH
+        system = InferenceSystem(n, tuple(rule(i, (i + 1) % n) for i in range(n)), (rule(0),))
+        rational = extract_rational_proof(system, 0)
+        assert check_rational_in_gen(rational, system) and not is_acyclic(rational)
+        assert len(rational.nodes) == n
+        assert format_rational(rational, system).endswith("  " * n + "^0")
+        finite = extract_finite_proof(system, 0, allow_corules=True)
+        assert check_finite(finite, system, allow_corules=True)
+        assert finite.depth() == 1 and extract_finite_proof(system, 1) is None
+
+    def test_ladder_checks_each_shared_subproof_once(self):
+        rungs = 40
+        system = ladder_system(rungs)
+        tree = extract_finite_proof(system, 2 * rungs)
+        assert check_finite(tree, system)
+        assert tree.depth() == 2 * rungs + 1
 
 
 def self_loop_tree():
