@@ -43,18 +43,7 @@ from .inference import (
     gen_interpretation,
     ind_interpretation,
 )
-from .predicates import (
-    Kind,
-    decide_direct,
-    gen_allpos_system,
-    gen_always_system,
-    gen_eventually_system,
-    gen_infoften_system,
-    gen_maxelem_system,
-    gen_member_system,
-    predicate_by_name,
-    spec_oracle,
-)
+from .predicates import FAMILIES, Kind, decide_direct, predicate_by_name, spec_oracle
 from .prooftree import (
     StructuralError,
     extract_finite_proof,
@@ -195,24 +184,30 @@ def render_system(sf: SystemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _natural(token: str) -> int:
+    # isdigit() rules out the signs, spaces and underscores int() takes; int()
+    # still rejects some digits, such as '²', and numerals past its digit limit.
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(f"not a natural number: {token!r}", code="bad-token")
+
+
 def parse_colist(text: str) -> Colist:
     pieces = text.replace("|", " | ").split()
     separators = pieces.count("|")
     if separators > 1:
         raise ParseError("more than one loop separator '|'", code="extra-separator")
 
-    def nat(token: str) -> int:
-        if not token.isdigit():
-            raise ParseError(f"not a natural number: {token!r}", code="bad-token")
-        return int(token)
-
     if separators == 1:
         k = pieces.index("|")
-        loop = tuple(nat(t) for t in pieces[k + 1:])
+        loop = tuple(map(_natural, pieces[k + 1:]))
         if not loop:
             raise ParseError("loop declared empty", code="empty-loop")
-        return Lasso(tuple(nat(t) for t in pieces[:k]), loop)
-    return Finite(tuple(nat(t) for t in pieces))
+        return Lasso(tuple(map(_natural, pieces[:k])), loop)
+    return Finite(tuple(map(_natural, pieces)))
 
 
 def format_colist(xs: Colist) -> str:
@@ -255,7 +250,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_prove)
     p = sub.add_parser("pred", help="evaluate a colist predicate three ways "
                                     "(engine, direct, oracle)")
-    p.add_argument("kind", choices=[k.value for k in Kind])
+    p.add_argument("kind", choices=[k.value for k in FAMILIES])
     p.add_argument("--list", required=True, dest="colist", metavar="LITERAL",
                    help="colist literal, e.g. '1 2 | 3'")
     p.add_argument("--p", dest="pred", metavar="NAME",
@@ -273,11 +268,14 @@ def _load(path: str) -> SystemFile:
     return parse_system(Path(path).read_text(encoding="utf-8"))
 
 
+def _interpret(name: str, system: InferenceSystem) -> JudgmentSet:
+    return {"ind": ind_interpretation, "coind": coind_interpretation,
+            "gen": gen_interpretation}[name](system)
+
+
 def _cmd_interpret(ns) -> int:
     sf = _load(ns.file)
-    fn = {"ind": ind_interpretation, "coind": coind_interpretation,
-          "gen": gen_interpretation}[ns.command]
-    for j in fn(sf.system):
+    for j in _interpret(ns.command, sf.system):
         print(sf.names[j])
     return 0
 
@@ -314,59 +312,33 @@ def _cmd_prove(ns) -> int:
     return 0
 
 
-def _need(ns, attr: str, flag: str, kind: str):
+def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
     value = getattr(ns, attr)
-    if value is None:
+    if needed and value is None:
         raise _UsageError(f"pred {kind} requires {flag}")
+    if not needed and value is not None:
+        raise _UsageError(f"pred {kind} does not take {flag}")
     return value
 
 
 def _cmd_pred(ns) -> int:
     kind = Kind(ns.kind)
+    family = FAMILIES[kind]
     xs = parse_colist(ns.colist)
-    predicate = None
-    x = None
-    if kind in (Kind.ALWAYS, Kind.EVENTUALLY, Kind.INFINITELY_OFTEN):
-        predicate = predicate_by_name(_need(ns, "pred", "--p", kind.value))
-    elif ns.pred is not None:
-        raise _UsageError(f"pred {kind.value} does not take --p")
-    if kind in (Kind.MEMBER_OF, Kind.MAX_ELEM):
-        x = _need(ns, "x", "--x", kind.value)
-        if x < 0:
-            raise _UsageError("--x must be a natural number")
-    elif ns.x is not None:
-        raise _UsageError(f"pred {kind.value} does not take --x")
-    if kind is not Kind.MAX_ELEM and ns.candidates is not None:
+    name = _flag(ns, "pred", "--p", kind.value, family.needs_predicate)
+    predicate = None if name is None else predicate_by_name(name)
+    x = _flag(ns, "x", "--x", kind.value, family.needs_value)
+    if x is not None and x < 0:
+        raise _UsageError("--x must be a natural number")
+    if ns.candidates is not None and not family.computes_value:
         raise _UsageError(f"pred {kind.value} does not take --candidates")
+    candidates = None if ns.candidates is None else parse_candidates(ns.candidates)
 
-    if kind is Kind.MEMBER_OF:
-        system, scheme = gen_member_system(x, xs)
-        engine = scheme.encode(0, x) in ind_interpretation(system)
-    elif kind is Kind.ALL_POS:
-        system, scheme = gen_allpos_system(xs)
-        engine = scheme.encode(0) in coind_interpretation(system)
-    elif kind is Kind.ALWAYS:
-        system, scheme = gen_always_system(predicate, xs)
-        engine = scheme.encode(0) in coind_interpretation(system)
-    elif kind is Kind.EVENTUALLY:
-        system, scheme = gen_eventually_system(predicate, xs)
-        engine = scheme.encode(0) in ind_interpretation(system)
-    elif kind is Kind.INFINITELY_OFTEN:
-        system, scheme = gen_infoften_system(predicate, xs)
-        engine = scheme.encode(0) in gen_interpretation(system)
-    else:
-        if ns.candidates is not None:
-            candidates = parse_candidates(ns.candidates)
-        else:
-            elements = xs.elements if isinstance(xs, Finite) else xs.prefix + xs.loop
-            candidates = sorted(set(elements) | {x})
-        system, scheme = gen_maxelem_system(xs, candidates)
-        engine = scheme.encode(0, x) in gen_interpretation(system)
-
-    if kind is Kind.MAX_ELEM:
-        direct = decide_direct(kind, xs) == x
-    else:
-        direct = decide_direct(kind, xs, x=x, predicate=predicate)
+    system, scheme = family.build(xs, x, predicate, candidates)
+    engine = scheme.encode(0, x) in _interpret(family.interpretation, system)
+    direct = decide_direct(kind, xs, x=x, predicate=predicate)
+    if family.computes_value:
+        direct = direct == x
     oracle = spec_oracle(kind, xs, x=x, predicate=predicate)
 
     agree = engine == direct == oracle
@@ -382,13 +354,7 @@ def _cmd_pred(ns) -> int:
 
 
 def parse_candidates(text: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece.isdigit():
-            raise ParseError(f"not a natural number: {piece!r}", code="bad-token")
-        out.append(int(piece))
-    return out
+    return [_natural(piece.strip()) for piece in text.split(",")]
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -184,12 +184,13 @@ class InferenceSystem:
         object.__setattr__(self, "corules", tuple(self.corules))
         if self.universe_size < 0:
             raise ValueError("universe size must be non-negative")
+        n = self.universe_size
         for r in self.rules + self.corules:
-            ids = set(r.premises) | {r.conclusion}
-            bad = [j for j in ids if not 0 <= j < self.universe_size]
-            if bad:
-                raise ValueError(f"rule {r} references judgment ids {sorted(bad)} "
-                                 f"outside universe of {self.universe_size}")
+            p = r.premises
+            if not 0 <= r.conclusion < n or p and not (0 <= min(p) and max(p) < n):
+                bad = sorted({j for j in (*p, r.conclusion) if not 0 <= j < n})
+                raise ValueError(f"rule {r} references judgment ids {bad} "
+                                 f"outside universe of {n}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.universe_size:

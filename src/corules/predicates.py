@@ -3,30 +3,32 @@
 Six predicate families are supported, each over the suffix automaton of a
 colist:
 
-* ``member``: some position holds a given value (inductive),
-* ``allpos``: every element is strictly positive (coinductive),
 * ``always``: a predicate holds at every position (coinductive),
 * ``eventually``: a predicate holds at some position (inductive),
+* ``member``: some position holds a given value, ``eventually(eq:x)``,
+* ``allpos``: every element is strictly positive, ``always(positive)``,
 * ``infoften``: a predicate holds at infinitely many positions
   (corule-generated),
 * ``max``: a value is the maximum element (corule-generated).
 
 Each ``gen_*_system`` function returns the inference system together with a
 JudgmentScheme mapping abstract judgments (value, suffix state) to dense
-ids. Two independent deciders, ``decide_direct`` (structural, looking at
-prefix and loop directly) and ``spec_oracle`` (index-quantified brute
-force over one periodicity window), exist purely to cross-check the engine
-verdicts; they share no code with the interpretations.
+ids. ``FAMILIES`` gives each kind's builder, the interpretation that gives
+it its meaning, and the arguments it takes. Two independent deciders,
+``decide_direct`` (structural, looking at prefix and loop directly) and
+``spec_oracle`` (index-quantified brute force over one periodicity
+window), exist purely to cross-check the engine verdicts; they share no
+code with the interpretations.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .colist import Colist, Finite, Lasso, SuffixAutomaton, get, suffix_automaton
-from .inference import InferenceSystem, rule
+from .inference import InferenceSystem, Rule, rule
 
 
 class Kind(enum.Enum):
@@ -38,17 +40,6 @@ class Kind(enum.Enum):
     ALWAYS = "always"
     INFINITELY_OFTEN = "infoften"
     MAX_ELEM = "max"
-
-
-# Which interpretation gives each kind its intended meaning.
-INTERPRETATION_OF_INTEREST = {
-    Kind.MEMBER_OF: "ind",
-    Kind.ALL_POS: "coind",
-    Kind.EVENTUALLY: "ind",
-    Kind.ALWAYS: "coind",
-    Kind.INFINITELY_OFTEN: "gen",
-    Kind.MAX_ELEM: "gen",
-}
 
 
 @dataclass(frozen=True)
@@ -94,9 +85,16 @@ def predicate_by_name(text: str) -> ElementPredicate:
         return ODD
     head, sep, arg = text.partition(":")
     if sep and head in ("eq", "gt"):
-        if not arg.isdigit():
-            raise ValueError(f"predicate argument must be a natural number: {text!r}")
-        return eq_to(int(arg)) if head == "eq" else greater_than(int(arg))
+        # isdigit() rules out the signs, spaces and underscores int() takes;
+        # int() still rejects some digits, such as '²', and overlong numerals.
+        if arg.isdigit():
+            try:
+                n = int(arg)
+            except ValueError:
+                pass
+            else:
+                return eq_to(n) if head == "eq" else greater_than(n)
+        raise ValueError(f"predicate argument must be a natural number: {text!r}")
     raise ValueError(f"unknown predicate {text!r} "
                      "(expected positive, even, odd, eq:<n>, gt:<n>)")
 
@@ -162,28 +160,48 @@ class JudgmentScheme:
         return tuple(self.label(j) for j in range(self.universe_size))
 
 
+def _system(scheme: JudgmentScheme, rules: Iterable[Rule],
+            corules: Iterable[Rule] = ()) -> tuple[InferenceSystem, JudgmentScheme]:
+    return InferenceSystem(scheme.universe_size, tuple(rules), tuple(corules),
+                           labels=scheme.labels()), scheme
+
+
+def _eventually_rules(aut: SuffixAutomaton, p: ElementPredicate) -> Iterator[Rule]:
+    """An axiom at every suffix whose head satisfies ``p``, and a step rule
+    from every non-empty suffix to its tail; judgment ids are the states."""
+    for s in aut.states():
+        head = aut.heads[s]
+        if head is None:
+            continue
+        if p(head):
+            yield rule(s)
+        yield rule(s, aut.nexts[s])
+
+
+def _always_rules(aut: SuffixAutomaton, p: ElementPredicate) -> Iterator[Rule]:
+    """An axiom at the empty suffix, and a rule deriving every suffix whose
+    head satisfies ``p`` from its tail; judgment ids are the states."""
+    for s in aut.states():
+        head = aut.heads[s]
+        if head is None:
+            yield rule(s)
+        elif p(head):
+            yield rule(s, aut.nexts[s])
+
+
 def gen_member_system(x: int, xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
     """Inference system for membership of ``x`` in ``xs`` (inductive).
 
-    An axiom derives membership at every suffix whose head is ``x``; a step
-    rule lifts membership in a tail to membership in the suffix. Nothing
-    concludes at the empty suffix.
+    This is ``eventually(eq:x)``: an axiom derives membership at every
+    suffix whose head is ``x``; a step rule lifts membership in a tail to
+    membership in the suffix. Nothing concludes at the empty suffix. The
+    scheme has the single candidate ``x``, so its ids are the states.
     """
     if x < 0:
         raise ValueError("element must be a natural number")
     aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.MEMBER_OF, xs, aut, candidates=(x,))
-    rules = []
-    for s in aut.states():
-        if aut.heads[s] is None:
-            continue
-        if aut.heads[s] == x:
-            rules.append(rule(scheme.encode(s, x)))
-        nxt = aut.nexts[s]
-        if nxt is not None:
-            rules.append(rule(scheme.encode(s, x), scheme.encode(nxt, x)))
-    return InferenceSystem(scheme.universe_size, tuple(rules),
-                           labels=scheme.labels()), scheme
+    return _system(JudgmentScheme(Kind.MEMBER_OF, xs, aut, candidates=(x,)),
+                   _eventually_rules(aut, eq_to(x)))
 
 
 def gen_always_system(p: ElementPredicate,
@@ -196,25 +214,15 @@ def gen_always_system(p: ElementPredicate,
     the one of interest.
     """
     aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.ALWAYS, xs, aut, predicate=p)
-    rules = []
-    for s in aut.states():
-        head = aut.heads[s]
-        if head is None:
-            rules.append(rule(scheme.encode(s)))
-        elif p(head):
-            rules.append(rule(scheme.encode(s), scheme.encode(aut.nexts[s])))
-    return InferenceSystem(scheme.universe_size, tuple(rules),
-                           labels=scheme.labels()), scheme
+    return _system(JudgmentScheme(Kind.ALWAYS, xs, aut, predicate=p),
+                   _always_rules(aut, p))
 
 
 def gen_allpos_system(xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
-    """The strictly-positive instance of the always system."""
+    """``always(positive)``, labelled as ``allpos``."""
     aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.ALL_POS, xs, aut, predicate=POSITIVE)
-    system, _ = gen_always_system(POSITIVE, xs)
-    return InferenceSystem(system.universe_size, system.rules,
-                           labels=scheme.labels()), scheme
+    return _system(JudgmentScheme(Kind.ALL_POS, xs, aut, predicate=POSITIVE),
+                   _always_rules(aut, POSITIVE))
 
 
 def gen_eventually_system(p: ElementPredicate,
@@ -227,19 +235,8 @@ def gen_eventually_system(p: ElementPredicate,
     inductive reading means anything.
     """
     aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.EVENTUALLY, xs, aut, predicate=p)
-    rules = []
-    for s in aut.states():
-        head = aut.heads[s]
-        if head is None:
-            continue
-        if p(head):
-            rules.append(rule(scheme.encode(s)))
-        nxt = aut.nexts[s]
-        if nxt is not None:
-            rules.append(rule(scheme.encode(s), scheme.encode(nxt)))
-    return InferenceSystem(scheme.universe_size, tuple(rules),
-                           labels=scheme.labels()), scheme
+    return _system(JudgmentScheme(Kind.EVENTUALLY, xs, aut, predicate=p),
+                   _eventually_rules(aut, p))
 
 
 def gen_infoften_system(p: ElementPredicate,
@@ -259,11 +256,10 @@ def gen_infoften_system(p: ElementPredicate,
         head = aut.heads[s]
         if head is None:
             continue
-        rules.append(rule(scheme.encode(s), scheme.encode(aut.nexts[s])))
+        rules.append(rule(s, aut.nexts[s]))
         if p(head):
-            corules.append(rule(scheme.encode(s)))
-    return InferenceSystem(scheme.universe_size, tuple(rules), tuple(corules),
-                           labels=scheme.labels()), scheme
+            corules.append(rule(s))
+    return _system(scheme, rules, corules)
 
 
 def gen_maxelem_system(xs: Colist,
@@ -295,16 +291,53 @@ def gen_maxelem_system(xs: Colist,
         if head is None:
             continue
         nxt = aut.nexts[s]
-        if nxt is not None and aut.heads[nxt] is None:
+        if aut.heads[nxt] is None:
             rules.append(rule(scheme.encode(s, head)))
-        if nxt is not None:
-            for y in cands:
-                # max(head, y) is itself a candidate: it is head or y.
-                rules.append(rule(scheme.encode(s, max_of(head, y)),
-                                  scheme.encode(nxt, y)))
+        for y in cands:
+            # max(head, y) is itself a candidate: it is head or y.
+            rules.append(rule(scheme.encode(s, max_of(head, y)),
+                              scheme.encode(nxt, y)))
         corules.append(rule(scheme.encode(s, head)))
-    return InferenceSystem(scheme.universe_size, tuple(rules), tuple(corules),
-                           labels=scheme.labels()), scheme
+    return _system(scheme, rules, corules)
+
+
+class Family(NamedTuple):
+    """How one kind of predicate is built and read.
+
+    ``build(xs, x, predicate, candidates)`` returns the system and scheme,
+    ignoring the arguments the kind does not take. ``interpretation`` is
+    the reading that gives the kind its meaning: "ind", "coind" or "gen".
+    ``needs_value`` and ``needs_predicate`` say whether the kind takes an
+    element ``x`` and an element predicate. A kind that ``computes_value``
+    (max) ranges over candidate values, which the caller may choose, and
+    ``decide_direct`` returns the value itself, to be compared with ``x``.
+    """
+
+    build: Callable[[Colist, Optional[int], Optional[ElementPredicate],
+                     Optional[Iterable[int]]], tuple[InferenceSystem, JudgmentScheme]]
+    interpretation: str
+    needs_value: bool = False
+    needs_predicate: bool = False
+    computes_value: bool = False
+
+
+# One row per kind, in the order of Kind. Each builder name is looked up
+# when the row is called, so a wrapper installed over it sees those calls.
+FAMILIES = {
+    Kind.MEMBER_OF: Family(lambda xs, x, p, c: gen_member_system(x, xs), "ind",
+                           needs_value=True),
+    Kind.ALL_POS: Family(lambda xs, x, p, c: gen_allpos_system(xs), "coind"),
+    Kind.EVENTUALLY: Family(lambda xs, x, p, c: gen_eventually_system(p, xs), "ind",
+                            needs_predicate=True),
+    Kind.ALWAYS: Family(lambda xs, x, p, c: gen_always_system(p, xs), "coind",
+                        needs_predicate=True),
+    Kind.INFINITELY_OFTEN: Family(lambda xs, x, p, c: gen_infoften_system(p, xs), "gen",
+                                  needs_predicate=True),
+    # Without chosen candidates, max probes x against the colist's elements.
+    Kind.MAX_ELEM: Family(lambda xs, x, p, c: gen_maxelem_system(
+                              xs, _all_elements(xs) + (x,) if c is None else c),
+                          "gen", needs_value=True, computes_value=True),
+}
 
 
 def _check_candidates_are_naturals(cands: tuple[int, ...]) -> None:

@@ -2,12 +2,15 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from corules import Finite, InferenceSystem, JudgmentSet, Lasso, Rule
+from corules import Finite, InferenceSystem, JudgmentSet, Lasso, Rule, predicate_by_name
 from corules.cli import (
     ParseError,
     SystemFile,
     format_colist,
+    parse_candidates,
     parse_colist,
     parse_system,
     render_system,
@@ -155,6 +158,37 @@ class TestParseColist:
         assert e.value.code == "extra-separator"
         with pytest.raises(ParseError):
             parse_colist("-1")
+
+    @pytest.mark.parametrize("token", ["\u00b2", "1\u00b2", "\u2460", "9" * 5000],
+                             ids=["superscript", "digit-superscript", "circled", "5000-digits"])
+    def test_digits_int_rejects_are_bad_tokens(self, token):
+        # str.isdigit() holds for each token, but int() rejects it
+        for parse, text in ((parse_colist, f"1 | {token}"),
+                            (parse_candidates, f"1,{token}")):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert e.value.code == "bad-token"
+            assert str(e.value) == f"not a natural number: {token!r}"
+        with pytest.raises(ValueError, match="must be a natural number"):
+            predicate_by_name(f"eq:{token}")
+
+    def test_other_decimal_digits_stay_accepted(self):
+        assert parse_colist("\u0663 | 1") == Lasso((3,), (1,))
+        assert parse_candidates("\u0663,1") == [3, 1]
+        assert predicate_by_name("gt:\u0663")(4)
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["judgments:", "rule:", "corule:", "spec:", "<-",
+                                  "a", "b", "c", "|", "1", "#", "\n", " ", "\u00b2",
+                                  "\u0663", "-1", "x"]))
+        .map(" ".join)))
+    def test_parsers_return_or_raise_parse_error(self, text):
+        for parse in (parse_colist, parse_system):
+            try:
+                parse(text)
+            except ParseError:
+                pass
 
     def test_format_round_trip(self):
         for text in ("1 2 | 3", "| 1 2", "", "0 4 4"):

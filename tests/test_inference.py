@@ -85,6 +85,17 @@ class TestSystemValidation:
         with pytest.raises(ValueError):
             InferenceSystem(2, (rule(0, 5),))
 
+    def test_error_lists_every_id_outside_the_range(self):
+        with pytest.raises(ValueError) as e:
+            InferenceSystem(3, (rule(0, 1, 2), rule(1, 4, -2, 2, -1, 9)))
+        assert str(e.value) == ("rule 1 <- -2 -1 2 4 9 references judgment ids "
+                                "[-2, -1, 4, 9] outside universe of 3")
+        with pytest.raises(ValueError) as e:
+            InferenceSystem(3, (), (rule(-1, -1, 0),))
+        assert str(e.value) == ("rule -1 <- -1 0 references judgment ids [-1] "
+                                "outside universe of 3")
+        assert InferenceSystem(3, (rule(2, 0, 2),), (rule(0, 1),)).universe_size == 3
+
     def test_labels_must_cover_and_be_unique(self):
         with pytest.raises(ValueError):
             InferenceSystem(2, (), labels=("a",))

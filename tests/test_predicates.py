@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from corules import (
     EVEN,
+    FAMILIES,
     POSITIVE,
     Finite,
     Kind,
@@ -29,6 +30,7 @@ from corules import (
     spec_oracle,
     suffix,
 )
+from corules.cli import _build_parser
 from corules.inference import BOUNDEDNESS, InferenceSystem, JudgmentSet
 
 from util import (
@@ -117,6 +119,15 @@ class TestMemberSystem:
         sys_, scheme = gen_member_system(2, xs)
         assert scheme.encode(0, 2) in ind_interpretation(sys_)
         assert any(spec_oracle(Kind.MEMBER_OF, xs, x=2) for _ in [0])
+
+    def test_member_is_eventually_eq(self):
+        rng = random.Random(30)
+        for _ in range(60):
+            xs = random_colist(rng)
+            x = rng.randint(0, 5)
+            member_sys, _ = gen_member_system(x, xs)
+            eventually_sys, _ = gen_eventually_system(eq_to(x), xs)
+            assert member_sys.rules == eventually_sys.rules
 
     def test_nothing_concludes_at_the_empty_state(self):
         sys_, scheme = gen_member_system(1, Finite((1,)))
@@ -342,54 +353,45 @@ class TestSpecOracle:
         assert not spec_oracle(Kind.INFINITELY_OFTEN, Finite(()), predicate=EVEN)
 
 
-def engine_verdict(kind, xs, x=None, predicate=None):
-    if kind is Kind.MEMBER_OF:
-        sys_, scheme = gen_member_system(x, xs)
-        return scheme.encode(0, x) in ind_interpretation(sys_)
-    if kind is Kind.ALL_POS:
-        sys_, scheme = gen_allpos_system(xs)
-        return scheme.encode(0) in coind_interpretation(sys_)
-    if kind is Kind.ALWAYS:
-        sys_, scheme = gen_always_system(predicate, xs)
-        return scheme.encode(0) in coind_interpretation(sys_)
-    if kind is Kind.EVENTUALLY:
-        sys_, scheme = gen_eventually_system(predicate, xs)
-        return scheme.encode(0) in ind_interpretation(sys_)
-    if kind is Kind.INFINITELY_OFTEN:
-        sys_, scheme = gen_infoften_system(predicate, xs)
-        return scheme.encode(0) in gen_interpretation(sys_)
-    raise AssertionError(kind)
+INTERPRET = {"ind": ind_interpretation, "coind": coind_interpretation,
+             "gen": gen_interpretation}
+
+
+def engine_verdict(kind, xs, x=None, predicate=None, candidates=None):
+    family = FAMILIES[kind]
+    sys_, scheme = family.build(xs, x, predicate, candidates)
+    return scheme.encode(0, x) in INTERPRET[family.interpretation](sys_)
 
 
 def check_three_way(xs):
-    for x in range(6):
-        engine = engine_verdict(Kind.MEMBER_OF, xs, x=x)
-        direct = decide_direct(Kind.MEMBER_OF, xs, x=x)
-        oracle = spec_oracle(Kind.MEMBER_OF, xs, x=x)
-        assert engine == direct == oracle, (xs, "member", x)
-
-    assert (engine_verdict(Kind.ALL_POS, xs)
-            == decide_direct(Kind.ALL_POS, xs)
-            == spec_oracle(Kind.ALL_POS, xs)), (xs, "allpos")
-
-    for kind in (Kind.ALWAYS, Kind.EVENTUALLY, Kind.INFINITELY_OFTEN):
-        for p in PREDICATE_POOL:
-            engine = engine_verdict(kind, xs, predicate=p)
-            direct = decide_direct(kind, xs, predicate=p)
-            oracle = spec_oracle(kind, xs, predicate=p)
-            assert engine == direct == oracle, (xs, kind, p.name)
-
+    """Every row of FAMILIES against both independent deciders."""
     elements = elements_of(xs)
     probe = (max(elements) + 1) if elements else 1
     candidates = sorted(set(elements) | {0, probe})
-    sys_, scheme = gen_maxelem_system(xs, candidates)
-    gen = gen_interpretation(sys_)
-    direct_max = decide_direct(Kind.MAX_ELEM, xs)
-    for m in candidates:
-        engine = scheme.encode(0, m) in gen
-        direct = direct_max == m
-        oracle = spec_oracle(Kind.MAX_ELEM, xs, x=m)
-        assert engine == direct == oracle, (xs, "max", m)
+    for kind, family in FAMILIES.items():
+        values = (candidates if family.computes_value
+                  else range(6) if family.needs_value else [None])
+        for x in values:
+            for p in PREDICATE_POOL if family.needs_predicate else [None]:
+                engine = engine_verdict(kind, xs, x, p, candidates)
+                direct = decide_direct(kind, xs, x=x, predicate=p)
+                if family.computes_value:
+                    direct = direct == x
+                oracle = spec_oracle(kind, xs, x=x, predicate=p)
+                assert engine == direct == oracle, (xs, kind, x, p)
+
+
+class TestFamilies:
+    def test_one_row_per_kind_in_kind_order(self):
+        assert list(FAMILIES) == list(Kind)
+        assert {f.interpretation for f in FAMILIES.values()} == set(INTERPRET)
+        for kind, family in FAMILIES.items():
+            assert family.build(Lasso((2,), (0, 1)), 1, EVEN, None)[1].kind is kind
+
+    def test_pred_command_offers_exactly_the_table(self):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        kind = next(a for a in sub.choices["pred"]._actions if a.dest == "kind")
+        assert kind.choices == [k.value for k in FAMILIES]
 
 
 class TestThreeWayAgreement:
