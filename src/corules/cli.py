@@ -114,6 +114,9 @@ def parse_system(text: str) -> SystemFile:
         tokens = _tokens(body)
         directive, col = tokens[0]
         rest = tokens[1:]
+        if directive != "judgments:" and not saw_header:
+            raise ParseError("judgments: header must be the first directive",
+                             lineno, col, "missing-header")
         if directive == "judgments:":
             if saw_header:
                 raise ParseError("duplicate judgments: header", lineno, col,
@@ -132,9 +135,6 @@ def parse_system(text: str) -> SystemFile:
                 ids[name] = len(names)
                 names.append(name)
         elif directive in ("rule:", "corule:"):
-            if not saw_header:
-                raise ParseError("judgments: header must be the first directive",
-                                 lineno, col, "missing-header")
             if not rest:
                 raise ParseError(f"{directive} needs a conclusion and {ARROW}",
                                  lineno, col, "malformed-arrow")
@@ -148,16 +148,10 @@ def parse_system(text: str) -> SystemFile:
             target = rules if directive == "rule:" else corules
             target.append(Rule(premises, conclusion))
         elif directive == "spec:":
-            if not saw_header:
-                raise ParseError("judgments: header must be the first directive",
-                                 lineno, col, "missing-header")
             if spec_ids is not None:
                 raise ParseError("duplicate spec: line", lineno, col, "duplicate-spec")
             spec_ids = [lookup(n, lineno, ncol) for n, ncol in rest]
         else:
-            if not saw_header:
-                raise ParseError("judgments: header must be the first directive",
-                                 lineno, col, "missing-header")
             raise ParseError(f"unknown directive {directive!r}", lineno, col,
                              "unknown-directive")
     if not saw_header:
@@ -255,7 +249,7 @@ def _build_parser() -> _Parser:
                    help="colist literal, e.g. '1 2 | 3'")
     p.add_argument("--p", dest="pred", metavar="NAME",
                    help="element predicate: positive, even, odd, eq:<n>, gt:<n>")
-    p.add_argument("--x", type=int, metavar="N",
+    p.add_argument("--x", metavar="N",
                    help="element (member) or candidate maximum (max)")
     p.add_argument("--candidates", metavar="N,...",
                    help="candidate values for max (default: elements of the "
@@ -298,17 +292,13 @@ def _cmd_prove(ns) -> int:
     sf = _load(ns.file)
     j = sf.id_of(ns.judgment)
     if ns.rational:
-        rational = extract_rational_proof(sf.system, j)
-        if rational is None:
-            print(f"{ns.judgment}: underivable")
-            return 1
-        print(format_rational(rational, sf.system))
+        proof, render = extract_rational_proof(sf.system, j), format_rational
     else:
-        finite = extract_finite_proof(sf.system, j, allow_corules=True)
-        if finite is None:
-            print(f"{ns.judgment}: underivable")
-            return 1
-        print(format_finite(finite, sf.system))
+        proof, render = extract_finite_proof(sf.system, j, allow_corules=True), format_finite
+    if proof is None:
+        print(f"{ns.judgment}: underivable")
+        return 1
+    print(render(proof, sf.system))
     return 0
 
 
@@ -328,8 +318,7 @@ def _cmd_pred(ns) -> int:
     name = _flag(ns, "pred", "--p", kind.value, family.needs_predicate)
     predicate = None if name is None else predicate_by_name(name)
     x = _flag(ns, "x", "--x", kind.value, family.needs_value)
-    if x is not None and x < 0:
-        raise _UsageError("--x must be a natural number")
+    x = None if x is None else _natural(x)
     if ns.candidates is not None and not family.computes_value:
         raise _UsageError(f"pred {kind.value} does not take --candidates")
     candidates = None if ns.candidates is None else parse_candidates(ns.candidates)

@@ -68,15 +68,6 @@ class SuffixAutomaton:
     def state_count(self) -> int:
         return len(self.heads)
 
-    def head_of(self, state: int) -> Optional[int]:
-        return self.heads[state]
-
-    def next_of(self, state: int) -> Optional[int]:
-        return self.nexts[state]
-
-    def is_empty_state(self, state: int) -> bool:
-        return self.heads[state] is None
-
     def states(self) -> range:
         return range(len(self.heads))
 

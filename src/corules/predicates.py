@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .colist import Colist, Finite, Lasso, SuffixAutomaton, get, suffix_automaton
+from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, get,
+                     suffix_automaton)
 from .inference import InferenceSystem, Rule, rule
 
 
@@ -136,9 +138,15 @@ class JudgmentScheme:
             if value is not None:
                 raise ValueError(f"{self.kind.value} judgments carry no value")
             return state
-        if value is None or value not in self.candidates:
-            raise ValueError(f"value {value!r} is not a candidate")
-        return self.candidates.index(value) * self.state_count + state
+        try:
+            return self._value_index[value] * self.state_count + state
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(f"value {value!r} is not a candidate") from None
+
+    @cached_property
+    def _value_index(self) -> dict[int, int]:
+        """Each candidate's first position, so that ``encode`` is one lookup."""
+        return {value: i for i, value in reversed(tuple(enumerate(self.candidates)))}
 
     def decode(self, j: int) -> tuple[Optional[int], int]:
         """The (value, state) pair of a judgment id; value is None for
@@ -276,7 +284,7 @@ def gen_maxelem_system(xs: Colist,
     cands = tuple(sorted(set(candidates)))
     if not cands:
         raise ValueError("candidate set must be nonempty")
-    _check_candidates_are_naturals(cands)
+    _check_naturals(cands, "candidates")
     occurring = set(_all_elements(xs))
     missing = occurring - set(cands)
     if missing:
@@ -338,12 +346,6 @@ FAMILIES = {
                               xs, _all_elements(xs) + (x,) if c is None else c),
                           "gen", needs_value=True, computes_value=True),
 }
-
-
-def _check_candidates_are_naturals(cands: tuple[int, ...]) -> None:
-    for c in cands:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise ValueError(f"candidates must be natural numbers, got {c!r}")
 
 
 def _all_elements(xs: Colist) -> tuple[int, ...]:

@@ -11,14 +11,19 @@ then corules); rational trees may only reference plain rules. Malformed
 trees (out-of-range indices, unreachable nodes) raise StructuralError,
 which is distinct from a well-formed but invalid derivation (checkers
 return False).
+
+Both extractors share one derivation walk and both checkers one rule-match
+test; extraction and checking take time linear in the sizes of the system and
+of the proof, up to sorting each rule's premises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from .inference import InferenceSystem, InternalError, _bound, _first_support, _greatest, _least
+from .inference import (InferenceSystem, InternalError, Rule, _bound, _first_support, _greatest,
+                        _least)
 
 
 class StructuralError(Exception):
@@ -77,12 +82,26 @@ class RationalProofTree:
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
 
-def _combined_rule(system: InferenceSystem, index: int):
-    combined = system.rules + system.corules
-    if not 0 <= index < len(combined):
-        raise StructuralError(f"rule index {index} out of range "
-                              f"(system has {len(combined)} rules and corules)")
-    return combined[index]
+def _derives(rule: Rule, judgment: int, child_judgments: Sequence[int]) -> bool:
+    """Whether ``rule`` concludes ``judgment`` from exactly one child per premise."""
+    return (rule.conclusion == judgment and len(child_judgments) == len(rule.premises)
+            and set(child_judgments) == rule.premises)
+
+
+def _derivation(rules: Sequence[Rule], j: int,
+                rule_for: Callable[[int], Optional[int]]) -> dict[int, int]:
+    """Judgment -> index of the rule ``rule_for`` picks, for every judgment the
+    derivation of ``j`` reaches, in pre-order with premises in ascending order."""
+    chosen: dict[int, int] = {}
+    stack = [j]
+    while stack:
+        k = stack.pop()
+        if k not in chosen:
+            index = chosen[k] = rule_for(k)
+            if index is None:
+                raise InternalError(f"judgment {k} is derivable but no rule derives it")
+            stack.extend(sorted(rules[index].premises, reverse=True))
+    return chosen
 
 
 def check_finite(tree: FiniteProofTree, system: InferenceSystem,
@@ -94,6 +113,7 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
     corule is rejected unless ``allow_corules`` is set. A subproof shared by
     several nodes is checked once.
     """
+    rules = system.all_rules(use_corules=True)
     seen: set[int] = set()
     stack = [tree]
     while stack:
@@ -101,13 +121,13 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
         if id(node) in seen:
             continue
         seen.add(id(node))
-        r = _combined_rule(system, node.rule_index)
+        if not 0 <= node.rule_index < len(rules):
+            raise StructuralError(f"rule index {node.rule_index} out of range "
+                                  f"(system has {len(rules)} rules and corules)")
         if node.rule_index >= len(system.rules) and not allow_corules:
             return False
-        if r.conclusion != node.judgment:
-            return False
-        child_judgments = {c.judgment for c in node.children}
-        if child_judgments != r.premises or len(node.children) != len(r.premises):
+        if not _derives(rules[node.rule_index], node.judgment,
+                        [c.judgment for c in node.children]):
             return False
         stack.extend(node.children)
     return True
@@ -128,20 +148,11 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     rounds, firing = _least(system.universe_size, rules)
     if rounds[j] is None:
         return None
-    needed = {j}
-    stack = [j]
-    while stack:
-        k = stack.pop()
-        if firing[k] is None:
-            raise InternalError(f"judgment {k} derivable at round {rounds[k]} "
-                                "but no rule fires")
-        fresh = rules[firing[k]].premises - needed
-        needed |= fresh
-        stack.extend(fresh)
+    chosen = _derivation(rules, j, firing.__getitem__)
     memo: dict[int, FiniteProofTree] = {}
-    for k in sorted(needed, key=rounds.__getitem__):
-        premises = sorted(rules[firing[k]].premises)
-        memo[k] = FiniteProofTree(k, firing[k], tuple(memo[p] for p in premises))
+    for k in sorted(chosen, key=rounds.__getitem__):
+        premises = sorted(rules[chosen[k]].premises)
+        memo[k] = FiniteProofTree(k, chosen[k], tuple(memo[p] for p in premises))
     return memo[j]
 
 
@@ -182,13 +193,9 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     _validate_rational(tree, system)
     bound = _bound(system)
     for node in tree.nodes:
-        r = system.rules[node.rule_index]
-        if r.conclusion != node.judgment:
-            return False
-        child_judgments = {tree.nodes[c].judgment for c in node.children}
-        if child_judgments != r.premises or len(node.children) != len(r.premises):
-            return False
-        if node.judgment not in bound:
+        children = [tree.nodes[c].judgment for c in node.children]
+        if (not _derives(system.rules[node.rule_index], node.judgment, children)
+                or node.judgment not in bound):
             return False
     return True
 
@@ -211,17 +218,8 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
         return None
     _, firing = _least(n, system.rules)
     sustaining = _first_support(system.rules, gen)
-    chosen: dict[int, int] = {}  # judgment -> rule index, in pre-order
-    stack = [j]
-    while stack:
-        k = stack.pop()
-        if k in chosen:
-            continue
-        chosen[k] = sustaining.get(k) if firing[k] is None else firing[k]
-        if chosen[k] is None:
-            raise InternalError(f"judgment {k} in generated interpretation "
-                                "but no rule sustains it")
-        stack.extend(sorted(system.rules[chosen[k]].premises, reverse=True))
+    chosen = _derivation(system.rules, j,
+                         lambda k: sustaining.get(k) if firing[k] is None else firing[k])
     index = {k: ni for ni, k in enumerate(chosen)}
     nodes = (RationalNode(k, idx, tuple(index[p] for p in sorted(system.rules[idx].premises)))
              for k, idx in chosen.items())

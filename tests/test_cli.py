@@ -63,6 +63,11 @@ class TestParseSystem:
 
     def test_missing_header(self):
         assert self.err("rule: a <-").code == "missing-header"
+        for text, line, column in (("spec: a", 1, 1), ("foo: bar", 1, 1),
+                                   ("\n  corule: a <-", 2, 3)):
+            e = self.err(text + "\njudgments: a")
+            assert (e.code, e.line, e.column) == ("missing-header", line, column)
+            assert e.message == "judgments: header must be the first directive"
         assert self.err("").code == "missing-header"
         assert self.err("# only a comment\n").code == "missing-header"
 
@@ -317,6 +322,10 @@ class TestRunPred:
         assert run(["pred", "max", "--list", "1 2", "--x", "2",
                     "--candidates", "2"]) == 64  # misses element 1
         assert run(["pred", "member", "--list", "1 y", "--x", "1"]) == 64
+        capsys.readouterr()
+        for token in ("+2", "1_0", " 2", "-1"):  # --x is read as --list reads a number
+            assert run(["pred", "member", "--list", "2 10", "--x", token]) == 64
+            assert capsys.readouterr().err == f"error: not a natural number: {token!r}\n"
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         # no honest disagreement exists, so force one to pin the exit code

@@ -131,19 +131,20 @@ class TestDeepAndSharedProofs:
     DEPTH = 2000
 
     def test_deep_chain_proofs(self, tmp_path, capsys):
-        n = self.DEPTH
-        path = tmp_path / "chain.inf"
-        path.write_text(chain_text(n), encoding="utf-8")
-        system = parse_system(chain_text(n)).system
-        finite = extract_finite_proof(system, n - 1)
-        assert check_finite(finite, system)
-        assert finite.depth() == n
+        for n in (10_000, self.DEPTH):
+            system = parse_system(chain_text(n)).system
+            finite = extract_finite_proof(system, n - 1)
+            assert check_finite(finite, system)
+            assert finite.depth() == n
+            rational = extract_rational_proof(system, n - 1)
+            assert check_rational_in_gen(rational, system) and is_acyclic(rational)
+            assert [node.judgment for node in rational.nodes] == list(range(n - 1, -1, -1))
+        # Renders stay at DEPTH: the indented render of an n-deep chain is about n² bytes.
         text = format_finite(finite, system)
         assert text.count("\n") == n - 1 and text.endswith("\n" + "  " * (n - 1) + "c0  [rule 0]")
-        rational = extract_rational_proof(system, n - 1)
-        assert check_rational_in_gen(rational, system) and is_acyclic(rational)
-        assert [node.judgment for node in rational.nodes] == list(range(n - 1, -1, -1))
         assert format_rational(rational, system).count("\n") == n - 1
+        path = tmp_path / "chain.inf"
+        path.write_text(chain_text(n), encoding="utf-8")
         for extra in ([], ["--rational"]):
             assert run(["prove", str(path), f"c{n - 1}"] + extra) == 0
             out, err = capsys.readouterr()
