@@ -46,6 +46,7 @@ from .predicates import (
     gen_member_system,
     max_of,
     spec_oracle,
+    three_way,
 )
 from .prooftree import (
     FiniteProofTree,
@@ -74,7 +75,7 @@ __all__ = [
     "JudgmentScheme", "Kind", "decide_direct", "eq_to", "from_table",
     "greater_than", "predicate_by_name", "gen_allpos_system", "gen_always_system",
     "gen_eventually_system", "gen_infoften_system", "gen_maxelem_system",
-    "gen_member_system", "max_of", "spec_oracle",
+    "gen_member_system", "max_of", "spec_oracle", "three_way",
     # prooftree
     "FiniteProofTree", "RationalNode", "RationalProofTree", "StructuralError",
     "check_finite", "check_rational_in_gen", "extract_finite_proof",

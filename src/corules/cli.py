@@ -18,19 +18,21 @@ empty string is the empty list.
 Exit codes: 0 success (for ``pred``: all routes agree on true), 1 a
 well-formed negative outcome (failed check, underivable judgment, agreed
 false verdict), 2 route disagreement in ``pred`` (an engine bug signal),
-64 unparsable input, 70 violated internal invariant.
+64 unparsable input, 70 violated internal invariant. A closed stdout
+(``| head -1``) is no error: the command's own exit code stands.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .colist import Colist, Finite, Lasso
+from .colist import Colist, Finite, Lasso, _natural_or_none
 from .inference import (
     BOUNDEDNESS,
     CONSISTENCY,
@@ -39,11 +41,9 @@ from .inference import (
     JudgmentSet,
     Rule,
     bounded_coinduction_check,
-    coind_interpretation,
-    gen_interpretation,
-    ind_interpretation,
+    interpret,
 )
-from .predicates import FAMILIES, Kind, decide_direct, predicate_by_name, spec_oracle
+from .predicates import FAMILIES, Kind, predicate_by_name, three_way
 from .prooftree import (
     StructuralError,
     extract_finite_proof,
@@ -179,14 +179,10 @@ def render_system(sf: SystemFile) -> str:
 
 
 def _natural(token: str) -> int:
-    # isdigit() rules out the signs, spaces and underscores int() takes; int()
-    # still rejects some digits, such as '²', and numerals past its digit limit.
-    if token.isdigit():
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    raise ParseError(f"not a natural number: {token!r}", code="bad-token")
+    n = _natural_or_none(token)
+    if n is None:
+        raise ParseError(f"not a natural number: {token!r}", code="bad-token")
+    return n
 
 
 def parse_colist(text: str) -> Colist:
@@ -262,33 +258,28 @@ def _load(path: str) -> SystemFile:
     return parse_system(Path(path).read_text(encoding="utf-8"))
 
 
-def _interpret(name: str, system: InferenceSystem) -> JudgmentSet:
-    return {"ind": ind_interpretation, "coind": coind_interpretation,
-            "gen": gen_interpretation}[name](system)
+# Each command returns its exit code and the lines it prints; ``run`` prints them.
 
-
-def _cmd_interpret(ns) -> int:
+def _cmd_interpret(ns) -> tuple[int, list[str]]:
     sf = _load(ns.file)
-    for j in _interpret(ns.command, sf.system):
-        print(sf.names[j])
-    return 0
+    return 0, [sf.names[j] for j in interpret(ns.command, sf.system)]
 
 
-def _cmd_check(ns) -> int:
+def _cmd_check(ns) -> tuple[int, list[str]]:
     sf = _load(ns.file)
     if sf.spec is None:
         raise ParseError("file has no spec: line to check", code="missing-spec")
     report = bounded_coinduction_check(sf.system, sf.spec)
+    lines = []
     for tag, title in ((BOUNDEDNESS, "boundedness"), (CONSISTENCY, "consistency")):
         failures = report.failures_tagged(tag)
-        print(f"{title}: {'FAIL' if failures else 'PASS'}")
-        for f in failures:
-            print(f"  counterexample: {sf.names[f.judgment]}")
-    print(f"spec-in-gen: {'PASS' if report.ok else 'SKIPPED'}")
-    return 0 if report.ok else 1
+        lines.append(f"{title}: {'FAIL' if failures else 'PASS'}")
+        lines.extend(f"  counterexample: {sf.names[f.judgment]}" for f in failures)
+    lines.append(f"spec-in-gen: {'PASS' if report.ok else 'SKIPPED'}")
+    return (0 if report.ok else 1), lines
 
 
-def _cmd_prove(ns) -> int:
+def _cmd_prove(ns) -> tuple[int, list[str]]:
     sf = _load(ns.file)
     j = sf.id_of(ns.judgment)
     if ns.rational:
@@ -296,10 +287,8 @@ def _cmd_prove(ns) -> int:
     else:
         proof, render = extract_finite_proof(sf.system, j, allow_corules=True), format_finite
     if proof is None:
-        print(f"{ns.judgment}: underivable")
-        return 1
-    print(render(proof, sf.system))
-    return 0
+        return 1, [f"{ns.judgment}: underivable"]
+    return 0, [render(proof, sf.system)]
 
 
 def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
@@ -311,7 +300,7 @@ def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
     return value
 
 
-def _cmd_pred(ns) -> int:
+def _cmd_pred(ns) -> tuple[int, list[str]]:
     kind = Kind(ns.kind)
     family = FAMILIES[kind]
     xs = parse_colist(ns.colist)
@@ -323,44 +312,43 @@ def _cmd_pred(ns) -> int:
         raise _UsageError(f"pred {kind.value} does not take --candidates")
     candidates = None if ns.candidates is None else parse_candidates(ns.candidates)
 
-    system, scheme = family.build(xs, x, predicate, candidates)
-    engine = scheme.encode(0, x) in _interpret(family.interpretation, system)
-    direct = decide_direct(kind, xs, x=x, predicate=predicate)
-    if family.computes_value:
-        direct = direct == x
-    oracle = spec_oracle(kind, xs, x=x, predicate=predicate)
-
+    engine, direct, oracle = three_way(kind, xs, x=x, predicate=predicate,
+                                       candidates=candidates)
     agree = engine == direct == oracle
-    print(f"kind: {kind.value}")
-    print(f"colist: {format_colist(xs)}")
-    print(f"engine: {'true' if engine else 'false'}")
-    print(f"direct: {'true' if direct else 'false'}")
-    print(f"oracle: {'true' if oracle else 'false'}")
-    print(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
-    if not agree:
-        return 2
-    return 0 if engine else 1
+    lines = [f"kind: {kind.value}", f"colist: {format_colist(xs)}"]
+    lines.extend(f"{route}: {'true' if verdict else 'false'}" for route, verdict
+                 in (("engine", engine), ("direct", direct), ("oracle", oracle)))
+    lines.append(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
+    return (0 if engine else 1) if agree else 2, lines
 
 
 def parse_candidates(text: str) -> list[int]:
     return [_natural(piece.strip()) for piece in text.split(",")]
 
 
+def _print(lines: list[str]) -> None:
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone, which is no error of the command's. Send what is
+        # still buffered to the null device, so the flush at exit has nothing
+        # to report either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = list(argv) if argv is not None else sys.argv[1:]
     try:
         ns = _build_parser().parse_args(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 64
+        code, lines = ns.handler(ns)
+        _print(lines)
+        return code
     except SystemExit as e:  # --help
         return e.code if isinstance(e.code, int) else 0
-    try:
-        return ns.handler(ns)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 64
-    except (ParseError, ValueError, OSError) as e:
+    except (_UsageError, ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 64
     except (InternalError, StructuralError) as e:

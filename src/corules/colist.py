@@ -23,6 +23,18 @@ def _check_naturals(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def _natural_or_none(token: str) -> Optional[int]:
+    """The natural number ``token`` writes in decimal digits, else None."""
+    # isdigit() rules out the signs, spaces and underscores int() takes; int()
+    # still rejects some digits, such as '²', and numerals past its digit limit.
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
+
+
 @dataclass(frozen=True)
 class Finite:
     """A finite list of naturals."""

@@ -199,12 +199,13 @@ class InferenceSystem:
                 raise ValueError("judgment labels must be unique")
 
     def judgment(self, j: int) -> Judgment:
-        if not 0 <= j < self.universe_size:
-            raise ValueError(f"judgment id {j} out of range")
-        return Judgment(j, self.labels[j] if self.labels else None)
+        label = self.label_of(j)
+        return Judgment(j, label if self.labels else None)
 
     def label_of(self, j: int) -> str:
-        return str(self.judgment(j))
+        if not 0 <= j < self.universe_size:
+            raise ValueError(f"judgment id {j} out of range")
+        return self.labels[j] if self.labels else f"j{j}"
 
     def all_rules(self, use_corules: bool = False) -> tuple[Rule, ...]:
         """The rules of the system, with corules appended when requested."""
@@ -345,6 +346,16 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     if not alive <= bound:
         raise InternalError("generated interpretation escaped its inductive bound")
     return JudgmentSet.of(system.universe_size, alive)
+
+
+def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
+    """The interpretation named ``name`` ("ind", "coind" or "gen").
+
+    The functions are looked up at each call, so a wrapper installed over
+    one of them sees the call.
+    """
+    return {"ind": ind_interpretation, "coind": coind_interpretation,
+            "gen": gen_interpretation}[name](system)
 
 
 @dataclass(frozen=True)

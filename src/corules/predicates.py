@@ -13,12 +13,13 @@ colist:
 
 Each ``gen_*_system`` function returns the inference system together with a
 JudgmentScheme mapping abstract judgments (value, suffix state) to dense
-ids. ``FAMILIES`` gives each kind's builder, the interpretation that gives
-it its meaning, and the arguments it takes. Two independent deciders,
-``decide_direct`` (structural, looking at prefix and loop directly) and
-``spec_oracle`` (index-quantified brute force over one periodicity
-window), exist purely to cross-check the engine verdicts; they share no
-code with the interpretations.
+ids. ``FAMILIES`` is the one place that says how each family is built,
+read and decided: its builder, its interpretation, its two deciders and
+the arguments it takes. The deciders, ``decide_direct`` (structural, looking
+at prefix and loop directly) and ``spec_oracle`` (index-quantified brute
+force over one periodicity window), exist purely to cross-check the
+engine verdicts and share no code with the interpretations; ``three_way``
+gives all three verdicts, as ``corules pred`` prints them.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, get,
-                     suffix_automaton)
-from .inference import InferenceSystem, Rule, rule
+from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
+                     _natural_or_none, get, suffix_automaton)
+from .inference import InferenceSystem, Rule, interpret, rule
 
 
 class Kind(enum.Enum):
@@ -87,16 +88,10 @@ def predicate_by_name(text: str) -> ElementPredicate:
         return ODD
     head, sep, arg = text.partition(":")
     if sep and head in ("eq", "gt"):
-        # isdigit() rules out the signs, spaces and underscores int() takes;
-        # int() still rejects some digits, such as '²', and overlong numerals.
-        if arg.isdigit():
-            try:
-                n = int(arg)
-            except ValueError:
-                pass
-            else:
-                return eq_to(n) if head == "eq" else greater_than(n)
-        raise ValueError(f"predicate argument must be a natural number: {text!r}")
+        n = _natural_or_none(arg)
+        if n is None:
+            raise ValueError(f"predicate argument must be a natural number: {text!r}")
+        return eq_to(n) if head == "eq" else greater_than(n)
     raise ValueError(f"unknown predicate {text!r} "
                      "(expected positive, even, odd, eq:<n>, gt:<n>)")
 
@@ -158,14 +153,13 @@ class JudgmentScheme:
         vi, state = divmod(j, self.state_count)
         return self.candidates[vi], state
 
-    def label(self, j: int) -> str:
-        value, state = self.decode(j)
-        if value is None:
-            return f"{self.kind.value}(s{state})"
-        return f"{self.kind.value}({value},s{state})"
-
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.label(j) for j in range(self.universe_size))
+        """The label of every id, in id order: ``kind(s<state>)``, or
+        ``kind(<value>,s<state>)`` when judgments carry a value."""
+        name, states = self.kind.value, range(self.state_count)
+        if self.candidates is None:
+            return tuple(f"{name}(s{s})" for s in states)
+        return tuple(f"{name}({v},s{s})" for v in self.candidates for s in states)
 
 
 def _system(scheme: JudgmentScheme, rules: Iterable[Rule],
@@ -309,75 +303,10 @@ def gen_maxelem_system(xs: Colist,
     return _system(scheme, rules, corules)
 
 
-class Family(NamedTuple):
-    """How one kind of predicate is built and read.
-
-    ``build(xs, x, predicate, candidates)`` returns the system and scheme,
-    ignoring the arguments the kind does not take. ``interpretation`` is
-    the reading that gives the kind its meaning: "ind", "coind" or "gen".
-    ``needs_value`` and ``needs_predicate`` say whether the kind takes an
-    element ``x`` and an element predicate. A kind that ``computes_value``
-    (max) ranges over candidate values, which the caller may choose, and
-    ``decide_direct`` returns the value itself, to be compared with ``x``.
-    """
-
-    build: Callable[[Colist, Optional[int], Optional[ElementPredicate],
-                     Optional[Iterable[int]]], tuple[InferenceSystem, JudgmentScheme]]
-    interpretation: str
-    needs_value: bool = False
-    needs_predicate: bool = False
-    computes_value: bool = False
-
-
-# One row per kind, in the order of Kind. Each builder name is looked up
-# when the row is called, so a wrapper installed over it sees those calls.
-FAMILIES = {
-    Kind.MEMBER_OF: Family(lambda xs, x, p, c: gen_member_system(x, xs), "ind",
-                           needs_value=True),
-    Kind.ALL_POS: Family(lambda xs, x, p, c: gen_allpos_system(xs), "coind"),
-    Kind.EVENTUALLY: Family(lambda xs, x, p, c: gen_eventually_system(p, xs), "ind",
-                            needs_predicate=True),
-    Kind.ALWAYS: Family(lambda xs, x, p, c: gen_always_system(p, xs), "coind",
-                        needs_predicate=True),
-    Kind.INFINITELY_OFTEN: Family(lambda xs, x, p, c: gen_infoften_system(p, xs), "gen",
-                                  needs_predicate=True),
-    # Without chosen candidates, max probes x against the colist's elements.
-    Kind.MAX_ELEM: Family(lambda xs, x, p, c: gen_maxelem_system(
-                              xs, _all_elements(xs) + (x,) if c is None else c),
-                          "gen", needs_value=True, computes_value=True),
-}
-
-
 def _all_elements(xs: Colist) -> tuple[int, ...]:
     if isinstance(xs, Finite):
         return xs.elements
     return xs.prefix + xs.loop
-
-
-def decide_direct(kind: Kind, xs: Colist, *, x: Optional[int] = None,
-                  predicate: Optional[ElementPredicate] = None):
-    """Direct structural decision, independent of the inference engine.
-
-    Returns a boolean, except for ``max`` which returns the maximum element
-    or None on the empty colist.
-    """
-    if kind is Kind.MEMBER_OF:
-        return _require_value(kind, x) in _all_elements(xs)
-    if kind is Kind.ALL_POS:
-        return all(POSITIVE(e) for e in _all_elements(xs))
-    if kind is Kind.ALWAYS:
-        p = _require_predicate(kind, predicate)
-        return all(p(e) for e in _all_elements(xs))
-    if kind is Kind.EVENTUALLY:
-        p = _require_predicate(kind, predicate)
-        return any(p(e) for e in _all_elements(xs))
-    if kind is Kind.INFINITELY_OFTEN:
-        p = _require_predicate(kind, predicate)
-        return isinstance(xs, Lasso) and any(p(e) for e in xs.loop)
-    if kind is Kind.MAX_ELEM:
-        elements = _all_elements(xs)
-        return max(elements) if elements else None
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _window(xs: Colist) -> int:
@@ -392,6 +321,127 @@ def _lifted(p: ElementPredicate, value: Optional[int]) -> bool:
     return value is not None and p(value)
 
 
+# The deciders of the rows below. A direct decider looks at the prefix and
+# loop; an oracle quantifies over indices up to the periodicity window. The
+# two of a kind share no code, so each checks the other and the engine.
+
+def _eventually_direct(xs, x, p):
+    return any(p(e) for e in _all_elements(xs))
+
+
+def _eventually_oracle(xs, x, p):
+    return any(p(get(xs, i)) for i in range(_window(xs)))
+
+
+def _always_direct(xs, x, p):
+    return all(p(e) for e in _all_elements(xs))
+
+
+def _always_oracle(xs, x, p):
+    return all(p(get(xs, i)) for i in range(_window(xs)))
+
+
+def _infoften_direct(xs, x, p):
+    return isinstance(xs, Lasso) and any(p(e) for e in xs.loop)
+
+
+def _infoften_oracle(xs, x, p):
+    bound = _window(xs)
+    if bound == 0:
+        # An empty universal quantifier would claim the empty colist has
+        # infinitely many hits; the unbounded specification says no.
+        return False
+    return all(any(_lifted(p, get(xs, n)) for n in range(i + 1, i + bound + 1))
+               for i in range(bound))
+
+
+def _max_direct(xs, x, p):
+    return max(_all_elements(xs), default=None)
+
+
+def _max_oracle(xs, x, p):
+    bound = _window(xs)
+    if not any(get(xs, i) == x for i in range(bound)):
+        return False
+    return all(x == max_of(x, get(xs, i)) for i in range(bound))
+
+
+class Family(NamedTuple):
+    """How one kind of predicate is built, read and decided.
+
+    ``build(xs, x, predicate, candidates)`` returns the system and scheme,
+    and ``direct`` and ``oracle``, called with ``(xs, x, predicate)``, are
+    the deciders; each ignores the arguments the kind does not take.
+    ``interpretation`` is the reading that gives the kind its meaning:
+    "ind", "coind" or "gen". ``needs_value`` and ``needs_predicate`` say
+    whether the kind takes an element ``x`` and an element predicate. A
+    kind that ``computes_value`` (max) ranges over candidate values, which
+    the caller may choose, and its ``direct`` returns the value itself, to
+    be compared with ``x``, so it needs no ``x``.
+    """
+
+    build: Callable[[Colist, Optional[int], Optional[ElementPredicate],
+                     Optional[Iterable[int]]], tuple[InferenceSystem, JudgmentScheme]]
+    interpretation: str
+    direct: Callable[[Colist, Optional[int], Optional[ElementPredicate]], object]
+    oracle: Callable[[Colist, Optional[int], Optional[ElementPredicate]], bool]
+    needs_value: bool = False
+    needs_predicate: bool = False
+    computes_value: bool = False
+
+
+# One row per kind, in the order of Kind. Each builder name is looked up
+# when the row is called, so a wrapper installed over it sees those calls.
+# Member is eventually(eq:x) and allpos is always(positive), in their
+# deciders as in their rules.
+FAMILIES = {
+    Kind.MEMBER_OF: Family(lambda xs, x, p, c: gen_member_system(x, xs), "ind",
+                           lambda xs, x, p: _eventually_direct(xs, x, eq_to(x)),
+                           lambda xs, x, p: _eventually_oracle(xs, x, eq_to(x)),
+                           needs_value=True),
+    Kind.ALL_POS: Family(lambda xs, x, p, c: gen_allpos_system(xs), "coind",
+                         lambda xs, x, p: _always_direct(xs, x, POSITIVE),
+                         lambda xs, x, p: _always_oracle(xs, x, POSITIVE)),
+    Kind.EVENTUALLY: Family(lambda xs, x, p, c: gen_eventually_system(p, xs), "ind",
+                            _eventually_direct, _eventually_oracle,
+                            needs_predicate=True),
+    Kind.ALWAYS: Family(lambda xs, x, p, c: gen_always_system(p, xs), "coind",
+                        _always_direct, _always_oracle, needs_predicate=True),
+    Kind.INFINITELY_OFTEN: Family(lambda xs, x, p, c: gen_infoften_system(p, xs), "gen",
+                                  _infoften_direct, _infoften_oracle,
+                                  needs_predicate=True),
+    # Without chosen candidates, max probes x against the colist's elements.
+    Kind.MAX_ELEM: Family(lambda xs, x, p, c: gen_maxelem_system(
+                              xs, _all_elements(xs) + (x,) if c is None else c),
+                          "gen", _max_direct, _max_oracle,
+                          needs_value=True, computes_value=True),
+}
+
+
+def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
+            direct: bool = False) -> Family:
+    """The row of ``kind``, once the arguments its decider needs are given."""
+    try:
+        family = FAMILIES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown kind {kind!r}") from None
+    if family.needs_value and x is None and not (direct and family.computes_value):
+        raise ValueError(f"{kind.value} needs a value")
+    if family.needs_predicate and predicate is None:
+        raise ValueError(f"{kind.value} needs an element predicate")
+    return family
+
+
+def decide_direct(kind: Kind, xs: Colist, *, x: Optional[int] = None,
+                  predicate: Optional[ElementPredicate] = None):
+    """Direct structural decision, independent of the inference engine.
+
+    Returns a boolean, except for ``max`` which returns the maximum element
+    or None on the empty colist.
+    """
+    return _family(kind, x, predicate, direct=True).direct(xs, x, predicate)
+
+
 def spec_oracle(kind: Kind, xs: Colist, *, x: Optional[int] = None,
                 predicate: Optional[ElementPredicate] = None) -> bool:
     """Index-quantified specification, brute-forced over one periodicity window.
@@ -399,39 +449,19 @@ def spec_oracle(kind: Kind, xs: Colist, *, x: Optional[int] = None,
     This is the meaning each inference system is checked against, evaluated
     without any reference to rules or automaton states.
     """
-    bound = _window(xs)
-    if kind is Kind.MEMBER_OF:
-        value = _require_value(kind, x)
-        return any(get(xs, i) == value for i in range(bound))
-    if kind in (Kind.ALL_POS, Kind.ALWAYS):
-        p = POSITIVE if kind is Kind.ALL_POS else _require_predicate(kind, predicate)
-        return all(p(get(xs, i)) for i in range(bound))
-    if kind is Kind.EVENTUALLY:
-        p = _require_predicate(kind, predicate)
-        return any(p(get(xs, i)) for i in range(bound))
-    if kind is Kind.INFINITELY_OFTEN:
-        p = _require_predicate(kind, predicate)
-        if bound == 0:
-            # An empty universal quantifier would claim the empty colist has
-            # infinitely many hits; the unbounded specification says no.
-            return False
-        return all(any(_lifted(p, get(xs, n)) for n in range(i + 1, i + bound + 1))
-                   for i in range(bound))
-    if kind is Kind.MAX_ELEM:
-        m = _require_value(kind, x)
-        if not any(get(xs, i) == m for i in range(bound)):
-            return False
-        return all(m == max_of(m, get(xs, i)) for i in range(bound))
-    raise ValueError(f"unknown kind {kind!r}")
+    return _family(kind, x, predicate).oracle(xs, x, predicate)
 
 
-def _require_value(kind: Kind, x: Optional[int]) -> int:
-    if x is None:
-        raise ValueError(f"{kind.value} needs a value")
-    return x
-
-
-def _require_predicate(kind: Kind, p: Optional[ElementPredicate]) -> ElementPredicate:
-    if p is None:
-        raise ValueError(f"{kind.value} needs an element predicate")
-    return p
+def three_way(kind: Kind, xs: Colist, *, x: Optional[int] = None,
+              predicate: Optional[ElementPredicate] = None,
+              candidates: Optional[Iterable[int]] = None) -> tuple[bool, bool, bool]:
+    """Whether ``xs`` satisfies ``kind``, by the engine (the root judgment
+    under the kind's interpretation), ``decide_direct`` (for max: whether
+    the maximum is ``x``) and ``spec_oracle``, in that order."""
+    family = _family(kind, x, predicate)
+    system, scheme = family.build(xs, x, predicate, candidates)
+    engine = scheme.encode(0, x) in interpret(family.interpretation, system)
+    direct = decide_direct(kind, xs, x=x, predicate=predicate)
+    if family.computes_value:
+        direct = direct == x
+    return engine, direct, spec_oracle(kind, xs, x=x, predicate=predicate)

@@ -1,10 +1,17 @@
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corules
 from corules import Finite, InferenceSystem, JudgmentSet, Lasso, Rule, predicate_by_name
 from corules.cli import (
     ParseError,
@@ -20,6 +27,13 @@ from corules.cli import (
 from util import random_system
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def cli_command(*argv):
+    """``corules ARGV`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(corules.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return [sys.executable, "-m", "corules.cli", *argv], dict(os.environ, PYTHONPATH=path)
 
 
 class TestParseSystem:
@@ -329,8 +343,8 @@ class TestRunPred:
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         # no honest disagreement exists, so force one to pin the exit code
-        import corules.cli as cli_module
-        monkeypatch.setattr(cli_module, "decide_direct",
+        import corules.predicates as predicates_module
+        monkeypatch.setattr(predicates_module, "decide_direct",
                             lambda *a, **k: object())
         assert run(["pred", "allpos", "--list", "| 1"]) == 2
         assert "verdict: DISAGREE" in capsys.readouterr().out
@@ -382,9 +396,6 @@ class TestRunPlumbing:
         assert capsys.readouterr().out == first
 
     def test_reports_identical_across_processes(self, tmp_path):
-        import os
-        import subprocess
-        import sys
         path = write(tmp_path, BASICS)
         for argv in (["check", path],
                      ["gen", str(DEMOS / "max_stream12.inf")],
@@ -393,10 +404,10 @@ class TestRunPlumbing:
                      ["pred", "max", "--list", "| 1 2", "--x", "2"]):
             outs = set()
             for seed in ("0", "3", "random"):
-                env = dict(os.environ, PYTHONHASHSEED=seed)
-                result = subprocess.run(
-                    [sys.executable, "-m", "corules.cli", *argv],
-                    capture_output=True, env=env, check=False)
+                command, env = cli_command(*argv)
+                result = subprocess.run(command, capture_output=True,
+                                        env=dict(env, PYTHONHASHSEED=seed), check=False)
+                assert result.returncode in (0, 1) and result.stdout, result.stderr
                 outs.add(result.stdout)
             assert len(outs) == 1
 
@@ -408,6 +419,83 @@ class TestRunPlumbing:
             run(argv)
             out = capsys.readouterr().out
             assert all(line == line.rstrip() for line in out.splitlines())
+
+
+class TestClosedStdout:
+    """A reader that stops early, like ``corules ind big.inf | head -1``, is
+    no error: nothing on stderr, and the command's own exit code."""
+
+    N = 20000  # each command below prints 129 KB or more; a pipe buffers 64 KiB
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        # root <- a0 ... a(N-1), each a an axiom; the b's have no rules, so a
+        # spec of all of them fails both checks with N counterexamples each
+        a = [f"a{i}" for i in range(self.N)]
+        b = [f"b{i}" for i in range(self.N)]
+        lines = ["judgments: root " + " ".join(a + b)]
+        lines += [f"rule: {name} <-" for name in a]
+        lines += ["rule: root <- " + " ".join(a), "spec: " + " ".join(b)]
+        path = tmp_path_factory.mktemp("wide") / "wide.inf"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv,code", [(["ind"], 0), (["prove", "root"], 0),
+                                           (["prove", "root", "--rational"], 0),
+                                           (["check"], 1)])
+    def test_reader_closing_early(self, wide, argv, code):
+        command, env = cli_command(argv[0], wide, *argv[1:])
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == code
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first and err == b""
+
+
+class TestExitCodeContract:
+    """``run`` returns 0, 1 or 64 on any input, raises nothing and prints no
+    traceback (2 means the routes of ``pred`` disagree, 70 an engine bug)."""
+
+    INF_TOKENS = ["judgments:", "rule:", "corule:", "spec:", "<-", "a", "b", "c",
+                  "#", "\u00b2"]
+    PRED_WORDS = ["positive", "even", "eq:1", "gt:2", "prime", "eq:x", "0", "2", "+2",
+                  "1,2", "3,", "x", "", "1 | 2", "| 0 2", "--x", "--help"]
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 64), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from([["ind"], ["gen"], ["check"], ["prove", "a"]]),
+           st.one_of(st.text(max_size=40),
+                     st.lists(st.lists(st.sampled_from(INF_TOKENS), max_size=6)
+                              .map(" ".join), max_size=8).map("\n".join)))
+    def test_system_commands(self, command, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "system.inf"
+            path.write_text(text, encoding="utf-8")
+            self.outcome([command[0], str(path), *command[1:]])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(["member", "allpos", "always", "eventually", "infoften",
+                            "max", "bogus"]),
+           st.lists(st.sampled_from(["0", "1", "2", "3", "|", "x", "-1", "\u00b2"]),
+                    max_size=8).map(" ".join),
+           st.lists(st.tuples(st.sampled_from(["--p", "--x", "--candidates"]),
+                              st.one_of(st.sampled_from(PRED_WORDS), st.text(max_size=6))),
+                    max_size=3))
+    def test_pred(self, kind, literal, flags):
+        self.outcome(["pred", kind, "--list", literal, *(t for pair in flags for t in pair)])
 
 
 class TestDemoFiles:

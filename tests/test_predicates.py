@@ -29,6 +29,7 @@ from corules import (
     predicate_by_name,
     spec_oracle,
     suffix,
+    three_way,
 )
 from corules.cli import _build_parser
 from corules.inference import BOUNDEDNESS, InferenceSystem, JudgmentSet
@@ -324,6 +325,7 @@ class TestBoundedCoinductionOnPredicates:
 class TestDecideDirect:
     def test_maximum_of_stream(self):
         assert decide_direct(Kind.MAX_ELEM, Lasso((), (1, 2))) == 2
+        assert decide_direct(Kind.MAX_ELEM, Lasso((3,), (1, 2)), x=1) == 3  # x is ignored
 
     def test_empty_list_has_no_maximum(self):
         assert decide_direct(Kind.MAX_ELEM, Finite(())) is None
@@ -335,6 +337,40 @@ class TestDecideDirect:
     def test_always_vacuous_on_empty(self):
         assert decide_direct(Kind.ALWAYS, Finite(()), predicate=POSITIVE)
         assert decide_direct(Kind.ALL_POS, Finite(()))
+
+
+class TestDeciderArguments:
+    """Each decider names the argument a kind lacks, and rejects unknown kinds."""
+
+    XS = Lasso((1,), (2,))
+
+    @pytest.mark.parametrize("decide", [decide_direct, spec_oracle])
+    @pytest.mark.parametrize("kind", [Kind.ALWAYS, Kind.EVENTUALLY,
+                                      Kind.INFINITELY_OFTEN])
+    def test_missing_predicate(self, decide, kind):
+        with pytest.raises(ValueError) as e:
+            decide(kind, self.XS, x=1)
+        assert str(e.value) == f"{kind.value} needs an element predicate"
+
+    @pytest.mark.parametrize("decide,kind", [(decide_direct, Kind.MEMBER_OF),
+                                             (spec_oracle, Kind.MEMBER_OF),
+                                             (spec_oracle, Kind.MAX_ELEM)])
+    def test_missing_value(self, decide, kind):
+        with pytest.raises(ValueError) as e:
+            decide(kind, self.XS, predicate=EVEN)
+        assert str(e.value) == f"{kind.value} needs a value"
+
+    def test_arguments_a_kind_does_not_take_are_ignored(self):
+        assert decide_direct(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)
+        assert spec_oracle(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)
+        assert not spec_oracle(Kind.MEMBER_OF, self.XS, x=3, predicate=POSITIVE)
+
+    @pytest.mark.parametrize("decide", [decide_direct, spec_oracle])
+    @pytest.mark.parametrize("kind", ["member", None, 3, []])
+    def test_unknown_kind(self, decide, kind):
+        with pytest.raises(ValueError) as e:
+            decide(kind, self.XS, x=1, predicate=EVEN)
+        assert str(e.value) == f"unknown kind {kind!r}"
 
 
 class TestSpecOracle:
@@ -357,12 +393,6 @@ INTERPRET = {"ind": ind_interpretation, "coind": coind_interpretation,
              "gen": gen_interpretation}
 
 
-def engine_verdict(kind, xs, x=None, predicate=None, candidates=None):
-    family = FAMILIES[kind]
-    sys_, scheme = family.build(xs, x, predicate, candidates)
-    return scheme.encode(0, x) in INTERPRET[family.interpretation](sys_)
-
-
 def check_three_way(xs):
     """Every row of FAMILIES against both independent deciders."""
     elements = elements_of(xs)
@@ -373,11 +403,8 @@ def check_three_way(xs):
                   else range(6) if family.needs_value else [None])
         for x in values:
             for p in PREDICATE_POOL if family.needs_predicate else [None]:
-                engine = engine_verdict(kind, xs, x, p, candidates)
-                direct = decide_direct(kind, xs, x=x, predicate=p)
-                if family.computes_value:
-                    direct = direct == x
-                oracle = spec_oracle(kind, xs, x=x, predicate=p)
+                engine, direct, oracle = three_way(kind, xs, x=x, predicate=p,
+                                                   candidates=candidates)
                 assert engine == direct == oracle, (xs, kind, x, p)
 
 
@@ -411,5 +438,5 @@ class TestThreeWayAgreement:
             ys = Lasso(xs.prefix + (xs.loop[0],), xs.loop[1:] + (xs.loop[0],))
             for p in (EVEN, POSITIVE):
                 for kind in (Kind.ALWAYS, Kind.EVENTUALLY, Kind.INFINITELY_OFTEN):
-                    assert (engine_verdict(kind, xs, predicate=p)
-                            == engine_verdict(kind, ys, predicate=p))
+                    assert (three_way(kind, xs, predicate=p)[0]
+                            == three_way(kind, ys, predicate=p)[0])
