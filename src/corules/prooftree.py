@@ -8,19 +8,24 @@ derivable with corules admitted.
 
 Rule indices in finite trees address the combined rule list (rules first,
 then corules); rational trees may only reference plain rules. Malformed
-trees (out-of-range indices, unreachable nodes) raise StructuralError,
-which is distinct from a well-formed but invalid derivation (checkers
-return False).
+trees (out-of-range indices, unreachable nodes) raise StructuralError from
+the checkers and the renderers alike, which is distinct from a well-formed
+but invalid derivation (checkers return False).
 
-Both extractors share one derivation walk and both checkers one rule-match
-test; extraction and checking take time linear in the sizes of the system and
-of the proof, up to sorting each rule's premises.
+A finite proof shares equal subproofs, so it is a DAG. Both extractors share
+one derivation walk and both checkers one rule-match test; extraction,
+checking, equality and hashing take time linear in the sizes of the system
+and of the proof, up to sorting each rule's premises. Rendering a finite
+proof prints every occurrence of a shared subproof, so its text can be
+exponentially long; it formats each distinct (node, depth) pair once and
+copies the lines of later occurrences, so its cost beyond that is copying
+the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .inference import (InferenceSystem, InternalError, Rule, _bound, _first_support, _greatest,
                         _least)
@@ -30,9 +35,14 @@ class StructuralError(Exception):
     """The tree does not even have the right shape to be checked."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteProofTree:
-    """A finite derivation: a judgment, the rule deriving it, one subtree per premise."""
+    """A finite derivation: a judgment, the rule deriving it, one subtree per premise.
+
+    Equality and hashing are structural. Both walk iteratively and visit a
+    subproof shared by several nodes once, so they finish on proofs of any
+    depth and on DAGs whose unfolding is exponential.
+    """
 
     judgment: int
     rule_index: int
@@ -41,22 +51,46 @@ class FiniteProofTree:
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
-    def depth(self) -> int:
-        """Nodes on a longest root-to-leaf path; a shared subproof is measured once."""
-        depths: dict[int, int] = {}
+    def _fold(self, combine: Callable[["FiniteProofTree", list], Any]) -> Any:
+        """``combine(node, results of its children)`` for each distinct node,
+        children first; the result at the root."""
+        done: dict[int, Any] = {}
         stack = [self]
         while stack:
             node = stack[-1]
-            if id(node) in depths:
+            if id(node) in done:
                 stack.pop()
                 continue
-            pending = [c for c in node.children if id(c) not in depths]
+            pending = [c for c in node.children if id(c) not in done]
             if pending:
                 stack.extend(pending)
             else:
                 stack.pop()
-                depths[id(node)] = 1 + max((depths[id(c)] for c in node.children), default=0)
-        return depths[id(self)]
+                done[id(node)] = combine(node, [done[id(c)] for c in node.children])
+        return done[id(self)]
+
+    def depth(self) -> int:
+        """Nodes on a longest root-to-leaf path; a shared subproof is measured once."""
+        return self._fold(lambda node, below: 1 + max(below, default=0))
+
+    def __hash__(self) -> int:
+        return self._fold(lambda node, below: hash((node.judgment, node.rule_index, tuple(below))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            compared.add((id(a), id(b)))
+            if (a.judgment != b.judgment or a.rule_index != b.rule_index
+                    or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
 
 @dataclass(frozen=True)
@@ -244,20 +278,46 @@ def is_acyclic(tree: RationalProofTree) -> bool:
 
 
 def _rule_name(system: InferenceSystem, index: int) -> str:
-    if index < len(system.rules):
+    if 0 <= index < len(system.rules):
         return f"rule {index}"
-    return f"corule {index - len(system.rules)}"
+    if 0 <= index - len(system.rules) < len(system.corules):
+        return f"corule {index - len(system.rules)}"
+    raise StructuralError(f"rule index {index} out of range (system has "
+                          f"{len(system.rules) + len(system.corules)} rules and corules)")
 
 
 def format_finite(tree: FiniteProofTree, system: InferenceSystem) -> str:
-    """Indented text rendering of a finite proof tree."""
+    """Indented text rendering of a finite proof tree.
+
+    A subproof shared by several nodes is printed at every occurrence, so the
+    text can be exponentially longer than the proof. The same node at the
+    same depth always prints the same lines, so each distinct (node, depth)
+    pair is formatted once and later occurrences copy its lines: the cost is
+    one format per distinct pair plus copying the output.
+    """
     lines: list[str] = []
-    stack = [(tree, 0)]
+    printed: dict[tuple[int, int], tuple[int, int]] = {}  # (node id, depth) -> its lines
+    unfinished: list[tuple[tuple[int, int], int]] = []  # (key, first line) of open subtrees
+    stack: list[Optional[tuple[FiniteProofTree, int]]] = [(tree, 0)]
     while stack:
-        node, depth = stack.pop()
+        item = stack.pop()
+        if item is None:  # every line of the innermost unfinished subtree is out
+            key, start = unfinished.pop()
+            printed[key] = (start, len(lines))
+            continue
+        node, depth = item
+        key = (id(node), depth)
+        span = printed.get(key)
+        if span is not None:
+            lines.extend(lines[span[0]:span[1]])
+            continue
         label = system.label_of(node.judgment)
         lines.append(f"{'  ' * depth}{label}  [{_rule_name(system, node.rule_index)}]")
-        stack.extend((c, depth + 1) for c in reversed(node.children))
+        if node.children:
+            unfinished.append((key, len(lines) - 1))
+            stack.append(None)
+            for c in reversed(node.children):
+                stack.append((c, depth + 1))
     return "\n".join(lines)
 
 
@@ -278,6 +338,9 @@ def format_rational(tree: RationalProofTree, system: InferenceSystem) -> str:
             continue
         seen.add(ni)
         node = tree.nodes[ni]
+        if not 0 <= node.rule_index < len(system.rules):
+            raise StructuralError(f"rule index {node.rule_index} out of range "
+                                  "(corules are not allowed in rational proofs)")
         label = system.label_of(node.judgment)
         lines.append(f"{pad}{ni}: {label}  [rule {node.rule_index}]")
         stack.extend((c, depth + 1) for c in reversed(node.children))

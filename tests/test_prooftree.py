@@ -170,6 +170,112 @@ class TestDeepAndSharedProofs:
         assert tree.depth() == 2 * rungs + 1
 
 
+def naive_format(tree, system, depth=0):
+    """Reference render: unfold the tree recursively, formatting every line."""
+    rules = len(system.rules)
+    name = (f"rule {tree.rule_index}" if tree.rule_index < rules
+            else f"corule {tree.rule_index - rules}")
+    lines = [f"{'  ' * depth}{system.label_of(tree.judgment)}  [{name}]"]
+    lines += [naive_format(c, system, depth + 1) for c in tree.children]
+    return "\n".join(lines)
+
+
+def chain_system(n):
+    return InferenceSystem(n, (rule(0),) + tuple(rule(i, i - 1) for i in range(1, n)))
+
+
+def rebuilt(tree, leaf_rule_index):
+    """A fresh copy of a chain proof whose deepest leaf uses ``leaf_rule_index``."""
+    path = [tree]
+    while path[-1].children:
+        path.append(path[-1].children[0])
+    copy = FiniteProofTree(path[-1].judgment, leaf_rule_index)
+    for node in reversed(path[:-1]):
+        copy = FiniteProofTree(node.judgment, node.rule_index, (copy,))
+    return copy
+
+
+class TestRender:
+    def test_finite_matches_naive_unfolding_over_random_systems(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            sys_ = random_system(rng, max_universe=8, max_rules=14, max_corules=4)
+            for j in ind_interpretation(sys_, use_corules=True):
+                tree = extract_finite_proof(sys_, j, allow_corules=True)
+                assert format_finite(tree, sys_) == naive_format(tree, sys_)
+
+    def test_node_shared_at_two_depths(self):
+        # 3 <- 1 2 and 2 <- 1: the subproof of 1 sits at depths 1 and 2
+        sys_ = InferenceSystem(4, (rule(0), rule(1, 0), rule(2, 1), rule(3, 1, 2)))
+        one = FiniteProofTree(1, 1, (FiniteProofTree(0, 0),))
+        tree = FiniteProofTree(3, 3, (one, FiniteProofTree(2, 2, (one,))))
+        assert check_finite(tree, sys_)
+        text = format_finite(tree, sys_)
+        assert text == naive_format(tree, sys_)
+        assert text.splitlines() == ["j3  [rule 3]", "  j1  [rule 1]", "    j0  [rule 0]",
+                                     "  j2  [rule 2]", "    j1  [rule 1]", "      j0  [rule 0]"]
+
+    def test_ladder_formats_each_node_and_depth_once(self, monkeypatch):
+        rungs = 16
+        system = ladder_system(rungs)
+        tree = extract_finite_proof(system, 2 * rungs)
+        calls = 0
+        label_of = InferenceSystem.label_of
+
+        def counting(self, j):
+            nonlocal calls
+            calls += 1
+            return label_of(self, j)
+
+        monkeypatch.setattr(InferenceSystem, "label_of", counting)
+        text = format_finite(tree, system)
+        assert calls <= (2 * rungs + 2) ** 2
+        assert text.count("\n") + 1 == 3 * 2 ** rungs - 2
+
+    def test_finite_rule_index_out_of_range_is_structural(self):
+        sys_ = InferenceSystem(2, (rule(0), rule(1, 0)))
+        for index in (2, 7, -1):
+            with pytest.raises(StructuralError):
+                format_finite(FiniteProofTree(1, 1, (FiniteProofTree(0, index),)), sys_)
+        with_corule = InferenceSystem(2, (rule(0), rule(1, 0)), (rule(1),))
+        assert format_finite(FiniteProofTree(1, 2), with_corule) == "j1  [corule 0]"
+        with pytest.raises(StructuralError):
+            format_finite(FiniteProofTree(1, 3), with_corule)
+
+    def test_rational_corule_index_is_structural(self):
+        sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
+        for index in (1, 9, -1):
+            tree = RationalProofTree((RationalNode(0, 0, (1,)), RationalNode(0, index, (0,))))
+            with pytest.raises(StructuralError):
+                format_rational(tree, sys_)
+
+
+class TestFiniteTreeEquality:
+    def test_deep_chains_compare_and_hash_structurally(self):
+        n = 10_000
+        system = chain_system(n)
+        first = extract_finite_proof(system, n - 1)
+        second = extract_finite_proof(system, n - 1)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first == rebuilt(first, 0)
+        changed = rebuilt(first, 1)
+        assert first != changed and changed != first
+
+    def test_ladder_equality_and_hash_visit_shared_subproofs_once(self):
+        rungs = 40
+        system = ladder_system(rungs)
+        first = extract_finite_proof(system, 2 * rungs)
+        second = extract_finite_proof(system, 2 * rungs)
+        assert first == second and hash(first) == hash(second)
+        assert first != extract_finite_proof(system, 2 * rungs - 2)
+
+    def test_other_types_are_unequal(self):
+        assert FiniteProofTree(0, 0) != (0, 0, ())
+        assert FiniteProofTree(0, 0) != FiniteProofTree(0, 0, (FiniteProofTree(0, 0),))
+        assert len({FiniteProofTree(0, 0), FiniteProofTree(0, 0)}) == 1
+
+
 def self_loop_tree():
     return RationalProofTree((RationalNode(0, 0, (0,)),), root=0)
 
