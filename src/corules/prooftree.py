@@ -1,34 +1,43 @@
 """Derivation witnesses: finite proof trees and rational (cyclic) proof graphs.
 
-A finite proof tree witnesses inductive membership. A rational proof tree is
-a finite graph whose back-edges encode an infinite regular tree; it
-witnesses membership in the generated interpretation when every node
-matches a rule of the system and every node's judgment is inductively
-derivable with corules admitted.
+A finite proof tree witnesses inductive membership; its rule indices address
+the rules, then the corules. A rational proof tree is a finite graph whose
+back-edges encode an infinite regular tree; it witnesses membership in the
+generated interpretation when every node matches a plain rule and every
+node's judgment is inductively derivable with corules admitted.
 
-Rule indices in finite trees address the combined rule list (rules first,
-then corules); rational trees may only reference plain rules. Malformed
-trees (out-of-range indices, unreachable nodes) raise StructuralError from
-the checkers and the renderers alike, which is distinct from a well-formed
-but invalid derivation (checkers return False).
+Every operation but extraction reads one node table: entries ``(judgment,
+rule index, child indices)`` and a root index. A rational proof's nodes are
+its table. A finite proof's table is built once per root object, children
+before parents, with one entry per structurally distinct subproof, so equal
+proofs have equal tables and depth, ``==``, ``hash`` and ``repr`` are linear.
 
-A finite proof shares equal subproofs, so it is a DAG. Both extractors share
-one derivation walk and both checkers one rule-match test; extraction,
-checking, equality and hashing take time linear in the sizes of the system
-and of the proof, up to sorting each rule's premises. Rendering a finite
-proof prints every occurrence of a shared subproof, so its text can be
-exponentially long; it formats each distinct (node, depth) pair once and
-copies the lines of later occurrences, so its cost beyond that is copying
-the output.
+One validator runs before every check, every render and ``is_acyclic``. It
+raises StructuralError when the root or a child index is out of range, a
+node is unreachable from the root or, given the system, a judgment id lies
+outside the universe or a rule index outside the rules the proof may use.
+A well-formed but invalid derivation is different: the checkers return False.
+
+Extraction and checking take time linear in the sizes of the system and of
+the proof, up to sorting each rule's premises. Both renderers share one
+walk. A rational render prints a repeated node as ``^n``. A finite render
+prints a shared subproof at every occurrence, so its text can be
+exponentially long, but it formats each (node, depth) pair once and copies
+those lines after that.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .inference import (InferenceSystem, InternalError, Rule, _bound, _first_support, _greatest,
                         _least)
+
+Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
+Table = tuple[Entry, ...]
 
 
 class StructuralError(Exception):
@@ -39,9 +48,9 @@ class StructuralError(Exception):
 class FiniteProofTree:
     """A finite derivation: a judgment, the rule deriving it, one subtree per premise.
 
-    Equality and hashing are structural. Both walk iteratively and visit a
-    subproof shared by several nodes once, so they finish on proofs of any
-    depth and on DAGs whose unfolding is exponential.
+    Equality and hashing are structural. ``repr`` is the dataclass text, but a
+    subproof printed before is written ``#k#``, after the ``#k=`` that labels
+    its first occurrence.
     """
 
     judgment: int
@@ -51,46 +60,63 @@ class FiniteProofTree:
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
-    def _fold(self, combine: Callable[["FiniteProofTree", list], Any]) -> Any:
-        """``combine(node, results of its children)`` for each distinct node,
-        children first; the result at the root."""
-        done: dict[int, Any] = {}
-        stack = [self]
+    @cached_property
+    def _graph(self) -> tuple[Table, int]:
+        """The node table, children before parents, and the root's index (the last)."""
+        index_of: dict[Entry, int] = {}  # entry -> its index, in insertion order
+        at: dict[int, int] = {}  # id(node) -> index of its entry
+        stack: list[Optional[FiniteProofTree]] = [self]
         while stack:
-            node = stack[-1]
-            if id(node) in done:
-                stack.pop()
-                continue
-            pending = [c for c in node.children if id(c) not in done]
-            if pending:
-                stack.extend(pending)
-            else:
-                stack.pop()
-                done[id(node)] = combine(node, [done[id(c)] for c in node.children])
-        return done[id(self)]
+            node = stack.pop()
+            if node is None:  # every child of the node below the marker has its entry
+                node = stack.pop()
+                entry = (node.judgment, node.rule_index, tuple([at[id(c)] for c in node.children]))
+                at[id(node)] = index_of.setdefault(entry, len(index_of))
+            elif id(node) not in at:
+                stack += (node, None)
+                stack.extend(reversed(node.children))
+        return tuple(index_of), len(index_of) - 1
 
     def depth(self) -> int:
-        """Nodes on a longest root-to-leaf path; a shared subproof is measured once."""
-        return self._fold(lambda node, below: 1 + max(below, default=0))
+        """Nodes on a longest root-to-leaf path."""
+        below: list[int] = []
+        for _, _, children in self._graph[0]:
+            below.append(1 + max([below[c] for c in children], default=0))
+        return below[-1]
 
     def __hash__(self) -> int:
-        return self._fold(lambda node, below: hash((node.judgment, node.rule_index, tuple(below))))
+        hashes: list[int] = []
+        for judgment, rule_index, children in self._graph[0]:
+            hashes.append(hash((judgment, rule_index, tuple([hashes[c] for c in children]))))
+        return hashes[-1]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        compared: set[tuple[int, int]] = set()
-        stack = [(self, other)]
+        return self is other or self._graph == other._graph
+
+    def __repr__(self) -> str:
+        table, root = self._graph
+        shared = Counter(c for _, _, children in table for c in children)
+        labels: dict[int, int] = {}
+        out: list[str] = []
+        stack: list[int | str] = [root]
         while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in compared:
-                continue
-            compared.add((id(a), id(b)))
-            if (a.judgment != b.judgment or a.rule_index != b.rule_index
-                    or len(a.children) != len(b.children)):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item in labels:
+                out.append(f"#{labels[item]}#")
+            else:
+                if shared[item] > 1:
+                    labels[item] = len(labels)
+                    out.append(f"#{labels[item]}=")
+                judgment, rule_index, children = table[item]
+                out.append(f"{type(self).__qualname__}(judgment={judgment}, "
+                           f"rule_index={rule_index}, children=(")
+                closing = ",))" if len(children) == 1 else "))"
+                stack += [closing, *[x for c in reversed(children) for x in (c, ", ")][:-1]]
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -115,11 +141,55 @@ class RationalProofTree:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
+    @cached_property
+    def _graph(self) -> tuple[Table, int]:
+        """The node table and the root's index."""
+        return tuple((n.judgment, n.rule_index, n.children) for n in self.nodes), self.root
 
-def _derives(rule: Rule, judgment: int, child_judgments: Sequence[int]) -> bool:
-    """Whether ``rule`` concludes ``judgment`` from exactly one child per premise."""
-    return (rule.conclusion == judgment and len(child_judgments) == len(rule.premises)
-            and set(child_judgments) == rule.premises)
+
+def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[InferenceSystem] = None,
+               rational: bool = False) -> tuple[Table, int]:
+    """The node table and root of ``tree``, after the structural checks the
+    module docstring lists; ``rational`` proofs may only use plain rules."""
+    table, root = tree._graph
+    n = len(table)
+    if not 0 <= root < n:
+        raise StructuralError(f"root index {root} out of range" if n else "proof has no nodes")
+    rules = len(system.all_rules(not rational)) if system else 0
+    reached = [False] * n
+    reached[root] = True
+    stack = [root]
+    while stack:
+        judgment, rule_index, children = table[stack.pop()]
+        if system is not None and not 0 <= rule_index < rules:
+            raise StructuralError(f"rule index {rule_index} out of range " + (
+                "(corules are not allowed in rational proofs)" if rational
+                else f"(system has {rules} rules and corules)"))
+        if system is not None and not 0 <= judgment < system.universe_size:
+            raise StructuralError(f"judgment id {judgment} out of range")
+        for c in children:
+            if not 0 <= c < n:
+                raise StructuralError(f"child index {c} out of range")
+            if not reached[c]:
+                reached[c] = True
+                stack.append(c)
+    if not all(reached):
+        raise StructuralError("every node must be reachable from the root")
+    return table, root
+
+
+def _matches(table: Table, rules: Sequence[Rule], admitted: Optional[set[int]] = None) -> bool:
+    """Whether at every entry the rule ``rules[rule index]`` exists and concludes
+    the entry's judgment from exactly one child per premise and, given
+    ``admitted``, every judgment lies in it."""
+    for judgment, rule_index, children in table:
+        rule = rules[rule_index] if rule_index < len(rules) else None
+        premises = [table[c][0] for c in children]
+        if (rule is None or rule.conclusion != judgment or len(premises) != len(rule.premises)
+                or set(premises) != rule.premises
+                or admitted is not None and judgment not in admitted):
+            return False
+    return True
 
 
 def _derivation(rules: Sequence[Rule], j: int,
@@ -144,27 +214,11 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
 
     True iff at every node the referenced rule concludes the node's judgment
     and the children are exactly one subtree per premise. A node that uses a
-    corule is rejected unless ``allow_corules`` is set. A subproof shared by
-    several nodes is checked once.
+    corule is rejected unless ``allow_corules`` is set. A malformed tree
+    raises StructuralError.
     """
-    rules = system.all_rules(use_corules=True)
-    seen: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if not 0 <= node.rule_index < len(rules):
-            raise StructuralError(f"rule index {node.rule_index} out of range "
-                                  f"(system has {len(rules)} rules and corules)")
-        if node.rule_index >= len(system.rules) and not allow_corules:
-            return False
-        if not _derives(rules[node.rule_index], node.judgment,
-                        [c.judgment for c in node.children]):
-            return False
-        stack.extend(node.children)
-    return True
+    table, _ = _validated(tree, system)
+    return _matches(table, system.all_rules(allow_corules))
 
 
 def extract_finite_proof(system: InferenceSystem, j: int,
@@ -190,32 +244,6 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     return memo[j]
 
 
-def _validate_rational(tree: RationalProofTree, system: InferenceSystem) -> None:
-    n = len(tree.nodes)
-    if n == 0:
-        raise StructuralError("rational proof tree has no nodes")
-    if not 0 <= tree.root < n:
-        raise StructuralError(f"root index {tree.root} out of range")
-    for node in tree.nodes:
-        if not 0 <= node.rule_index < len(system.rules):
-            raise StructuralError(f"rule index {node.rule_index} out of range "
-                                  "(corules are not allowed in rational proofs)")
-        if not 0 <= node.judgment < system.universe_size:
-            raise StructuralError(f"judgment id {node.judgment} out of range")
-        for c in node.children:
-            if not 0 <= c < n:
-                raise StructuralError(f"child index {c} out of range")
-    seen = {tree.root}
-    stack = [tree.root]
-    while stack:
-        for c in tree.nodes[stack.pop()].children:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    if len(seen) != n:
-        raise StructuralError("every node must be reachable from the root")
-
-
 def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> bool:
     """Validate a rational proof as a witness for the generated interpretation.
 
@@ -224,14 +252,8 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     inductively derivable once corules are admitted. Acceptance implies the
     root lies in the generated interpretation.
     """
-    _validate_rational(tree, system)
-    bound = _bound(system)
-    for node in tree.nodes:
-        children = [tree.nodes[c].judgment for c in node.children]
-        if (not _derives(system.rules[node.rule_index], node.judgment, children)
-                or node.judgment not in bound):
-            return False
-    return True
+    table, _ = _validated(tree, system, rational=True)
+    return _matches(table, system.rules, _bound(system))
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -262,63 +284,60 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    parents = [0] * len(tree.nodes)
-    for node in tree.nodes:
-        for c in node.children:
+    table, _ = _validated(tree)
+    parents = [0] * len(table)
+    for _, _, children in table:
+        for c in children:
             parents[c] += 1
     ready = [i for i, count in enumerate(parents) if not count]
-    removed = 0
-    while ready:
-        removed += 1
-        for c in tree.nodes[ready.pop()].children:
+    for i in ready:  # grows while it is read: a node is ready once its parents are out
+        for c in table[i][2]:
             parents[c] -= 1
             if not parents[c]:
                 ready.append(c)
-    return removed == len(tree.nodes)
+    return len(ready) == len(table)
 
 
-def _rule_name(system: InferenceSystem, index: int) -> str:
-    if 0 <= index < len(system.rules):
-        return f"rule {index}"
-    if 0 <= index - len(system.rules) < len(system.corules):
-        return f"corule {index - len(system.rules)}"
-    raise StructuralError(f"rule index {index} out of range (system has "
-                          f"{len(system.rules) + len(system.corules)} rules and corules)")
+def _render(tree: FiniteProofTree | RationalProofTree, system: InferenceSystem,
+            rational: bool) -> str:
+    """One indented line per node, children below their parent; a repeated
+    node is printed as ``^n`` (rational) or copied (finite)."""
+    table, root = _validated(tree, system, rational)
+    plain = len(system.rules)
+    lines: list[str] = []
+    done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:  # every line of the subtree this span starts is out
+            item[1] = len(lines)
+            continue
+        ni, depth = item
+        key = ni if rational else item
+        if key in done:
+            span = done[key]
+            lines.extend(lines[span[0]:span[1]] if span else [f"{'  ' * depth}^{ni}"])
+            continue
+        judgment, rule_index, children = table[ni]
+        name = f"rule {rule_index}" if rule_index < plain else f"corule {rule_index - plain}"
+        number = f"{ni}: " if rational else ""
+        lines.append(f"{'  ' * depth}{number}{system.label_of(judgment)}  [{name}]")
+        done[key] = None if rational else [len(lines) - 1, len(lines)]
+        if children and not rational:
+            stack.append(done[key])
+        for c in reversed(children):
+            stack.append((c, depth + 1))
+    return "\n".join(lines)
 
 
 def format_finite(tree: FiniteProofTree, system: InferenceSystem) -> str:
     """Indented text rendering of a finite proof tree.
 
     A subproof shared by several nodes is printed at every occurrence, so the
-    text can be exponentially longer than the proof. The same node at the
-    same depth always prints the same lines, so each distinct (node, depth)
-    pair is formatted once and later occurrences copy its lines: the cost is
-    one format per distinct pair plus copying the output.
+    text can be exponentially longer than the proof; later occurrences at
+    the same depth copy the lines of the first.
     """
-    lines: list[str] = []
-    printed: dict[tuple[int, int], tuple[int, int]] = {}  # (node id, depth) -> its lines
-    unfinished: list[tuple[tuple[int, int], int]] = []  # (key, first line) of open subtrees
-    stack: list[Optional[tuple[FiniteProofTree, int]]] = [(tree, 0)]
-    while stack:
-        item = stack.pop()
-        if item is None:  # every line of the innermost unfinished subtree is out
-            key, start = unfinished.pop()
-            printed[key] = (start, len(lines))
-            continue
-        node, depth = item
-        key = (id(node), depth)
-        span = printed.get(key)
-        if span is not None:
-            lines.extend(lines[span[0]:span[1]])
-            continue
-        label = system.label_of(node.judgment)
-        lines.append(f"{'  ' * depth}{label}  [{_rule_name(system, node.rule_index)}]")
-        if node.children:
-            unfinished.append((key, len(lines) - 1))
-            stack.append(None)
-            for c in reversed(node.children):
-                stack.append((c, depth + 1))
-    return "\n".join(lines)
+    return _render(tree, system, rational=False)
 
 
 def format_rational(tree: RationalProofTree, system: InferenceSystem) -> str:
@@ -327,21 +346,4 @@ def format_rational(tree: RationalProofTree, system: InferenceSystem) -> str:
     Nodes are numbered at first occurrence; later occurrences print as a
     ``^n`` reference, which is how back-edges stay finite on the page.
     """
-    lines: list[str] = []
-    seen: set[int] = set()
-    stack = [(tree.root, 0)]
-    while stack:
-        ni, depth = stack.pop()
-        pad = "  " * depth
-        if ni in seen:
-            lines.append(f"{pad}^{ni}")
-            continue
-        seen.add(ni)
-        node = tree.nodes[ni]
-        if not 0 <= node.rule_index < len(system.rules):
-            raise StructuralError(f"rule index {node.rule_index} out of range "
-                                  "(corules are not allowed in rational proofs)")
-        label = system.label_of(node.judgment)
-        lines.append(f"{pad}{ni}: {label}  [rule {node.rule_index}]")
-        stack.extend((c, depth + 1) for c in reversed(node.children))
-    return "\n".join(lines)
+    return _render(tree, system, rational=True)

@@ -276,6 +276,198 @@ class TestFiniteTreeEquality:
         assert len({FiniteProofTree(0, 0), FiniteProofTree(0, 0)}) == 1
 
 
+def naive_format_rational(tree, system):
+    """Reference render: recursive pre-order, a node printed before becomes ``^n``."""
+    printed, lines = set(), []
+
+    def visit(ni, depth):
+        if ni in printed:
+            lines.append(f"{'  ' * depth}^{ni}")
+            return
+        printed.add(ni)
+        node = tree.nodes[ni]
+        lines.append(f"{'  ' * depth}{ni}: {system.label_of(node.judgment)}  "
+                     f"[rule {node.rule_index}]")
+        for c in node.children:
+            visit(c, depth + 1)
+
+    visit(tree.root, 0)
+    return "\n".join(lines)
+
+
+class TestRationalRender:
+    def test_matches_naive_render_over_random_systems(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            sys_ = random_system(rng, max_universe=8, max_rules=14, max_corules=4)
+            for j in gen_interpretation(sys_):
+                tree = extract_rational_proof(sys_, j)
+                assert format_rational(tree, sys_) == naive_format_rational(tree, sys_)
+
+    def test_node_shared_without_a_cycle(self):
+        sys_ = InferenceSystem(4, (rule(0), rule(1, 0), rule(2, 1), rule(3, 1, 2)))
+        tree = RationalProofTree((RationalNode(3, 3, (1, 2)), RationalNode(1, 1, (3,)),
+                                  RationalNode(2, 2, (1,)), RationalNode(0, 0)))
+        assert check_rational_in_gen(tree, sys_) and is_acyclic(tree)
+        text = format_rational(tree, sys_)
+        assert text == naive_format_rational(tree, sys_)
+        assert text.splitlines() == ["0: j3  [rule 3]", "  1: j1  [rule 1]", "    3: j0  [rule 0]",
+                                     "  2: j2  [rule 2]", "    ^1"]
+
+    def test_back_edge_and_root_not_first(self):
+        sys_ = InferenceSystem(2, (rule(0, 1), rule(1, 0)), (rule(0),))
+        tree = RationalProofTree((RationalNode(0, 0, (1,)), RationalNode(1, 1, (0,))), root=1)
+        assert check_rational_in_gen(tree, sys_) and not is_acyclic(tree)
+        text = format_rational(tree, sys_)
+        assert text == naive_format_rational(tree, sys_)
+        assert text.splitlines() == ["1: j1  [rule 1]", "  0: j0  [rule 0]", "    ^1"]
+
+
+class TestMalformedProofs:
+    """Every check and render, and is_acyclic, raise StructuralError on a malformed proof."""
+
+    def rational_raises(self, tree, sys_):
+        for call in (lambda: check_rational_in_gen(tree, sys_),
+                     lambda: format_rational(tree, sys_), lambda: is_acyclic(tree)):
+            with pytest.raises(StructuralError):
+                call()
+
+    def test_child_index_out_of_range(self):
+        sys_ = InferenceSystem(1, (rule(0, 0),))
+        for child in (5, 1, -1):
+            self.rational_raises(RationalProofTree((RationalNode(0, 0, (child,)),)), sys_)
+
+    def test_root_out_of_range_or_no_nodes(self):
+        sys_ = InferenceSystem(1, (rule(0),))
+        for root in (1, -1):
+            self.rational_raises(RationalProofTree((RationalNode(0, 0),), root=root), sys_)
+        self.rational_raises(RationalProofTree((), root=0), sys_)
+
+    def test_unreachable_node(self):
+        tree = RationalProofTree((RationalNode(A, 0), RationalNode(C, 2)), root=0)
+        self.rational_raises(tree, ab_system())
+
+    def test_judgment_out_of_range(self):
+        sys_ = InferenceSystem(1, (rule(0),))
+        for judgment in (3, -1):
+            tree = RationalProofTree((RationalNode(judgment, 0),))
+            for call in (check_rational_in_gen, format_rational):
+                with pytest.raises(StructuralError):
+                    call(tree, sys_)
+            leaf = FiniteProofTree(judgment, 0)
+            for tree in (leaf, FiniteProofTree(0, 0, (leaf,))):
+                for call in (check_finite, format_finite):
+                    with pytest.raises(StructuralError):
+                        call(tree, sys_)
+
+    def test_structural_fault_wins_over_a_mismatch(self):
+        # the root does not match its rule, and a leaf has an out-of-range rule index
+        sys_ = ab_system()
+        tree = FiniteProofTree(B, 0, (FiniteProofTree(A, 9),))
+        with pytest.raises(StructuralError):
+            check_finite(tree, sys_)
+
+
+def naive_repr(tree):
+    """The dataclass repr, unfolded recursively."""
+    inner = [naive_repr(c) for c in tree.children]
+    children = "(" + ", ".join(inner) + ("," if len(inner) == 1 else "") + ")"
+    return (f"FiniteProofTree(judgment={tree.judgment}, rule_index={tree.rule_index}, "
+            f"children={children})")
+
+
+def subproofs(tree):
+    """Every node of the unfolded tree, in pre-order."""
+    yield tree
+    for c in tree.children:
+        yield from subproofs(c)
+
+
+def unshared(tree):
+    """A copy of a small proof in which no node object is shared."""
+    return FiniteProofTree(tree.judgment, tree.rule_index,
+                           tuple(unshared(c) for c in tree.children))
+
+
+class TestFiniteRepr:
+    def test_dataclass_text_when_no_subproof_repeats(self):
+        leaf = "FiniteProofTree(judgment=0, rule_index=0, children=())"
+        assert repr(FiniteProofTree(0, 0)) == leaf
+        tree = FiniteProofTree(2, 3, (FiniteProofTree(0, 0),
+                                      FiniteProofTree(1, 1, (FiniteProofTree(0, 2),))))
+        assert repr(tree) == naive_repr(tree) == (
+            "FiniteProofTree(judgment=2, rule_index=3, children=("
+            "FiniteProofTree(judgment=0, rule_index=0, children=()), "
+            "FiniteProofTree(judgment=1, rule_index=1, children=("
+            "FiniteProofTree(judgment=0, rule_index=2, children=()),))))")
+        rng = random.Random(29)
+        for _ in range(60):
+            sys_ = random_system(rng, max_universe=7, max_rules=12, max_corules=4)
+            for j in ind_interpretation(sys_, use_corules=True):
+                tree = extract_finite_proof(sys_, j, allow_corules=True)
+                unfolded = [naive_repr(node) for node in subproofs(tree)]
+                if len(set(unfolded)) == len(unfolded):
+                    assert repr(tree) == unfolded[0]
+                else:  # a subproof repeats: printed once, then referred back to
+                    assert "#0=" in repr(tree) and "#0#" in repr(tree)
+                    assert repr(tree).count("FiniteProofTree(") < len(unfolded)
+
+    def test_repeated_subproof_is_a_back_reference(self):
+        one = FiniteProofTree(1, 1, (FiniteProofTree(0, 0),))
+        tree = FiniteProofTree(3, 3, (one, FiniteProofTree(2, 2, (one,))))
+        expected = ("FiniteProofTree(judgment=3, rule_index=3, children=("
+                    "#0=FiniteProofTree(judgment=1, rule_index=1, children=("
+                    "FiniteProofTree(judgment=0, rule_index=0, children=()),)), "
+                    "FiniteProofTree(judgment=2, rule_index=2, children=(#0#,))))")
+        assert repr(tree) == repr(unshared(tree)) == expected
+
+    def test_deep_chain_and_wide_ladder(self):
+        n = 10_000
+        chain = extract_finite_proof(chain_system(n), n - 1)
+        text = repr(chain)
+        assert text.startswith(f"FiniteProofTree(judgment={n - 1}, rule_index={n - 1}, children=(")
+        assert text.endswith(repr(FiniteProofTree(0, 0)) + ",))" * (n - 1))
+        assert text.count("FiniteProofTree(") == n and "#" not in text
+        rungs = 40
+        ladder = extract_finite_proof(ladder_system(rungs), 2 * rungs)
+        text = repr(ladder)
+        assert text.count("FiniteProofTree(") == 2 * rungs + 1  # one per distinct subproof
+        # a(i) is a premise of a(i+1) and of b(i): labelled once, referred back to once
+        assert text.count("=FiniteProofTree(") == rungs and text.count("#") == 3 * rungs
+        assert all(f"#{k}=" in text and f"#{k}#" in text for k in range(rungs))
+        assert len(text) < 100 * (2 * rungs + 1)
+
+    def test_equality_and_hash_ignore_sharing(self):
+        ladder = extract_finite_proof(ladder_system(6), 12)
+        copy = unshared(ladder)
+        assert ladder == copy and hash(ladder) == hash(copy)
+        assert ladder.depth() == copy.depth() == 13
+
+
+class TestWhatTheBenchmarkReads:
+    """The fields and methods the benchmark's workloads and tracer read off proofs."""
+
+    def test_finite_proof_fields(self):
+        tree = extract_finite_proof(ladder_system(3), 6)
+        assert (tree.judgment, tree.rule_index, tree.depth()) == (6, 5, 7)
+        assert [c.judgment for c in tree.children] == [4, 5]
+        grandchildren = [g for c in tree.children for g in c.children]
+        assert all(isinstance(g, FiniteProofTree) for g in grandchildren)
+        seen, stack = set(), [tree]  # distinct node objects, as the tracer counts them
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.children)
+        assert len(seen) == 7
+
+    def test_rational_proof_fields(self):
+        tree = extract_rational_proof(ladder_system(3), 6)
+        assert tree.root == 0 and len(tree.nodes) == 7
+        assert tree.nodes[0] == RationalNode(6, 5, (1, 6))
+        assert all(isinstance(node, RationalNode) for node in tree.nodes)
+
+
 def self_loop_tree():
     return RationalProofTree((RationalNode(0, 0, (0,)),), root=0)
 
