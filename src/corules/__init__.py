@@ -10,7 +10,6 @@ from .inference import (
     Failure,
     InferenceSystem,
     InternalError,
-    Judgment,
     JudgmentSet,
     Rule,
     apply_step,
@@ -66,7 +65,7 @@ __all__ = [
     "suffix", "suffix_automaton",
     # inference
     "BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure",
-    "InferenceSystem", "InternalError", "Judgment", "JudgmentSet", "Rule",
+    "InferenceSystem", "InternalError", "JudgmentSet", "Rule",
     "apply_step", "bounded_coinduction_check", "coind_interpretation",
     "derivation_rounds", "gen_interpretation", "ind_interpretation", "is_closed",
     "is_consistent", "restrict", "rule",

@@ -25,9 +25,14 @@ count of live rules reaches zero (Liu & Smolka). Finite proofs read the
 rounds and firing rules ``_least`` records; consistency witnesses are the
 first declared rules supported inside the checked set.
 
+An interpretation is a ``JudgmentSet``: the frozenset of ids the engine
+computes plus the universe size, so membership is O(1) and iteration is
+ascending.
+
 ``is_closed``, ``is_consistent``, and ``bounded_coinduction_check``
 mechanize the induction, coinduction, and bounded coinduction proof
-obligations, reporting per-judgment counterexamples and witnesses.
+obligations, reporting per-judgment counterexamples and witnesses. Each
+is a question about membership in the checked set.
 
 All values are immutable and every operation is a pure function, so
 everything here can be freely shared across threads.
@@ -35,6 +40,7 @@ everything here can be freely shared across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -46,17 +52,6 @@ BOUNDEDNESS = "boundedness"
 
 class InternalError(Exception):
     """A violated engine invariant. Not a user error."""
-
-
-@dataclass(frozen=True)
-class Judgment:
-    """A judgment: a dense index into the universe, optionally labeled."""
-
-    id: int
-    label: Optional[str] = None
-
-    def __str__(self) -> str:
-        return self.label if self.label is not None else f"j{self.id}"
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,6 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "premises", frozenset(self.premises))
 
-    @property
-    def is_axiom(self) -> bool:
-        return not self.premises
-
     def __str__(self) -> str:
         return f"{self.conclusion} <- {' '.join(map(str, sorted(self.premises)))}".rstrip()
 
@@ -88,73 +79,67 @@ def rule(conclusion: int, *premises: int) -> Rule:
 
 @dataclass(frozen=True)
 class JudgmentSet:
-    """A subset of the universe as a fixed-width bit vector.
+    """A subset of the universe: a frozenset of judgment ids plus the
+    universe size.
 
-    All set operations are exact. Two sets are equal iff they have the same
-    universe size and the same members.
+    ``members`` may be given as any iterable of ids. Each is coerced with
+    ``operator.index`` (so ``True`` is stored as ``1``) and must lie in
+    ``0..size-1``. Membership is O(1) and iteration is ascending. Two sets
+    are equal iff they have the same universe size and the same members.
     """
 
     size: int
-    bits: int = 0
+    members: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.size < 0:
+        if operator.index(self.size) < 0:
             raise ValueError("universe size must be non-negative")
-        if self.bits < 0 or self.bits >> self.size:
-            raise ValueError("bit vector out of range for universe size")
+        members = frozenset(map(operator.index, self.members))
+        if members and not (0 <= min(members) and max(members) < self.size):
+            j = min(members) if min(members) < 0 else max(members)
+            raise ValueError(f"judgment id {j} out of range for universe of {self.size}")
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def empty(cls, size: int) -> "JudgmentSet":
-        return cls(size, 0)
+        return cls(size)
 
     @classmethod
     def full(cls, size: int) -> "JudgmentSet":
-        return cls(size, (1 << size) - 1)
+        return cls(size, range(size))
 
     @classmethod
     def of(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
-        digits = bytearray(b"0" * size)
-        for j in ids:
-            if not 0 <= j < size:
-                raise ValueError(f"judgment id {j} out of range for universe of {size}")
-            digits[j] = ord("1")
-        return cls(size, int(digits[::-1] or b"0", 2))
+        return cls(size, ids)
 
     def __contains__(self, j: int) -> bool:
-        return 0 <= j < self.size and bool(self.bits >> j & 1)
+        return j in self.members
 
     def __iter__(self) -> Iterator[int]:
-        digits = format(self.bits, "b")[::-1]
-        j = digits.find("1")
-        while j >= 0:
-            yield j
-            j = digits.find("1", j + 1)
+        return iter(sorted(self.members))
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        return len(self.members)
 
     def __bool__(self) -> bool:
-        return bool(self.bits)
+        return bool(self.members)
 
-    def _check_peer(self, other: "JudgmentSet") -> None:
+    def _peer(self, other: "JudgmentSet") -> frozenset[int]:
         if self.size != other.size:
             raise ValueError("judgment sets over different universes")
+        return other.members
 
     def union(self, other: "JudgmentSet") -> "JudgmentSet":
-        self._check_peer(other)
-        return JudgmentSet(self.size, self.bits | other.bits)
+        return JudgmentSet(self.size, self.members | self._peer(other))
 
     def intersection(self, other: "JudgmentSet") -> "JudgmentSet":
-        self._check_peer(other)
-        return JudgmentSet(self.size, self.bits & other.bits)
+        return JudgmentSet(self.size, self.members & self._peer(other))
 
     def difference(self, other: "JudgmentSet") -> "JudgmentSet":
-        self._check_peer(other)
-        return JudgmentSet(self.size, self.bits & ~other.bits)
+        return JudgmentSet(self.size, self.members - self._peer(other))
 
     def is_subset_of(self, other: "JudgmentSet") -> bool:
-        self._check_peer(other)
-        return self.bits & ~other.bits == 0
+        return self.members <= self._peer(other)
 
     __or__ = union
     __and__ = intersection
@@ -198,10 +183,6 @@ class InferenceSystem:
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("judgment labels must be unique")
 
-    def judgment(self, j: int) -> Judgment:
-        label = self.label_of(j)
-        return Judgment(j, label if self.labels else None)
-
     def label_of(self, j: int) -> str:
         if not 0 <= j < self.universe_size:
             raise ValueError(f"judgment id {j} out of range")
@@ -212,6 +193,13 @@ class InferenceSystem:
         return self.rules + self.corules if use_corules else self.rules
 
 
+def _members(system: InferenceSystem, s: JudgmentSet) -> frozenset[int]:
+    """The members of ``s``, which must be sized for ``system``'s universe."""
+    if s.size != system.universe_size:
+        raise ValueError("judgment set sized for a different universe")
+    return s.members
+
+
 def apply_step(system: InferenceSystem, s: JudgmentSet,
                use_corules: bool = False) -> JudgmentSet:
     """One inference step: conclusions of all rules whose premises lie in ``s``.
@@ -220,10 +208,9 @@ def apply_step(system: InferenceSystem, s: JudgmentSet,
     the inductive and coinductive interpretations. Tests use this plain scan
     as the reference for the engine.
     """
-    if s.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
-    return JudgmentSet.of(s.size, (r.conclusion for r in system.all_rules(use_corules)
-                                   if all(p in s for p in r.premises)))
+    inside = _members(system, s)
+    return JudgmentSet(s.size, (r.conclusion for r in system.all_rules(use_corules)
+                                if r.premises <= inside))
 
 
 def _least(n: int, rules: Sequence[Rule]) -> tuple[list[Optional[int]], list[Optional[int]]]:
@@ -297,7 +284,7 @@ def _bound(system: InferenceSystem) -> set[int]:
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
     rounds, _ = _least(system.universe_size, system.all_rules(use_corules))
-    return JudgmentSet.of(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
+    return JudgmentSet(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -307,7 +294,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = system.universe_size
-    return JudgmentSet.of(n, _greatest(n, system.rules, set(range(n))))
+    return JudgmentSet(n, _greatest(n, system.rules, set(range(n))))
 
 
 def derivation_rounds(system: InferenceSystem,
@@ -326,9 +313,8 @@ def restrict(system: InferenceSystem, s: JudgmentSet) -> InferenceSystem:
 
     Corules are dropped. Rule order is preserved.
     """
-    if s.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
-    kept = tuple(r for r in system.rules if r.conclusion in s)
+    inside = _members(system, s)
+    kept = tuple(r for r in system.rules if r.conclusion in inside)
     return InferenceSystem(system.universe_size, kept, (), system.labels)
 
 
@@ -341,11 +327,8 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     conclusions. The result is a fixed point of the restricted step,
     in general neither its least nor its greatest.
     """
-    bound = _bound(system)
-    alive = _greatest(system.universe_size, system.rules, bound)
-    if not alive <= bound:
-        raise InternalError("generated interpretation escaped its inductive bound")
-    return JudgmentSet.of(system.universe_size, alive)
+    n = system.universe_size
+    return JudgmentSet(n, _greatest(n, system.rules, _bound(system)))
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -395,9 +378,7 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Each failure names the conclusion that is missing and the rule that
     derives it, in ascending judgment order then rule declaration order.
     """
-    if s.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
-    inside = set(s)
+    inside = _members(system, s)
     hits = [(r.conclusion, idx, r) for idx, r in enumerate(system.rules)
             if r.conclusion not in inside and r.premises <= inside]
     hits.sort(key=lambda h: (h[0], h[1]))
@@ -412,12 +393,10 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Witnesses record, for each member, the first such rule in declaration
     order. Corules never count.
     """
-    if s.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
-    members = s.ids()
-    first = _first_support(system.rules, set(members))
-    failures = tuple(Failure(j, CONSISTENCY, None) for j in members if j not in first)
-    witnesses = {j: system.rules[first[j]] for j in members if j in first}
+    inside = _members(system, s)
+    first = _first_support(system.rules, inside)
+    failures = tuple(Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first)))
+    witnesses = {j: system.rules[first[j]] for j in sorted(first)}
     return CheckReport(not failures, failures, witnesses)
 
 
@@ -435,16 +414,15 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     When both pass, ``spec`` is contained in the generated interpretation;
     this inclusion is verified before returning.
     """
-    if spec.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
+    inside = _members(system, spec)
     bound = _bound(system)
-    failures = [Failure(j, BOUNDEDNESS, None) for j in spec if j not in bound]
+    failures = [Failure(j, BOUNDEDNESS, None) for j in inside - bound]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
     ok = not failures
     if ok:
-        if not _greatest(spec.size, system.rules, bound).issuperset(spec):
+        if not _greatest(spec.size, system.rules, bound).issuperset(inside):
             raise InternalError("bounded and consistent spec escaped the "
                                 "generated interpretation")
     return CheckReport(ok, tuple(failures), consistency.witnesses)

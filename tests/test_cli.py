@@ -24,7 +24,7 @@ from corules.cli import (
     run,
 )
 
-from util import random_system
+from util import random_system, set_from_bits
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -136,8 +136,8 @@ class TestRenderRoundTrip:
             names = tuple(f"n{k}" for k in range(sys_.universe_size))
             spec = None
             if rng.random() < 0.5:
-                spec = JudgmentSet(sys_.universe_size,
-                                   rng.randrange(1 << sys_.universe_size))
+                spec = set_from_bits(sys_.universe_size,
+                                     rng.randrange(1 << sys_.universe_size))
             sf = SystemFile(names,
                             InferenceSystem(sys_.universe_size, sys_.rules,
                                             sys_.corules, labels=names),

@@ -33,6 +33,7 @@ from util import (
     ind_oracle,
     kleene_iterations,
     random_system,
+    set_from_bits,
     step_by_scan,
 )
 
@@ -74,8 +75,94 @@ class TestJudgmentSet:
         rng = random.Random(4)
         for size in (0, 1, 63, 64, 65, 5000, 20000):
             for density in (0.0, 0.01, 0.5, 1.0):
-                s = JudgmentSet(size, sum(1 << j for j in range(size) if rng.random() < density))
+                s = JudgmentSet.of(size, [j for j in range(size) if rng.random() < density])
                 assert list(s) == [j for j in range(size) if j in s]
+
+
+@st.composite
+def sized_ids(draw, max_size=70):
+    """A universe size and a list of ids inside it, with repeats."""
+    size = draw(st.integers(0, max_size))
+    if not size:
+        return size, []
+    return size, draw(st.lists(st.integers(0, size - 1), max_size=2 * size))
+
+
+class TestJudgmentSetModel:
+    """``JudgmentSet`` against Python frozensets of the same ids."""
+
+    @settings(max_examples=200)
+    @given(sized_ids(), st.data())
+    def test_matches_frozensets(self, sized, data):
+        size, ids = sized
+        other = data.draw(st.lists(st.integers(0, size - 1), max_size=2 * size)) if size else []
+        s, t = JudgmentSet.of(size, ids), JudgmentSet(size, other)
+        fs, ft = frozenset(ids), frozenset(other)
+        for got, want in ((s | t, fs | ft), (s & t, fs & ft), (s - t, fs - ft),
+                          (s.union(t), fs | ft), (s.intersection(t), fs & ft),
+                          (s.difference(t), fs - ft)):
+            assert got == JudgmentSet(size, want) and got.members == want
+        assert (s <= t) == s.is_subset_of(t) == (fs <= ft)
+        assert (t <= s) == (ft <= fs)
+        assert list(s) == sorted(fs) and s.ids() == tuple(sorted(fs))
+        assert len(s) == len(fs) and bool(s) == bool(fs)
+        assert [j in s for j in range(-2, size + 3)] == [j in fs for j in range(-2, size + 3)]
+        assert (s == t) == (fs == ft)
+        same = JudgmentSet.of(size, reversed(ids))
+        assert same == s and hash(same) == hash(s)
+        assert JudgmentSet(size + 1, ids) != s
+
+    @settings(max_examples=100)
+    @given(sized_ids(), st.integers(1, 5))
+    def test_mismatched_sizes_raise(self, sized, grow):
+        size, ids = sized
+        s, t = JudgmentSet.of(size, ids), JudgmentSet.of(size + grow, ids)
+        for op in (lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a - b,
+                   lambda a, b: a <= b, JudgmentSet.union, JudgmentSet.intersection,
+                   JudgmentSet.difference, JudgmentSet.is_subset_of):
+            with pytest.raises(ValueError, match="different universes"):
+                op(s, t)
+            with pytest.raises(ValueError, match="different universes"):
+                op(t, s)
+
+    @settings(max_examples=200)
+    @given(sized_ids(), st.lists(st.one_of(st.integers(-5, -1), st.integers(70, 80)),
+                                 min_size=1, max_size=4), st.data())
+    def test_any_id_out_of_range_raises(self, sized, bad, data):
+        size, ids = sized
+        bad = [b if b < 0 else b - 70 + size for b in bad]
+        mixed = data.draw(st.permutations(ids + bad))
+        for build in (JudgmentSet.of, JudgmentSet):
+            with pytest.raises(ValueError) as e:
+                build(size, mixed)
+            named = [f"judgment id {b} out of range for universe of {size}" for b in bad]
+            assert str(e.value) in named
+
+    def test_size_must_be_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            JudgmentSet(-1)
+        with pytest.raises(TypeError):
+            JudgmentSet(2.5, [0, 1, 2])
+
+    def test_bools_come_back_as_ints(self):
+        s = JudgmentSet.of(3, [True, False, 2])
+        assert list(s) == [0, 1, 2] and all(type(j) is int for j in s)
+        assert all(type(j) is int for j in s.members)
+        assert s == JudgmentSet.full(3) and hash(s) == hash(JudgmentSet.full(3))
+        assert True in s and JudgmentSet(2, [True]).ids() == (1,)
+
+    @settings(max_examples=100)
+    @given(sized_ids())
+    def test_what_the_benchmark_reads(self, sized):
+        # perfbench builds sets with ``of`` and reads answers through
+        # ``frozenset(answer)``, ``len`` and ``in``.
+        size, ids = sized
+        for source in (ids, frozenset(ids), (j for j in ids)):
+            answer = JudgmentSet.of(size, source)
+            assert frozenset(answer) == frozenset(ids)
+            assert len(answer) == len(frozenset(ids))
+            assert all(j in answer for j in ids)
+            assert not any(j in answer for j in range(size) if j not in ids)
 
 
 class TestSystemValidation:
@@ -105,7 +192,7 @@ class TestSystemValidation:
     def test_label_lookup(self):
         sys_ = abc_system()
         assert sys_.label_of(B) == "b"
-        assert str(sys_.judgment(C)) == "c"
+        assert sys_.label_of(C) == "c"
 
 
 class TestApplyStep:
@@ -138,7 +225,7 @@ class TestApplyStep:
         n = sys_.universe_size
         t_bits = pick % (1 << n)
         s_bits = t_bits & (pick >> n)  # arbitrary subset of t
-        s, t = JudgmentSet(n, s_bits), JudgmentSet(n, t_bits)
+        s, t = set_from_bits(n, s_bits), set_from_bits(n, t_bits)
         assert apply_step(sys_, s) <= apply_step(sys_, t)
         assert apply_step(sys_, s, use_corules=True) <= apply_step(sys_, t, use_corules=True)
 
@@ -148,7 +235,7 @@ class TestApplyStep:
         rng = random.Random(seed)
         sys_ = random_system(rng, max_universe=7, max_rules=12, max_corules=4)
         n = sys_.universe_size
-        s = JudgmentSet(n, pick % (1 << n))
+        s = set_from_bits(n, pick % (1 << n))
         for flag in (False, True):
             assert members(apply_step(sys_, s, use_corules=flag)) == set(
                 step_by_scan(sys_, frozenset(s), use_corules=flag))
@@ -454,8 +541,8 @@ class TestBoundedCoinductionCheck:
         hits = 0
         for _ in range(300):
             sys_ = random_system(rng, max_universe=5, max_rules=8, max_corules=3)
-            spec = JudgmentSet(sys_.universe_size,
-                               rng.randrange(1 << sys_.universe_size))
+            spec = set_from_bits(sys_.universe_size,
+                                 rng.randrange(1 << sys_.universe_size))
             report = bounded_coinduction_check(sys_, spec)
             if report.ok:
                 hits += 1

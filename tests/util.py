@@ -38,6 +38,11 @@ def consistent_by_scan(rules: tuple[Rule, ...], members: frozenset[int]) -> bool
                for j in members)
 
 
+def set_from_bits(n: int, bits: int) -> JudgmentSet:
+    """The set over a universe of ``n`` whose members are the 1 bits of ``bits``."""
+    return JudgmentSet.of(n, (j for j in range(n) if bits >> j & 1))
+
+
 def _subsets(n: int):
     for bits in range(1 << n):
         yield frozenset(j for j in range(n) if bits >> j & 1)
