@@ -28,10 +28,10 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from ._value import Value, _set
 from .colist import Colist, Finite, Lasso, _natural_or_none
 from .inference import (
     BOUNDEDNESS,
@@ -72,14 +72,17 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(Value):
     """A parsed system file: names in declaration order, the system, and the
     optional specification set."""
 
-    names: tuple[str, ...]
-    system: InferenceSystem
-    spec: Optional[JudgmentSet]
+    __slots__ = __match_args__ = ("names", "system", "spec")
+
+    def __init__(self, names: tuple[str, ...], system: InferenceSystem,
+                 spec: Optional[JudgmentSet]):
+        _set(self, "names", names)
+        _set(self, "system", system)
+        _set(self, "spec", spec)
 
     def id_of(self, name: str) -> int:
         try:

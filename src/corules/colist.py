@@ -11,8 +11,9 @@ whose states are its distinct suffix positions; the predicate engines in
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
+
+from ._value import Value, _set
 
 
 def _check_naturals(values, what: str) -> tuple[int, ...]:
@@ -35,26 +36,23 @@ def _natural_or_none(token: str) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Value):
     """A finite list of naturals."""
 
-    elements: tuple[int, ...]
+    __slots__ = __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _check_naturals(self.elements, "elements"))
+    def __init__(self, elements: Iterable[int]):
+        _set(self, "elements", _check_naturals(elements, "elements"))
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Value):
     """The infinite list prefix + loop + loop + ... (loop is nonempty)."""
 
-    prefix: tuple[int, ...]
-    loop: tuple[int, ...]
+    __slots__ = __match_args__ = ("prefix", "loop")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", _check_naturals(self.prefix, "prefix"))
-        object.__setattr__(self, "loop", _check_naturals(self.loop, "loop"))
+    def __init__(self, prefix: Iterable[int], loop: Iterable[int]):
+        _set(self, "prefix", _check_naturals(prefix, "prefix"))
+        _set(self, "loop", _check_naturals(loop, "loop"))
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
 
@@ -62,8 +60,7 @@ class Lasso:
 Colist = Union[Finite, Lasso]
 
 
-@dataclass(frozen=True)
-class SuffixAutomaton:
+class SuffixAutomaton(Value):
     """The suffix states of a colist, as a deterministic successor chain.
 
     State ``s`` denotes the suffix starting at position ``s`` (positions in
@@ -73,8 +70,11 @@ class SuffixAutomaton:
     The initial state is 0 and every state is reachable from it.
     """
 
-    heads: tuple[Optional[int], ...]
-    nexts: tuple[Optional[int], ...]
+    __slots__ = __match_args__ = ("heads", "nexts")
+
+    def __init__(self, heads: tuple[Optional[int], ...], nexts: tuple[Optional[int], ...]):
+        _set(self, "heads", heads)
+        _set(self, "nexts", nexts)
 
     @property
     def state_count(self) -> int:

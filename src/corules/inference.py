@@ -41,8 +41,9 @@ everything here can be freely shared across threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from ._value import Value, _set
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"
@@ -54,19 +55,18 @@ class InternalError(Exception):
     """A violated engine invariant. Not a user error."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """An inference rule: if all premises hold, the conclusion holds.
 
     Premises form a set (order and multiplicity never matter). A rule with
     no premises is an axiom.
     """
 
-    premises: frozenset[int]
-    conclusion: int
+    __slots__ = __match_args__ = ("premises", "conclusion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", frozenset(self.premises))
+    def __init__(self, premises: Iterable[int], conclusion: int):
+        _set(self, "premises", frozenset(premises))
+        _set(self, "conclusion", conclusion)
 
     def __str__(self) -> str:
         return f"{self.conclusion} <- {' '.join(map(str, sorted(self.premises)))}".rstrip()
@@ -77,8 +77,7 @@ def rule(conclusion: int, *premises: int) -> Rule:
     return Rule(frozenset(premises), conclusion)
 
 
-@dataclass(frozen=True)
-class JudgmentSet:
+class JudgmentSet(Value):
     """A subset of the universe: a frozenset of judgment ids plus the
     universe size.
 
@@ -88,17 +87,27 @@ class JudgmentSet:
     are equal iff they have the same universe size and the same members.
     """
 
-    size: int
-    members: frozenset[int] = frozenset()
+    __slots__ = __match_args__ = ("size", "members")
 
-    def __post_init__(self):
-        if operator.index(self.size) < 0:
+    def __init__(self, size: int, members: Iterable[int] = frozenset()):
+        if operator.index(size) < 0:
             raise ValueError("universe size must be non-negative")
-        members = frozenset(map(operator.index, self.members))
-        if members and not (0 <= min(members) and max(members) < self.size):
+        members = frozenset(map(operator.index, members))
+        if members and not (0 <= min(members) and max(members) < size):
             j = min(members) if min(members) < 0 else max(members)
-            raise ValueError(f"judgment id {j} out of range for universe of {self.size}")
-        object.__setattr__(self, "members", members)
+            raise ValueError(f"judgment id {j} out of range for universe of {size}")
+        _set(self, "size", size)
+        _set(self, "members", members)
+
+    @classmethod
+    def _valid(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
+        """The set of ``ids``, ints known to lie in ``range(size)``, unchecked.
+        Its frozenset is filled from an iterator, as the constructor's is, so
+        it holds the members in the same order and prints the same."""
+        s = object.__new__(cls)
+        _set(s, "size", size)
+        _set(s, "members", frozenset(iter(ids)))
+        return s
 
     @classmethod
     def empty(cls, size: int) -> "JudgmentSet":
@@ -130,13 +139,13 @@ class JudgmentSet:
         return other.members
 
     def union(self, other: "JudgmentSet") -> "JudgmentSet":
-        return JudgmentSet(self.size, self.members | self._peer(other))
+        return JudgmentSet._valid(self.size, self.members | self._peer(other))
 
     def intersection(self, other: "JudgmentSet") -> "JudgmentSet":
-        return JudgmentSet(self.size, self.members & self._peer(other))
+        return JudgmentSet._valid(self.size, self.members & self._peer(other))
 
     def difference(self, other: "JudgmentSet") -> "JudgmentSet":
-        return JudgmentSet(self.size, self.members - self._peer(other))
+        return JudgmentSet._valid(self.size, self.members - self._peer(other))
 
     def is_subset_of(self, other: "JudgmentSet") -> bool:
         return self.members <= self._peer(other)
@@ -150,8 +159,7 @@ class JudgmentSet:
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class InferenceSystem:
+class InferenceSystem(Value):
     """A finite universe together with rules and (optionally) corules.
 
     Rule and corule order is irrelevant to every interpretation; it only
@@ -159,29 +167,29 @@ class InferenceSystem:
     semantically inert. ``labels``, when given, names every judgment.
     """
 
-    universe_size: int
-    rules: tuple[Rule, ...]
-    corules: tuple[Rule, ...] = ()
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = __match_args__ = ("universe_size", "rules", "corules", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "corules", tuple(self.corules))
-        if self.universe_size < 0:
+    def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
+                 labels: Optional[Iterable[str]] = None):
+        _set(self, "universe_size", universe_size)
+        _set(self, "rules", tuple(rules))
+        _set(self, "corules", tuple(corules))
+        if universe_size < 0:
             raise ValueError("universe size must be non-negative")
-        n = self.universe_size
+        n = universe_size
         for r in self.rules + self.corules:
             p = r.premises
             if not 0 <= r.conclusion < n or p and not (0 <= min(p) and max(p) < n):
                 bad = sorted({j for j in (*p, r.conclusion) if not 0 <= j < n})
                 raise ValueError(f"rule {r} references judgment ids {bad} "
                                  f"outside universe of {n}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.universe_size:
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
                 raise ValueError("label table must name every judgment")
-            if len(set(self.labels)) != len(self.labels):
+            if len(set(labels)) != len(labels):
                 raise ValueError("judgment labels must be unique")
+        _set(self, "labels", labels)
 
     def label_of(self, j: int) -> str:
         if not 0 <= j < self.universe_size:
@@ -284,7 +292,7 @@ def _bound(system: InferenceSystem) -> set[int]:
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
     rounds, _ = _least(system.universe_size, system.all_rules(use_corules))
-    return JudgmentSet(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
+    return JudgmentSet._valid(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -294,7 +302,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = system.universe_size
-    return JudgmentSet(n, _greatest(n, system.rules, set(range(n))))
+    return JudgmentSet._valid(n, _greatest(n, system.rules, set(range(n))))
 
 
 def derivation_rounds(system: InferenceSystem,
@@ -328,7 +336,7 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     in general neither its least nor its greatest.
     """
     n = system.universe_size
-    return JudgmentSet(n, _greatest(n, system.rules, _bound(system)))
+    return JudgmentSet._valid(n, _greatest(n, system.rules, _bound(system)))
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -341,17 +349,21 @@ def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
             "gen": gen_interpretation}[name](system)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Value):
     """One violated proof obligation: which judgment, why, and through which rule."""
 
-    judgment: int
-    reason: str
-    rule: Optional[Rule] = None
+    __slots__ = __match_args__ = ("judgment", "reason", "rule")
+
+    def __init__(self, judgment: int, reason: str, rule: Optional[Rule] = None):
+        _set(self, "judgment", judgment)
+        _set(self, "reason", reason)
+        _set(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+_NEW_DICT = object()  # CheckReport's default witnesses: a new empty dict
+
+
+class CheckReport(Value):
     """Outcome of a principle check.
 
     ``ok`` is true iff there are no failures. ``witnesses`` maps each
@@ -359,13 +371,14 @@ class CheckReport:
     premises inside the checked set.
     """
 
-    ok: bool
-    failures: tuple[Failure, ...] = ()
-    witnesses: Mapping[int, Rule] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("ok", "failures", "witnesses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "failures", tuple(self.failures))
-        if self.ok != (not self.failures):
+    def __init__(self, ok: bool, failures: Iterable[Failure] = (),
+                 witnesses: Mapping[int, Rule] = _NEW_DICT):
+        _set(self, "ok", ok)
+        _set(self, "failures", tuple(failures))
+        _set(self, "witnesses", {} if witnesses is _NEW_DICT else witnesses)
+        if ok != (not self.failures):
             raise ValueError("ok must hold exactly when there are no failures")
 
     def failures_tagged(self, reason: str) -> tuple[Failure, ...]:

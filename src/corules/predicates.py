@@ -25,10 +25,10 @@ gives all three verdicts, as ``corules pred`` prints them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from ._value import Value, _set
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
                      _natural_or_none, get, suffix_automaton)
 from .inference import InferenceSystem, Rule, interpret, rule
@@ -45,12 +45,14 @@ class Kind(enum.Enum):
     MAX_ELEM = "max"
 
 
-@dataclass(frozen=True)
-class ElementPredicate:
+class ElementPredicate(Value):
     """A named, total, decidable predicate on naturals."""
 
-    name: str
-    holds: Callable[[int], bool]
+    __slots__ = __match_args__ = ("name", "holds")
+
+    def __init__(self, name: str, holds: Callable[[int], bool]):
+        _set(self, "name", name)
+        _set(self, "holds", holds)
 
     def __call__(self, n: int) -> bool:
         return bool(self.holds(n))
@@ -101,24 +103,27 @@ def max_of(a: int, b: int) -> int:
     return a if a >= b else b
 
 
-@dataclass(frozen=True)
-class JudgmentScheme:
+class JudgmentScheme(Value):
     """Bijection between a family's abstract judgments and dense ids.
 
     For ``member`` and ``max`` the universe is candidates x suffix states
     and ids are ``value_index * state_count + state``; for the other kinds
-    the universe is the states themselves.
+    the universe is the states themselves. ``state_count`` is the
+    automaton's, stored at construction: ``encode`` reads it for every rule.
     """
 
-    kind: Kind
-    colist: Colist
-    automaton: SuffixAutomaton
-    candidates: Optional[tuple[int, ...]] = None
-    predicate: Optional[ElementPredicate] = None
+    __match_args__ = ("kind", "colist", "automaton", "candidates", "predicate")
+    __slots__ = __match_args__ + ("state_count", "__dict__")  # __dict__: _value_index
 
-    @property
-    def state_count(self) -> int:
-        return self.automaton.state_count
+    def __init__(self, kind: Kind, colist: Colist, automaton: SuffixAutomaton,
+                 candidates: Optional[tuple[int, ...]] = None,
+                 predicate: Optional[ElementPredicate] = None):
+        _set(self, "kind", kind)
+        _set(self, "colist", colist)
+        _set(self, "automaton", automaton)
+        _set(self, "candidates", candidates)
+        _set(self, "predicate", predicate)
+        _set(self, "state_count", automaton.state_count)
 
     @property
     def universe_size(self) -> int:

@@ -29,10 +29,10 @@ those lines after that.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
+from ._value import Value, _set
 from .inference import (InferenceSystem, InternalError, Rule, _bound, _first_support, _greatest,
                         _least)
 
@@ -44,21 +44,23 @@ class StructuralError(Exception):
     """The tree does not even have the right shape to be checked."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteProofTree:
+class FiniteProofTree(Value):
     """A finite derivation: a judgment, the rule deriving it, one subtree per premise.
 
-    Equality and hashing are structural. ``repr`` is the dataclass text, but a
-    subproof printed before is written ``#k#``, after the ``#k=`` that labels
-    its first occurrence.
+    Equality and hashing are structural. ``repr`` reads
+    ``FiniteProofTree(judgment=j, rule_index=r, children=(...))`` at every
+    node, but a subproof printed before is written ``#k#``, after the ``#k=``
+    that labels its first occurrence.
     """
 
-    judgment: int
-    rule_index: int
-    children: tuple["FiniteProofTree", ...] = ()
+    __match_args__ = ("judgment", "rule_index", "children")
+    __slots__ = __match_args__ + ("__dict__",)  # __dict__: _graph
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, judgment: int, rule_index: int,
+                 children: Iterable["FiniteProofTree"] = ()):
+        _set(self, "judgment", judgment)
+        _set(self, "rule_index", rule_index)
+        _set(self, "children", tuple(children))
 
     @cached_property
     def _graph(self) -> tuple[Table, int]:
@@ -119,27 +121,26 @@ class FiniteProofTree:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class RationalNode:
+class RationalNode(Value):
     """One node of a rational proof graph; children are node indices."""
 
-    judgment: int
-    rule_index: int
-    children: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("judgment", "rule_index", "children")
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, judgment: int, rule_index: int, children: Iterable[int] = ()):
+        _set(self, "judgment", judgment)
+        _set(self, "rule_index", rule_index)
+        _set(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class RationalProofTree:
+class RationalProofTree(Value):
     """A finite graph presentation of a possibly-infinite regular proof tree."""
 
-    nodes: tuple[RationalNode, ...]
-    root: int = 0
+    __match_args__ = ("nodes", "root")
+    __slots__ = __match_args__ + ("__dict__",)  # __dict__: _graph
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+    def __init__(self, nodes: Iterable[RationalNode], root: int = 0):
+        _set(self, "nodes", tuple(nodes))
+        _set(self, "root", root)
 
     @cached_property
     def _graph(self) -> tuple[Table, int]:

@@ -1,0 +1,381 @@
+"""The package's value types, one table row each: construction, defaults,
+coercions, validation errors, ``==``, ``hash``, ``repr``, copying and
+immutability. A value equals only a value of its own type, never a tuple.
+"""
+
+import copy
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from corules import (
+    CLOSEDNESS,
+    POSITIVE,
+    CheckReport,
+    ElementPredicate,
+    Failure,
+    Finite,
+    FiniteProofTree,
+    InferenceSystem,
+    JudgmentScheme,
+    JudgmentSet,
+    Kind,
+    Lasso,
+    RationalNode,
+    RationalProofTree,
+    Rule,
+    SuffixAutomaton,
+    coind_interpretation,
+    gen_interpretation,
+    ind_interpretation,
+    is_acyclic,
+    rule,
+)
+from corules.cli import ParseError, SystemFile, parse_system
+
+from util import random_system
+
+EMPTY = frozenset()
+R0 = Rule(EMPTY, 0)
+R1 = Rule(frozenset({0}), 1)
+SYSTEM = InferenceSystem(2, (R0, R1), (), ("a", "b"))
+SYSTEM_REPR = ("InferenceSystem(universe_size=2, rules=(Rule(premises=frozenset(), "
+               "conclusion=0), Rule(premises=frozenset({0}), conclusion=1)), corules=(), "
+               "labels=('a', 'b'))")
+AUT = SuffixAutomaton((1, None), (1, None))
+AUT_REPR = "SuffixAutomaton(heads=(1, None), nexts=(1, None))"
+SPEC = JudgmentSet(2, {1})
+LEAF = FiniteProofTree(0, 0)
+NODE = RationalNode(1, 1, (1,))
+
+
+def holds(n):
+    return n > 2
+
+
+# type, field names, field values, repr
+CASES = [
+    (SystemFile, ("names", "system", "spec"), (("a", "b"), SYSTEM, SPEC),
+     f"SystemFile(names=('a', 'b'), system={SYSTEM_REPR}, "
+     "spec=JudgmentSet(size=2, members=frozenset({1})))"),
+    (Finite, ("elements",), ((1, 2),), "Finite(elements=(1, 2))"),
+    (Lasso, ("prefix", "loop"), ((1,), (2, 3)), "Lasso(prefix=(1,), loop=(2, 3))"),
+    (SuffixAutomaton, ("heads", "nexts"), ((1, None), (1, None)), AUT_REPR),
+    (Rule, ("premises", "conclusion"), (frozenset({1, 2}), 0),
+     "Rule(premises=frozenset({1, 2}), conclusion=0)"),
+    (JudgmentSet, ("size", "members"), (3, frozenset({0, 2})),
+     "JudgmentSet(size=3, members=frozenset({0, 2}))"),
+    (InferenceSystem, ("universe_size", "rules", "corules", "labels"),
+     (2, (R0, R1), (), ("a", "b")), SYSTEM_REPR),
+    (Failure, ("judgment", "reason", "rule"), (1, CLOSEDNESS, R1),
+     "Failure(judgment=1, reason='closedness', "
+     "rule=Rule(premises=frozenset({0}), conclusion=1))"),
+    (CheckReport, ("ok", "failures", "witnesses"), (True, (), {1: R1}),
+     "CheckReport(ok=True, failures=(), "
+     "witnesses={1: Rule(premises=frozenset({0}), conclusion=1)})"),
+    (ElementPredicate, ("name", "holds"), ("gt:2", holds), "ElementPredicate('gt:2')"),
+    (JudgmentScheme, ("kind", "colist", "automaton", "candidates", "predicate"),
+     (Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3), None),
+     "JudgmentScheme(kind=<Kind.MAX_ELEM: 'max'>, colist=Finite(elements=(1,)), "
+     f"automaton={AUT_REPR}, candidates=(1, 3), predicate=None)"),
+    (FiniteProofTree, ("judgment", "rule_index", "children"), (1, 1, (LEAF,)),
+     "FiniteProofTree(judgment=1, rule_index=1, "
+     "children=(FiniteProofTree(judgment=0, rule_index=0, children=()),))"),
+    (RationalNode, ("judgment", "rule_index", "children"), (1, 1, (1,)),
+     "RationalNode(judgment=1, rule_index=1, children=(1,))"),
+    (RationalProofTree, ("nodes", "root"), ((RationalNode(0, 0), NODE), 1),
+     "RationalProofTree(nodes=(RationalNode(judgment=0, rule_index=0, children=()), "
+     "RationalNode(judgment=1, rule_index=1, children=(1,))), root=1)"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+# The message of calling each type with no arguments.
+MISSING = {
+    SystemFile: "3 required positional arguments: 'names', 'system', and 'spec'",
+    Finite: "1 required positional argument: 'elements'",
+    Lasso: "2 required positional arguments: 'prefix' and 'loop'",
+    SuffixAutomaton: "2 required positional arguments: 'heads' and 'nexts'",
+    Rule: "2 required positional arguments: 'premises' and 'conclusion'",
+    JudgmentSet: "1 required positional argument: 'size'",
+    InferenceSystem: "2 required positional arguments: 'universe_size' and 'rules'",
+    Failure: "2 required positional arguments: 'judgment' and 'reason'",
+    CheckReport: "1 required positional argument: 'ok'",
+    ElementPredicate: "2 required positional arguments: 'name' and 'holds'",
+    JudgmentScheme: "3 required positional arguments: 'kind', 'colist', and 'automaton'",
+    FiniteProofTree: "2 required positional arguments: 'judgment' and 'rule_index'",
+    RationalNode: "2 required positional arguments: 'judgment' and 'rule_index'",
+    RationalProofTree: "1 required positional argument: 'nodes'",
+}
+
+
+def message(excinfo) -> str:
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+class TestEveryValueType:
+    def test_fields_in_declaration_order(self, cls, names, values, text):
+        value = cls(*values)
+        assert cls.__match_args__ == names
+        assert tuple(getattr(value, name) for name in names) == values
+
+    def test_keyword_construction_equals_positional(self, cls, names, values, text):
+        assert cls(**dict(zip(names, values))) == cls(*values)
+        assert not cls(**dict(zip(names, values))) != cls(*values)
+
+    def test_missing_arguments(self, cls, names, values, text):
+        with pytest.raises(TypeError) as excinfo:
+            cls()
+        assert message(excinfo) == f"{cls.__qualname__}.__init__() missing {MISSING[cls]}"
+        with pytest.raises(TypeError) as excinfo:
+            cls(*values, extra=1)
+        assert message(excinfo) == (f"{cls.__qualname__}.__init__() got an unexpected "
+                                    "keyword argument 'extra'")
+
+    def test_never_equal_to_a_tuple_or_another_type(self, cls, names, values, text):
+        value = cls(*values)
+        assert (value == values) is False and (values == value) is False
+        assert value != values and values != value
+        assert value.__eq__(values) is NotImplemented
+        other = R0 if cls is not Rule else LEAF
+        assert value != other and value.__eq__(other) is NotImplemented
+
+    def test_hash_is_the_field_tuple_hash(self, cls, names, values, text):
+        value = cls(*values)
+        if cls is CheckReport:  # its witnesses are a dict
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)
+        elif cls is FiniteProofTree:  # hashes children by their hashes
+            assert hash(value) == hash((1, 1, (hash(LEAF),)))
+            assert hash(LEAF) == hash((0, 0, ()))
+        else:
+            assert hash(value) == hash(values)
+            assert hash(value) == hash(cls(*values))
+
+    def test_repr(self, cls, names, values, text):
+        assert repr(cls(*values)) == text
+
+    def test_assignment_and_deletion_raise(self, cls, names, values, text):
+        value = cls(*values)
+        for name in names + ("other",):
+            with pytest.raises(AttributeError) as excinfo:
+                setattr(value, name, None)
+            assert message(excinfo) == f"cannot assign to field {name!r}"
+        for name in names:
+            with pytest.raises(AttributeError) as excinfo:
+                delattr(value, name)
+            assert message(excinfo) == f"cannot delete field {name!r}"
+        assert tuple(getattr(value, name) for name in names) == values
+
+    def test_copies_are_equal(self, cls, names, values, text):
+        value = cls(*values)
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        if cls is not ElementPredicate:  # a predicate's function may be a lambda
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert repr(pickle.loads(pickle.dumps(value))) == text
+
+
+class TestCoercionsAndDefaults:
+    def test_finite_and_lasso_store_tuples(self):
+        assert Finite([1, 2]).elements == (1, 2)
+        assert type(Finite(iter([1])).elements) is tuple
+        lasso = Lasso([1], [2, 3])
+        assert (lasso.prefix, lasso.loop) == ((1,), (2, 3))
+        assert type(lasso.prefix) is tuple and type(lasso.loop) is tuple
+
+    def test_suffix_automaton_keeps_its_arguments(self):
+        aut = SuffixAutomaton([1, None], [1, None])
+        assert type(aut.heads) is list and type(aut.nexts) is list
+        assert aut.state_count == 2 and aut.states() == range(2)
+
+    def test_rule_premises_become_a_frozenset(self):
+        r = Rule([2, 1, 2], 0)
+        assert r.premises == frozenset({1, 2}) and type(r.premises) is frozenset
+        assert r == rule(0, 1, 2) == rule(0, 2, 1, 1)
+        assert str(r) == "0 <- 1 2" and str(rule(3)) == "3 <-"
+
+    def test_judgment_set_members(self):
+        assert JudgmentSet(3).members == EMPTY and type(JudgmentSet(3).members) is frozenset
+        s = JudgmentSet(3, [True, 2])
+        assert s.members == frozenset({1, 2})
+        assert all(type(j) is int for j in s.members)
+        assert JudgmentSet(3, iter([0, 1])) == JudgmentSet.of(3, (1, 0))
+        assert JudgmentSet(True, [0]).size is True  # the size is checked, not coerced
+
+    def test_inference_system_stores_tuples(self):
+        system = InferenceSystem(2, [R0], [R1], ["a", "b"])
+        assert system.rules == (R0,) and type(system.rules) is tuple
+        assert system.corules == (R1,) and type(system.corules) is tuple
+        assert system.labels == ("a", "b") and type(system.labels) is tuple
+        bare = InferenceSystem(2, (R0,))
+        assert bare.corules == () and bare.labels is None
+        assert bare.label_of(1) == "j1" and bare.all_rules(True) == (R0,)
+
+    def test_failure_default_rule(self):
+        assert Failure(1, CLOSEDNESS).rule is None
+
+    def test_check_report_defaults(self):
+        report = CheckReport(True, [])
+        assert report.failures == () and type(report.failures) is tuple
+        assert report.witnesses == {}
+        assert CheckReport(True).witnesses is not CheckReport(True).witnesses
+        assert CheckReport(True, (), None).witnesses is None
+
+    def test_element_predicate(self):
+        p = ElementPredicate("gt:2", holds)
+        assert p(3) is True and p(2) is False
+        assert p == ElementPredicate("gt:2", holds)
+        assert p != ElementPredicate("gt:2", lambda n: n > 2)
+        assert repr(POSITIVE) == "ElementPredicate('positive')"
+
+    def test_judgment_scheme_defaults_and_counts(self):
+        scheme = JudgmentScheme(Kind.ALWAYS, Finite((1,)), AUT)
+        assert scheme.candidates is None and scheme.predicate is None
+        assert scheme.state_count == 2 and scheme.universe_size == 2
+        listed = JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, [1, 3])
+        assert type(listed.candidates) is list and listed.universe_size == 4
+
+    def test_judgment_scheme_cache_stays_out_of_the_fields(self):
+        values = (Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3), None)
+        scheme, fresh = JudgmentScheme(*values), JudgmentScheme(*values)
+        assert scheme.encode(1, 3) == 3 and scheme.decode(3) == (3, 1)
+        assert scheme == fresh and hash(scheme) == hash(fresh) == hash(values)
+        assert repr(scheme) == repr(fresh)
+        with pytest.raises(AttributeError):
+            scheme.state_count = 5
+        assert pickle.loads(pickle.dumps(scheme)) == scheme
+
+    def test_proof_children_and_nodes_become_tuples(self):
+        tree = FiniteProofTree(1, 1, [LEAF])
+        assert tree.children == (LEAF,) and type(tree.children) is tuple
+        assert LEAF.children == ()
+        node = RationalNode(1, 1, [1])
+        assert node.children == (1,) and type(node.children) is tuple
+        assert RationalNode(0, 0).children == ()
+        graph = RationalProofTree([RationalNode(0, 0)])
+        assert type(graph.nodes) is tuple and graph.root == 0
+
+    def test_proof_caches_stay_out_of_the_fields(self):
+        tree, fresh = FiniteProofTree(1, 1, (LEAF,)), FiniteProofTree(1, 1, (LEAF,))
+        assert tree.depth() == 2
+        assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+        nodes = (RationalNode(0, 0, (1,)), NODE)
+        graph = RationalProofTree(nodes)
+        assert is_acyclic(graph) is False
+        assert graph == RationalProofTree(nodes) and hash(graph) == hash((nodes, 0))
+        for value in (tree, graph):
+            with pytest.raises(AttributeError):
+                value._graph = None
+
+    def test_system_file(self):
+        sf = parse_system("judgments: a b\nrule: a <-\nrule: b <- a\nspec: b\n")
+        assert sf == SystemFile(("a", "b"), SYSTEM, SPEC)
+        assert sf.id_of("b") == 1
+        with pytest.raises(ParseError, match="unknown judgment name 'z'"):
+            sf.id_of("z")
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("build, error, text", [
+        (lambda: Finite((1, -1)), ValueError, "elements must be natural numbers, got -1"),
+        (lambda: Finite((True,)), ValueError, "elements must be natural numbers, got True"),
+        (lambda: Finite(("1",)), ValueError, "elements must be natural numbers, got '1'"),
+        (lambda: Finite(5), TypeError, "'int' object is not iterable"),
+        (lambda: Lasso((1,), ()), ValueError, "lasso loop must be nonempty"),
+        (lambda: Lasso((-1,), ()), ValueError, "prefix must be natural numbers, got -1"),
+        (lambda: Lasso((), (1.0,)), ValueError, "loop must be natural numbers, got 1.0"),
+        (lambda: Rule([[1]], 0), TypeError, "unhashable type: 'list'"),
+        (lambda: JudgmentSet(-1), ValueError, "universe size must be non-negative"),
+        (lambda: JudgmentSet(2.0), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: JudgmentSet(3, [3]), ValueError,
+         "judgment id 3 out of range for universe of 3"),
+        (lambda: JudgmentSet(3, [5, -1, 4]), ValueError,
+         "judgment id -1 out of range for universe of 3"),
+        (lambda: JudgmentSet(3, [1.5]), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: JudgmentSet(3, ["a"]), TypeError,
+         "'str' object cannot be interpreted as an integer"),
+        (lambda: InferenceSystem(-1, [rule(0)]), ValueError,
+         "universe size must be non-negative"),
+        (lambda: InferenceSystem(-1, 5), TypeError, "'int' object is not iterable"),
+        (lambda: InferenceSystem(2, [rule(2, 0, 3)]), ValueError,
+         "rule 2 <- 0 3 references judgment ids [2, 3] outside universe of 2"),
+        (lambda: InferenceSystem(2, [], [rule(0, -1)]), ValueError,
+         "rule 0 <- -1 references judgment ids [-1] outside universe of 2"),
+        (lambda: InferenceSystem(2, [], labels=["a"]), ValueError,
+         "label table must name every judgment"),
+        (lambda: InferenceSystem(2, [], labels=["a", "a"]), ValueError,
+         "judgment labels must be unique"),
+        (lambda: CheckReport(True, [Failure(0, CLOSEDNESS)]), ValueError,
+         "ok must hold exactly when there are no failures"),
+        (lambda: CheckReport(False), ValueError,
+         "ok must hold exactly when there are no failures"),
+    ])
+    def test_construction(self, build, error, text):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert type(excinfo.value) is error and message(excinfo) == text
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda s: s.encode(5), "state 5 out of range"),
+        (lambda s: s.encode(0, 7), "value 7 is not a candidate"),
+        (lambda s: s.encode(0, [1]), "value [1] is not a candidate"),
+        (lambda s: s.decode(9), "judgment id 9 out of range"),
+        (lambda s: JudgmentScheme(Kind.ALWAYS, Finite((1,)), AUT).encode(0, 1),
+         "always judgments carry no value"),
+    ])
+    def test_judgment_scheme(self, call, text):
+        scheme = JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3))
+        with pytest.raises(ValueError) as excinfo:
+            call(scheme)
+        assert message(excinfo) == text
+
+
+class TestEngineBuiltSets:
+    """Sets the engine and the set operations build equal and hash as the
+    same members given to the public constructor, and print as them when
+    given in the same order."""
+
+    @staticmethod
+    def assert_as_public(s: JudgmentSet, members, same_order=True):
+        public = JudgmentSet(s.size, members)
+        assert s == public and hash(s) == hash(public)
+        assert repr(s) == repr(public) or not same_order
+        assert type(s.size) is int and type(s.members) is frozenset
+
+    def test_interpretations(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            system = random_system(rng, 40, 60, max_corules=6)
+            ind = ind_interpretation(system)
+            self.assert_as_public(ind, iter(sorted(ind.members)))
+            for s in (coind_interpretation(system), gen_interpretation(system)):
+                self.assert_as_public(s, s.members, same_order=False)
+
+    def test_set_operations(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.choice([5, 30, 70, 200, 1000])
+            a, b = (JudgmentSet(n, (j for j in range(n) if rng.random() < rng.random()))
+                    for _ in range(2))
+            for got, members in ((a | b, a.members | b.members),
+                                 (a & b, a.members & b.members),
+                                 (a - b, a.members - b.members)):
+                self.assert_as_public(got, members)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up stays lean: importing the package and its CLI pulls in no
+    dataclass or source-introspection machinery."""
+    code = ("import sys\n"
+            f"sys.path.append({str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+            "import corules, corules.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
