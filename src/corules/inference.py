@@ -83,8 +83,9 @@ class JudgmentSet(Value):
 
     ``members`` may be given as any iterable of ids. Each is coerced with
     ``operator.index`` (so ``True`` is stored as ``1``) and must lie in
-    ``0..size-1``. Membership is O(1) and iteration is ascending. Two sets
-    are equal iff they have the same universe size and the same members.
+    ``0..size-1``. Membership is O(1), and iteration and the repr are
+    ascending. Two sets are equal iff they have the same universe size and
+    the same members.
     """
 
     __slots__ = __match_args__ = ("size", "members")
@@ -101,12 +102,10 @@ class JudgmentSet(Value):
 
     @classmethod
     def _valid(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
-        """The set of ``ids``, ints known to lie in ``range(size)``, unchecked.
-        Its frozenset is filled from an iterator, as the constructor's is, so
-        it holds the members in the same order and prints the same."""
+        """The set of ``ids``, ints known to lie in ``range(size)``, unchecked."""
         s = object.__new__(cls)
         _set(s, "size", size)
-        _set(s, "members", frozenset(iter(ids)))
+        _set(s, "members", frozenset(ids))
         return s
 
     @classmethod
@@ -120,6 +119,10 @@ class JudgmentSet(Value):
     @classmethod
     def of(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
         return cls(size, ids)
+
+    def __repr__(self) -> str:
+        members = f"{{{', '.join(map(repr, self))}}}" if self.members else ""
+        return f"{self.__class__.__qualname__}(size={self.size!r}, members=frozenset({members}))"
 
     def __contains__(self, j: int) -> bool:
         return j in self.members

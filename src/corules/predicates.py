@@ -1,32 +1,36 @@
 """Predicates on colists, instantiated as finite inference systems.
 
 Six predicate families are supported, each over the suffix automaton of a
-colist:
+colist. Five read one step rule, ``s <- next(s)`` from a suffix to its tail,
+in three ways, and the reading also places the axioms (a hit is a suffix
+whose head satisfies the element predicate):
 
-* ``always``: a predicate holds at every position (coinductive),
-* ``eventually``: a predicate holds at some position (inductive),
-* ``member``: some position holds a given value, ``eventually(eq:x)``,
-* ``allpos``: every element is strictly positive, ``always(positive)``,
-* ``infoften``: a predicate holds at infinitely many positions
-  (corule-generated),
-* ``max``: a value is the maximum element (corule-generated).
+* ``eventually`` (at some position), inductive: an axiom at every hit and a
+  step from every non-empty suffix; ``member`` is ``eventually(eq:x)``;
+* ``always`` (at every position), coinductive: an axiom at the empty suffix
+  and a step from every hit; ``allpos`` is ``always(positive)``;
+* ``infoften`` (at infinitely many positions), corule-generated: a step from
+  every non-empty suffix and a coaxiom (a corule with no premises) at every hit.
+
+``max`` (a value is the maximum element) is corule-generated too.
 
 Each ``gen_*_system`` function returns the inference system together with a
 JudgmentScheme mapping abstract judgments (value, suffix state) to dense
 ids. ``FAMILIES`` is the one place that says how each family is built,
-read and decided: its builder, its interpretation, its two deciders and
-the arguments it takes. The deciders, ``decide_direct`` (structural, looking
-at prefix and loop directly) and ``spec_oracle`` (index-quantified brute
-force over one periodicity window), exist purely to cross-check the
-engine verdicts and share no code with the interpretations; ``three_way``
-gives all three verdicts, as ``corules pred`` prints them.
+read and decided: its builder, its interpretation (for a step-rule kind,
+also where the axioms go), its two deciders and the arguments it takes.
+The deciders, ``decide_direct`` (structural, looking at prefix and loop
+directly) and ``spec_oracle`` (index-quantified brute force over one
+periodicity window), exist purely to cross-check the engine verdicts and
+share no code with the interpretations; ``three_way`` gives all three
+verdicts, as ``corules pred`` prints them.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._value import Value, _set
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
@@ -173,27 +177,25 @@ def _system(scheme: JudgmentScheme, rules: Iterable[Rule],
                            labels=scheme.labels()), scheme
 
 
-def _eventually_rules(aut: SuffixAutomaton, p: ElementPredicate) -> Iterator[Rule]:
-    """An axiom at every suffix whose head satisfies ``p``, and a step rule
-    from every non-empty suffix to its tail; judgment ids are the states."""
+def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
+                     candidates: Optional[tuple[int, ...]] = None,
+                     predicate: Optional[ElementPredicate] = None
+                     ) -> tuple[InferenceSystem, JudgmentScheme]:
+    """The step rule ``s <- next(s)`` on the suffix states of ``xs``, with axioms
+    placed by ``FAMILIES[kind].interpretation`` (see the module docstring)."""
+    reading = FAMILIES[kind].interpretation
+    aut = suffix_automaton(xs)
+    rules, corules = [], []
     for s in aut.states():
         head = aut.heads[s]
-        if head is None:
-            continue
-        if p(head):
-            yield rule(s)
-        yield rule(s, aut.nexts[s])
-
-
-def _always_rules(aut: SuffixAutomaton, p: ElementPredicate) -> Iterator[Rule]:
-    """An axiom at the empty suffix, and a rule deriving every suffix whose
-    head satisfies ``p`` from its tail; judgment ids are the states."""
-    for s in aut.states():
-        head = aut.heads[s]
-        if head is None:
-            yield rule(s)
-        elif p(head):
-            yield rule(s, aut.nexts[s])
+        hit = head is not None and p(head)
+        if (head is None and reading == "coind") or (hit and reading == "ind"):
+            rules.append(rule(s))  # an axiom
+        if head is not None and (hit or reading != "coind"):
+            rules.append(rule(s, aut.nexts[s]))
+        if hit and reading == "gen":
+            corules.append(rule(s))
+    return _system(JudgmentScheme(kind, xs, aut, candidates, predicate), rules, corules)
 
 
 def gen_member_system(x: int, xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
@@ -206,9 +208,7 @@ def gen_member_system(x: int, xs: Colist) -> tuple[InferenceSystem, JudgmentSche
     """
     if x < 0:
         raise ValueError("element must be a natural number")
-    aut = suffix_automaton(xs)
-    return _system(JudgmentScheme(Kind.MEMBER_OF, xs, aut, candidates=(x,)),
-                   _eventually_rules(aut, eq_to(x)))
+    return _temporal_system(Kind.MEMBER_OF, xs, eq_to(x), candidates=(x,))
 
 
 def gen_always_system(p: ElementPredicate,
@@ -220,16 +220,12 @@ def gen_always_system(p: ElementPredicate,
     reaches finite colists, which is exactly why the coinductive reading is
     the one of interest.
     """
-    aut = suffix_automaton(xs)
-    return _system(JudgmentScheme(Kind.ALWAYS, xs, aut, predicate=p),
-                   _always_rules(aut, p))
+    return _temporal_system(Kind.ALWAYS, xs, p, predicate=p)
 
 
 def gen_allpos_system(xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
     """``always(positive)``, labelled as ``allpos``."""
-    aut = suffix_automaton(xs)
-    return _system(JudgmentScheme(Kind.ALL_POS, xs, aut, predicate=POSITIVE),
-                   _always_rules(aut, POSITIVE))
+    return _temporal_system(Kind.ALL_POS, xs, POSITIVE, predicate=POSITIVE)
 
 
 def gen_eventually_system(p: ElementPredicate,
@@ -241,9 +237,7 @@ def gen_eventually_system(p: ElementPredicate,
     any lasso (the step rule alone sustains an infinite tree), so only the
     inductive reading means anything.
     """
-    aut = suffix_automaton(xs)
-    return _system(JudgmentScheme(Kind.EVENTUALLY, xs, aut, predicate=p),
-                   _eventually_rules(aut, p))
+    return _temporal_system(Kind.EVENTUALLY, xs, p, predicate=p)
 
 
 def gen_infoften_system(p: ElementPredicate,
@@ -255,18 +249,7 @@ def gen_infoften_system(p: ElementPredicate,
     coaxioms, one per suffix whose head satisfies ``p``, cut the coinductive
     reading down to suffixes from which hits never stop coming.
     """
-    aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.INFINITELY_OFTEN, xs, aut, predicate=p)
-    rules = []
-    corules = []
-    for s in aut.states():
-        head = aut.heads[s]
-        if head is None:
-            continue
-        rules.append(rule(s, aut.nexts[s]))
-        if p(head):
-            corules.append(rule(s))
-    return _system(scheme, rules, corules)
+    return _temporal_system(Kind.INFINITELY_OFTEN, xs, p, predicate=p)
 
 
 def gen_maxelem_system(xs: Colist,
@@ -378,11 +361,12 @@ class Family(NamedTuple):
     and ``direct`` and ``oracle``, called with ``(xs, x, predicate)``, are
     the deciders; each ignores the arguments the kind does not take.
     ``interpretation`` is the reading that gives the kind its meaning:
-    "ind", "coind" or "gen". ``needs_value`` and ``needs_predicate`` say
-    whether the kind takes an element ``x`` and an element predicate. A
-    kind that ``computes_value`` (max) ranges over candidate values, which
-    the caller may choose, and its ``direct`` returns the value itself, to
-    be compared with ``x``, so it needs no ``x``.
+    "ind", "coind" or "gen"; a step-rule kind's builder places its axioms by
+    it. ``needs_value`` and ``needs_predicate`` say whether the kind takes
+    an element ``x`` and an element predicate. A kind that
+    ``computes_value`` (max) ranges over candidate values, which the caller
+    may choose, and its ``direct`` returns the value itself, to be compared
+    with ``x``, so it needs no ``x``.
     """
 
     build: Callable[[Colist, Optional[int], Optional[ElementPredicate],

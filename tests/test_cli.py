@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corules
-from corules import Finite, InferenceSystem, JudgmentSet, Lasso, Rule, predicate_by_name
+from corules import (
+    Finite,
+    InferenceSystem,
+    InternalError,
+    JudgmentSet,
+    Lasso,
+    Rule,
+    StructuralError,
+    predicate_by_name,
+)
 from corules.cli import (
     ParseError,
     SystemFile,
@@ -348,6 +357,18 @@ class TestRunPred:
                             lambda *a, **k: object())
         assert run(["pred", "allpos", "--list", "| 1"]) == 2
         assert "verdict: DISAGREE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [InternalError, StructuralError])
+    def test_engine_fault_exits_seventy(self, capsys, monkeypatch, error):
+        # the engine has no known fault, so force one to pin the exit code
+        import corules.predicates as predicates_module
+
+        def fail(*args, **kwargs):
+            raise error("forced fault")
+        monkeypatch.setattr(predicates_module, "interpret", fail)
+        assert run(["pred", "allpos", "--list", "| 1"]) == 70
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "internal error: forced fault\n")
 
     def test_exit_codes_track_agreed_verdict(self, capsys):
         rng = random.Random(42)

@@ -191,6 +191,11 @@ class TestSuffix:
     def test_lasso_in_loop(self):
         assert equal(suffix(Lasso((), (1, 2)), 1), Lasso((), (2, 1)))
 
+    @pytest.mark.parametrize("xs", [Finite((1, 2)), Lasso((1,), (2,))])
+    def test_negative_index_rejected(self, xs):
+        with pytest.raises(ValueError, match="index must be a natural number"):
+            suffix(xs, -1)
+
     @given(colists, st.integers(min_value=0, max_value=10))
     def test_suffix_shifts_get(self, xs, i):
         tail = suffix(xs, i)

@@ -193,6 +193,10 @@ class TestSystemValidation:
         sys_ = abc_system()
         assert sys_.label_of(B) == "b"
         assert sys_.label_of(C) == "c"
+        assert InferenceSystem(2, ()).label_of(1) == "j1"
+        for j in (-1, 3):
+            with pytest.raises(ValueError, match=f"judgment id {j} out of range"):
+                sys_.label_of(j)
 
 
 class TestApplyStep:

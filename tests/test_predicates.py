@@ -9,6 +9,7 @@ from corules import (
     FAMILIES,
     POSITIVE,
     Finite,
+    JudgmentScheme,
     Kind,
     Lasso,
     bounded_coinduction_check,
@@ -27,8 +28,10 @@ from corules import (
     ind_interpretation,
     max_of,
     predicate_by_name,
+    rule,
     spec_oracle,
     suffix,
+    suffix_automaton,
     three_way,
 )
 from corules.cli import _build_parser
@@ -98,6 +101,10 @@ class TestJudgmentScheme:
                 seen.add((value, state))
             assert len(seen) == scheme.universe_size
 
+    def test_state_only_decode_has_no_value(self):
+        _, scheme = gen_always_system(EVEN, Lasso((1,), (2, 3)))
+        assert [scheme.decode(j) for j in range(3)] == [(None, 0), (None, 1), (None, 2)]
+
     def test_labels_are_unique(self):
         sys_, scheme = gen_member_system(1, Finite((2, 1)))
         assert len(set(scheme.labels())) == scheme.universe_size
@@ -129,6 +136,11 @@ class TestMemberSystem:
             member_sys, _ = gen_member_system(x, xs)
             eventually_sys, _ = gen_eventually_system(eq_to(x), xs)
             assert member_sys.rules == eventually_sys.rules
+            assert member_sys.corules == eventually_sys.corules == ()
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(ValueError, match="element must be a natural number"):
+            gen_member_system(-1, Finite((1,)))
 
     def test_nothing_concludes_at_the_empty_state(self):
         sys_, scheme = gen_member_system(1, Finite((1,)))
@@ -159,6 +171,7 @@ class TestAlwaysSystem:
         allpos_sys, _ = gen_allpos_system(xs)
         always_sys, _ = gen_always_system(POSITIVE, xs)
         assert allpos_sys.rules == always_sys.rules
+        assert allpos_sys.corules == always_sys.corules == ()
 
 
 class TestEventuallySystem:
@@ -391,6 +404,74 @@ class TestSpecOracle:
 
 INTERPRET = {"ind": ind_interpretation, "coind": coind_interpretation,
              "gen": gen_interpretation}
+
+EMPTY, SHORT, LASSO = Finite(()), Finite((1, 0)), Lasso((0,), (1, 2))
+
+# Every state-only builder's exact system on three colists, rule order
+# included: witness choice and rational renders follow it. A row is the
+# builder, the scheme's kind, candidates, predicate and label stem, and per
+# colist the rules and corules (``rule(c, p)`` reads ``c <- p``).
+PINNED = [
+    ("member-0", lambda xs: gen_member_system(0, xs), Kind.MEMBER_OF, (0,), None,
+     "member(0,", {EMPTY: ((), ()),
+                   SHORT: ((rule(0, 1), rule(1), rule(1, 2)), ()),
+                   LASSO: ((rule(0), rule(0, 1), rule(1, 2), rule(2, 1)), ())}),
+    ("member-2", lambda xs: gen_member_system(2, xs), Kind.MEMBER_OF, (2,), None,
+     "member(2,", {EMPTY: ((), ()),
+                   SHORT: ((rule(0, 1), rule(1, 2)), ()),
+                   LASSO: ((rule(0, 1), rule(1, 2), rule(2), rule(2, 1)), ())}),
+    ("allpos", gen_allpos_system, Kind.ALL_POS, None, POSITIVE,
+     "allpos(", {EMPTY: ((rule(0),), ()),
+                 SHORT: ((rule(0, 1), rule(2)), ()),
+                 LASSO: ((rule(1, 2), rule(2, 1)), ())}),
+    ("eventually-positive", lambda xs: gen_eventually_system(POSITIVE, xs),
+     Kind.EVENTUALLY, None, POSITIVE,
+     "eventually(", {EMPTY: ((), ()),
+                     SHORT: ((rule(0), rule(0, 1), rule(1, 2)), ()),
+                     LASSO: ((rule(0, 1), rule(1), rule(1, 2), rule(2), rule(2, 1)), ())}),
+    ("eventually-even", lambda xs: gen_eventually_system(EVEN, xs),
+     Kind.EVENTUALLY, None, EVEN,
+     "eventually(", {EMPTY: ((), ()),
+                     SHORT: ((rule(0, 1), rule(1), rule(1, 2)), ()),
+                     LASSO: ((rule(0), rule(0, 1), rule(1, 2), rule(2), rule(2, 1)), ())}),
+    ("always-positive", lambda xs: gen_always_system(POSITIVE, xs),
+     Kind.ALWAYS, None, POSITIVE,
+     "always(", {EMPTY: ((rule(0),), ()),
+                 SHORT: ((rule(0, 1), rule(2)), ()),
+                 LASSO: ((rule(1, 2), rule(2, 1)), ())}),
+    ("always-even", lambda xs: gen_always_system(EVEN, xs),
+     Kind.ALWAYS, None, EVEN,
+     "always(", {EMPTY: ((rule(0),), ()),
+                 SHORT: ((rule(1, 2), rule(2)), ()),
+                 LASSO: ((rule(0, 1), rule(2, 1)), ())}),
+    ("infoften-positive", lambda xs: gen_infoften_system(POSITIVE, xs),
+     Kind.INFINITELY_OFTEN, None, POSITIVE,
+     "infoften(", {EMPTY: ((), ()),
+                   SHORT: ((rule(0, 1), rule(1, 2)), (rule(0),)),
+                   LASSO: ((rule(0, 1), rule(1, 2), rule(2, 1)), (rule(1), rule(2)))}),
+    ("infoften-even", lambda xs: gen_infoften_system(EVEN, xs),
+     Kind.INFINITELY_OFTEN, None, EVEN,
+     "infoften(", {EMPTY: ((), ()),
+                   SHORT: ((rule(0, 1), rule(1, 2)), (rule(1),)),
+                   LASSO: ((rule(0, 1), rule(1, 2), rule(2, 1)), (rule(0), rule(2)))}),
+]
+
+
+@pytest.mark.parametrize(
+    "build,kind,candidates,predicate,stem,xs,rules,corules",
+    [pytest.param(build, kind, cands, pred, stem, xs, rules, corules, id=f"{name}-{i}")
+     for name, build, kind, cands, pred, stem, cases in PINNED
+     for i, (xs, (rules, corules)) in enumerate(cases.items())])
+def test_state_only_builders_are_pinned(build, kind, candidates, predicate, stem,
+                                        xs, rules, corules):
+    system, scheme = build(xs)
+    assert system.rules == rules
+    assert system.corules == corules
+    n = 1 if xs == EMPTY else 3
+    assert system.universe_size == n
+    assert system.labels == tuple(f"{stem}s{s})" for s in range(n))
+    assert scheme == JudgmentScheme(kind, xs, suffix_automaton(xs),
+                                    candidates=candidates, predicate=predicate)
 
 
 def check_three_way(xs):

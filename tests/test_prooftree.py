@@ -65,6 +65,12 @@ class TestCheckFinite:
 
 
 class TestExtractFinite:
+    @pytest.mark.parametrize("extract", [extract_finite_proof, extract_rational_proof])
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_judgment_outside_the_universe(self, extract, j):
+        with pytest.raises(ValueError, match=f"judgment id {j} out of range"):
+            extract(ab_system(), j)
+
     def test_axiom(self):
         tree = extract_finite_proof(InferenceSystem(1, (rule(0),)), 0)
         assert tree == FiniteProofTree(0, 0)

@@ -337,15 +337,14 @@ class TestValidationErrors:
 
 
 class TestEngineBuiltSets:
-    """Sets the engine and the set operations build equal and hash as the
-    same members given to the public constructor, and print as them when
-    given in the same order."""
+    """Sets the engine and the set operations build equal, hash and print
+    as the same members given to the public constructor."""
 
     @staticmethod
-    def assert_as_public(s: JudgmentSet, members, same_order=True):
+    def assert_as_public(s: JudgmentSet, members):
         public = JudgmentSet(s.size, members)
         assert s == public and hash(s) == hash(public)
-        assert repr(s) == repr(public) or not same_order
+        assert repr(s) == repr(public)
         assert type(s.size) is int and type(s.members) is frozenset
 
     def test_interpretations(self):
@@ -355,7 +354,7 @@ class TestEngineBuiltSets:
             ind = ind_interpretation(system)
             self.assert_as_public(ind, iter(sorted(ind.members)))
             for s in (coind_interpretation(system), gen_interpretation(system)):
-                self.assert_as_public(s, s.members, same_order=False)
+                self.assert_as_public(s, s.members)
 
     def test_set_operations(self):
         rng = random.Random(8)
@@ -367,6 +366,18 @@ class TestEngineBuiltSets:
                                  (a & b, a.members & b.members),
                                  (a - b, a.members - b.members)):
                 self.assert_as_public(got, members)
+
+    def test_repr_lists_members_in_ascending_order(self):
+        assert repr(JudgmentSet(16, [8, 0])) == "JudgmentSet(size=16, members=frozenset({0, 8}))"
+        assert repr(JudgmentSet(3)) == "JudgmentSet(size=3, members=frozenset())"
+        rng = random.Random(9)
+        for _ in range(100):
+            n = rng.choice([5, 40, 300])
+            ids = [j for j in range(n) if rng.random() < 0.3]
+            forward, backward = JudgmentSet(n, ids), JudgmentSet(n, reversed(ids))
+            shuffled = JudgmentSet(n, rng.sample(ids, len(ids)))
+            assert repr(forward) == repr(backward) == repr(shuffled)
+            assert repr(forward) == repr(JudgmentSet(n, set(ids)) | JudgmentSet(n))
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
