@@ -8,7 +8,9 @@ System files (``.inf``) are line oriented; ``#`` starts a comment:
     spec: a c               # optional, at most once
 
 Judgment names are arbitrary non-whitespace tokens (except the reserved
-``<-``), mapped to dense ids in declaration order.
+``<-``), mapped to dense ids in declaration order. A line is split on
+whitespace; only a ParseError works out the column of the token it blames.
+Only ``run`` imports ``argparse``.
 
 Colist literals are whitespace-separated naturals, with ``|`` introducing
 the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
@@ -24,7 +26,6 @@ false verdict), 2 route disagreement in ``pred`` (an engine bug signal),
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -33,24 +34,11 @@ from typing import Optional, Sequence
 
 from ._value import Value, _set
 from .colist import Colist, Finite, Lasso, _natural_or_none
-from .inference import (
-    BOUNDEDNESS,
-    CONSISTENCY,
-    InferenceSystem,
-    InternalError,
-    JudgmentSet,
-    Rule,
-    bounded_coinduction_check,
-    interpret,
-)
+from .inference import (BOUNDEDNESS, CONSISTENCY, InferenceSystem, InternalError, JudgmentSet,
+                        bounded_coinduction_check, interpret)
 from .predicates import FAMILIES, Kind, predicate_by_name, three_way
-from .prooftree import (
-    StructuralError,
-    extract_finite_proof,
-    extract_rational_proof,
-    format_finite,
-    format_rational,
-)
+from .prooftree import (StructuralError, extract_finite_proof, extract_rational_proof,
+                        format_finite, format_rational)
 
 ARROW = "<-"
 
@@ -91,91 +79,88 @@ class SystemFile(Value):
             raise ParseError(f"unknown judgment name {name!r}", code="unknown-name") from None
 
 
-def _tokens(line_body: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line_body)]
+def _error(message: str, code: str, line: int, body: str, k: int, shift: int = 0) -> ParseError:
+    """The error at the ``k``-th token of ``body``, or ``shift`` columns past its start."""
+    column = list(re.finditer(r"\S+", body))[k].start() + 1 + shift
+    return ParseError(message, line, column, code)
+
+
+def _lookup(ids: dict[str, int], words: list[str], k: int, line: int, body: str) -> int:
+    """The id of the judgment that ``words[k]`` names, or the error at that word."""
+    name = words[k]
+    if name in ids:
+        return ids[name]
+    if name == ARROW:
+        raise _error(f"unexpected {ARROW}", "malformed-arrow", line, body, k)
+    raise _error(f"unknown judgment name {name!r}", "unknown-name", line, body, k)
 
 
 def parse_system(text: str) -> SystemFile:
     names: list[str] = []
     ids: dict[str, int] = {}
-    rules: list[Rule] = []
-    corules: list[Rule] = []
+    # per directive: the conclusion and the ascending premises of each of its lines
+    rules: dict[str, list[tuple[int, list[int]]]] = {"rule:": [], "corule:": []}
     spec_ids: Optional[list[int]] = None
-    saw_header = False
-
-    def lookup(name: str, line: int, col: int) -> int:
-        if name == ARROW:
-            raise ParseError(f"unexpected {ARROW}", line, col, "malformed-arrow")
-        if name not in ids:
-            raise ParseError(f"unknown judgment name {name!r}", line, col, "unknown-name")
-        return ids[name]
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for line, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0]
-        if not body.strip():
+        words = body.split()
+        if not words:
             continue
-        tokens = _tokens(body)
-        directive, col = tokens[0]
-        rest = tokens[1:]
-        if directive != "judgments:" and not saw_header:
-            raise ParseError("judgments: header must be the first directive",
-                             lineno, col, "missing-header")
+        directive = words[0]
+        if directive != "judgments:" and not names:
+            raise _error("judgments: header must be the first directive", "missing-header",
+                         line, body, 0)
         if directive == "judgments:":
-            if saw_header:
-                raise ParseError("duplicate judgments: header", lineno, col,
-                                 "duplicate-header")
-            saw_header = True
-            if not rest:
-                raise ParseError("judgments: needs at least one name", lineno, col,
-                                 "empty-judgments")
-            for name, ncol in rest:
+            if names:
+                raise _error("duplicate judgments: header", "duplicate-header", line, body, 0)
+            if len(words) == 1:
+                raise _error("judgments: needs at least one name", "empty-judgments",
+                             line, body, 0)
+            for k, name in enumerate(words[1:], 1):
                 if name == ARROW:
-                    raise ParseError(f"{ARROW} is not a valid judgment name",
-                                     lineno, ncol, "reserved-name")
+                    raise _error(f"{ARROW} is not a valid judgment name", "reserved-name",
+                                 line, body, k)
                 if name in ids:
-                    raise ParseError(f"duplicate judgment name {name!r}", lineno, ncol,
-                                     "duplicate-name")
+                    raise _error(f"duplicate judgment name {name!r}", "duplicate-name",
+                                 line, body, k)
                 ids[name] = len(names)
                 names.append(name)
-        elif directive in ("rule:", "corule:"):
-            if not rest:
-                raise ParseError(f"{directive} needs a conclusion and {ARROW}",
-                                 lineno, col, "malformed-arrow")
-            (concl_name, ccol), tail = rest[0], rest[1:]
-            conclusion = lookup(concl_name, lineno, ccol)
-            if not tail or tail[0][0] != ARROW:
-                where = tail[0][1] if tail else ccol + len(concl_name)
-                raise ParseError(f"expected {ARROW} after the conclusion",
-                                 lineno, where, "malformed-arrow")
-            premises = frozenset(lookup(n, lineno, ncol) for n, ncol in tail[1:])
-            target = rules if directive == "rule:" else corules
-            target.append(Rule(premises, conclusion))
+        elif directive in rules:
+            if len(words) == 1:
+                raise _error(f"{directive} needs a conclusion and {ARROW}", "malformed-arrow",
+                             line, body, 0)
+            conclusion = _lookup(ids, words, 1, line, body)
+            if len(words) == 2 or words[2] != ARROW:  # point at what stands there, or past
+                at = (2, 0) if len(words) > 2 else (1, len(words[1]))
+                raise _error(f"expected {ARROW} after the conclusion", "malformed-arrow", line,
+                             body, *at)
+            try:
+                premises = sorted({ids[name] for name in words[3:]})
+            except KeyError:  # raise for the first name that is not a judgment
+                premises = [_lookup(ids, words, k, line, body) for k in range(3, len(words))]
+            rules[directive].append((conclusion, premises))
         elif directive == "spec:":
             if spec_ids is not None:
-                raise ParseError("duplicate spec: line", lineno, col, "duplicate-spec")
-            spec_ids = [lookup(n, lineno, ncol) for n, ncol in rest]
+                raise _error("duplicate spec: line", "duplicate-spec", line, body, 0)
+            spec_ids = [_lookup(ids, words, k, line, body) for k in range(1, len(words))]
         else:
-            raise ParseError(f"unknown directive {directive!r}", lineno, col,
-                             "unknown-directive")
-    if not saw_header:
+            raise _error(f"unknown directive {directive!r}", "unknown-directive", line, body, 0)
+    if not names:
         raise ParseError("missing judgments: header", 1, 1, "missing-header")
-    system = InferenceSystem(len(names), tuple(rules), tuple(corules),
-                             labels=tuple(names))
+    plain, corules = rules.values()
+    system = InferenceSystem._compiled(len(names), plain + corules, len(plain), tuple(names))
     spec = JudgmentSet.of(len(names), spec_ids) if spec_ids is not None else None
     return SystemFile(tuple(names), system, spec)
 
 
-def _render_rule(keyword: str, r: Rule, names: tuple[str, ...]) -> str:
-    parts = [keyword, names[r.conclusion], ARROW]
-    parts.extend(names[p] for p in sorted(r.premises))
-    return " ".join(parts)
-
-
 def render_system(sf: SystemFile) -> str:
     """Canonical text for a parsed system; reparsing yields an equal SystemFile."""
-    lines = ["judgments: " + " ".join(sf.names)]
-    lines.extend(_render_rule("rule:", r, sf.names) for r in sf.system.rules)
-    lines.extend(_render_rule("corule:", r, sf.names) for r in sf.system.corules)
+    system, names = sf.system, sf.names
+    lines = ["judgments: " + " ".join(names)]
+    for i, c in enumerate(system._heads):  # the rules, then the corules
+        premises = map(names.__getitem__, system._premises(i))
+        lines.append(" ".join(["rule:" if i < system._plain else "corule:", names[c], ARROW,
+                               *premises]))
     if sf.spec is not None:
         lines.append(" ".join(["spec:"] + [sf.names[j] for j in sf.spec]).rstrip())
     return "\n".join(lines) + "\n"
@@ -215,12 +200,13 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _build_parser():
+    import argparse  # here, not at the top: only ``run`` parses arguments
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="corules",
                      description="Interpret finite inference systems with corules "
                                  "and check proof-principle obligations.")

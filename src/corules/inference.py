@@ -3,7 +3,12 @@
 An inference system is a finite universe of judgments (dense ids
 ``0..universe_size-1``) plus rules, each a set of premise ids and one
 conclusion id. Corules are extra rules that participate only in the
-auxiliary inductive phase of the generated interpretation.
+auxiliary inductive phase of the generated interpretation. A system stores
+the conclusions of its rules, then corules, in one array and their premises
+(ascending, without repeats) in another, cut by offsets; the parser and the
+builders fill them through the unchecked ``_compiled``. The premise index,
+the Kleene rounds and the corule-extended bound are computed once, when
+first needed, and kept; ``rules`` and ``corules`` are built on first read.
 
 The three interpretations:
 
@@ -20,8 +25,9 @@ The three interpretations:
 One counting engine computes all three in time linear in the size of the
 system: ``_least`` fires each rule, layer by layer, once its count of
 unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
-layer is still its Kleene round; ``_greatest`` drops each judgment whose
-count of live rules reaches zero (Liu & Smolka). Finite proofs read the
+layer is still its Kleene round; ``_greatest`` starts with the judgments
+outside its live set removed and drops each judgment whose count of live
+rules reaches zero (Liu & Smolka). Finite proofs read the
 rounds and firing rules ``_least`` records; consistency witnesses are the
 first declared rules supported inside the checked set.
 
@@ -41,7 +47,9 @@ everything here can be freely shared across threads.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import accumulate, chain, compress
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._value import Value, _set
 
@@ -68,8 +76,16 @@ class Rule(Value):
         _set(self, "premises", frozenset(premises))
         _set(self, "conclusion", conclusion)
 
+    def __repr__(self) -> str:
+        return f"Rule(premises={_ids_repr(self.premises)}, conclusion={self.conclusion!r})"
+
     def __str__(self) -> str:
         return f"{self.conclusion} <- {' '.join(map(str, sorted(self.premises)))}".rstrip()
+
+
+def _ids_repr(ids: frozenset[int]) -> str:
+    """``frozenset({...})`` with the ids in ascending order, so equal sets print alike."""
+    return f"frozenset({{{', '.join(map(repr, sorted(ids)))}}})" if ids else "frozenset()"
 
 
 def rule(conclusion: int, *premises: int) -> Rule:
@@ -121,8 +137,7 @@ class JudgmentSet(Value):
         return cls(size, ids)
 
     def __repr__(self) -> str:
-        members = f"{{{', '.join(map(repr, self))}}}" if self.members else ""
-        return f"{self.__class__.__qualname__}(size={self.size!r}, members=frozenset({members}))"
+        return f"{type(self).__qualname__}(size={self.size!r}, members={_ids_repr(self.members)})"
 
     def __contains__(self, j: int) -> bool:
         return j in self.members
@@ -167,25 +182,28 @@ class InferenceSystem(Value):
 
     Rule and corule order is irrelevant to every interpretation; it only
     breaks ties when reporting witnesses. Duplicate rules are permitted and
-    semantically inert. ``labels``, when given, names every judgment.
+    semantically inert. ``labels``, when given, names every judgment. The
+    universe size and every id are coerced with ``operator.index``, so a
+    float raises TypeError and ``True`` is stored as ``1``.
     """
 
-    __slots__ = __match_args__ = ("universe_size", "rules", "corules", "labels")
+    __match_args__ = ("universe_size", "rules", "corules", "labels")
+    # __dict__: rules, corules, _users, _bound and the passes of _layers, each made when needed
+    __slots__ = ("universe_size", "labels", "_heads", "_starts", "_body", "_plain", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
                  labels: Optional[Iterable[str]] = None):
-        _set(self, "universe_size", universe_size)
-        _set(self, "rules", tuple(rules))
-        _set(self, "corules", tuple(corules))
-        if universe_size < 0:
+        n, rules = operator.index(universe_size), tuple(rules)
+        every = rules + tuple(corules)
+        if n < 0:
             raise ValueError("universe size must be non-negative")
-        n = universe_size
-        for r in self.rules + self.corules:
-            p = r.premises
-            if not 0 <= r.conclusion < n or p and not (0 <= min(p) and max(p) < n):
-                bad = sorted({j for j in (*p, r.conclusion) if not 0 <= j < n})
-                raise ValueError(f"rule {r} references judgment ids {bad} "
-                                 f"outside universe of {n}")
+        self._store(n, list(map(_ids, every)), len(rules), None)
+        if any(ids and not (0 <= min(ids) and max(ids) < n) for ids in (self._heads, self._body)):
+            for r in every:
+                bad = sorted({j for j in (*r.premises, r.conclusion) if not 0 <= j < n})
+                if bad:
+                    raise ValueError(f"rule {r} references judgment ids {bad} "
+                                     f"outside universe of {n}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -193,6 +211,66 @@ class InferenceSystem(Value):
             if len(set(labels)) != len(labels):
                 raise ValueError("judgment labels must be unique")
         _set(self, "labels", labels)
+
+    def _store(self, n: int, rules: list[tuple[int, Sequence[int]]], plain: int,
+               labels: Optional[tuple[str, ...]]) -> None:
+        heads = list(map(operator.itemgetter(0), rules))
+        bodies = list(map(operator.itemgetter(1), rules))
+        starts = [0, *accumulate(map(len, bodies))]
+        body = list(chain.from_iterable(bodies))
+        for name, value in zip(self.__slots__, (n, labels, heads, starts, body, plain)):
+            _set(self, name, value)
+
+    @classmethod
+    def _compiled(cls, n: int, rules: list[tuple[int, Sequence[int]]], plain: int,
+                  labels: Optional[tuple[str, ...]] = None) -> "InferenceSystem":
+        """The system of the (conclusion, premises) pairs ``rules``, the first ``plain``
+        of them rules, unchecked: ids must be ints in ``range(n)``, each premise
+        sequence ascending without repeats, and labels ``n`` distinct strings."""
+        system = object.__new__(cls)
+        system._store(n, rules, plain, labels)
+        return system
+
+    def _premises(self, i: int) -> list[int]:
+        return self._body[self._starts[i]:self._starts[i + 1]]
+
+    def _rule(self, i: int) -> Rule:
+        return Rule(self._premises(i), self._heads[i])
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(map(self._rule, range(self._plain)))
+
+    @cached_property
+    def corules(self) -> tuple[Rule, ...]:
+        return tuple(map(self._rule, range(self._plain, len(self._heads))))
+
+    @cached_property
+    def _users(self) -> tuple[list[int], list[int], list[int]]:
+        """``(users, at, owners)``: the rules, then corules, with premise ``j`` are
+        ``users[at[j]:at[j + 1]]``, ascending; ``owners[k]`` has premise ``_body[k]``."""
+        body, marks = self._body, [0] * (len(self._body) + 1)
+        for start in self._starts[1:-1]:
+            marks[start] += 1
+        owners = list(accumulate(marks))  # per premise, the rule starts up to it: its rule
+        # a stable sort keeps the rules of one premise in ascending order
+        users = list(map(owners.__getitem__, sorted(range(len(body)), key=body.__getitem__)))
+        tally = [0] * (self.universe_size + 1)
+        for p in body:
+            tally[p + 1] += 1
+        return users, list(accumulate(tally)), owners
+
+    def _layers(self, use_corules: bool) -> tuple[list, list]:
+        """``_least`` of the rules, with the corules if used, computed once: read only."""
+        name = "_ind_corules" if use_corules and self._plain < len(self._heads) else "_ind"
+        if name not in self.__dict__:  # no corules: both names read the rules' pass
+            self.__dict__[name] = _least(self, name == "_ind_corules")
+        return self.__dict__[name]
+
+    @cached_property
+    def _bound(self) -> frozenset[int]:
+        """The judgments inductively derivable once corules are admitted."""
+        return frozenset([j for j, r in enumerate(self._layers(True)[0]) if r is not None])
 
     def label_of(self, j: int) -> str:
         if not 0 <= j < self.universe_size:
@@ -202,6 +280,13 @@ class InferenceSystem(Value):
     def all_rules(self, use_corules: bool = False) -> tuple[Rule, ...]:
         """The rules of the system, with corules appended when requested."""
         return self.rules + self.corules if use_corules else self.rules
+
+
+def _ids(r: Rule) -> tuple[int, list[int]]:  # the conclusion and the ascending premises
+    try:
+        return operator.index(r.conclusion), sorted(map(operator.index, r.premises))
+    except TypeError:
+        raise TypeError(f"rule {r} references a judgment id that is not an integer") from None
 
 
 def _members(system: InferenceSystem, s: JudgmentSet) -> frozenset[int]:
@@ -217,58 +302,60 @@ def apply_step(system: InferenceSystem, s: JudgmentSet,
 
     This is the monotone operator whose least and greatest fixed points are
     the inductive and coinductive interpretations. Tests use this plain scan
-    as the reference for the engine.
+    over ``Rule`` objects as the reference for the engine.
     """
     inside = _members(system, s)
     return JudgmentSet(s.size, (r.conclusion for r in system.all_rules(use_corules)
                                 if r.premises <= inside))
 
 
-def _least(n: int, rules: Sequence[Rule]) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    """Per judgment, its Kleene round (1-based) in the least fixed point of ``rules``
-    and the first declared rule firing then; None twice outside the fixed point."""
-    rounds: list[Optional[int]] = [None] * n
-    firing: list[Optional[int]] = [None] * n
-    waiting = [len(r.premises) for r in rules]
-    users: list[list[int]] = [[] for _ in range(n)]
-    for i, r in enumerate(rules):
-        for p in r.premises:
-            users[p].append(i)
-    ready = [i for i, count in enumerate(waiting) if not count]
+def _least(system: InferenceSystem, use_corules: bool) -> tuple[list, list]:
+    """Per judgment, its Kleene round (1-based) in the least fixed point of the rules
+    (and corules, if used) and the first declared rule firing then; None twice
+    outside it. Read it through ``InferenceSystem._layers``, which keeps it."""
+    (users, at, _), heads, starts = system._users, system._heads, system._starts
+    rounds: list[Optional[int]] = [None] * system.universe_size
+    firing: list[Optional[int]] = [None] * system.universe_size
+    waiting = list(map(operator.sub, starts[1:], starts))  # premises not yet derived
+    if not use_corules:  # a count below zero never reaches zero: corules never fire
+        waiting[system._plain:] = [-1] * (len(heads) - system._plain)
+    ready = [i for i, left in enumerate(waiting) if not left]
     layer = 1
     while ready:
         later = []  # rules whose last premise is derived in this layer
         for i in ready:
-            c = rules[i].conclusion
+            c = heads[i]
             if rounds[c] is None:
                 rounds[c], firing[c] = layer, i
-                for k in users[c]:
-                    waiting[k] -= 1
-                    if not waiting[k]:
+                for k in users[at[c]:at[c + 1]]:
+                    left = waiting[k] - 1
+                    waiting[k] = left
+                    if not left:
                         later.append(k)
-        ready = sorted(later)
+        later.sort()
+        ready = later
         layer += 1
     return rounds, firing
 
 
-def _greatest(n: int, rules: Sequence[Rule], live: set[int]) -> set[int]:
-    """The greatest fixed point of ``rules`` inside ``live``."""
-    support = [0] * n
-    kept = bytearray(len(rules))
-    users: list[list[int]] = [[] for _ in range(n)]
-    for i, r in enumerate(rules):
-        if r.conclusion in live and r.premises <= live:
-            kept[i] = 1
-            support[r.conclusion] += 1
-            for p in r.premises:
-                users[p].append(i)
+def _greatest(system: InferenceSystem, live: AbstractSet[int] | range) -> set[int]:
+    """The greatest fixed point of the rules inside ``live``: the rules that conclude
+    or use a judgment outside go first, then each judgment left without a rule."""
+    heads, plain, (users, at, owners) = system._heads, system._plain, system._users
+    kept = bytearray(map(live.__contains__, heads[:plain])) + bytearray(len(heads) - plain)
+    for i in compress(owners, map(operator.not_, map(live.__contains__, system._body))):
+        kept[i] = 0  # a premise of rule i lies outside
+    support = [0] * system.universe_size  # per judgment, its kept rules not yet taken
+    for c in compress(heads, kept):
+        support[c] += 1
     alive = {j for j in live if support[j]}
-    doomed = list(live - alive)
+    doomed = list(set(live).difference(alive))
     while doomed:
-        for i in users[doomed.pop()]:
+        j = doomed.pop()
+        for i in users[at[j]:at[j + 1]]:
             if kept[i]:
                 kept[i] = 0
-                c = rules[i].conclusion
+                c = heads[i]
                 support[c] -= 1
                 if not support[c]:
                     alive.remove(c)
@@ -276,26 +363,23 @@ def _greatest(n: int, rules: Sequence[Rule], live: set[int]) -> set[int]:
     return alive
 
 
-def _first_support(rules: Sequence[Rule], inside: set[int]) -> dict[int, int]:
-    """Per judgment of ``inside``, the index of the first declared rule that
+def _first_support(system: InferenceSystem, inside: AbstractSet[int],
+                   wanted: AbstractSet[int]) -> dict[int, int]:
+    """Per judgment of ``wanted``, the index of the first declared rule that
     concludes it from premises inside; judgments with no such rule are absent."""
+    heads, premises = system._heads, system._premises
     first: dict[int, int] = {}
-    for i, r in enumerate(rules):
-        if r.conclusion in inside and r.conclusion not in first and r.premises <= inside:
-            first[r.conclusion] = i
+    for i in range(system._plain):
+        c = heads[i]
+        if c in wanted and c not in first and inside.issuperset(premises(i)):
+            first[c] = i
     return first
-
-
-def _bound(system: InferenceSystem) -> set[int]:
-    """The judgments inductively derivable once corules are admitted."""
-    rounds, _ = _least(system.universe_size, system.all_rules(use_corules=True))
-    return {j for j, r in enumerate(rounds) if r is not None}
 
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
-    rounds, _ = _least(system.universe_size, system.all_rules(use_corules))
-    return JudgmentSet._valid(len(rounds), (j for j, r in enumerate(rounds) if r is not None))
+    rounds, _ = system._layers(use_corules)
+    return JudgmentSet._valid(len(rounds), [j for j, r in enumerate(rounds) if r is not None])
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -305,7 +389,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = system.universe_size
-    return JudgmentSet._valid(n, _greatest(n, system.rules, set(range(n))))
+    return JudgmentSet._valid(n, _greatest(system, range(n)))
 
 
 def derivation_rounds(system: InferenceSystem,
@@ -316,7 +400,7 @@ def derivation_rounds(system: InferenceSystem,
     rule that first derives a judgment all have strictly smaller rounds,
     which is what makes extracted proof trees finite.
     """
-    return tuple(_least(system.universe_size, system.all_rules(use_corules))[0])
+    return tuple(system._layers(use_corules)[0])
 
 
 def restrict(system: InferenceSystem, s: JudgmentSet) -> InferenceSystem:
@@ -338,8 +422,7 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     conclusions. The result is a fixed point of the restricted step,
     in general neither its least nor its greatest.
     """
-    n = system.universe_size
-    return JudgmentSet._valid(n, _greatest(n, system.rules, _bound(system)))
+    return JudgmentSet._valid(system.universe_size, _greatest(system, system._bound))
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -395,10 +478,11 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     derives it, in ascending judgment order then rule declaration order.
     """
     inside = _members(system, s)
-    hits = [(r.conclusion, idx, r) for idx, r in enumerate(system.rules)
-            if r.conclusion not in inside and r.premises <= inside]
-    hits.sort(key=lambda h: (h[0], h[1]))
-    failures = tuple(Failure(c, CLOSEDNESS, r) for c, _, r in hits)
+    heads = system._heads
+    hits = [i for i in range(system._plain)
+            if heads[i] not in inside and inside.issuperset(system._premises(i))]
+    hits.sort(key=heads.__getitem__)  # stable: rules of one judgment stay in order
+    failures = tuple(Failure(heads[i], CLOSEDNESS, system._rule(i)) for i in hits)
     return CheckReport(not failures, failures)
 
 
@@ -410,9 +494,9 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     order. Corules never count.
     """
     inside = _members(system, s)
-    first = _first_support(system.rules, inside)
+    first = _first_support(system, inside, inside)
     failures = tuple(Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first)))
-    witnesses = {j: system.rules[first[j]] for j in sorted(first)}
+    witnesses = {j: system._rule(first[j]) for j in sorted(first)}
     return CheckReport(not failures, failures, witnesses)
 
 
@@ -431,14 +515,12 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     this inclusion is verified before returning.
     """
     inside = _members(system, spec)
-    bound = _bound(system)
+    bound = system._bound
     failures = [Failure(j, BOUNDEDNESS, None) for j in inside - bound]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
     ok = not failures
-    if ok:
-        if not _greatest(spec.size, system.rules, bound).issuperset(inside):
-            raise InternalError("bounded and consistent spec escaped the "
-                                "generated interpretation")
+    if ok and not _greatest(system, bound).issuperset(inside):
+        raise InternalError("bounded and consistent spec escaped the generated interpretation")
     return CheckReport(ok, tuple(failures), consistency.witnesses)

@@ -29,13 +29,12 @@ verdicts, as ``corules pred`` prints them.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._value import Value, _set
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
                      _natural_or_none, get, suffix_automaton)
-from .inference import InferenceSystem, Rule, interpret, rule
+from .inference import InferenceSystem, interpret
 
 
 class Kind(enum.Enum):
@@ -113,11 +112,11 @@ class JudgmentScheme(Value):
     For ``member`` and ``max`` the universe is candidates x suffix states
     and ids are ``value_index * state_count + state``; for the other kinds
     the universe is the states themselves. ``state_count`` is the
-    automaton's, stored at construction: ``encode`` reads it for every rule.
+    automaton's, stored at construction.
     """
 
     __match_args__ = ("kind", "colist", "automaton", "candidates", "predicate")
-    __slots__ = __match_args__ + ("state_count", "__dict__")  # __dict__: _value_index
+    __slots__ = __match_args__ + ("state_count",)
 
     def __init__(self, kind: Kind, colist: Colist, automaton: SuffixAutomaton,
                  candidates: Optional[tuple[int, ...]] = None,
@@ -143,14 +142,9 @@ class JudgmentScheme(Value):
                 raise ValueError(f"{self.kind.value} judgments carry no value")
             return state
         try:
-            return self._value_index[value] * self.state_count + state
-        except (KeyError, TypeError):  # TypeError: an unhashable value
+            return self.candidates.index(value) * self.state_count + state
+        except ValueError:
             raise ValueError(f"value {value!r} is not a candidate") from None
-
-    @cached_property
-    def _value_index(self) -> dict[int, int]:
-        """Each candidate's first position, so that ``encode`` is one lookup."""
-        return {value: i for i, value in reversed(tuple(enumerate(self.candidates)))}
 
     def decode(self, j: int) -> tuple[Optional[int], int]:
         """The (value, state) pair of a judgment id; value is None for
@@ -171,10 +165,10 @@ class JudgmentScheme(Value):
         return tuple(f"{name}({v},s{s})" for v in self.candidates for s in states)
 
 
-def _system(scheme: JudgmentScheme, rules: Iterable[Rule],
-            corules: Iterable[Rule] = ()) -> tuple[InferenceSystem, JudgmentScheme]:
-    return InferenceSystem(scheme.universe_size, tuple(rules), tuple(corules),
-                           labels=scheme.labels()), scheme
+def _system(scheme: JudgmentScheme, rules: list[tuple[int, tuple[int, ...]]],
+            corules: list[tuple[int, tuple[int, ...]]]) -> tuple[InferenceSystem, JudgmentScheme]:
+    return InferenceSystem._compiled(scheme.universe_size, rules + corules, len(rules),
+                                     scheme.labels()), scheme
 
 
 def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
@@ -185,16 +179,16 @@ def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
     placed by ``FAMILIES[kind].interpretation`` (see the module docstring)."""
     reading = FAMILIES[kind].interpretation
     aut = suffix_automaton(xs)
-    rules, corules = [], []
+    rules, corules = [], []  # (conclusion, premises); the judgment ids are the states
     for s in aut.states():
         head = aut.heads[s]
         hit = head is not None and p(head)
         if (head is None and reading == "coind") or (hit and reading == "ind"):
-            rules.append(rule(s))  # an axiom
+            rules.append((s, ()))  # an axiom
         if head is not None and (hit or reading != "coind"):
-            rules.append(rule(s, aut.nexts[s]))
+            rules.append((s, (aut.nexts[s],)))
         if hit and reading == "gen":
-            corules.append(rule(s))
+            corules.append((s, ()))
     return _system(JudgmentScheme(kind, xs, aut, candidates, predicate), rules, corules)
 
 
@@ -274,20 +268,19 @@ def gen_maxelem_system(xs: Colist,
                          f"missing {sorted(missing)}")
     aut = suffix_automaton(xs)
     scheme = JudgmentScheme(Kind.MAX_ELEM, xs, aut, candidates=cands)
-    rules = []
-    corules = []
+    # The id of (value, state) is the value's offset plus the state.
+    offset = dict(zip(cands, range(0, len(cands) * aut.state_count, aut.state_count)))
+    rules, corules = [], []  # (conclusion, premises)
     for s in aut.states():
         head = aut.heads[s]
         if head is None:
             continue
         nxt = aut.nexts[s]
         if aut.heads[nxt] is None:
-            rules.append(rule(scheme.encode(s, head)))
-        for y in cands:
-            # max(head, y) is itself a candidate: it is head or y.
-            rules.append(rule(scheme.encode(s, max_of(head, y)),
-                              scheme.encode(nxt, y)))
-        corules.append(rule(scheme.encode(s, head)))
+            rules.append((offset[head] + s, ()))
+        # max(head, y) is itself a candidate: it is head or y.
+        rules += [(offset[y if y > head else head] + s, (offset[y] + nxt,)) for y in cands]
+        corules.append((offset[head] + s, ()))
     return _system(scheme, rules, corules)
 
 

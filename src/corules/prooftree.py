@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import count
+from typing import AbstractSet, Iterable, Optional
 
 from ._value import Value, _set
-from .inference import (InferenceSystem, InternalError, Rule, _bound, _first_support, _greatest,
-                        _least)
+from .inference import InferenceSystem, InternalError, _first_support, _greatest
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
 Table = tuple[Entry, ...]
@@ -156,7 +156,7 @@ def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[Infer
     n = len(table)
     if not 0 <= root < n:
         raise StructuralError(f"root index {root} out of range" if n else "proof has no nodes")
-    rules = len(system.all_rules(not rational)) if system else 0
+    rules = (system._plain if rational else len(system._heads)) if system else 0
     reached = [False] * n
     reached[root] = True
     stack = [root]
@@ -179,33 +179,34 @@ def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[Infer
     return table, root
 
 
-def _matches(table: Table, rules: Sequence[Rule], admitted: Optional[set[int]] = None) -> bool:
-    """Whether at every entry the rule ``rules[rule index]`` exists and concludes
-    the entry's judgment from exactly one child per premise and, given
-    ``admitted``, every judgment lies in it."""
-    for judgment, rule_index, children in table:
-        rule = rules[rule_index] if rule_index < len(rules) else None
-        premises = [table[c][0] for c in children]
-        if (rule is None or rule.conclusion != judgment or len(premises) != len(rule.premises)
-                or set(premises) != rule.premises
+def _matches(table: Table, system: InferenceSystem, use_corules: bool,
+             admitted: Optional[AbstractSet[int]] = None) -> bool:
+    """Whether at every entry the rule (or, if used, corule) of its index exists
+    and concludes the entry's judgment from exactly one child per premise and,
+    given ``admitted``, every judgment lies in it."""
+    heads = system._heads
+    rules = len(heads) if use_corules else system._plain
+    for judgment, i, children in table:
+        if (i >= rules or heads[i] != judgment
+                or sorted([table[c][0] for c in children]) != system._premises(i)
                 or admitted is not None and judgment not in admitted):
             return False
     return True
 
 
-def _derivation(rules: Sequence[Rule], j: int,
-                rule_for: Callable[[int], Optional[int]]) -> dict[int, int]:
+def _derivation(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> dict[int, int]:
     """Judgment -> index of the rule ``rule_for`` picks, for every judgment the
     derivation of ``j`` reaches, in pre-order with premises in ascending order."""
+    starts, body = system._starts, system._body
     chosen: dict[int, int] = {}
     stack = [j]
     while stack:
         k = stack.pop()
         if k not in chosen:
-            index = chosen[k] = rule_for(k)
-            if index is None:
+            i = chosen[k] = rule_for[k]
+            if i is None:
                 raise InternalError(f"judgment {k} is derivable but no rule derives it")
-            stack.extend(sorted(rules[index].premises, reverse=True))
+            stack += body[starts[i]:starts[i + 1]][::-1]
     return chosen
 
 
@@ -219,7 +220,7 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
     raises StructuralError.
     """
     table, _ = _validated(tree, system)
-    return _matches(table, system.all_rules(allow_corules))
+    return _matches(table, system, allow_corules)
 
 
 def extract_finite_proof(system: InferenceSystem, j: int,
@@ -233,15 +234,13 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     """
     if not 0 <= j < system.universe_size:
         raise ValueError(f"judgment id {j} out of range")
-    rules = system.all_rules(allow_corules)
-    rounds, firing = _least(system.universe_size, rules)
+    rounds, firing = system._layers(allow_corules)
     if rounds[j] is None:
         return None
-    chosen = _derivation(rules, j, firing.__getitem__)
+    chosen = _derivation(system, j, firing)
     memo: dict[int, FiniteProofTree] = {}
     for k in sorted(chosen, key=rounds.__getitem__):
-        premises = sorted(rules[chosen[k]].premises)
-        memo[k] = FiniteProofTree(k, chosen[k], tuple(memo[p] for p in premises))
+        memo[k] = FiniteProofTree(k, chosen[k], [memo[p] for p in system._premises(chosen[k])])
     return memo[j]
 
 
@@ -254,7 +253,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     root lies in the generated interpretation.
     """
     table, _ = _validated(tree, system, rational=True)
-    return _matches(table, system.rules, _bound(system))
+    return _matches(table, system, False, system._bound)
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -269,18 +268,17 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     """
     if not 0 <= j < system.universe_size:
         raise ValueError(f"judgment id {j} out of range")
-    n = system.universe_size
-    gen = _greatest(n, system.rules, _bound(system))
+    gen = _greatest(system, system._bound)
     if j not in gen:
         return None
-    _, firing = _least(n, system.rules)
-    sustaining = _first_support(system.rules, gen)
-    chosen = _derivation(system.rules, j,
-                         lambda k: sustaining.get(k) if firing[k] is None else firing[k])
-    index = {k: ni for ni, k in enumerate(chosen)}
-    nodes = (RationalNode(k, idx, tuple(index[p] for p in sorted(system.rules[idx].premises)))
-             for k, idx in chosen.items())
-    return RationalProofTree(tuple(nodes), root=0)
+    rule_for = list(system._layers(use_corules=False)[1])
+    for k, i in _first_support(system, gen, {k for k in gen if rule_for[k] is None}).items():
+        rule_for[k] = i
+    chosen = _derivation(system, j, rule_for)
+    node_of = dict(zip(chosen, count())).__getitem__  # judgment -> its node
+    starts, body = system._starts, system._body
+    children = [tuple(map(node_of, body[starts[i]:starts[i + 1]])) for i in chosen.values()]
+    return RationalProofTree(map(RationalNode, chosen, chosen.values(), children), root=0)
 
 
 def is_acyclic(tree: RationalProofTree) -> bool:
@@ -304,7 +302,7 @@ def _render(tree: FiniteProofTree | RationalProofTree, system: InferenceSystem,
     """One indented line per node, children below their parent; a repeated
     node is printed as ``^n`` (rational) or copied (finite)."""
     table, root = _validated(tree, system, rational)
-    plain = len(system.rules)
+    plain = system._plain
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
     stack: list = [(root, 0)]

@@ -307,6 +307,16 @@ class TestValidationErrors:
          "rule 2 <- 0 3 references judgment ids [2, 3] outside universe of 2"),
         (lambda: InferenceSystem(2, [], [rule(0, -1)]), ValueError,
          "rule 0 <- -1 references judgment ids [-1] outside universe of 2"),
+        (lambda: InferenceSystem(2, [Rule([0.5], 1), rule(0)]), TypeError,
+         "rule 1 <- 0.5 references a judgment id that is not an integer"),
+        (lambda: InferenceSystem(2, [rule(0)], [rule(1.0)]), TypeError,
+         "rule 1.0 <- references a judgment id that is not an integer"),
+        (lambda: InferenceSystem(2, [Rule(["a"], 1)]), TypeError,
+         "rule 1 <- a references a judgment id that is not an integer"),
+        (lambda: InferenceSystem(2.0, [rule(0)]), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: InferenceSystem(2, [rule(5)], labels=["a"]), ValueError,
+         "rule 5 <- references judgment ids [5] outside universe of 2"),
         (lambda: InferenceSystem(2, [], labels=["a"]), ValueError,
          "label table must name every judgment"),
         (lambda: InferenceSystem(2, [], labels=["a", "a"]), ValueError,
@@ -382,11 +392,12 @@ class TestEngineBuiltSets:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up stays lean: importing the package and its CLI pulls in no
-    dataclass or source-introspection machinery."""
+    dataclass or source-introspection machinery, and no argument parser,
+    which only ``cli.run`` needs."""
     code = ("import sys\n"
             f"sys.path.append({str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
             "import corules, corules.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"
