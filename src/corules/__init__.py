@@ -3,12 +3,11 @@ interpretations, proof-principle checking, and lasso-colist predicates."""
 
 from .colist import Colist, Finite, Lasso, SuffixAutomaton, equal, get, pointwise, suffix, suffix_automaton
 from .inference import (BOUNDEDNESS, CLOSEDNESS, CONSISTENCY, CheckReport, Failure,
-                        InferenceSystem, InternalError, JudgmentSet, Rule, apply_step,
-                        bounded_coinduction_check, coind_interpretation, derivation_rounds,
-                        gen_interpretation, ind_interpretation, is_closed, is_consistent, restrict,
-                        rule)
+                        InferenceSystem, InternalError, JudgmentSet, Rule,
+                        bounded_coinduction_check, coind_interpretation, gen_interpretation,
+                        ind_interpretation, is_closed, is_consistent, rule)
 from .predicates import (EVEN, FAMILIES, ODD, POSITIVE, ElementPredicate, Family, JudgmentScheme,
-                         Kind, decide_direct, eq_to, from_table, greater_than, predicate_by_name,
+                         Kind, decide_direct, eq_to, greater_than, predicate_by_name,
                          gen_allpos_system, gen_always_system, gen_eventually_system,
                          gen_infoften_system, gen_maxelem_system, gen_member_system, max_of,
                          spec_oracle, three_way)
@@ -22,12 +21,11 @@ __all__ = [
     "suffix_automaton",
     # inference
     "BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure", "InferenceSystem",
-    "InternalError", "JudgmentSet", "Rule", "apply_step", "bounded_coinduction_check",
-    "coind_interpretation", "derivation_rounds", "gen_interpretation", "ind_interpretation",
-    "is_closed", "is_consistent", "restrict", "rule",
+    "InternalError", "JudgmentSet", "Rule", "bounded_coinduction_check", "coind_interpretation",
+    "gen_interpretation", "ind_interpretation", "is_closed", "is_consistent", "rule",
     # predicates
     "EVEN", "FAMILIES", "ODD", "POSITIVE", "ElementPredicate", "Family", "JudgmentScheme", "Kind",
-    "decide_direct", "eq_to", "from_table", "greater_than", "predicate_by_name",
+    "decide_direct", "eq_to", "greater_than", "predicate_by_name",
     "gen_allpos_system", "gen_always_system", "gen_eventually_system", "gen_infoften_system",
     "gen_maxelem_system", "gen_member_system", "max_of", "spec_oracle", "three_way",
     # prooftree

@@ -272,9 +272,18 @@ class InferenceSystem(Value):
         """The judgments inductively derivable once corules are admitted."""
         return frozenset([j for j, r in enumerate(self._layers(True)[0]) if r is not None])
 
-    def label_of(self, j: int) -> str:
+    def _id(self, j: int) -> int:
+        """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
+        try:
+            j = operator.index(j)
+        except TypeError:
+            raise TypeError(f"judgment id {j!r} is not an integer") from None
         if not 0 <= j < self.universe_size:
             raise ValueError(f"judgment id {j} out of range")
+        return j
+
+    def label_of(self, j: int) -> str:
+        j = self._id(j)
         return self.labels[j] if self.labels else f"j{j}"
 
     def all_rules(self, use_corules: bool = False) -> tuple[Rule, ...]:
@@ -294,19 +303,6 @@ def _members(system: InferenceSystem, s: JudgmentSet) -> frozenset[int]:
     if s.size != system.universe_size:
         raise ValueError("judgment set sized for a different universe")
     return s.members
-
-
-def apply_step(system: InferenceSystem, s: JudgmentSet,
-               use_corules: bool = False) -> JudgmentSet:
-    """One inference step: conclusions of all rules whose premises lie in ``s``.
-
-    This is the monotone operator whose least and greatest fixed points are
-    the inductive and coinductive interpretations. Tests use this plain scan
-    over ``Rule`` objects as the reference for the engine.
-    """
-    inside = _members(system, s)
-    return JudgmentSet(s.size, (r.conclusion for r in system.all_rules(use_corules)
-                                if r.premises <= inside))
 
 
 def _least(system: InferenceSystem, use_corules: bool) -> tuple[list, list]:
@@ -390,27 +386,6 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     """
     n = system.universe_size
     return JudgmentSet._valid(n, _greatest(system, range(n)))
-
-
-def derivation_rounds(system: InferenceSystem,
-                      use_corules: bool = False) -> tuple[Optional[int], ...]:
-    """First Kleene round (1-based) at which each judgment becomes derivable.
-
-    None for judgments outside the inductive interpretation. Premises of the
-    rule that first derives a judgment all have strictly smaller rounds,
-    which is what makes extracted proof trees finite.
-    """
-    return tuple(system._layers(use_corules)[0])
-
-
-def restrict(system: InferenceSystem, s: JudgmentSet) -> InferenceSystem:
-    """The system over the same universe keeping only rules concluding in ``s``.
-
-    Corules are dropped. Rule order is preserved.
-    """
-    inside = _members(system, s)
-    kept = tuple(r for r in system.rules if r.conclusion in inside)
-    return InferenceSystem(system.universe_size, kept, (), system.labels)
 
 
 def gen_interpretation(system: InferenceSystem) -> JudgmentSet:

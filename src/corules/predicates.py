@@ -77,12 +77,6 @@ def greater_than(k: int) -> ElementPredicate:
     return ElementPredicate(f"gt:{k}", lambda n: n > k)
 
 
-def from_table(values: Iterable[int], name: Optional[str] = None) -> ElementPredicate:
-    """A predicate that holds exactly on the given values."""
-    table = frozenset(values)
-    return ElementPredicate(name or f"in:{sorted(table)}", lambda n: n in table)
-
-
 def predicate_by_name(text: str) -> ElementPredicate:
     """Parse a predicate name: positive, even, odd, eq:<n>, gt:<n>."""
     if text == "positive":

@@ -16,7 +16,9 @@ One validator runs before every check, every render and ``is_acyclic``. It
 raises StructuralError when the root or a child index is out of range, a
 node is unreachable from the root or, given the system, a judgment id lies
 outside the universe or a rule index outside the rules the proof may use.
-A well-formed but invalid derivation is different: the checkers return False.
+Building a finite proof's table raises it for a child that is not a
+FiniteProofTree. A well-formed but invalid derivation is different: the
+checkers return False.
 
 Extraction and checking take time linear in the sizes of the system and of
 the proof, up to sorting each rule's premises. Both renderers share one
@@ -44,6 +46,9 @@ class StructuralError(Exception):
     """The tree does not even have the right shape to be checked."""
 
 
+_BELOW = object()  # FiniteProofTree._graph's stack marker: unlike None, no child can be it
+
+
 class FiniteProofTree(Value):
     """A finite derivation: a judgment, the rule deriving it, one subtree per premise.
 
@@ -67,15 +72,17 @@ class FiniteProofTree(Value):
         """The node table, children before parents, and the root's index (the last)."""
         index_of: dict[Entry, int] = {}  # entry -> its index, in insertion order
         at: dict[int, int] = {}  # id(node) -> index of its entry
-        stack: list[Optional[FiniteProofTree]] = [self]
+        stack: list = [self]
         while stack:
             node = stack.pop()
-            if node is None:  # every child of the node below the marker has its entry
+            if node is _BELOW:  # every child of the node below the marker has its entry
                 node = stack.pop()
                 entry = (node.judgment, node.rule_index, tuple([at[id(c)] for c in node.children]))
                 at[id(node)] = index_of.setdefault(entry, len(index_of))
             elif id(node) not in at:
-                stack += (node, None)
+                if not isinstance(node, FiniteProofTree):
+                    raise StructuralError(f"child {node!r} is not a FiniteProofTree")
+                stack += (node, _BELOW)
                 stack.extend(reversed(node.children))
         return tuple(index_of), len(index_of) - 1
 
@@ -232,8 +239,7 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     strictly decrease toward the leaves and the tree depth never exceeds the
     universe size.
     """
-    if not 0 <= j < system.universe_size:
-        raise ValueError(f"judgment id {j} out of range")
+    j = system._id(j)
     rounds, firing = system._layers(allow_corules)
     if rounds[j] is None:
         return None
@@ -266,8 +272,7 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     first Kleene round (keeping that part of the graph acyclic); the rest
     use their consistency witness, the first declared applicable rule.
     """
-    if not 0 <= j < system.universe_size:
-        raise ValueError(f"judgment id {j} out of range")
+    j = system._id(j)
     gen = _greatest(system, system._bound)
     if j not in gen:
         return None

@@ -16,7 +16,6 @@ from corules import (
     coind_interpretation,
     decide_direct,
     eq_to,
-    from_table,
     gen_allpos_system,
     gen_always_system,
     gen_eventually_system,
@@ -75,7 +74,6 @@ class TestElementPredicates:
         assert EVEN(0) and not EVEN(3)
         assert eq_to(4)(4) and not eq_to(4)(5)
         assert greater_than(2)(3) and not greater_than(2)(2)
-        assert from_table([1, 5])(5) and not from_table([1, 5])(2)
 
     def test_parse_names(self):
         assert predicate_by_name("positive") is POSITIVE

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -70,6 +71,15 @@ class TestExtractFinite:
     def test_judgment_outside_the_universe(self, extract, j):
         with pytest.raises(ValueError, match=f"judgment id {j} out of range"):
             extract(ab_system(), j)
+
+    @pytest.mark.parametrize("extract", [extract_finite_proof, extract_rational_proof])
+    def test_judgment_id_is_coerced(self, extract):
+        sys_ = ab_system()
+        for bad in (1.0, 0.5, "1", None):
+            with pytest.raises(TypeError, match=f"judgment id {bad!r} is not an integer"):
+                extract(sys_, bad)
+        proof = extract(sys_, True)
+        assert repr(proof) == repr(extract(sys_, 1))  # the root reads judgment=1, not True
 
     def test_axiom(self):
         tree = extract_finite_proof(InferenceSystem(1, (rule(0),)), 0)
@@ -365,6 +375,16 @@ class TestMalformedProofs:
                 for call in (check_finite, format_finite):
                     with pytest.raises(StructuralError):
                         call(tree, sys_)
+
+    def test_child_that_is_not_a_proof(self):
+        sys_ = ab_system()
+        for child in (1, None, RationalNode(A, 0), "a"):
+            for tree in (FiniteProofTree(B, 1, [child]),
+                         FiniteProofTree(B, 1, [FiniteProofTree(A, 0), child])):
+                for call in (hash, repr, lambda t: t == FiniteProofTree(B, 1), FiniteProofTree.depth,
+                             lambda t: check_finite(t, sys_), lambda t: format_finite(t, sys_)):
+                    with pytest.raises(StructuralError, match=re.escape(f"child {child!r} is not a")):
+                        call(tree)
 
     def test_structural_fault_wins_over_a_mismatch(self):
         # the root does not match its rule, and a leaf has an out-of-range rule index

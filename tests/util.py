@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the engine's fixed-point iteration.
 Closed and consistent sets are found by enumerating all 2^n subsets of the
-universe, and colists are compared by unrolling indices. These are the
-ground truths the fast paths get checked against, so they must stay
-independent of the code under test.
+universe, one inference step is a scan over ``Rule`` objects, and colists
+are compared by unrolling indices. These are the ground truths the engine
+gets checked against, so they must stay independent of the code under test.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from corules import (
     JudgmentSet,
     Lasso,
     Rule,
-    apply_step,
     eq_to,
     get,
     greater_than,
@@ -71,18 +70,22 @@ def coind_oracle(system: InferenceSystem) -> JudgmentSet:
 
 def gen_oracle(system: InferenceSystem) -> JudgmentSet:
     """The generated interpretation via the enumeration oracles only."""
-    bound = set(ind_oracle(system, use_corules=True))
-    restricted = InferenceSystem(
-        system.universe_size,
-        tuple(r for r in system.rules if r.conclusion in bound))
-    return coind_oracle(restricted)
+    return coind_oracle(restricted(system, ind_oracle(system, use_corules=True)))
 
 
-def step_by_scan(system: InferenceSystem, members: frozenset[int],
-                 use_corules: bool = False) -> frozenset[int]:
-    """Per-rule scan of one inference step, independent of the bitmask path."""
-    return frozenset(r.conclusion for r in system.all_rules(use_corules)
-                     if r.premises <= members)
+def restricted(system: InferenceSystem, s: JudgmentSet) -> InferenceSystem:
+    """The rules of ``system`` that conclude in ``s``, in order; no corules."""
+    return InferenceSystem(system.universe_size,
+                           tuple(r for r in system.rules if r.conclusion in s), (), system.labels)
+
+
+def apply_step(system: InferenceSystem, s: JudgmentSet,
+               use_corules: bool = False) -> JudgmentSet:
+    """One inference step, by a scan over the ``Rule`` objects: the conclusions of
+    the rules (and corules, if used) whose premises lie in ``s``. Its least and
+    greatest fixed points are the inductive and coinductive interpretations."""
+    return JudgmentSet(s.size, (r.conclusion for r in system.all_rules(use_corules)
+                                if r.premises <= s.members))
 
 
 def random_system(rng: random.Random, max_universe: int = 8, max_rules: int = 16,
@@ -154,7 +157,7 @@ PREDICATE_POOL: tuple[ElementPredicate, ...] = (
 
 def kleene_iterations(system: InferenceSystem, use_corules: bool,
                       downward: bool) -> int:
-    """Count step applications until stabilization, via the public step only."""
+    """Count step applications until stabilization, via ``apply_step`` only."""
     n = system.universe_size
     current = JudgmentSet.full(n) if downward else JudgmentSet.empty(n)
     for rounds in range(1, n + 3):
