@@ -11,9 +11,9 @@ from .predicates import (EVEN, FAMILIES, ODD, POSITIVE, ElementPredicate, Family
                          gen_allpos_system, gen_always_system, gen_eventually_system,
                          gen_infoften_system, gen_maxelem_system, gen_member_system, max_of,
                          spec_oracle, three_way)
-from .prooftree import (FiniteProofTree, RationalNode, RationalProofTree, StructuralError,
-                        check_finite, check_rational_in_gen, extract_finite_proof,
-                        extract_rational_proof, is_acyclic)
+from .prooftree import (FiniteProofTree, RationalProofTree, StructuralError, check_finite,
+                        check_rational_in_gen, extract_finite_proof, extract_rational_proof,
+                        is_acyclic)
 
 __all__ = [
     # colist
@@ -29,6 +29,6 @@ __all__ = [
     "gen_allpos_system", "gen_always_system", "gen_eventually_system", "gen_infoften_system",
     "gen_maxelem_system", "gen_member_system", "max_of", "spec_oracle", "three_way",
     # prooftree
-    "FiniteProofTree", "RationalNode", "RationalProofTree", "StructuralError", "check_finite",
+    "FiniteProofTree", "RationalProofTree", "StructuralError", "check_finite",
     "check_rational_in_gen", "extract_finite_proof", "extract_rational_proof", "is_acyclic",
 ]

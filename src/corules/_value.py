@@ -1,7 +1,26 @@
-"""The base of the package's immutable value types."""
+"""The base of the package's immutable value types, and the index check
+their methods share."""
+
+import operator
+from typing import Optional
 
 # Sets a field from ``__init__``, past the ``__setattr__`` that refuses it.
 _set = object.__setattr__
+
+
+def _index(value, what: str, size: Optional[int] = None) -> int:
+    """``value`` coerced with ``operator.index``, so ``True`` is ``1``: a
+    natural number, below ``size`` if given. Else TypeError (not an integer)
+    or ValueError, naming it as ``what``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} {value!r} is not an integer") from None
+    if size is None and value < 0:
+        raise ValueError(f"{what} must be a natural number")
+    if size is not None and not 0 <= value < size:
+        raise ValueError(f"{what} {value} out of range")
+    return value
 
 
 class Value:

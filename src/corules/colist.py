@@ -13,14 +13,16 @@ from __future__ import annotations
 import operator
 from typing import Callable, Iterable, Optional, Union
 
-from ._value import Value, _set
+from ._value import Value, _index, _set
 
 
-def _check_naturals(values, what: str) -> tuple[int, ...]:
+def _check_naturals(values, requirement: str) -> tuple[int, ...]:
+    """``values`` as a tuple; a value that is not a natural number (a bool is
+    not) raises ValueError, which states ``requirement`` and names the value."""
     out = tuple(values)
     for v in out:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ValueError(f"{what} must be natural numbers, got {v!r}")
+            raise ValueError(f"{requirement}, got {v!r}")
     return out
 
 
@@ -42,7 +44,7 @@ class Finite(Value):
     __slots__ = __match_args__ = ("elements",)
 
     def __init__(self, elements: Iterable[int]):
-        _set(self, "elements", _check_naturals(elements, "elements"))
+        _set(self, "elements", _check_naturals(elements, "elements must be natural numbers"))
 
 
 class Lasso(Value):
@@ -51,8 +53,8 @@ class Lasso(Value):
     __slots__ = __match_args__ = ("prefix", "loop")
 
     def __init__(self, prefix: Iterable[int], loop: Iterable[int]):
-        _set(self, "prefix", _check_naturals(prefix, "prefix"))
-        _set(self, "loop", _check_naturals(loop, "loop"))
+        _set(self, "prefix", _check_naturals(prefix, "prefix must be natural numbers"))
+        _set(self, "loop", _check_naturals(loop, "loop must be natural numbers"))
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
 
@@ -86,8 +88,7 @@ class SuffixAutomaton(Value):
 
 def get(xs: Colist, i: int) -> Optional[int]:
     """Element of ``xs`` at position ``i``, or None past the end."""
-    if i < 0:
-        raise ValueError("index must be a natural number")
+    i = _index(i, "index")
     if isinstance(xs, Finite):
         return xs.elements[i] if i < len(xs.elements) else None
     if i < len(xs.prefix):
@@ -97,8 +98,7 @@ def get(xs: Colist, i: int) -> Optional[int]:
 
 def suffix(xs: Colist, i: int) -> Colist:
     """The colist starting at position ``i`` (the suffix denoted by state ``i``)."""
-    if i < 0:
-        raise ValueError("index must be a natural number")
+    i = _index(i, "index")
     if isinstance(xs, Finite):
         return Finite(xs.elements[i:])
     if i <= len(xs.prefix):

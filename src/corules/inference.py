@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import accumulate, chain, compress
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value, _index, _set
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"
@@ -274,13 +274,7 @@ class InferenceSystem(Value):
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
-        try:
-            j = operator.index(j)
-        except TypeError:
-            raise TypeError(f"judgment id {j!r} is not an integer") from None
-        if not 0 <= j < self.universe_size:
-            raise ValueError(f"judgment id {j} out of range")
-        return j
+        return _index(j, "judgment id", self.universe_size)
 
     def label_of(self, j: int) -> str:
         j = self._id(j)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._value import Value, _set
+from ._value import Value, _index, _set
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
                      _natural_or_none, get, suffix_automaton)
 from .inference import InferenceSystem, interpret
@@ -129,8 +129,7 @@ class JudgmentScheme(Value):
         return len(self.candidates) * self.state_count
 
     def encode(self, state: int, value: Optional[int] = None) -> int:
-        if not 0 <= state < self.state_count:
-            raise ValueError(f"state {state} out of range")
+        state = _index(state, "state", self.state_count)
         if self.candidates is None:
             if value is not None:
                 raise ValueError(f"{self.kind.value} judgments carry no value")
@@ -143,8 +142,7 @@ class JudgmentScheme(Value):
     def decode(self, j: int) -> tuple[Optional[int], int]:
         """The (value, state) pair of a judgment id; value is None for
         state-only kinds."""
-        if not 0 <= j < self.universe_size:
-            raise ValueError(f"judgment id {j} out of range")
+        j = _index(j, "judgment id", self.universe_size)
         if self.candidates is None:
             return None, j
         vi, state = divmod(j, self.state_count)
@@ -192,10 +190,10 @@ def gen_member_system(x: int, xs: Colist) -> tuple[InferenceSystem, JudgmentSche
     This is ``eventually(eq:x)``: an axiom derives membership at every
     suffix whose head is ``x``; a step rule lifts membership in a tail to
     membership in the suffix. Nothing concludes at the empty suffix. The
-    scheme has the single candidate ``x``, so its ids are the states.
+    scheme has the single candidate ``x``, so its ids are the states. An
+    ``x`` that is not a natural number (a bool is not) raises ValueError.
     """
-    if x < 0:
-        raise ValueError("element must be a natural number")
+    _check_naturals((x,), "element must be a natural number")
     return _temporal_system(Kind.MEMBER_OF, xs, eq_to(x), candidates=(x,))
 
 
@@ -254,7 +252,7 @@ def gen_maxelem_system(xs: Colist,
     cands = tuple(sorted(set(candidates)))
     if not cands:
         raise ValueError("candidate set must be nonempty")
-    _check_naturals(cands, "candidates")
+    _check_naturals(cands, "candidates must be natural numbers")
     occurring = set(_all_elements(xs))
     missing = occurring - set(cands)
     if missing:

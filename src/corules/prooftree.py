@@ -7,18 +7,20 @@ generated interpretation when every node matches a plain rule and every
 node's judgment is inductively derivable with corules admitted.
 
 Every operation but extraction reads one node table: entries ``(judgment,
-rule index, child indices)`` and a root index. A rational proof's nodes are
-its table. A finite proof's table is built once per root object, children
-before parents, with one entry per structurally distinct subproof, so equal
-proofs have equal tables and depth, ``==``, ``hash`` and ``repr`` are linear.
+rule index, child indices)``, the child indices a tuple, and a root index.
+A rational proof is its table. A finite proof's table is built once per
+root object, children before parents, with one entry per structurally
+distinct subproof, so equal proofs have equal tables and depth, ``==``,
+``hash`` and ``repr`` are linear.
 
-One validator runs before every check, every render and ``is_acyclic``. It
-raises StructuralError when the root or a child index is out of range, a
-node is unreachable from the root or, given the system, a judgment id lies
-outside the universe or a rule index outside the rules the proof may use.
-Building a finite proof's table raises it for a child that is not a
-FiniteProofTree. A well-formed but invalid derivation is different: the
-checkers return False.
+One validator walks the table before every check, every render and
+``is_acyclic``, which answers whether the walk met a back edge. It raises
+StructuralError when a node is not such a triple, the root or a child index
+is not the index of a node, a node is unreachable from the root or, given
+the system, a judgment id is not in the universe or a rule index not among
+the rules the proof may use. Building a finite proof's table raises it for
+a child that is not a FiniteProofTree. A well-formed but invalid derivation
+is different: the checkers return False.
 
 Extraction and checking take time linear in the sizes of the system and of
 the proof, up to sorting each rule's premises. Both renderers share one
@@ -128,62 +130,59 @@ class FiniteProofTree(Value):
         return "".join(out)
 
 
-class RationalNode(Value):
-    """One node of a rational proof graph; children are node indices."""
-
-    __slots__ = __match_args__ = ("judgment", "rule_index", "children")
-
-    def __init__(self, judgment: int, rule_index: int, children: Iterable[int] = ()):
-        _set(self, "judgment", judgment)
-        _set(self, "rule_index", rule_index)
-        _set(self, "children", tuple(children))
-
-
 class RationalProofTree(Value):
-    """A finite graph presentation of a possibly-infinite regular proof tree."""
+    """A finite graph presentation of a possibly-infinite regular proof tree:
+    ``nodes`` is its node table and ``root`` the index of its root node."""
 
-    __match_args__ = ("nodes", "root")
-    __slots__ = __match_args__ + ("__dict__",)  # __dict__: _graph
+    __slots__ = __match_args__ = ("nodes", "root")
 
-    def __init__(self, nodes: Iterable[RationalNode], root: int = 0):
+    def __init__(self, nodes: Iterable[Entry], root: int = 0):
         _set(self, "nodes", tuple(nodes))
         _set(self, "root", root)
 
-    @cached_property
-    def _graph(self) -> tuple[Table, int]:
-        """The node table and the root's index."""
-        return tuple((n.judgment, n.rule_index, n.children) for n in self.nodes), self.root
-
 
 def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[InferenceSystem] = None,
-               rational: bool = False) -> tuple[Table, int]:
-    """The node table and root of ``tree``, after the structural checks the
-    module docstring lists; ``rational`` proofs may only use plain rules."""
-    table, root = tree._graph
+               rational: bool = False) -> tuple[Table, int, bool]:
+    """The node table and root of ``tree`` and whether the table has a cycle,
+    after the structural checks the module docstring lists; ``rational``
+    proofs may only use plain rules."""
+    table, root = tree._graph if isinstance(tree, FiniteProofTree) else (tree.nodes, tree.root)
     n = len(table)
-    if not 0 <= root < n:
-        raise StructuralError(f"root index {root} out of range" if n else "proof has no nodes")
+    if not (isinstance(root, int) and 0 <= root < n):
+        raise StructuralError(f"root index {root!r} out of range" if n else "proof has no nodes")
     rules = (system._plain if rational else len(system._heads)) if system else 0
-    reached = [False] * n
-    reached[root] = True
+    marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
+    cyclic = False
     stack = [root]
     while stack:
-        judgment, rule_index, children = table[stack.pop()]
-        if system is not None and not 0 <= rule_index < rules:
-            raise StructuralError(f"rule index {rule_index} out of range " + (
-                "(corules are not allowed in rational proofs)" if rational
-                else f"(system has {rules} rules and corules)"))
-        if system is not None and not 0 <= judgment < system.universe_size:
-            raise StructuralError(f"judgment id {judgment} out of range")
-        for c in children:
-            if not 0 <= c < n:
-                raise StructuralError(f"child index {c} out of range")
-            if not reached[c]:
-                reached[c] = True
-                stack.append(c)
-    if not all(reached):
+        i = stack.pop()
+        if i < 0:  # the marker pushed below the children of ~i: all below ~i is walked
+            marks[~i] = 2
+        elif not marks[i]:
+            node = table[i]
+            if not (isinstance(node, tuple) and len(node) == 3 and isinstance(node[2], tuple)):
+                raise StructuralError(f"node {i} is not a (judgment, rule index, children) triple"
+                                      " with a tuple of children")
+            judgment, rule_index, children = node
+            if system is not None and not (isinstance(rule_index, int) and 0 <= rule_index < rules):
+                raise StructuralError(f"rule index {rule_index!r} out of range " + (
+                    "(corules are not allowed in rational proofs)" if rational
+                    else f"(system has {rules} rules and corules)"))
+            if system is not None and not (isinstance(judgment, int)
+                                           and 0 <= judgment < system.universe_size):
+                raise StructuralError(f"judgment id {judgment!r} out of range")
+            marks[i] = 1
+            stack.append(~i)
+            for c in children:
+                if not (isinstance(c, int) and 0 <= c < n):
+                    raise StructuralError(f"child index {c!r} out of range")
+                if marks[c] == 1:  # c is on the walk's path to i: a back edge
+                    cyclic = True
+                elif not marks[c]:
+                    stack.append(c)
+    if not all(marks):
         raise StructuralError("every node must be reachable from the root")
-    return table, root
+    return table, root, cyclic
 
 
 def _matches(table: Table, system: InferenceSystem, use_corules: bool,
@@ -226,8 +225,7 @@ def check_finite(tree: FiniteProofTree, system: InferenceSystem,
     corule is rejected unless ``allow_corules`` is set. A malformed tree
     raises StructuralError.
     """
-    table, _ = _validated(tree, system)
-    return _matches(table, system, allow_corules)
+    return _matches(_validated(tree, system)[0], system, allow_corules)
 
 
 def extract_finite_proof(system: InferenceSystem, j: int,
@@ -258,8 +256,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     inductively derivable once corules are admitted. Acceptance implies the
     root lies in the generated interpretation.
     """
-    table, _ = _validated(tree, system, rational=True)
-    return _matches(table, system, False, system._bound)
+    return _matches(_validated(tree, system, rational=True)[0], system, False, system._bound)
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -283,30 +280,19 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     node_of = dict(zip(chosen, count())).__getitem__  # judgment -> its node
     starts, body = system._starts, system._body
     children = [tuple(map(node_of, body[starts[i]:starts[i + 1]])) for i in chosen.values()]
-    return RationalProofTree(map(RationalNode, chosen, chosen.values(), children), root=0)
+    return RationalProofTree(zip(chosen, chosen.values(), children))
 
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    table, _ = _validated(tree)
-    parents = [0] * len(table)
-    for _, _, children in table:
-        for c in children:
-            parents[c] += 1
-    ready = [i for i, count in enumerate(parents) if not count]
-    for i in ready:  # grows while it is read: a node is ready once its parents are out
-        for c in table[i][2]:
-            parents[c] -= 1
-            if not parents[c]:
-                ready.append(c)
-    return len(ready) == len(table)
+    return not _validated(tree)[2]
 
 
 def _render(tree: FiniteProofTree | RationalProofTree, system: InferenceSystem,
             rational: bool) -> str:
     """One indented line per node, children below their parent; a repeated
     node is printed as ``^n`` (rational) or copied (finite)."""
-    table, root = _validated(tree, system, rational)
+    table, root, _ = _validated(tree, system, rational)
     plain = system._plain
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]

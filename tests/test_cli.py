@@ -2,9 +2,11 @@ import contextlib
 import io
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from corules.cli import (
     ParseError,
     SystemFile,
     format_colist,
+    main,
     parse_candidates,
     parse_colist,
     parse_system,
@@ -409,6 +412,22 @@ class TestRunPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_main_exits_with_the_code_run_returns(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path, BASICS)
+        for argv, code in ((["ind", path], 0), (["prove", path, "c"], 1),
+                           (["frobnicate"], 64), (["--help"], 0)):
+            monkeypatch.setattr(sys, "argv", ["corules", *argv])
+            with pytest.raises(SystemExit) as excinfo:
+                main()
+            assert excinfo.value.code == code
+        assert capsys.readouterr().out.startswith("a\nb\n")
+        # as `python -m corules.cli`; runpy warns that the module is imported already
+        monkeypatch.setattr(sys, "argv", ["corules", "ind", path])
+        with pytest.raises(SystemExit) as excinfo, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("corules.cli", run_name="__main__")
+        assert excinfo.value.code == 0 and capsys.readouterr().out == "a\nb\n"
+
     def test_reports_are_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, BASICS)
         run(["check", path])
@@ -477,6 +496,23 @@ class TestClosedStdout:
             proc.kill()
             proc.stderr.close()
         assert first and err == b""
+
+    def test_reader_gone_in_process(self, tmp_path, monkeypatch, capsys):
+        # stdout's descriptor is a file here; once the write fails, the null
+        # device replaces it, so later writes to it no longer reach the file
+        target = tmp_path / "stdout"
+        with open(target, "wb") as file:
+            class GoneReader(io.StringIO):
+                def write(self, text):
+                    raise BrokenPipeError
+
+                def fileno(self):
+                    return file.fileno()
+
+            monkeypatch.setattr(sys, "stdout", GoneReader())
+            assert run(["ind", write(tmp_path, BASICS)]) == 0
+            os.write(file.fileno(), b"after the reader left")
+        assert target.read_bytes() == b"" and capsys.readouterr().err == ""
 
 
 class TestExitCodeContract:

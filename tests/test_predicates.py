@@ -140,6 +140,15 @@ class TestMemberSystem:
         with pytest.raises(ValueError, match="element must be a natural number"):
             gen_member_system(-1, Finite((1,)))
 
+    @pytest.mark.parametrize("x", [1.5, 1.0, True, "1"])
+    def test_element_that_is_not_a_natural_number(self, x):
+        text = f"element must be a natural number, got {x!r}"
+        for build in (lambda: gen_member_system(x, Finite((1,))),
+                      lambda: three_way(Kind.MEMBER_OF, Finite((1,)), x=x)):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == text
+
     def test_nothing_concludes_at_the_empty_state(self):
         sys_, scheme = gen_member_system(1, Finite((1,)))
         empty_state = 1

@@ -7,7 +7,6 @@ from corules import (
     FiniteProofTree,
     InferenceSystem,
     Lasso,
-    RationalNode,
     RationalProofTree,
     StructuralError,
     check_finite,
@@ -154,7 +153,7 @@ class TestDeepAndSharedProofs:
             assert finite.depth() == n
             rational = extract_rational_proof(system, n - 1)
             assert check_rational_in_gen(rational, system) and is_acyclic(rational)
-            assert [node.judgment for node in rational.nodes] == list(range(n - 1, -1, -1))
+            assert [judgment for judgment, _, _ in rational.nodes] == list(range(n - 1, -1, -1))
         # Renders stay at DEPTH: the indented render of an n-deep chain is about n² bytes.
         text = format_finite(finite, system)
         assert text.count("\n") == n - 1 and text.endswith("\n" + "  " * (n - 1) + "c0  [rule 0]")
@@ -250,9 +249,11 @@ class TestRender:
 
     def test_finite_rule_index_out_of_range_is_structural(self):
         sys_ = InferenceSystem(2, (rule(0), rule(1, 0)))
-        for index in (2, 7, -1):
-            with pytest.raises(StructuralError):
-                format_finite(FiniteProofTree(1, 1, (FiniteProofTree(0, index),)), sys_)
+        for index in (2, 7, -1, 0.0, 0.5, "0"):
+            tree = FiniteProofTree(1, 1, (FiniteProofTree(0, index),))
+            for call in (check_finite, format_finite):
+                with pytest.raises(StructuralError, match=re.escape(f"rule index {index!r} out")):
+                    call(tree, sys_)
         with_corule = InferenceSystem(2, (rule(0), rule(1, 0)), (rule(1),))
         assert format_finite(FiniteProofTree(1, 2), with_corule) == "j1  [corule 0]"
         with pytest.raises(StructuralError):
@@ -260,10 +261,11 @@ class TestRender:
 
     def test_rational_corule_index_is_structural(self):
         sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
-        for index in (1, 9, -1):
-            tree = RationalProofTree((RationalNode(0, 0, (1,)), RationalNode(0, index, (0,))))
-            with pytest.raises(StructuralError):
-                format_rational(tree, sys_)
+        for index in (1, 9, -1, 0.0, 0.5, "0"):
+            tree = RationalProofTree(((0, 0, (1,)), (0, index, (0,))))
+            for call in (check_rational_in_gen, format_rational):
+                with pytest.raises(StructuralError, match=re.escape(f"rule index {index!r} out")):
+                    call(tree, sys_)
 
 
 class TestFiniteTreeEquality:
@@ -301,10 +303,9 @@ def naive_format_rational(tree, system):
             lines.append(f"{'  ' * depth}^{ni}")
             return
         printed.add(ni)
-        node = tree.nodes[ni]
-        lines.append(f"{'  ' * depth}{ni}: {system.label_of(node.judgment)}  "
-                     f"[rule {node.rule_index}]")
-        for c in node.children:
+        judgment, rule_index, children = tree.nodes[ni]
+        lines.append(f"{'  ' * depth}{ni}: {system.label_of(judgment)}  [rule {rule_index}]")
+        for c in children:
             visit(c, depth + 1)
 
     visit(tree.root, 0)
@@ -322,8 +323,7 @@ class TestRationalRender:
 
     def test_node_shared_without_a_cycle(self):
         sys_ = InferenceSystem(4, (rule(0), rule(1, 0), rule(2, 1), rule(3, 1, 2)))
-        tree = RationalProofTree((RationalNode(3, 3, (1, 2)), RationalNode(1, 1, (3,)),
-                                  RationalNode(2, 2, (1,)), RationalNode(0, 0)))
+        tree = RationalProofTree(((3, 3, (1, 2)), (1, 1, (3,)), (2, 2, (1,)), (0, 0, ())))
         assert check_rational_in_gen(tree, sys_) and is_acyclic(tree)
         text = format_rational(tree, sys_)
         assert text == naive_format_rational(tree, sys_)
@@ -332,7 +332,7 @@ class TestRationalRender:
 
     def test_back_edge_and_root_not_first(self):
         sys_ = InferenceSystem(2, (rule(0, 1), rule(1, 0)), (rule(0),))
-        tree = RationalProofTree((RationalNode(0, 0, (1,)), RationalNode(1, 1, (0,))), root=1)
+        tree = RationalProofTree(((0, 0, (1,)), (1, 1, (0,))), root=1)
         assert check_rational_in_gen(tree, sys_) and not is_acyclic(tree)
         text = format_rational(tree, sys_)
         assert text == naive_format_rational(tree, sys_)
@@ -342,43 +342,56 @@ class TestRationalRender:
 class TestMalformedProofs:
     """Every check and render, and is_acyclic, raise StructuralError on a malformed proof."""
 
-    def rational_raises(self, tree, sys_):
+    def rational_raises(self, tree, sys_, text=None):
         for call in (lambda: check_rational_in_gen(tree, sys_),
                      lambda: format_rational(tree, sys_), lambda: is_acyclic(tree)):
-            with pytest.raises(StructuralError):
+            with pytest.raises(StructuralError) as excinfo:
                 call()
+            assert text is None or str(excinfo.value) == text
 
     def test_child_index_out_of_range(self):
+        # a float, even an integral one, is no index: it names no node
         sys_ = InferenceSystem(1, (rule(0, 0),))
-        for child in (5, 1, -1):
-            self.rational_raises(RationalProofTree((RationalNode(0, 0, (child,)),)), sys_)
+        for child in (5, 1, -1, 0.0, 0.5, "0", None):
+            self.rational_raises(RationalProofTree(((0, 0, (child,)),)), sys_,
+                                 f"child index {child!r} out of range")
 
     def test_root_out_of_range_or_no_nodes(self):
         sys_ = InferenceSystem(1, (rule(0),))
-        for root in (1, -1):
-            self.rational_raises(RationalProofTree((RationalNode(0, 0),), root=root), sys_)
-        self.rational_raises(RationalProofTree((), root=0), sys_)
+        for root in (1, -1, 0.0, 0.5, "0", None):
+            self.rational_raises(RationalProofTree(((0, 0, ()),), root=root), sys_,
+                                 f"root index {root!r} out of range")
+        self.rational_raises(RationalProofTree((), root=0), sys_, "proof has no nodes")
+
+    def test_node_that_is_not_a_triple(self):
+        sys_ = ab_system()
+        for node in (1, None, "abc", (A, 0), (A, 0, (), 0), [A, 0, ()], (A, 0, [0]), (A, 0, 0)):
+            for tree, position in ((RationalProofTree([node]), 0),
+                                   (RationalProofTree([(B, 1, (1,)), node]), 1)):
+                self.rational_raises(tree, sys_, f"node {position} is not a (judgment, rule index, "
+                                                 "children) triple with a tuple of children")
 
     def test_unreachable_node(self):
-        tree = RationalProofTree((RationalNode(A, 0), RationalNode(C, 2)), root=0)
+        tree = RationalProofTree(((A, 0, ()), (C, 2, ())), root=0)
         self.rational_raises(tree, ab_system())
 
     def test_judgment_out_of_range(self):
         sys_ = InferenceSystem(1, (rule(0),))
-        for judgment in (3, -1):
-            tree = RationalProofTree((RationalNode(judgment, 0),))
+        for judgment in (3, -1, 0.0, 0.5, "0"):
+            text = f"judgment id {judgment!r} out of range"
+            tree = RationalProofTree(((judgment, 0, ()),))
             for call in (check_rational_in_gen, format_rational):
-                with pytest.raises(StructuralError):
+                with pytest.raises(StructuralError, match=re.escape(text)):
                     call(tree, sys_)
             leaf = FiniteProofTree(judgment, 0)
             for tree in (leaf, FiniteProofTree(0, 0, (leaf,))):
                 for call in (check_finite, format_finite):
-                    with pytest.raises(StructuralError):
+                    with pytest.raises(StructuralError, match=re.escape(text)):
                         call(tree, sys_)
 
     def test_child_that_is_not_a_proof(self):
         sys_ = ab_system()
-        for child in (1, None, RationalNode(A, 0), "a"):
+        for child in (1, None, (A, 0, ()), "a"):
             for tree in (FiniteProofTree(B, 1, [child]),
                          FiniteProofTree(B, 1, [FiniteProofTree(A, 0), child])):
                 for call in (hash, repr, lambda t: t == FiniteProofTree(B, 1), FiniteProofTree.depth,
@@ -490,12 +503,41 @@ class TestWhatTheBenchmarkReads:
     def test_rational_proof_fields(self):
         tree = extract_rational_proof(ladder_system(3), 6)
         assert tree.root == 0 and len(tree.nodes) == 7
-        assert tree.nodes[0] == RationalNode(6, 5, (1, 6))
-        assert all(isinstance(node, RationalNode) for node in tree.nodes)
+        assert tree.nodes[0] == (6, 5, (1, 6))
+        assert all(type(node) is tuple and type(node[2]) is tuple for node in tree.nodes)
 
 
 def self_loop_tree():
-    return RationalProofTree((RationalNode(0, 0, (0,)),), root=0)
+    return RationalProofTree(((0, 0, (0,)),), root=0)
+
+
+def kahn_acyclic(nodes):
+    """Reference: whether repeatedly removing nodes that no remaining node
+    points to removes them all."""
+    parents = [0] * len(nodes)
+    for _, _, children in nodes:
+        for c in children:
+            parents[c] += 1
+    ready = [i for i, count in enumerate(parents) if not count]
+    for i in ready:  # grows while it is read
+        for c in nodes[i][2]:
+            parents[c] -= 1
+            if not parents[c]:
+                ready.append(c)
+    return len(ready) == len(nodes)
+
+
+def random_table(rng, size):
+    """A node table in which every node is reachable from node 0: each node
+    but the root hangs under an earlier one, plus random extra edges."""
+    children = [[] for _ in range(size)]
+    for i in range(1, size):
+        children[rng.randrange(i)].append(i)
+    for _ in range(rng.randrange(size + 1)):
+        children[rng.randrange(size)].append(rng.randrange(size))
+    for kids in children:
+        rng.shuffle(kids)
+    return [(0, 0, tuple(kids)) for kids in children]
 
 
 class TestCheckRational:
@@ -509,31 +551,43 @@ class TestCheckRational:
 
     def test_acyclic_tree_mirrors_finite_check(self):
         sys_ = ab_system()
-        tree = RationalProofTree(
-            (RationalNode(B, 1, (1,)), RationalNode(A, 0)), root=0)
+        tree = RationalProofTree(((B, 1, (1,)), (A, 0, ())), root=0)
         assert check_rational_in_gen(tree, sys_)
-        bad = RationalProofTree(
-            (RationalNode(B, 1, (1,)), RationalNode(C, 2)), root=0)
+        bad = RationalProofTree(((B, 1, (1,)), (C, 2, ())), root=0)
         assert not check_rational_in_gen(bad, sys_)
 
     def test_corule_index_is_structural(self):
         sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
-        tree = RationalProofTree((RationalNode(0, 1),), root=0)
+        tree = RationalProofTree(((0, 1, ()),), root=0)
         with pytest.raises(StructuralError):
             check_rational_in_gen(tree, sys_)
 
     def test_unreachable_node_is_structural(self):
         sys_ = ab_system()
-        tree = RationalProofTree(
-            (RationalNode(A, 0), RationalNode(C, 2)), root=0)
+        tree = RationalProofTree(((A, 0, ()), (C, 2, ())), root=0)
         with pytest.raises(StructuralError):
             check_rational_in_gen(tree, sys_)
 
     def test_bad_child_index_is_structural(self):
         sys_ = ab_system()
-        tree = RationalProofTree((RationalNode(B, 1, (7,)),), root=0)
+        tree = RationalProofTree(((B, 1, (7,)),), root=0)
         with pytest.raises(StructuralError):
             check_rational_in_gen(tree, sys_)
+
+    def test_is_acyclic_agrees_with_a_topological_sort(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(600):
+            size = rng.randint(1, 12)
+            nodes = random_table(rng, size)
+            at = rng.sample(range(size), size)  # renumber, so that the root is anywhere
+            table = [None] * size
+            for i, (judgment, rule_index, children) in enumerate(nodes):
+                table[at[i]] = (judgment, rule_index, tuple(at[c] for c in children))
+            acyclic = is_acyclic(RationalProofTree(table, root=at[0]))
+            assert acyclic == kahn_acyclic(nodes)
+            seen.add(acyclic)
+        assert seen == {True, False}
 
 
 class TestExtractRational:
@@ -630,21 +684,18 @@ class TestCheckerSoundness:
                     except StructuralError:
                         continue
                     if accepted:
-                        assert mutant.nodes[mutant.root].judgment in gen
+                        assert mutant.nodes[mutant.root][0] in gen
 
 
 def mutate_rational(rng, tree, system):
     nodes = list(tree.nodes)
     i = rng.randrange(len(nodes))
-    node = nodes[i]
+    judgment, rule_index, children = nodes[i]
     choice = rng.randrange(3)
     if choice == 0:
-        nodes[i] = RationalNode((node.judgment + 1) % system.universe_size,
-                                node.rule_index, node.children)
+        nodes[i] = ((judgment + 1) % system.universe_size, rule_index, children)
     elif choice == 1 and system.rules:
-        nodes[i] = RationalNode(node.judgment,
-                                rng.randrange(len(system.rules)), node.children)
+        nodes[i] = (judgment, rng.randrange(len(system.rules)), children)
     else:
-        rerouted = tuple(rng.randrange(len(nodes)) for _ in node.children)
-        nodes[i] = RationalNode(node.judgment, node.rule_index, rerouted)
+        nodes[i] = (judgment, rule_index, tuple(rng.randrange(len(nodes)) for _ in children))
     return RationalProofTree(tuple(nodes), root=tree.root)

@@ -25,15 +25,16 @@ from corules import (
     JudgmentSet,
     Kind,
     Lasso,
-    RationalNode,
     RationalProofTree,
     Rule,
     SuffixAutomaton,
     coind_interpretation,
     gen_interpretation,
+    get,
     ind_interpretation,
     is_acyclic,
     rule,
+    suffix,
 )
 from corules.cli import ParseError, SystemFile, parse_system
 
@@ -50,7 +51,7 @@ AUT = SuffixAutomaton((1, None), (1, None))
 AUT_REPR = "SuffixAutomaton(heads=(1, None), nexts=(1, None))"
 SPEC = JudgmentSet(2, {1})
 LEAF = FiniteProofTree(0, 0)
-NODE = RationalNode(1, 1, (1,))
+NODE = (1, 1, (1,))  # a rational proof's node: judgment, rule index, child indices
 
 
 def holds(n):
@@ -85,13 +86,15 @@ CASES = [
     (FiniteProofTree, ("judgment", "rule_index", "children"), (1, 1, (LEAF,)),
      "FiniteProofTree(judgment=1, rule_index=1, "
      "children=(FiniteProofTree(judgment=0, rule_index=0, children=()),))"),
-    (RationalNode, ("judgment", "rule_index", "children"), (1, 1, (1,)),
-     "RationalNode(judgment=1, rule_index=1, children=(1,))"),
-    (RationalProofTree, ("nodes", "root"), ((RationalNode(0, 0), NODE), 1),
-     "RationalProofTree(nodes=(RationalNode(judgment=0, rule_index=0, children=()), "
-     "RationalNode(judgment=1, rule_index=1, children=(1,))), root=1)"),
+    # A proof of one node, a plain table entry; the row keeps the id of the
+    # RationalNode type it tested before nodes were entries.
+    (RationalProofTree, ("nodes", "root"), ((NODE,), 0),
+     "RationalProofTree(nodes=((1, 1, (1,)),), root=0)"),
+    (RationalProofTree, ("nodes", "root"), (((0, 0, ()), NODE), 1),
+     "RationalProofTree(nodes=((0, 0, ()), (1, 1, (1,))), root=1)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
+IDS[IDS.index("RationalProofTree")] = "RationalNode"  # the one-node row
 
 # The message of calling each type with no arguments.
 MISSING = {
@@ -107,7 +110,6 @@ MISSING = {
     ElementPredicate: "2 required positional arguments: 'name' and 'holds'",
     JudgmentScheme: "3 required positional arguments: 'kind', 'colist', and 'automaton'",
     FiniteProofTree: "2 required positional arguments: 'judgment' and 'rule_index'",
-    RationalNode: "2 required positional arguments: 'judgment' and 'rule_index'",
     RationalProofTree: "1 required positional argument: 'nodes'",
 }
 
@@ -253,20 +255,19 @@ class TestCoercionsAndDefaults:
         tree = FiniteProofTree(1, 1, [LEAF])
         assert tree.children == (LEAF,) and type(tree.children) is tuple
         assert LEAF.children == ()
-        node = RationalNode(1, 1, [1])
-        assert node.children == (1,) and type(node.children) is tuple
-        assert RationalNode(0, 0).children == ()
-        graph = RationalProofTree([RationalNode(0, 0)])
-        assert type(graph.nodes) is tuple and graph.root == 0
+        graph = RationalProofTree(iter([(0, 0, ()), NODE]))
+        assert graph.nodes == ((0, 0, ()), NODE) and type(graph.nodes) is tuple
+        assert graph.nodes[1] is NODE and graph.root == 0
 
     def test_proof_caches_stay_out_of_the_fields(self):
         tree, fresh = FiniteProofTree(1, 1, (LEAF,)), FiniteProofTree(1, 1, (LEAF,))
         assert tree.depth() == 2
         assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
-        nodes = (RationalNode(0, 0, (1,)), NODE)
+        nodes = ((0, 0, (1,)), NODE)
         graph = RationalProofTree(nodes)
         assert is_acyclic(graph) is False
         assert graph == RationalProofTree(nodes) and hash(graph) == hash((nodes, 0))
+        assert not hasattr(graph, "_graph") and not hasattr(graph, "__dict__")  # its fields are its table
         for value in (tree, graph):
             with pytest.raises(AttributeError):
                 value._graph = None
@@ -344,6 +345,22 @@ class TestValidationErrors:
         with pytest.raises(ValueError) as excinfo:
             call(scheme)
         assert message(excinfo) == text
+
+    # Positions and ids are coerced with operator.index: True is 1, a float is refused.
+    @pytest.mark.parametrize("call, text", [
+        (lambda s, xs: s.encode(0.0, 1), "state 0.0 is not an integer"),
+        (lambda s, xs: s.decode(1.5), "judgment id 1.5 is not an integer"),
+        (lambda s, xs: get(xs, 1.5), "index 1.5 is not an integer"),
+        (lambda s, xs: suffix(xs, 1.5), "index 1.5 is not an integer"),
+    ], ids=["encode", "decode", "get", "suffix"])
+    def test_index_that_is_not_an_integer(self, call, text):
+        scheme = JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3))
+        xs = Lasso((1,), (2, 3))
+        with pytest.raises(TypeError) as excinfo:
+            call(scheme, xs)
+        assert type(excinfo.value) is TypeError and message(excinfo) == text
+        assert scheme.encode(True, 1) == 1 and scheme.decode(True) == (1, 1)
+        assert get(xs, True) == 2 and suffix(xs, True) == Lasso((), (2, 3))
 
 
 class TestEngineBuiltSets:
