@@ -85,32 +85,59 @@ def _error(message: str, code: str, line: int, body: str, k: int, shift: int = 0
     return ParseError(message, line, column, code)
 
 
-def _lookup(ids: dict[str, int], words: list[str], k: int, line: int, body: str) -> int:
-    """The id of the judgment that ``words[k]`` names, or the error at that word."""
-    name = words[k]
-    if name in ids:
-        return ids[name]
-    if name == ARROW:
-        raise _error(f"unexpected {ARROW}", "malformed-arrow", line, body, k)
-    raise _error(f"unknown judgment name {name!r}", "unknown-name", line, body, k)
+def _unknown(ids: dict[str, int], words: list[str], first: int, line: int,
+             body: str) -> ParseError:
+    """The error at the first of ``words[first:]`` that names no judgment."""
+    k = next(k for k in range(first, len(words)) if words[k] not in ids)
+    if words[k] == ARROW:
+        return _error(f"unexpected {ARROW}", "malformed-arrow", line, body, k)
+    return _error(f"unknown judgment name {words[k]!r}", "unknown-name", line, body, k)
+
+
+def _rule_error(ids: dict[str, int], words: list[str], line: int, body: str) -> ParseError:
+    """The first fault, left to right, of the faulty rule or corule line ``words``."""
+    if len(words) == 1:
+        return _error(f"{words[0]} needs a conclusion and {ARROW}", "malformed-arrow",
+                      line, body, 0)
+    if words[1] not in ids:
+        return _unknown(ids, words, 1, line, body)
+    if len(words) == 2 or words[2] != ARROW:  # point at what stands there, or past
+        at = (2, 0) if len(words) > 2 else (1, len(words[1]))
+        return _error(f"expected {ARROW} after the conclusion", "malformed-arrow", line,
+                      body, *at)
+    return _unknown(ids, words, 3, line, body)
 
 
 def parse_system(text: str) -> SystemFile:
     names: list[str] = []
     ids: dict[str, int] = {}
-    # per directive: the conclusion and the ascending premises of each of its lines
-    rules: dict[str, list[tuple[int, list[int]]]] = {"rule:": [], "corule:": []}
+    # per directive, the rule arrays of its lines: conclusions, premise offsets, premises
+    arrays: dict[str, tuple[list[int], list[int], list[int]]] = {
+        "rule:": ([], [0], []), "corule:": ([], [0], [])}
     spec_ids: Optional[list[int]] = None
     for line, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
+        body = raw.partition("#")[0]
         words = body.split()
         if not words:
             continue
         directive = words[0]
-        if directive != "judgments:" and not names:
-            raise _error("judgments: header must be the first directive", "missing-header",
-                         line, body, 0)
-        if directive == "judgments:":
+        target = arrays.get(directive)
+        if target is not None and names:
+            heads, starts, premises = target
+            try:
+                conclusion = ids[words[1]]
+                arrow = words[2] == ARROW
+                if len(words) > 4:  # keep each premise once, ascending
+                    premises += sorted(set(map(ids.__getitem__, words[3:])))
+                else:
+                    premises += map(ids.__getitem__, words[3:])
+            except (IndexError, KeyError):
+                arrow = False
+            if not arrow:
+                raise _rule_error(ids, words, line, body)
+            heads.append(conclusion)
+            starts.append(len(premises))
+        elif directive == "judgments:":
             if names:
                 raise _error("duplicate judgments: header", "duplicate-header", line, body, 0)
             if len(words) == 1:
@@ -125,30 +152,24 @@ def parse_system(text: str) -> SystemFile:
                                  line, body, k)
                 ids[name] = len(names)
                 names.append(name)
-        elif directive in rules:
-            if len(words) == 1:
-                raise _error(f"{directive} needs a conclusion and {ARROW}", "malformed-arrow",
-                             line, body, 0)
-            conclusion = _lookup(ids, words, 1, line, body)
-            if len(words) == 2 or words[2] != ARROW:  # point at what stands there, or past
-                at = (2, 0) if len(words) > 2 else (1, len(words[1]))
-                raise _error(f"expected {ARROW} after the conclusion", "malformed-arrow", line,
-                             body, *at)
-            try:
-                premises = sorted({ids[name] for name in words[3:]})
-            except KeyError:  # raise for the first name that is not a judgment
-                premises = [_lookup(ids, words, k, line, body) for k in range(3, len(words))]
-            rules[directive].append((conclusion, premises))
+        elif not names:
+            raise _error("judgments: header must be the first directive", "missing-header",
+                         line, body, 0)
         elif directive == "spec:":
             if spec_ids is not None:
                 raise _error("duplicate spec: line", "duplicate-spec", line, body, 0)
-            spec_ids = [_lookup(ids, words, k, line, body) for k in range(1, len(words))]
+            try:
+                spec_ids = [ids[name] for name in words[1:]]
+            except KeyError:
+                raise _unknown(ids, words, 1, line, body) from None
         else:
             raise _error(f"unknown directive {directive!r}", "unknown-directive", line, body, 0)
     if not names:
         raise ParseError("missing judgments: header", 1, 1, "missing-header")
-    plain, corules = rules.values()
-    system = InferenceSystem._compiled(len(names), plain + corules, len(plain), tuple(names))
+    (heads, starts, premises), (coheads, costarts, copremises) = arrays.values()
+    starts += map(len(premises).__add__, costarts[1:])
+    system = InferenceSystem._compiled(len(names), heads + coheads, starts,
+                                       premises + copremises, len(heads), tuple(names))
     spec = JudgmentSet.of(len(names), spec_ids) if spec_ids is not None else None
     return SystemFile(tuple(names), system, spec)
 
@@ -173,6 +194,17 @@ def _natural(token: str) -> int:
     return n
 
 
+def _naturals(tokens: list[str]) -> tuple[int, ...]:
+    """The natural numbers ``tokens`` write, converted in one pass once each is all
+    digits; else the error of ``_natural`` at the first that writes none."""
+    if all(map(str.isdigit, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # a digit int() rejects, such as '²', or too many digits
+            pass
+    return tuple(map(_natural, tokens))
+
+
 def parse_colist(text: str) -> Colist:
     pieces = text.replace("|", " | ").split()
     separators = pieces.count("|")
@@ -181,11 +213,11 @@ def parse_colist(text: str) -> Colist:
 
     if separators == 1:
         k = pieces.index("|")
-        loop = tuple(map(_natural, pieces[k + 1:]))
+        loop = _naturals(pieces[k + 1:])
         if not loop:
             raise ParseError("loop declared empty", code="empty-loop")
-        return Lasso(tuple(map(_natural, pieces[:k])), loop)
-    return Finite(tuple(map(_natural, pieces)))
+        return Lasso(_naturals(pieces[:k]), loop)
+    return Finite(_naturals(pieces))
 
 
 def format_colist(xs: Colist) -> str:

@@ -5,10 +5,13 @@ An inference system is a finite universe of judgments (dense ids
 conclusion id. Corules are extra rules that participate only in the
 auxiliary inductive phase of the generated interpretation. A system stores
 the conclusions of its rules, then corules, in one array and their premises
-(ascending, without repeats) in another, cut by offsets; the parser and the
-builders fill them through the unchecked ``_compiled``. The premise index,
-the Kleene rounds and the corule-extended bound are computed once, when
-first needed, and kept; ``rules`` and ``corules`` are built on first read.
+(ascending, without repeats) in another, cut by offsets. The public
+constructor turns its ``Rule`` objects into these arrays; the parser and the
+predicate builders write them directly and hand them to the unchecked
+``_compiled``. The premise index, the Kleene rounds and the corule-extended
+bound are computed once, when first needed, and kept; ``rules`` and
+``corules`` are built on first read, and so are the labels of a system whose
+builder gave a function that makes them.
 
 The three interpretations:
 
@@ -48,8 +51,8 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import accumulate, compress
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
 
 from ._value import Value, _index, _set
 
@@ -188,8 +191,9 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: rules, corules, _users, _bound and the passes of _layers, each made when needed
-    __slots__ = ("universe_size", "labels", "_heads", "_starts", "_body", "_plain", "__dict__")
+    # __dict__: labels, rules, corules, _users, _bound and the passes of _layers, each made
+    # when needed
+    __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
                  labels: Optional[Iterable[str]] = None):
@@ -197,8 +201,13 @@ class InferenceSystem(Value):
         every = rules + tuple(corules)
         if n < 0:
             raise ValueError("universe size must be non-negative")
-        self._store(n, list(map(_ids, every)), len(rules), None)
-        if any(ids and not (0 <= min(ids) and max(ids) < n) for ids in (self._heads, self._body)):
+        heads, starts, body = [], [0], []
+        for r in every:
+            conclusion, premises = _ids(r)
+            heads.append(conclusion)
+            body += premises
+            starts.append(len(body))
+        if any(ids and not (0 <= min(ids) and max(ids) < n) for ids in (heads, body)):
             for r in every:
                 bad = sorted({j for j in (*r.premises, r.conclusion) if not 0 <= j < n})
                 if bad:
@@ -210,26 +219,29 @@ class InferenceSystem(Value):
                 raise ValueError("label table must name every judgment")
             if len(set(labels)) != len(labels):
                 raise ValueError("judgment labels must be unique")
-        _set(self, "labels", labels)
+        self._store(n, heads, starts, body, len(rules), labels)
 
-    def _store(self, n: int, rules: list[tuple[int, Sequence[int]]], plain: int,
-               labels: Optional[tuple[str, ...]]) -> None:
-        heads = list(map(operator.itemgetter(0), rules))
-        bodies = list(map(operator.itemgetter(1), rules))
-        starts = [0, *accumulate(map(len, bodies))]
-        body = list(chain.from_iterable(bodies))
-        for name, value in zip(self.__slots__, (n, labels, heads, starts, body, plain)):
+    def _store(self, n: int, heads: list[int], starts: list[int], body: list[int], plain: int,
+               labels: object) -> None:
+        for name, value in zip(self.__slots__, (n, heads, starts, body, plain, labels)):
             _set(self, name, value)
 
     @classmethod
-    def _compiled(cls, n: int, rules: list[tuple[int, Sequence[int]]], plain: int,
-                  labels: Optional[tuple[str, ...]] = None) -> "InferenceSystem":
-        """The system of the (conclusion, premises) pairs ``rules``, the first ``plain``
-        of them rules, unchecked: ids must be ints in ``range(n)``, each premise
-        sequence ascending without repeats, and labels ``n`` distinct strings."""
+    def _compiled(cls, n: int, heads: list[int], starts: list[int], body: list[int], plain: int,
+                  labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]] = None
+                  ) -> "InferenceSystem":
+        """The system whose ``i``-th rule (a corule from index ``plain`` on) concludes
+        ``heads[i]`` from ``body[starts[i]:starts[i + 1]]``, unchecked: ids must be ints
+        in ``range(n)``, each premise run ascending without repeats, ``starts`` one
+        longer than ``heads`` from 0 to ``len(body)``, and labels ``n`` distinct strings
+        or a function of no arguments that returns them on the first read."""
         system = object.__new__(cls)
-        system._store(n, rules, plain, labels)
+        system._store(n, heads, starts, body, plain, labels)
         return system
+
+    @cached_property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        return self._labels() if callable(self._labels) else self._labels
 
     def _premises(self, i: int) -> list[int]:
         return self._body[self._starts[i]:self._starts[i + 1]]

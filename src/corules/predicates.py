@@ -29,6 +29,7 @@ verdicts, as ``corules pred`` prints them.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._value import Value, _index, _set
@@ -157,10 +158,15 @@ class JudgmentScheme(Value):
         return tuple(f"{name}({v},s{s})" for v in self.candidates for s in states)
 
 
-def _system(scheme: JudgmentScheme, rules: list[tuple[int, tuple[int, ...]]],
-            corules: list[tuple[int, tuple[int, ...]]]) -> tuple[InferenceSystem, JudgmentScheme]:
-    return InferenceSystem._compiled(scheme.universe_size, rules + corules, len(rules),
-                                     scheme.labels()), scheme
+def _system(scheme: JudgmentScheme, heads: list[int], starts: list[int], body: list[int],
+            coaxioms: list[int]) -> tuple[InferenceSystem, JudgmentScheme]:
+    """The system of the rule arrays (see ``InferenceSystem._compiled``) with a coaxiom
+    at each id of ``coaxioms``, labelled by ``scheme`` on the first read of its labels."""
+    plain = len(heads)
+    heads += coaxioms
+    starts += [len(body)] * len(coaxioms)
+    return InferenceSystem._compiled(scheme.universe_size, heads, starts, body, plain,
+                                     scheme.labels), scheme
 
 
 def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
@@ -171,17 +177,20 @@ def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
     placed by ``FAMILIES[kind].interpretation`` (see the module docstring)."""
     reading = FAMILIES[kind].interpretation
     aut = suffix_automaton(xs)
-    rules, corules = [], []  # (conclusion, premises); the judgment ids are the states
-    for s in aut.states():
-        head = aut.heads[s]
+    heads, starts, body, coaxioms = [], [0], [], []  # the judgment ids are the states
+    for s, head in enumerate(aut.heads):
         hit = head is not None and p(head)
         if (head is None and reading == "coind") or (hit and reading == "ind"):
-            rules.append((s, ()))  # an axiom
+            heads.append(s)  # an axiom
+            starts.append(len(body))
         if head is not None and (hit or reading != "coind"):
-            rules.append((s, (aut.nexts[s],)))
+            heads.append(s)
+            body.append(aut.nexts[s])
+            starts.append(len(body))
         if hit and reading == "gen":
-            corules.append((s, ()))
-    return _system(JudgmentScheme(kind, xs, aut, candidates, predicate), rules, corules)
+            coaxioms.append(s)
+    return _system(JudgmentScheme(kind, xs, aut, candidates, predicate),
+                   heads, starts, body, coaxioms)
 
 
 def gen_member_system(x: int, xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
@@ -259,21 +268,25 @@ def gen_maxelem_system(xs: Colist,
         raise ValueError(f"candidates must include every element of the colist; "
                          f"missing {sorted(missing)}")
     aut = suffix_automaton(xs)
-    scheme = JudgmentScheme(Kind.MAX_ELEM, xs, aut, candidates=cands)
-    # The id of (value, state) is the value's offset plus the state.
-    offset = dict(zip(cands, range(0, len(cands) * aut.state_count, aut.state_count)))
-    rules, corules = [], []  # (conclusion, premises)
-    for s in aut.states():
-        head = aut.heads[s]
+    # The id of (value, state) is the value's index times the state count, plus the state.
+    n, c, index = aut.state_count, len(cands), {v: k for k, v in enumerate(cands)}
+    heads, body, sizes, coaxioms = [], [], [], []  # sizes: premises per rule
+    ones = [1] * c
+    for s, head in enumerate(aut.heads):
         if head is None:
             continue
-        nxt = aut.nexts[s]
+        k, nxt = index[head], aut.nexts[s]
         if aut.heads[nxt] is None:
-            rules.append((offset[head] + s, ()))
-        # max(head, y) is itself a candidate: it is head or y.
-        rules += [(offset[y if y > head else head] + s, (offset[y] + nxt,)) for y in cands]
-        corules.append((offset[head] + s, ()))
-    return _system(scheme, rules, corules)
+            heads.append(k * n + s)  # an axiom
+            sizes.append(0)
+        # The rule for candidate y concludes max(head, y): the head up to it, then y.
+        heads += [k * n + s] * (k + 1)
+        heads += range((k + 1) * n + s, c * n, n)
+        body += range(nxt, c * n, n)
+        sizes += ones
+        coaxioms.append(k * n + s)
+    return _system(JudgmentScheme(Kind.MAX_ELEM, xs, aut, candidates=cands),
+                   heads, [0, *accumulate(sizes)], body, coaxioms)
 
 
 def _all_elements(xs: Colist) -> tuple[int, ...]:
@@ -394,7 +407,8 @@ FAMILIES = {
 
 def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
             direct: bool = False) -> Family:
-    """The row of ``kind``, once the arguments its decider needs are given."""
+    """The row of ``kind``, once the arguments its decider needs are given and a
+    given ``x`` is a natural number (a bool is not)."""
     try:
         family = FAMILIES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -403,6 +417,8 @@ def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
         raise ValueError(f"{kind.value} needs a value")
     if family.needs_predicate and predicate is None:
         raise ValueError(f"{kind.value} needs an element predicate")
+    if x is not None:
+        _check_naturals((x,), "element must be a natural number")
     return family
 
 

@@ -19,8 +19,9 @@ StructuralError when a node is not such a triple, the root or a child index
 is not the index of a node, a node is unreachable from the root or, given
 the system, a judgment id is not in the universe or a rule index not among
 the rules the proof may use. Building a finite proof's table raises it for
-a child that is not a FiniteProofTree. A well-formed but invalid derivation
-is different: the checkers return False.
+a child that is not a FiniteProofTree and for a node whose judgment or rule
+index is not hashable. A well-formed but invalid derivation is different:
+the checkers return False.
 
 Extraction and checking take time linear in the sizes of the system and of
 the proof, up to sorting each rule's premises. Both renderers share one
@@ -80,7 +81,11 @@ class FiniteProofTree(Value):
             if node is _BELOW:  # every child of the node below the marker has its entry
                 node = stack.pop()
                 entry = (node.judgment, node.rule_index, tuple([at[id(c)] for c in node.children]))
-                at[id(node)] = index_of.setdefault(entry, len(index_of))
+                try:
+                    at[id(node)] = index_of.setdefault(entry, len(index_of))
+                except TypeError:  # not the node's repr: that builds this table again
+                    raise StructuralError(f"node with judgment {node.judgment!r} and rule index "
+                                          f"{node.rule_index!r} is not hashable") from None
             elif id(node) not in at:
                 if not isinstance(node, FiniteProofTree):
                     raise StructuralError(f"child {node!r} is not a FiniteProofTree")

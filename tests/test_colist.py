@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corules import Finite, Lasso, equal, get, pointwise, suffix, suffix_automaton
+from corules.cli import ParseError, parse_colist
 
 from util import random_colist, unroll
 
@@ -28,6 +29,28 @@ def test_elements_must_be_naturals():
         Finite((1, -2))
     with pytest.raises(ValueError):
         Lasso((), (-1,))
+
+
+BIG = "9" * 5000  # all digits, but past int()'s digit limit
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("1 \u00b2 2 \u00b3", "\u00b2"), (f"1 {BIG} \u00b2", BIG), (f"1 \u00b2 {BIG}", "\u00b2"),
+    ("1 x \u00b2", "x"), ("\u00b2 x", "\u00b2"), (f"{BIG} 1 | 2", BIG), (f"1 | 2 {BIG} x", BIG),
+    (f"x 1 | 2 {BIG}", BIG),  # the loop is read before the prefix
+])
+def test_a_literal_names_its_first_bad_token(text, bad):
+    """Every token passes ``str.isdigit`` before any is converted, but a digit that
+    ``int`` rejects, or a numeral too long for it, is still the token blamed."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_colist(text)
+    assert excinfo.value.code == "bad-token"
+    assert str(excinfo.value) == f"not a natural number: {bad!r}"
+
+
+def test_a_literal_of_digits_is_read_in_one_pass():
+    assert parse_colist("0 12 \u0663 | 7 \u0661\u0660") == Lasso((0, 12, 3), (7, 10))
+    assert parse_colist(" ".join(map(str, range(500)))) == Finite(tuple(range(500)))
 
 
 class TestGet:

@@ -380,6 +380,14 @@ class TestDeciderArguments:
             decide(kind, self.XS, predicate=EVEN)
         assert str(e.value) == f"{kind.value} needs a value"
 
+    @pytest.mark.parametrize("x", [True, 2.0, -1, "1"])
+    @pytest.mark.parametrize("route", [decide_direct, spec_oracle, three_way])
+    @pytest.mark.parametrize("kind", [Kind.MEMBER_OF, Kind.MAX_ELEM])
+    def test_value_that_is_not_a_natural_number(self, kind, route, x):
+        with pytest.raises(ValueError) as e:
+            route(kind, Finite((1, 2)), x=x)
+        assert str(e.value) == f"element must be a natural number, got {x!r}"
+
     def test_arguments_a_kind_does_not_take_are_ignored(self):
         assert decide_direct(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)
         assert spec_oracle(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)

@@ -399,6 +399,22 @@ class TestMalformedProofs:
                     with pytest.raises(StructuralError, match=re.escape(f"child {child!r} is not a")):
                         call(tree)
 
+    @pytest.mark.parametrize("judgment,rule_index", [([0], 0), (0, [0]), ({}, 0), (0, {0: 1}),
+                                                     ([0], [0])])
+    def test_unhashable_judgment_or_rule_index(self, judgment, rule_index):
+        sys_ = ab_system()
+        text = f"node with judgment {judgment!r} and rule index {rule_index!r} is not hashable"
+        node = FiniteProofTree(judgment, rule_index)
+        for tree in (node, FiniteProofTree(B, 1, [node]),
+                     FiniteProofTree(B, 1, [FiniteProofTree(A, 0), node])):
+            for call in (hash, repr, lambda t: t == FiniteProofTree(judgment, rule_index),
+                         FiniteProofTree.depth, lambda t: check_finite(t, sys_),
+                         lambda t: check_finite(t, sys_, allow_corules=True),
+                         lambda t: format_finite(t, sys_)):
+                with pytest.raises(StructuralError) as excinfo:
+                    call(tree)
+                assert str(excinfo.value) == text
+
     def test_structural_fault_wins_over_a_mismatch(self):
         # the root does not match its rule, and a leaf has an out-of-range rule index
         sys_ = ab_system()

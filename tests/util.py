@@ -5,6 +5,8 @@ Closed and consistent sets are found by enumerating all 2^n subsets of the
 universe, one inference step is a scan over ``Rule`` objects, and colists
 are compared by unrolling indices. These are the ground truths the engine
 gets checked against, so they must stay independent of the code under test.
+The reference builder and parser emit one ``Rule`` per rule, for the public
+constructor, where the library writes the flat rule arrays directly.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from corules import (
     Finite,
     InferenceSystem,
     JudgmentSet,
+    Kind,
     Lasso,
     Rule,
     eq_to,
     get,
     greater_than,
+    suffix_automaton,
 )
 from corules.predicates import EVEN, ODD, POSITIVE
 
@@ -86,6 +90,72 @@ def apply_step(system: InferenceSystem, s: JudgmentSet,
     greatest fixed points are the inductive and coinductive interpretations."""
     return JudgmentSet(s.size, (r.conclusion for r in system.all_rules(use_corules)
                                 if r.premises <= s.members))
+
+
+# How each step-rule kind reads its step rule (see ``corules.predicates``).
+READINGS = {Kind.MEMBER_OF: "ind", Kind.EVENTUALLY: "ind", Kind.ALL_POS: "coind",
+            Kind.ALWAYS: "coind", Kind.INFINITELY_OFTEN: "gen"}
+
+
+def reference_predicate_system(kind: Kind, xs: Colist, x=None, p=None,
+                               candidates=None) -> InferenceSystem:
+    """The system ``FAMILIES[kind].build(xs, x, p, candidates)`` builds, emitted one
+    (conclusion, premises) pair per rule and labelled as ``JudgmentScheme`` documents."""
+    aut = suffix_automaton(xs)
+    rules, corules = [], []  # (conclusion, premises)
+    if kind is Kind.MAX_ELEM:
+        cands = tuple(sorted(set(elements_of(xs) + (x,) if candidates is None else candidates)))
+        offset = dict(zip(cands, range(0, len(cands) * aut.state_count, aut.state_count)))
+        for s in aut.states():
+            head = aut.heads[s]
+            if head is None:
+                continue
+            nxt = aut.nexts[s]
+            if aut.heads[nxt] is None:
+                rules.append((offset[head] + s, ()))
+            # max(head, y) is itself a candidate: it is head or y.
+            rules += [(offset[y if y > head else head] + s, (offset[y] + nxt,)) for y in cands]
+            corules.append((offset[head] + s, ()))
+        labels = [f"max({v},s{s})" for v in cands for s in aut.states()]
+    else:
+        reading = READINGS[kind]
+        p = eq_to(x) if kind is Kind.MEMBER_OF else POSITIVE if kind is Kind.ALL_POS else p
+        for s in aut.states():
+            head = aut.heads[s]
+            hit = head is not None and p(head)
+            if (head is None and reading == "coind") or (hit and reading == "ind"):
+                rules.append((s, ()))  # an axiom
+            if head is not None and (hit or reading != "coind"):
+                rules.append((s, (aut.nexts[s],)))
+            if hit and reading == "gen":
+                corules.append((s, ()))
+        value = f"{x}," if kind is Kind.MEMBER_OF else ""
+        labels = [f"{kind.value}({value}s{s})" for s in aut.states()]
+    return InferenceSystem(len(labels), [Rule(ps, c) for c, ps in rules],
+                           [Rule(ps, c) for c, ps in corules], labels)
+
+
+def reference_parse(text: str) -> tuple[tuple[str, ...], InferenceSystem, JudgmentSet | None]:
+    """The names, system and spec of a well-formed system file, read one ``Rule``
+    per rule or corule line."""
+    names: list[str] = []
+    rules: dict[str, list[Rule]] = {"rule:": [], "corule:": []}
+    spec = None
+    for raw in text.splitlines():
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        if words[0] == "judgments:":
+            names = words[1:]
+        elif words[0] == "spec:":
+            spec = [names.index(name) for name in words[1:]]
+        else:
+            assert words[2] == "<-"
+            rules[words[0]].append(Rule({names.index(name) for name in words[3:]},
+                                        names.index(words[1])))
+    n = len(names)
+    return (tuple(names), InferenceSystem(n, rules["rule:"], rules["corule:"], names),
+            None if spec is None else JudgmentSet(n, spec))
 
 
 def random_system(rng: random.Random, max_universe: int = 8, max_rules: int = 16,
