@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ._value import Value, _set
-from .colist import Colist, Finite, Lasso, _natural_or_none
+from .colist import Colist, Finite, Lasso, _naturals_or_none
 from .inference import (BOUNDEDNESS, CONSISTENCY, InferenceSystem, InternalError, JudgmentSet,
                         bounded_coinduction_check, interpret)
 from .predicates import FAMILIES, Kind, predicate_by_name, three_way
@@ -127,10 +127,7 @@ def parse_system(text: str) -> SystemFile:
             try:
                 conclusion = ids[words[1]]
                 arrow = words[2] == ARROW
-                if len(words) > 4:  # keep each premise once, ascending
-                    premises += sorted(set(map(ids.__getitem__, words[3:])))
-                else:
-                    premises += map(ids.__getitem__, words[3:])
+                premises += sorted(set(map(ids.__getitem__, words[3:])))  # once, ascending
             except (IndexError, KeyError):
                 arrow = False
             if not arrow:
@@ -188,21 +185,17 @@ def render_system(sf: SystemFile) -> str:
 
 
 def _natural(token: str) -> int:
-    n = _natural_or_none(token)
-    if n is None:
-        raise ParseError(f"not a natural number: {token!r}", code="bad-token")
-    return n
+    return _naturals((token,))[0]
 
 
-def _naturals(tokens: list[str]) -> tuple[int, ...]:
-    """The natural numbers ``tokens`` write, converted in one pass once each is all
-    digits; else the error of ``_natural`` at the first that writes none."""
-    if all(map(str.isdigit, tokens)):
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:  # a digit int() rejects, such as '²', or too many digits
-            pass
-    return tuple(map(_natural, tokens))
+def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:
+    """The natural numbers ``tokens`` write, converted in one pass; else the error
+    naming the first token that writes none."""
+    ns = _naturals_or_none(tokens)
+    if ns is None:
+        bad = next(t for t in tokens if _naturals_or_none((t,)) is None)
+        raise ParseError(f"not a natural number: {bad!r}", code="bad-token")
+    return ns
 
 
 def parse_colist(text: str) -> Colist:

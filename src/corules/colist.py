@@ -11,7 +11,7 @@ whose states are its distinct suffix positions; the predicate engines in
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._value import Value, _index, _set
 
@@ -26,16 +26,22 @@ def _check_naturals(values, requirement: str) -> tuple[int, ...]:
     return out
 
 
-def _natural_or_none(token: str) -> Optional[int]:
-    """The natural number ``token`` writes in decimal digits, else None."""
+def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
+    """The natural numbers ``tokens`` write in decimal digits, else None."""
     # isdigit() rules out the signs, spaces and underscores int() takes; int()
     # still rejects some digits, such as '²', and numerals past its digit limit.
-    if token.isdigit():
+    if all(map(str.isdigit, tokens)):
         try:
-            return int(token)
+            return tuple(map(int, tokens))
         except ValueError:
             pass
     return None
+
+
+def _natural_or_none(token: str) -> Optional[int]:
+    """The natural number ``token`` writes in decimal digits, else None."""
+    n = _naturals_or_none((token,))
+    return None if n is None else n[0]
 
 
 class Finite(Value):

@@ -407,8 +407,8 @@ FAMILIES = {
 
 def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
             direct: bool = False) -> Family:
-    """The row of ``kind``, once the arguments its decider needs are given and a
-    given ``x`` is a natural number (a bool is not)."""
+    """The row of ``kind``, once the arguments its decider needs are given and,
+    for a kind that takes ``x``, a given ``x`` is a natural number (a bool is not)."""
     try:
         family = FAMILIES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
@@ -417,7 +417,7 @@ def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
         raise ValueError(f"{kind.value} needs a value")
     if family.needs_predicate and predicate is None:
         raise ValueError(f"{kind.value} needs an element predicate")
-    if x is not None:
+    if family.needs_value and x is not None:
         _check_naturals((x,), "element must be a natural number")
     return family
 

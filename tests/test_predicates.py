@@ -392,6 +392,9 @@ class TestDeciderArguments:
         assert decide_direct(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)
         assert spec_oracle(Kind.ALL_POS, self.XS, x=0, predicate=EVEN)
         assert not spec_oracle(Kind.MEMBER_OF, self.XS, x=3, predicate=POSITIVE)
+        # an x the kind does not take is not checked either
+        assert decide_direct(Kind.ALL_POS, self.XS, x=-1)
+        assert spec_oracle(Kind.ALWAYS, self.XS, x=True, predicate=POSITIVE)
 
     @pytest.mark.parametrize("decide", [decide_direct, spec_oracle])
     @pytest.mark.parametrize("kind", ["member", None, 3, []])
