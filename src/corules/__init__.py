@@ -1,34 +1,46 @@
 """Inference systems with corules: inductive, coinductive, and generated
-interpretations, proof-principle checking, and lasso-colist predicates."""
+interpretations, proof-principle checking, and lasso-colist predicates.
 
-from .colist import Colist, Finite, Lasso, SuffixAutomaton, equal, get, pointwise, suffix, suffix_automaton
-from .inference import (BOUNDEDNESS, CLOSEDNESS, CONSISTENCY, CheckReport, Failure,
-                        InferenceSystem, InternalError, JudgmentSet, Rule,
-                        bounded_coinduction_check, coind_interpretation, gen_interpretation,
-                        ind_interpretation, is_closed, is_consistent, rule)
-from .predicates import (EVEN, FAMILIES, ODD, POSITIVE, ElementPredicate, Family, JudgmentScheme,
-                         Kind, decide_direct, eq_to, greater_than, predicate_by_name,
-                         gen_allpos_system, gen_always_system, gen_eventually_system,
-                         gen_infoften_system, gen_maxelem_system, gen_member_system, max_of,
-                         spec_oracle, three_way)
-from .prooftree import (FiniteProofTree, RationalProofTree, StructuralError, check_finite,
-                        check_rational_in_gen, extract_finite_proof, extract_rational_proof,
-                        is_acyclic)
+Each export loads on first use: ``import corules`` imports no submodule, and
+reading a name (or ``from corules import name``) imports only its home
+module, so a program that never touches ``predicates`` or ``prooftree``
+never compiles them. The home modules themselves resolve as attributes too.
+"""
 
-__all__ = [
-    # colist
-    "Colist", "Finite", "Lasso", "SuffixAutomaton", "equal", "get", "pointwise", "suffix",
-    "suffix_automaton",
-    # inference
-    "BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure", "InferenceSystem",
-    "InternalError", "JudgmentSet", "Rule", "bounded_coinduction_check", "coind_interpretation",
-    "gen_interpretation", "ind_interpretation", "is_closed", "is_consistent", "rule",
-    # predicates
-    "EVEN", "FAMILIES", "ODD", "POSITIVE", "ElementPredicate", "Family", "JudgmentScheme", "Kind",
-    "decide_direct", "eq_to", "greater_than", "predicate_by_name",
-    "gen_allpos_system", "gen_always_system", "gen_eventually_system", "gen_infoften_system",
-    "gen_maxelem_system", "gen_member_system", "max_of", "spec_oracle", "three_way",
-    # prooftree
-    "FiniteProofTree", "RationalProofTree", "StructuralError", "check_finite",
-    "check_rational_in_gen", "extract_finite_proof", "extract_rational_proof", "is_acyclic",
-]
+from importlib import import_module as _import_module
+
+# Each home module and the names it exports, written once here.
+_EXPORTS = {
+    "colist": ("Colist", "Finite", "Lasso", "SuffixAutomaton", "equal", "get", "pointwise",
+               "suffix", "suffix_automaton"),
+    "inference": ("BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure",
+                  "InferenceSystem", "InternalError", "JudgmentSet", "Rule", "StructuralError",
+                  "bounded_coinduction_check", "coind_interpretation", "gen_interpretation",
+                  "ind_interpretation", "is_closed", "is_consistent", "rule"),
+    "predicates": ("EVEN", "FAMILIES", "ODD", "POSITIVE", "ElementPredicate", "Family",
+                   "JudgmentScheme", "Kind", "decide_direct", "eq_to", "greater_than",
+                   "predicate_by_name", "gen_allpos_system", "gen_always_system",
+                   "gen_eventually_system", "gen_infoften_system", "gen_maxelem_system",
+                   "gen_member_system", "max_of", "spec_oracle", "three_way"),
+    "prooftree": ("FiniteProofTree", "RationalProofTree", "check_finite",
+                  "check_rational_in_gen", "extract_finite_proof", "extract_rational_proof",
+                  "is_acyclic"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """An export, read from its home module and kept here; or a home module."""
+    home = _HOME.get(name)
+    if home is not None:
+        value = globals()[name] = getattr(_import_module(f".{home}", __name__), name)
+        return value
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -10,7 +10,11 @@ System files (``.inf``) are line oriented; ``#`` starts a comment:
 Judgment names are arbitrary non-whitespace tokens (except the reserved
 ``<-``), mapped to dense ids in declaration order. A line is split on
 whitespace; only a ParseError works out the column of the token it blames.
-Only ``run`` imports ``argparse``.
+
+Each command loads only the modules it runs. Importing this module loads
+``colist`` and ``inference``, all that ``ind``, ``coind``, ``gen`` and
+``check`` use; ``prove`` imports ``prooftree`` and ``pred`` imports
+``predicates``, each inside its command. Only ``run`` imports ``argparse``.
 
 Colist literals are whitespace-separated naturals, with ``|`` introducing
 the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
@@ -35,12 +39,12 @@ from typing import Optional, Sequence
 from ._value import Value, _set
 from .colist import Colist, Finite, Lasso, _naturals_or_none
 from .inference import (BOUNDEDNESS, CONSISTENCY, InferenceSystem, InternalError, JudgmentSet,
-                        bounded_coinduction_check, interpret)
-from .predicates import FAMILIES, Kind, predicate_by_name, three_way
-from .prooftree import (StructuralError, extract_finite_proof, extract_rational_proof,
-                        format_finite, format_rational)
+                        StructuralError, bounded_coinduction_check, interpret)
 
 ARROW = "<-"
+# The values of ``predicates.Kind``, in its order, so that building the
+# argument parser does not load ``predicates``.
+KINDS = ["member", "allpos", "eventually", "always", "infoften", "max"]
 
 
 class ParseError(Exception):
@@ -254,7 +258,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_prove)
     p = sub.add_parser("pred", help="evaluate a colist predicate three ways "
                                     "(engine, direct, oracle)")
-    p.add_argument("kind", choices=[k.value for k in FAMILIES])
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("--list", required=True, dest="colist", metavar="LITERAL",
                    help="colist literal, e.g. '1 2 | 3'")
     p.add_argument("--p", dest="pred", metavar="NAME",
@@ -294,6 +298,9 @@ def _cmd_check(ns) -> tuple[int, list[str]]:
 
 
 def _cmd_prove(ns) -> tuple[int, list[str]]:
+    from .prooftree import (extract_finite_proof, extract_rational_proof, format_finite,
+                            format_rational)
+
     sf = _load(ns.file)
     j = sf.id_of(ns.judgment)
     if ns.rational:
@@ -315,6 +322,8 @@ def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
 
 
 def _cmd_pred(ns) -> tuple[int, list[str]]:
+    from .predicates import FAMILIES, Kind, predicate_by_name, three_way
+
     kind = Kind(ns.kind)
     family = FAMILIES[kind]
     xs = parse_colist(ns.colist)

@@ -66,6 +66,14 @@ class InternalError(Exception):
     """A violated engine invariant. Not a user error."""
 
 
+class StructuralError(Exception):
+    """A proof does not even have the right shape to be checked.
+
+    ``prooftree`` raises it and re-exports it; it is defined here, beside
+    InternalError, so that every command can catch it without loading
+    ``prooftree``."""
+
+
 class Rule(Value):
     """An inference rule: if all premises hold, the conclusion holds.
 

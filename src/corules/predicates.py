@@ -178,8 +178,9 @@ def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
     reading = FAMILIES[kind].interpretation
     aut = suffix_automaton(xs)
     heads, starts, body, coaxioms = [], [0], [], []  # the judgment ids are the states
+    holds = p.holds  # called directly: ``hit`` is only read as a truth value
     for s, head in enumerate(aut.heads):
-        hit = head is not None and p(head)
+        hit = head is not None and holds(head)
         if (head is None and reading == "coind") or (hit and reading == "ind"):
             heads.append(s)  # an axiom
             starts.append(len(body))

@@ -39,14 +39,10 @@ from itertools import count
 from typing import AbstractSet, Iterable, Optional
 
 from ._value import Value, _set
-from .inference import InferenceSystem, InternalError, _first_support, _greatest
+from .inference import InferenceSystem, InternalError, StructuralError, _first_support, _greatest
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
 Table = tuple[Entry, ...]
-
-
-class StructuralError(Exception):
-    """The tree does not even have the right shape to be checked."""
 
 
 _BELOW = object()  # FiniteProofTree._graph's stack marker: unlike None, no child can be it

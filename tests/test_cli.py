@@ -19,12 +19,14 @@ from corules import (
     InferenceSystem,
     InternalError,
     JudgmentSet,
+    Kind,
     Lasso,
     Rule,
     StructuralError,
     predicate_by_name,
 )
 from corules.cli import (
+    KINDS,
     ParseError,
     SystemFile,
     format_colist,
@@ -39,6 +41,23 @@ from corules.cli import (
 from util import random_system, set_from_bits
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+PRED_HELP = """\
+usage: corules pred [-h] --list LITERAL [--p NAME] [--x N]
+                    [--candidates N,...]
+                    {member,allpos,eventually,always,infoften,max}
+
+positional arguments:
+  {member,allpos,eventually,always,infoften,max}
+
+options:
+  -h, --help            show this help message and exit
+  --list LITERAL        colist literal, e.g. '1 2 | 3'
+  --p NAME              element predicate: positive, even, odd, eq:<n>, gt:<n>
+  --x N                 element (member) or candidate maximum (max)
+  --candidates N,...    candidate values for max (default: elements of the
+                        colist plus --x)
+"""
 
 
 def cli_command(*argv):
@@ -352,6 +371,19 @@ class TestRunPred:
         for token in ("+2", "1_0", " 2", "-1"):  # --x is read as --list reads a number
             assert run(["pred", "member", "--list", "2 10", "--x", token]) == 64
             assert capsys.readouterr().err == f"error: not a natural number: {token!r}\n"
+
+    def test_help_and_a_bad_kind_keep_their_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+        assert run(["pred", "--help"]) == 0
+        assert capsys.readouterr() == (PRED_HELP, "")
+        assert run(["pred", "nope", "--list", "1"]) == 64
+        assert capsys.readouterr() == ("", "error: argument kind: invalid choice: 'nope' "
+                                           "(choose from 'member', 'allpos', 'eventually', "
+                                           "'always', 'infoften', 'max')\n")
+
+    def test_kind_names_are_those_of_kind(self):
+        # the parser offers them without loading predicates
+        assert KINDS == [k.value for k in Kind]
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         # no honest disagreement exists, so force one to pin the exit code

@@ -1,8 +1,12 @@
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import corules
 
@@ -23,13 +27,64 @@ PUBLIC = [  # sorted
 ]
 
 
+HOMES = ("colist", "inference", "predicates", "prooftree")
+
+
 def test_all_lists_every_public_name_and_no_module():
+    # exports load on first use, so resolve every one before reading vars()
+    for name in corules.__all__:
+        assert not isinstance(getattr(corules, name), types.ModuleType), name
     public = {name for name, value in vars(corules).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(set(corules.__all__)) == len(corules.__all__)
     assert set(corules.__all__) == public
-    for name in corules.__all__:
-        assert not isinstance(getattr(corules, name), types.ModuleType), name
+
+
+def test_each_export_is_the_object_of_its_home_module():
+    assert tuple(corules._EXPORTS) == HOMES
+    for home, names in corules._EXPORTS.items():
+        module = importlib.import_module(f"corules.{home}")
+        for name in names:
+            assert getattr(corules, name) is getattr(module, name), f"{home}.{name}"
+    # defined beside InternalError, so every command catches it without prooftree
+    assert corules.StructuralError is corules.prooftree.StructuralError
+    assert corules.StructuralError.__module__ == "corules.inference"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from corules import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    assert all(namespace[name] is getattr(corules, name) for name in PUBLIC)
+
+
+def test_lazy_lookup_reads_an_export_a_home_module_or_nothing():
+    # __getattr__ called directly, since these names may be cached here already
+    assert corules.__getattr__("Kind") is corules.predicates.Kind
+    assert vars(corules)["Kind"] is corules.predicates.Kind
+    assert corules.__getattr__("prooftree") is importlib.import_module("corules.prooftree")
+    with pytest.raises(AttributeError, match="has no attribute 'restrict'"):
+        corules.__getattr__("restrict")
+    assert getattr(corules, "restrict", None) is None
+    assert not hasattr(corules, "interpret")  # public in inference, not exported
+    assert set(PUBLIC) | set(HOMES) <= set(dir(corules))
+
+
+def test_a_bare_import_loads_no_submodule_and_resolves_each_home():
+    code = ("import sys\n"
+            f"sys.path.append({str(Path(corules.__file__).resolve().parent.parent)!r})\n"
+            "import corules\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'corules')\n"
+            "print(loaded(), set(corules.__all__).union(sys.argv[1:]) <= set(dir(corules)))\n"
+            "print([getattr(corules, home).__name__ for home in sys.argv[1:]])\n"
+            "print(loaded())\n")
+    done = subprocess.run([sys.executable, "-c", code, *HOMES], capture_output=True,
+                          text=True, check=True)
+    homes = [f"corules.{home}" for home in HOMES]
+    assert done.stdout.splitlines() == [
+        "['corules'] True", str(homes), str(sorted(["corules", "corules._value", *homes]))]
 
 
 def test_public_names_are_pinned():

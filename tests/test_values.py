@@ -409,12 +409,32 @@ class TestEngineBuiltSets:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up stays lean: importing the package and its CLI pulls in no
-    dataclass or source-introspection machinery, and no argument parser,
-    which only ``cli.run`` needs."""
-    code = ("import sys\n"
-            f"sys.path.append({str(Path(__file__).resolve().parent.parent / 'src')!r})\n"
+    dataclass or source-introspection machinery, no argument parser, which
+    only ``cli.run`` needs, and of the package only what every command uses.
+    A command then loads only what it runs: ``prove`` adds ``prooftree``,
+    ``pred`` adds ``predicates`` and the other commands add nothing."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import contextlib, io, sys\n"
+            f"sys.path.append({str(root / 'src')!r})\n"
             "import corules, corules.cli\n"
-            "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert done.stdout == "[]\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.partition('.')[0] == 'corules'}\n"
+            "before = loaded()\n"
+            "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted(before))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = corules.cli.run(sys.argv[1:])\n"
+            "print(code, sorted(loaded() - before))\n")
+    startup = ["corules", "corules._value", "corules.cli", "corules.colist",
+               "corules.inference"]
+    demo = str(root / "demos" / "basics.inf")
+    for argv, added in ((["ind", demo], []), (["coind", demo], []), (["gen", demo], []),
+                        (["check", demo], []),
+                        (["prove", demo, "b"], ["corules.prooftree"]),
+                        (["prove", demo, "b", "--rational"], ["corules.prooftree"]),
+                        (["pred", "allpos", "--list", "| 1"], ["corules.predicates"]),
+                        (["pred", "max", "--list", "2 | 1", "--x", "2"],
+                         ["corules.predicates"])):
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == f"[]\n{startup}\n0 {added}\n", argv
