@@ -11,8 +11,8 @@ from importlib import import_module as _import_module
 
 # Each home module and the names it exports, written once here.
 _EXPORTS = {
-    "colist": ("Colist", "Finite", "Lasso", "SuffixAutomaton", "equal", "get", "pointwise",
-               "suffix", "suffix_automaton"),
+    "colist": ("Colist", "Finite", "Lasso", "SuffixAutomaton", "get", "suffix",
+               "suffix_automaton"),
     "inference": ("BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure",
                   "InferenceSystem", "InternalError", "JudgmentSet", "Rule", "StructuralError",
                   "bounded_coinduction_check", "coind_interpretation", "gen_interpretation",
@@ -21,7 +21,7 @@ _EXPORTS = {
                    "JudgmentScheme", "Kind", "decide_direct", "eq_to", "greater_than",
                    "predicate_by_name", "gen_allpos_system", "gen_always_system",
                    "gen_eventually_system", "gen_infoften_system", "gen_maxelem_system",
-                   "gen_member_system", "max_of", "spec_oracle", "three_way"),
+                   "gen_member_system", "spec_oracle", "three_way"),
     "prooftree": ("FiniteProofTree", "RationalProofTree", "check_finite",
                   "check_rational_in_gen", "extract_finite_proof", "extract_rational_proof",
                   "is_acyclic"),

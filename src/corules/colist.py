@@ -2,16 +2,15 @@
 
 A colist is either a finite sequence or a lasso (a finite prefix followed
 by a nonempty loop repeated forever). Lassos make every eventually periodic
-stream finitely representable, so indexing, equality, and pointwise
-relations are all decidable. Each colist induces a finite suffix automaton
-whose states are its distinct suffix positions; the predicate engines in
-:mod:`corules.predicates` build their judgment universes from these states.
+stream finitely representable, so indexing and taking suffixes are exact.
+Each colist induces a finite suffix automaton whose states are its distinct
+suffix positions; the predicate engines in :mod:`corules.predicates` build
+their judgment universes from these states.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._value import Value, _index, _set
 
@@ -36,12 +35,6 @@ def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
         except ValueError:
             pass
     return None
-
-
-def _natural_or_none(token: str) -> Optional[int]:
-    """The natural number ``token`` writes in decimal digits, else None."""
-    n = _naturals_or_none((token,))
-    return None if n is None else n[0]
 
 
 class Finite(Value):
@@ -129,41 +122,3 @@ def suffix_automaton(xs: Colist) -> SuffixAutomaton:
     heads = xs.prefix + xs.loop
     nexts = tuple(i + 1 for i in range(u + v - 1)) + (u,)
     return SuffixAutomaton(heads, nexts)
-
-
-def pointwise(relation: Callable[[int, int], bool], xs: Colist, ys: Colist) -> bool:
-    """Whether ``xs`` and ``ys`` have the same shape and ``relation`` holds
-    at every position.
-
-    Decided on the product of the two suffix automata: every reachable pair
-    of states must agree on emptiness and satisfy the relation on heads. At
-    most ``state_count(xs) * state_count(ys)`` pairs are ever visited.
-    """
-    a = suffix_automaton(xs)
-    b = suffix_automaton(ys)
-    seen = set()
-    stack = [(0, 0)]
-    while stack:
-        pair = stack.pop()
-        if pair in seen:
-            continue
-        seen.add(pair)
-        i, j = pair
-        hi, hj = a.heads[i], b.heads[j]
-        if (hi is None) != (hj is None):
-            return False
-        if hi is None:
-            continue
-        if not relation(hi, hj):
-            return False
-        stack.append((a.nexts[i], b.nexts[j]))
-    return True
-
-
-def equal(xs: Colist, ys: Colist) -> bool:
-    """Whether ``xs`` and ``ys`` denote the same element sequence.
-
-    This is bisimulation equality, so syntactically different builds of the
-    same stream (rotated loops, unrolled prefixes) compare equal.
-    """
-    return pointwise(operator.eq, xs, ys)

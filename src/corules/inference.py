@@ -31,8 +31,8 @@ unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
 layer is still its Kleene round; ``_greatest`` starts with the judgments
 outside its live set removed and drops each judgment whose count of live
 rules reaches zero (Liu & Smolka). Finite proofs read the
-rounds and firing rules ``_least`` records; consistency witnesses are the
-first declared rules supported inside the checked set.
+rounds and firing rules ``_least`` records; a consistency witness is the
+index of the first declared rule supported inside the checked set.
 
 An interpretation is a ``JudgmentSet``: the frozenset of ids the engine
 computes plus the universe size, so membership is O(1) and iteration is
@@ -41,7 +41,9 @@ ascending.
 ``is_closed``, ``is_consistent``, and ``bounded_coinduction_check``
 mechanize the induction, coinduction, and bounded coinduction proof
 obligations, reporting per-judgment counterexamples and witnesses. Each
-is a question about membership in the checked set.
+is a question about membership in the checked set. Reports and proofs name
+a rule by its index: the rules in declaration order, then the corules;
+``InferenceSystem.rule_at`` gives the ``Rule`` of an index.
 
 All values are immutable and every operation is a pure function, so
 everything here can be freely shared across threads.
@@ -300,6 +302,11 @@ class InferenceSystem(Value):
         j = self._id(j)
         return self.labels[j] if self.labels else f"j{j}"
 
+    def rule_at(self, i: int) -> Rule:
+        """The rule of index ``i``, counting the rules and then the corules, as reports
+        and proofs do. ``i`` is coerced with ``operator.index`` and must be in range."""
+        return self._rule(_index(i, "rule index", len(self._heads)))
+
     def all_rules(self, use_corules: bool = False) -> tuple[Rule, ...]:
         """The rules of the system, with corules appended when requested."""
         return self.rules + self.corules if use_corules else self.rules
@@ -425,11 +432,16 @@ def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
 
 
 class Failure(Value):
-    """One violated proof obligation: which judgment, why, and through which rule."""
+    """One violated proof obligation: which judgment, why, and through which rule.
+
+    For a closedness failure ``rule`` is the index of the plain rule whose
+    premises hold but whose conclusion is missing (``InferenceSystem.rule_at``
+    gives the rule); for the other reasons it is None.
+    """
 
     __slots__ = __match_args__ = ("judgment", "reason", "rule")
 
-    def __init__(self, judgment: int, reason: str, rule: Optional[Rule] = None):
+    def __init__(self, judgment: int, reason: str, rule: Optional[int] = None):
         _set(self, "judgment", judgment)
         _set(self, "reason", reason)
         _set(self, "rule", rule)
@@ -442,14 +454,14 @@ class CheckReport(Value):
     """Outcome of a principle check.
 
     ``ok`` is true iff there are no failures. ``witnesses`` maps each
-    consistent judgment to the first declared rule that concludes it from
-    premises inside the checked set.
+    consistent judgment, ascending, to the index of the first declared rule
+    that concludes it from premises inside the checked set.
     """
 
     __slots__ = __match_args__ = ("ok", "failures", "witnesses")
 
     def __init__(self, ok: bool, failures: Iterable[Failure] = (),
-                 witnesses: Mapping[int, Rule] = _NEW_DICT):
+                 witnesses: Mapping[int, int] = _NEW_DICT):
         _set(self, "ok", ok)
         _set(self, "failures", tuple(failures))
         _set(self, "witnesses", {} if witnesses is _NEW_DICT else witnesses)
@@ -463,15 +475,15 @@ class CheckReport(Value):
 def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     """Check the induction obligation: every applicable rule concludes in ``s``.
 
-    Each failure names the conclusion that is missing and the rule that
-    derives it, in ascending judgment order then rule declaration order.
+    Each failure names the conclusion that is missing and the index of the
+    rule that derives it, in ascending judgment order then rule order.
     """
     inside = _members(system, s)
     heads = system._heads
     hits = [i for i in range(system._plain)
             if heads[i] not in inside and inside.issuperset(system._premises(i))]
     hits.sort(key=heads.__getitem__)  # stable: rules of one judgment stay in order
-    failures = tuple(Failure(heads[i], CLOSEDNESS, system._rule(i)) for i in hits)
+    failures = tuple(Failure(heads[i], CLOSEDNESS, i) for i in hits)
     return CheckReport(not failures, failures)
 
 
@@ -479,13 +491,13 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     """Check the coinduction obligation: every member of ``s`` is concluded
     by some rule whose premises lie in ``s``.
 
-    Witnesses record, for each member, the first such rule in declaration
-    order. Corules never count.
+    Witnesses record, for each member, the index of the first such rule in
+    declaration order. Corules never count.
     """
     inside = _members(system, s)
     first = _first_support(system, inside, inside)
     failures = tuple(Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first)))
-    witnesses = {j: system._rule(first[j]) for j in sorted(first)}
+    witnesses = {j: first[j] for j in sorted(first)}
     return CheckReport(not failures, failures, witnesses)
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._value import Value, _index, _set
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
-                     _natural_or_none, get, suffix_automaton)
+                     _naturals_or_none, get, suffix_automaton)
 from .inference import InferenceSystem, interpret
 
 
@@ -88,17 +88,12 @@ def predicate_by_name(text: str) -> ElementPredicate:
         return ODD
     head, sep, arg = text.partition(":")
     if sep and head in ("eq", "gt"):
-        n = _natural_or_none(arg)
+        n = _naturals_or_none((arg,))
         if n is None:
             raise ValueError(f"predicate argument must be a natural number: {text!r}")
-        return eq_to(n) if head == "eq" else greater_than(n)
+        return eq_to(n[0]) if head == "eq" else greater_than(n[0])
     raise ValueError(f"unknown predicate {text!r} "
                      "(expected positive, even, odd, eq:<n>, gt:<n>)")
-
-
-def max_of(a: int, b: int) -> int:
-    """Larger of two naturals."""
-    return a if a >= b else b
 
 
 class JudgmentScheme(Value):
@@ -350,7 +345,7 @@ def _max_oracle(xs, x, p):
     bound = _window(xs)
     if not any(get(xs, i) == x for i in range(bound)):
         return False
-    return all(x == max_of(x, get(xs, i)) for i in range(bound))
+    return all(x >= get(xs, i) for i in range(bound))
 
 
 class Family(NamedTuple):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corules import Finite, Lasso, equal, get, pointwise, suffix, suffix_automaton
+from corules import Finite, Lasso, get, suffix, suffix_automaton
 from corules.cli import ParseError, parse_colist
 
-from util import random_colist, unroll
+from util import equal, pointwise, random_colist, unroll
 
 naturals = st.integers(min_value=0, max_value=4)
 finite_colists = st.lists(naturals, max_size=5).map(lambda es: Finite(tuple(es)))

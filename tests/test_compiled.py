@@ -210,21 +210,38 @@ def test_parser_matches_the_pair_reference():
 
 
 def test_queries_leave_a_builders_labels_unbuilt(monkeypatch):
-    """Only a read of ``labels`` (a render, ``==``, ``repr``) formats them."""
+    """Only a read of ``labels`` (a render, ``==``, ``repr``) formats them, and no
+    query builds a ``Rule``: reports and proofs name rules by index, so ``rules``
+    and ``corules`` stay unbuilt too."""
+    made = []
+    init = Rule.__init__
+
+    def counted(self, premises, conclusion):
+        made.append(conclusion)
+        init(self, premises, conclusion)
+
+    monkeypatch.setattr(Rule, "__init__", counted)
     xs = Lasso((1, 0, 2), (3, 1))
-    for kind, family in FAMILIES.items():
-        system, scheme = family.build(xs, 1, EVEN, None)
+    built = [family.build(xs, 1, EVEN, None) for family in FAMILIES.values()]
+    parsed = [(parse_system(demo.read_text(encoding="utf-8")).system, None)
+              for demo in sorted(DEMOS.glob("*.inf"))]
+    for system, scheme in built + parsed:
+        n = system.universe_size
         gen = gen_interpretation(system)
         ind_interpretation(system), ind_interpretation(system, use_corules=True)
         coind_interpretation(system)
-        for check in (is_closed, is_consistent, bounded_coinduction_check):
-            check(system, gen)
-        for j in range(system.universe_size):
+        reports = [check(system, s)
+                   for s in (gen, JudgmentSet(n, range(0, n, 2)), JudgmentSet.full(n))
+                   for check in (is_closed, is_consistent, bounded_coinduction_check)]
+        assert any(r.failures for r in reports) and any(r.witnesses for r in reports)
+        for j in range(n):
             extract_finite_proof(system, j, allow_corules=True)
             proof = extract_rational_proof(system, j)
             assert proof is None or check_rational_in_gen(proof, system)
-        assert "labels" not in system.__dict__
-        assert system.labels == scheme.labels() and "labels" in system.__dict__
+        assert made == []
+        assert not {"labels", "rules", "corules"} & set(system.__dict__)
+        if scheme is not None:
+            assert system.labels == scheme.labels() and "labels" in system.__dict__
 
     def unbuilt(scheme):
         raise AssertionError("labels were built")

@@ -31,6 +31,7 @@ from util import (
     ind_oracle,
     kleene_iterations,
     random_system,
+    reports_by_scan,
     restricted,
     set_from_bits,
 )
@@ -405,7 +406,8 @@ class TestIsClosed:
         sys_ = InferenceSystem(1, (rule(0),))
         report = is_closed(sys_, JudgmentSet.empty(1))
         assert not report.ok
-        assert report.failures == (Failure(0, CLOSEDNESS, rule(0)),)
+        assert report.failures == (Failure(0, CLOSEDNESS, 0),)
+        assert sys_.rule_at(report.failures[0].rule) == rule(0)
 
     def test_full_universe_is_closed(self):
         rng = random.Random(16)
@@ -416,8 +418,8 @@ class TestIsClosed:
     def test_failures_ordered_by_judgment_then_rule(self):
         sys_ = InferenceSystem(3, (rule(2), rule(1), rule(2, 1)))
         report = is_closed(sys_, JudgmentSet.of(3, [1]))
-        assert [(f.judgment, f.rule) for f in report.failures] == [
-            (2, rule(2)), (2, rule(2, 1))]
+        assert [(f.judgment, f.rule) for f in report.failures] == [(2, 0), (2, 2)]
+        assert [sys_.rule_at(f.rule) for f in report.failures] == [rule(2), rule(2, 1)]
 
 
 class TestIsConsistent:
@@ -429,7 +431,9 @@ class TestIsConsistent:
             report = is_consistent(sys_, gfp)
             assert report.ok
             assert set(report.witnesses) == members(gfp)
-            for j, witness in report.witnesses.items():
+            for j, i in report.witnesses.items():
+                assert 0 <= i < len(sys_.rules)
+                witness = sys_.rule_at(i)
                 assert witness.conclusion == j
                 assert all(p in gfp for p in witness.premises)
 
@@ -440,19 +444,19 @@ class TestIsConsistent:
         sys_ = InferenceSystem(1, (rule(0, 0),))
         report = is_consistent(sys_, JudgmentSet.of(1, [0]))
         assert report.ok
-        assert report.witnesses == {0: rule(0, 0)}
+        assert report.witnesses == {0: 0} and sys_.rule_at(0) == rule(0, 0)
 
     def test_witness_is_first_declared(self):
         sys_ = InferenceSystem(1, (rule(0, 0), rule(0)))
         report = is_consistent(sys_, JudgmentSet.of(1, [0]))
-        assert report.witnesses == {0: rule(0, 0)}
+        assert report.witnesses == {0: 0}
 
     def test_partial_witnesses_on_failure(self):
         # b lacks its premise a, while c still witnesses itself
         report = is_consistent(abc_system(), JudgmentSet.of(3, [B, C]))
         assert not report.ok
         assert report.failures == (Failure(B, CONSISTENCY),)
-        assert report.witnesses == {C: rule(C, C)}
+        assert report.witnesses == {C: 2} and abc_system().rule_at(2) == rule(C, C)
 
 
 class TestCheckReport:
@@ -480,7 +484,7 @@ class TestBoundedCoinductionCheck:
         sys_ = abc_system(corules=(rule(C),))
         report = bounded_coinduction_check(sys_, JudgmentSet.of(3, [C]))
         assert report.ok
-        assert report.witnesses == {C: rule(C, C)}
+        assert report.witnesses == {C: 2} and sys_.rule_at(2) == rule(C, C)
 
     def test_boundedness_failure_names_judgment(self):
         # without the coaxiom, c has no finite derivation
@@ -513,3 +517,47 @@ class TestBoundedCoinductionCheck:
                 hits += 1
                 assert spec <= gen_interpretation(sys_)
         assert hits > 0, "seed never produced a passing spec"
+
+
+class TestRuleIndices:
+    """Reports name a rule by its index, as proofs do: the rules, then the corules."""
+
+    def test_rule_at_reads_the_rules_then_the_corules(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            sys_ = random_system(rng, max_universe=6, max_rules=10, max_corules=4)
+            got = [sys_.rule_at(i) for i in range(len(sys_._heads))]
+            assert "rules" not in sys_.__dict__ and "corules" not in sys_.__dict__
+            assert got == list(sys_.all_rules(True))
+
+    def test_rule_at_checks_its_index(self):
+        sys_ = abc_system(corules=(rule(C),))
+        assert sys_.rule_at(True) == sys_.rule_at(1) == rule(B, A)
+        assert sys_.rule_at(3) == rule(C)
+        with pytest.raises(TypeError, match="rule index 1.0 is not an integer"):
+            sys_.rule_at(1.0)
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match=f"rule index {i} out of range"):
+                sys_.rule_at(i)
+        assert "rules" not in sys_.__dict__ and "corules" not in sys_.__dict__
+
+    def test_reports_match_the_rule_scan(self):
+        rng = random.Random(20)
+        seen = {"failures": 0, "witnesses": 0}
+        for _ in range(300):
+            sys_ = random_system(rng, max_universe=7, max_rules=12, max_corules=4)
+            n = sys_.universe_size
+            sets = [ind_interpretation(sys_), coind_interpretation(sys_),
+                    gen_interpretation(sys_)]
+            sets += [JudgmentSet(n, rng.sample(range(n), rng.randint(0, n))) for _ in range(3)]
+            for s in sets:
+                want = reports_by_scan(sys_, s)
+                for check in (is_closed, is_consistent, bounded_coinduction_check):
+                    report = check(sys_, s)
+                    failures, witnesses = want[check.__name__]
+                    assert [(f.judgment, f.reason, f.rule) for f in report.failures] == failures
+                    assert list(report.witnesses.items()) == list(witnesses.items())
+                    assert report.ok == (not failures)
+                    seen["failures"] += len(failures)
+                    seen["witnesses"] += len(witnesses)
+        assert min(seen.values()) > 0

@@ -25,7 +25,6 @@ from corules import (
     gen_member_system,
     greater_than,
     ind_interpretation,
-    max_of,
     predicate_by_name,
     rule,
     spec_oracle,
@@ -42,6 +41,7 @@ from util import (
     coind_oracle,
     elements_of,
     ind_oracle,
+    max_of,
     random_colist,
     random_lasso,
 )

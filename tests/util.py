@@ -7,14 +7,21 @@ are compared by unrolling indices. These are the ground truths the engine
 gets checked against, so they must stay independent of the code under test.
 The reference builder and parser emit one ``Rule`` per rule, for the public
 constructor, where the library writes the flat rule arrays directly.
+Colist equality and pointwise relations, and ``max_of``, live here because
+only tests use them.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import product
+from typing import Callable
 
 from corules import (
+    BOUNDEDNESS,
+    CLOSEDNESS,
+    CONSISTENCY,
     Colist,
     ElementPredicate,
     Finite,
@@ -39,6 +46,28 @@ def closed_by_scan(rules: tuple[Rule, ...], members: frozenset[int]) -> bool:
 def consistent_by_scan(rules: tuple[Rule, ...], members: frozenset[int]) -> bool:
     return all(any(r.conclusion == j and r.premises <= members for r in rules)
                for j in members)
+
+
+def reports_by_scan(system: InferenceSystem, s: JudgmentSet) -> dict[str, tuple[list, dict]]:
+    """What ``is_closed``, ``is_consistent`` and ``bounded_coinduction_check``
+    report on ``s``, keyed by the check's name, found by a scan over the ``Rule``
+    objects: the ``(judgment, reason, rule index)`` of each failure, in report
+    order, and each witness's rule index, by ascending judgment."""
+    rules, inside = system.rules, s.members
+    closed = sorted((r.conclusion, CLOSEDNESS, i) for i, r in enumerate(rules)
+                    if r.premises <= inside and r.conclusion not in inside)
+    witnesses: dict[int, int] = {}
+    for j in sorted(inside):
+        support = [i for i, r in enumerate(rules) if r.conclusion == j and r.premises <= inside]
+        if support:
+            witnesses[j] = support[0]
+    unsupported = [(j, CONSISTENCY, None) for j in sorted(inside - witnesses.keys())]
+    bound = JudgmentSet.empty(system.universe_size)
+    while apply_step(system, bound, use_corules=True) != bound:
+        bound = apply_step(system, bound, use_corules=True)
+    unbounded = [(j, BOUNDEDNESS, None) for j in sorted(inside - bound.members)]
+    return {"is_closed": (closed, {}), "is_consistent": (unsupported, witnesses),
+            "bounded_coinduction_check": (sorted(unbounded + unsupported), witnesses)}
 
 
 def set_from_bits(n: int, bits: int) -> JudgmentSet:
@@ -202,6 +231,49 @@ def random_lasso(rng: random.Random, max_element: int = 4, max_prefix: int = 3,
         xs = random_colist(rng, max_element, max_prefix, max_loop)
         if isinstance(xs, Lasso):
             return xs
+
+
+def pointwise(relation: Callable[[int, int], bool], xs: Colist, ys: Colist) -> bool:
+    """Whether ``xs`` and ``ys`` have the same shape and ``relation`` holds
+    at every position.
+
+    Decided on the product of the two suffix automata: every reachable pair
+    of states must agree on emptiness and satisfy the relation on heads. At
+    most ``state_count(xs) * state_count(ys)`` pairs are ever visited.
+    """
+    a = suffix_automaton(xs)
+    b = suffix_automaton(ys)
+    seen = set()
+    stack = [(0, 0)]
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        i, j = pair
+        hi, hj = a.heads[i], b.heads[j]
+        if (hi is None) != (hj is None):
+            return False
+        if hi is None:
+            continue
+        if not relation(hi, hj):
+            return False
+        stack.append((a.nexts[i], b.nexts[j]))
+    return True
+
+
+def equal(xs: Colist, ys: Colist) -> bool:
+    """Whether ``xs`` and ``ys`` denote the same element sequence.
+
+    This is bisimulation equality, so syntactically different builds of the
+    same stream (rotated loops, unrolled prefixes) compare equal.
+    """
+    return pointwise(operator.eq, xs, ys)
+
+
+def max_of(a: int, b: int) -> int:
+    """Larger of two naturals."""
+    return a if a >= b else b
 
 
 def all_finite_lists(max_len: int, max_element: int) -> list[Finite]:
