@@ -22,9 +22,8 @@ _EXPORTS = {
                    "predicate_by_name", "gen_allpos_system", "gen_always_system",
                    "gen_eventually_system", "gen_infoften_system", "gen_maxelem_system",
                    "gen_member_system", "spec_oracle", "three_way"),
-    "prooftree": ("FiniteProofTree", "RationalProofTree", "check_finite",
-                  "check_rational_in_gen", "extract_finite_proof", "extract_rational_proof",
-                  "is_acyclic"),
+    "prooftree": ("RationalProofTree", "check_finite", "check_rational_in_gen",
+                  "extract_finite_proof", "extract_rational_proof", "is_acyclic"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

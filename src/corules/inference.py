@@ -8,10 +8,11 @@ the conclusions of its rules, then corules, in one array and their premises
 (ascending, without repeats) in another, cut by offsets. The public
 constructor turns its ``Rule`` objects into these arrays; the parser and the
 predicate builders write them directly and hand them to the unchecked
-``_compiled``. The premise index, the Kleene rounds and the corule-extended
-bound are computed once, when first needed, and kept; ``rules`` and
-``corules`` are built on first read, and so are the labels of a system whose
-builder gave a function that makes them.
+``_compiled``. The premise index, the firing rules of the inductive passes,
+the corule-extended bound and the generated interpretation are computed
+once, when first needed, and kept; ``rules`` and ``corules`` are built on
+first read, and so are the labels of a system whose builder gave a function
+that makes them.
 
 The three interpretations:
 
@@ -30,9 +31,9 @@ system: ``_least`` fires each rule, layer by layer, once its count of
 unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
 layer is still its Kleene round; ``_greatest`` starts with the judgments
 outside its live set removed and drops each judgment whose count of live
-rules reaches zero (Liu & Smolka). Finite proofs read the
-rounds and firing rules ``_least`` records; a consistency witness is the
-index of the first declared rule supported inside the checked set.
+rules reaches zero (Liu & Smolka). Membership and proofs read the rule
+``_least`` records as firing first for each judgment; a consistency witness
+is the index of the first declared rule supported inside the checked set.
 
 An interpretation is a ``JudgmentSet``: the frozenset of ids the engine
 computes plus the universe size, so membership is O(1) and iteration is
@@ -165,9 +166,7 @@ class JudgmentSet(Value):
         return bool(self.members)
 
     def _peer(self, other: "JudgmentSet") -> frozenset[int]:
-        if self.size != other.size:
-            raise ValueError("judgment sets over different universes")
-        return other.members
+        return _members(other, self.size, "other")
 
     def union(self, other: "JudgmentSet") -> "JudgmentSet":
         return JudgmentSet._valid(self.size, self.members | self._peer(other))
@@ -201,8 +200,8 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: labels, rules, corules, _users, _bound and the passes of _layers, each made
-    # when needed
+    # __dict__: labels, rules, corules, _users, _bound, _gen and the passes of _layers, each
+    # made when needed
     __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
@@ -282,7 +281,7 @@ class InferenceSystem(Value):
             tally[p + 1] += 1
         return users, list(accumulate(tally)), owners
 
-    def _layers(self, use_corules: bool) -> tuple[list, list]:
+    def _layers(self, use_corules: bool) -> list[Optional[int]]:
         """``_least`` of the rules, with the corules if used, computed once: read only."""
         name = "_ind_corules" if use_corules and self._plain < len(self._heads) else "_ind"
         if name not in self.__dict__:  # no corules: both names read the rules' pass
@@ -292,7 +291,13 @@ class InferenceSystem(Value):
     @cached_property
     def _bound(self) -> frozenset[int]:
         """The judgments inductively derivable once corules are admitted."""
-        return frozenset([j for j, r in enumerate(self._layers(True)[0]) if r is not None])
+        return frozenset([j for j, i in enumerate(self._layers(True)) if i is not None])
+
+    @cached_property
+    def _gen(self) -> frozenset[int]:
+        """The generated interpretation: the greatest fixed point of the rules inside
+        ``_bound``."""
+        return frozenset(_greatest(self, self._bound))
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -313,37 +318,41 @@ class InferenceSystem(Value):
 
 
 def _ids(r: Rule) -> tuple[int, list[int]]:  # the conclusion and the ascending premises
+    if not isinstance(r, Rule):
+        raise TypeError(f"rules and corules must be Rule objects, not {type(r).__name__}")
     try:
         return operator.index(r.conclusion), sorted(map(operator.index, r.premises))
     except TypeError:
         raise TypeError(f"rule {r} references a judgment id that is not an integer") from None
 
 
-def _members(system: InferenceSystem, s: JudgmentSet) -> frozenset[int]:
-    """The members of ``s``, which must be sized for ``system``'s universe."""
-    if s.size != system.universe_size:
-        raise ValueError("judgment set sized for a different universe")
+def _members(s: JudgmentSet, size: int, what: str) -> frozenset[int]:
+    """The members of ``s``, the argument named ``what``, which must be a JudgmentSet
+    over a universe of ``size``."""
+    if not isinstance(s, JudgmentSet):
+        raise TypeError(f"{what} must be a JudgmentSet, not {type(s).__name__}")
+    if s.size != size:
+        raise ValueError(f"{what} is over a universe of {s.size}, not {size}: "
+                         "different universes")
     return s.members
 
 
-def _least(system: InferenceSystem, use_corules: bool) -> tuple[list, list]:
-    """Per judgment, its Kleene round (1-based) in the least fixed point of the rules
-    (and corules, if used) and the first declared rule firing then; None twice
-    outside it. Read it through ``InferenceSystem._layers``, which keeps it."""
+def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
+    """Per judgment of the least fixed point of the rules (and corules, if used), the
+    first declared rule that fires at the judgment's Kleene round; None outside it.
+    Read it through ``InferenceSystem._layers``, which keeps it."""
     (users, at, _), heads, starts = system._users, system._heads, system._starts
-    rounds: list[Optional[int]] = [None] * system.universe_size
     firing: list[Optional[int]] = [None] * system.universe_size
     waiting = list(map(operator.sub, starts[1:], starts))  # premises not yet derived
     if not use_corules:  # a count below zero never reaches zero: corules never fire
         waiting[system._plain:] = [-1] * (len(heads) - system._plain)
     ready = [i for i, left in enumerate(waiting) if not left]
-    layer = 1
-    while ready:
-        later = []  # rules whose last premise is derived in this layer
+    while ready:  # one Kleene round per pass
+        later = []  # rules whose last premise is derived in this round
         for i in ready:
             c = heads[i]
-            if rounds[c] is None:
-                rounds[c], firing[c] = layer, i
+            if firing[c] is None:
+                firing[c] = i
                 for k in users[at[c]:at[c + 1]]:
                     left = waiting[k] - 1
                     waiting[k] = left
@@ -351,8 +360,7 @@ def _least(system: InferenceSystem, use_corules: bool) -> tuple[list, list]:
                         later.append(k)
         later.sort()
         ready = later
-        layer += 1
-    return rounds, firing
+    return firing
 
 
 def _greatest(system: InferenceSystem, live: AbstractSet[int] | range) -> set[int]:
@@ -395,8 +403,8 @@ def _first_support(system: InferenceSystem, inside: AbstractSet[int],
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
-    rounds, _ = system._layers(use_corules)
-    return JudgmentSet._valid(len(rounds), [j for j, r in enumerate(rounds) if r is not None])
+    firing = system._layers(use_corules)
+    return JudgmentSet._valid(len(firing), [j for j, i in enumerate(firing) if i is not None])
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -418,7 +426,7 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     conclusions. The result is a fixed point of the restricted step,
     in general neither its least nor its greatest.
     """
-    return JudgmentSet._valid(system.universe_size, _greatest(system, system._bound))
+    return JudgmentSet._valid(system.universe_size, system._gen)
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -478,7 +486,7 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Each failure names the conclusion that is missing and the index of the
     rule that derives it, in ascending judgment order then rule order.
     """
-    inside = _members(system, s)
+    inside = _members(s, system.universe_size, "s")
     heads = system._heads
     hits = [i for i in range(system._plain)
             if heads[i] not in inside and inside.issuperset(system._premises(i))]
@@ -494,7 +502,7 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Witnesses record, for each member, the index of the first such rule in
     declaration order. Corules never count.
     """
-    inside = _members(system, s)
+    inside = _members(s, system.universe_size, "s")
     first = _first_support(system, inside, inside)
     failures = tuple(Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first)))
     witnesses = {j: first[j] for j in sorted(first)}
@@ -515,13 +523,12 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     When both pass, ``spec`` is contained in the generated interpretation;
     this inclusion is verified before returning.
     """
-    inside = _members(system, spec)
-    bound = system._bound
-    failures = [Failure(j, BOUNDEDNESS, None) for j in inside - bound]
+    inside = _members(spec, system.universe_size, "spec")
+    failures = [Failure(j, BOUNDEDNESS, None) for j in inside - system._bound]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
     ok = not failures
-    if ok and not _greatest(system, bound).issuperset(inside):
+    if ok and not system._gen.issuperset(inside):
         raise InternalError("bounded and consistent spec escaped the generated interpretation")
     return CheckReport(ok, tuple(failures), consistency.witnesses)

@@ -1,27 +1,25 @@
-"""Derivation witnesses: finite proof trees and rational (cyclic) proof graphs.
+"""Derivation witnesses: proof trees, finite or rational (cyclic), as node tables.
 
-A finite proof tree witnesses inductive membership; its rule indices address
-the rules, then the corules. A rational proof tree is a finite graph whose
-back-edges encode an infinite regular tree; it witnesses membership in the
-generated interpretation when every node matches a plain rule and every
-node's judgment is inductively derivable with corules admitted.
-
-Every operation but extraction reads one node table: entries ``(judgment,
-rule index, child indices)``, the child indices a tuple, and a root index.
-A rational proof is its table. A finite proof's table is built once per
-root object, children before parents, with one entry per structurally
-distinct subproof, so equal proofs have equal tables and depth, ``==``,
-``hash`` and ``repr`` are linear.
+A proof is its node table: entries ``(judgment, rule index, child indices)``,
+the child indices a tuple, and a root index. Its rule indices address the
+rules, then the corules. A finite proof tree, the witness of inductive
+membership, is a proof whose table has no cycle. A rational proof tree is a
+table whose back edges encode an infinite regular tree; it witnesses
+membership in the generated interpretation when every node matches a plain
+rule and every node's judgment is inductively derivable with corules
+admitted. Both extractors emit one node per judgment the derivation
+reaches, the root first.
 
 One validator walks the table before every check, every render and
-``is_acyclic``, which answers whether the walk met a back edge. It raises
-StructuralError when a node is not such a triple, the root or a child index
-is not the index of a node, a node is unreachable from the root or, given
-the system, a judgment id is not in the universe or a rule index not among
-the rules the proof may use. Building a finite proof's table raises it for
-a child that is not a FiniteProofTree and for a node whose judgment or rule
-index is not hashable. A well-formed but invalid derivation is different:
-the checkers return False.
+``is_acyclic``, which answers whether the walk met a back edge, and once per
+table for ``depth`` and ``children``, whose subproofs share their walk. It
+raises StructuralError when a node is not such a triple, the root or a child
+index is not the index of a node, a node is unreachable from the root or,
+given the system, a judgment id is not in the universe or a rule index not
+among the rules the proof may use. A well-formed but invalid derivation is
+different: the checkers return False, and ``check_finite`` returns False for
+a table with a cycle, which ``format_finite`` and ``depth`` refuse with
+StructuralError.
 
 Extraction and checking take time linear in the sizes of the system and of
 the proof, up to sorting each rule's premises. Both renderers share one
@@ -33,132 +31,81 @@ those lines after that.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import cached_property
 from itertools import count
 from typing import AbstractSet, Iterable, Optional
 
 from ._value import Value, _set
-from .inference import InferenceSystem, InternalError, StructuralError, _first_support, _greatest
+from .inference import InferenceSystem, InternalError, StructuralError, _first_support
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
 Table = tuple[Entry, ...]
 
 
-_BELOW = object()  # FiniteProofTree._graph's stack marker: unlike None, no child can be it
-
-
-class FiniteProofTree(Value):
-    """A finite derivation: a judgment, the rule deriving it, one subtree per premise.
-
-    Equality and hashing are structural. ``repr`` reads
-    ``FiniteProofTree(judgment=j, rule_index=r, children=(...))`` at every
-    node, but a subproof printed before is written ``#k#``, after the ``#k=``
-    that labels its first occurrence.
-    """
-
-    __match_args__ = ("judgment", "rule_index", "children")
-    __slots__ = __match_args__ + ("__dict__",)  # __dict__: _graph
-
-    def __init__(self, judgment: int, rule_index: int,
-                 children: Iterable["FiniteProofTree"] = ()):
-        _set(self, "judgment", judgment)
-        _set(self, "rule_index", rule_index)
-        _set(self, "children", tuple(children))
-
-    @cached_property
-    def _graph(self) -> tuple[Table, int]:
-        """The node table, children before parents, and the root's index (the last)."""
-        index_of: dict[Entry, int] = {}  # entry -> its index, in insertion order
-        at: dict[int, int] = {}  # id(node) -> index of its entry
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if node is _BELOW:  # every child of the node below the marker has its entry
-                node = stack.pop()
-                entry = (node.judgment, node.rule_index, tuple([at[id(c)] for c in node.children]))
-                try:
-                    at[id(node)] = index_of.setdefault(entry, len(index_of))
-                except TypeError:  # not the node's repr: that builds this table again
-                    raise StructuralError(f"node with judgment {node.judgment!r} and rule index "
-                                          f"{node.rule_index!r} is not hashable") from None
-            elif id(node) not in at:
-                if not isinstance(node, FiniteProofTree):
-                    raise StructuralError(f"child {node!r} is not a FiniteProofTree")
-                stack += (node, _BELOW)
-                stack.extend(reversed(node.children))
-        return tuple(index_of), len(index_of) - 1
-
-    def depth(self) -> int:
-        """Nodes on a longest root-to-leaf path."""
-        below: list[int] = []
-        for _, _, children in self._graph[0]:
-            below.append(1 + max([below[c] for c in children], default=0))
-        return below[-1]
-
-    def __hash__(self) -> int:
-        hashes: list[int] = []
-        for judgment, rule_index, children in self._graph[0]:
-            hashes.append(hash((judgment, rule_index, tuple([hashes[c] for c in children]))))
-        return hashes[-1]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._graph == other._graph
-
-    def __repr__(self) -> str:
-        table, root = self._graph
-        shared = Counter(c for _, _, children in table for c in children)
-        labels: dict[int, int] = {}
-        out: list[str] = []
-        stack: list[int | str] = [root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif item in labels:
-                out.append(f"#{labels[item]}#")
-            else:
-                if shared[item] > 1:
-                    labels[item] = len(labels)
-                    out.append(f"#{labels[item]}=")
-                judgment, rule_index, children = table[item]
-                out.append(f"{type(self).__qualname__}(judgment={judgment}, "
-                           f"rule_index={rule_index}, children=(")
-                closing = ",))" if len(children) == 1 else "))"
-                stack += [closing, *[x for c in reversed(children) for x in (c, ", ")][:-1]]
-        return "".join(out)
-
-
 class RationalProofTree(Value):
     """A finite graph presentation of a possibly-infinite regular proof tree:
-    ``nodes`` is its node table and ``root`` the index of its root node."""
+    ``nodes`` is its node table and ``root`` the index of its root node.
 
-    __slots__ = __match_args__ = ("nodes", "root")
+    ``children`` are the root's subproofs: proofs over the same table, rooted
+    at the root's child indices, one object per node of the table. A subproof
+    answers ``children`` and ``depth()``; the checks and renders, which want
+    every node of the table reachable from the root, take the whole proof."""
+
+    __match_args__ = ("nodes", "root")
+    __slots__ = __match_args__ + ("_walk",)  # _walk: see _walked
 
     def __init__(self, nodes: Iterable[Entry], root: int = 0):
         _set(self, "nodes", tuple(nodes))
         _set(self, "root", root)
+        _set(self, "_walk", None)
+
+    def _walked(self) -> tuple[list, Optional[list[int]]]:
+        """Per node, the proof rooted there or None until it is read, and the
+        validator's post-order: made once per table and shared by its subproofs."""
+        if self._walk is None:
+            views = [None] * len(self.nodes)
+            _set(self, "_walk", (views, _validated(self)[2]))
+            views[self.root] = self
+        return self._walk
+
+    @property
+    def children(self) -> tuple["RationalProofTree", ...]:
+        views = self._walked()[0]
+        out = []
+        for c in self.nodes[self.root][2]:
+            if views[c] is None:
+                views[c] = RationalProofTree(self.nodes, c)
+                _set(views[c], "_walk", self._walk)
+            out.append(views[c])
+        return tuple(out)
+
+    def depth(self) -> int:
+        """Nodes on a longest root-to-leaf path; StructuralError if the table has a cycle."""
+        order = _finite(self._walked()[1])
+        below = [0] * len(self.nodes)
+        for i in order:
+            below[i] = 1 + max([below[c] for c in self.nodes[i][2]], default=0)
+        return below[self.root]
 
 
-def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[InferenceSystem] = None,
-               rational: bool = False) -> tuple[Table, int, bool]:
-    """The node table and root of ``tree`` and whether the table has a cycle,
-    after the structural checks the module docstring lists; ``rational``
-    proofs may only use plain rules."""
-    table, root = tree._graph if isinstance(tree, FiniteProofTree) else (tree.nodes, tree.root)
+def _validated(tree: RationalProofTree, system: Optional[InferenceSystem] = None,
+               rational: bool = False) -> tuple[Table, int, Optional[list[int]]]:
+    """The node table and root of ``tree`` and, unless the table has a cycle, its
+    nodes in post-order (the root last), after the structural checks the module
+    docstring lists; ``rational`` proofs may only use plain rules."""
+    table, root = tree.nodes, tree.root
     n = len(table)
     if not (isinstance(root, int) and 0 <= root < n):
         raise StructuralError(f"root index {root!r} out of range" if n else "proof has no nodes")
     rules = (system._plain if rational else len(system._heads)) if system else 0
     marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
+    order: list[int] = []
     cyclic = False
     stack = [root]
     while stack:
         i = stack.pop()
         if i < 0:  # the marker pushed below the children of ~i: all below ~i is walked
             marks[~i] = 2
+            order.append(~i)
         elif not marks[i]:
             node = table[i]
             if not (isinstance(node, tuple) and len(node) == 3 and isinstance(node[2], tuple)):
@@ -183,7 +130,14 @@ def _validated(tree: FiniteProofTree | RationalProofTree, system: Optional[Infer
                     stack.append(c)
     if not all(marks):
         raise StructuralError("every node must be reachable from the root")
-    return table, root, cyclic
+    return table, root, None if cyclic else order
+
+
+def _finite(order: Optional[list[int]]) -> list[int]:
+    """The post-order ``_validated`` gives, which a finite proof has: it has no cycle."""
+    if order is None:
+        raise StructuralError("proof has a cycle, so it is not finite")
+    return order
 
 
 def _matches(table: Table, system: InferenceSystem, use_corules: bool,
@@ -191,21 +145,23 @@ def _matches(table: Table, system: InferenceSystem, use_corules: bool,
     """Whether at every entry the rule (or, if used, corule) of its index exists
     and concludes the entry's judgment from exactly one child per premise and,
     given ``admitted``, every judgment lies in it."""
-    heads = system._heads
+    heads, starts, body = system._heads, system._starts, system._body
     rules = len(heads) if use_corules else system._plain
+    judgment_of = [entry[0] for entry in table].__getitem__
     for judgment, i, children in table:
         if (i >= rules or heads[i] != judgment
-                or sorted([table[c][0] for c in children]) != system._premises(i)
+                or sorted(map(judgment_of, children)) != body[starts[i]:starts[i + 1]]
                 or admitted is not None and judgment not in admitted):
             return False
     return True
 
 
-def _derivation(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> dict[int, int]:
-    """Judgment -> index of the rule ``rule_for`` picks, for every judgment the
-    derivation of ``j`` reaches, in pre-order with premises in ascending order."""
+def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> RationalProofTree:
+    """The proof of ``j`` in which each judgment is derived by the rule ``rule_for``
+    picks: one node per judgment it reaches, numbered in pre-order with premises in
+    ascending order, so the root is node 0."""
     starts, body = system._starts, system._body
-    chosen: dict[int, int] = {}
+    chosen: dict[int, int] = {}  # judgment -> its rule, in pre-order
     stack = [j]
     while stack:
         k = stack.pop()
@@ -214,39 +170,36 @@ def _derivation(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) 
             if i is None:
                 raise InternalError(f"judgment {k} is derivable but no rule derives it")
             stack += body[starts[i]:starts[i + 1]][::-1]
-    return chosen
+    node_of = dict(zip(chosen, count())).__getitem__  # judgment -> its node
+    children = [tuple(map(node_of, body[starts[i]:starts[i + 1]])) for i in chosen.values()]
+    return RationalProofTree(zip(chosen, chosen.values(), children))
 
 
-def check_finite(tree: FiniteProofTree, system: InferenceSystem,
+def check_finite(tree: RationalProofTree, system: InferenceSystem,
                  allow_corules: bool = False) -> bool:
     """Validate a finite derivation against the system.
 
-    True iff at every node the referenced rule concludes the node's judgment
-    and the children are exactly one subtree per premise. A node that uses a
-    corule is rejected unless ``allow_corules`` is set. A malformed tree
-    raises StructuralError.
+    True iff the table has no cycle and at every node the referenced rule
+    concludes the node's judgment and the children are exactly one subtree
+    per premise. A node that uses a corule is rejected unless
+    ``allow_corules`` is set. A malformed tree raises StructuralError.
     """
-    return _matches(_validated(tree, system)[0], system, allow_corules)
+    table, _, order = _validated(tree, system)
+    return order is not None and _matches(table, system, allow_corules)
 
 
 def extract_finite_proof(system: InferenceSystem, j: int,
-                         allow_corules: bool = False) -> Optional[FiniteProofTree]:
+                         allow_corules: bool = False) -> Optional[RationalProofTree]:
     """A finite derivation of ``j``, or None when ``j`` is not inductively derivable.
 
     Each judgment is derived by the first declared rule that fires at the
     Kleene round where the judgment first appeared, so premise rounds
-    strictly decrease toward the leaves and the tree depth never exceeds the
-    universe size.
+    strictly decrease toward the leaves, the table has no cycle and the tree
+    depth never exceeds the universe size.
     """
     j = system._id(j)
-    rounds, firing = system._layers(allow_corules)
-    if rounds[j] is None:
-        return None
-    chosen = _derivation(system, j, firing)
-    memo: dict[int, FiniteProofTree] = {}
-    for k in sorted(chosen, key=rounds.__getitem__):
-        memo[k] = FiniteProofTree(k, chosen[k], [memo[p] for p in system._premises(chosen[k])])
-    return memo[j]
+    firing = system._layers(allow_corules)
+    return None if firing[j] is None else _proof(system, j, firing)
 
 
 def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> bool:
@@ -267,33 +220,32 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     Judgments are shared as graph nodes, so cycles arise exactly where the
     derivation is genuinely infinite. A judgment that is inductively
     derivable in the restricted system is derived by the rule firing at its
-    first Kleene round (keeping that part of the graph acyclic); the rest
-    use their consistency witness, the first declared applicable rule.
+    first Kleene round (keeping that part of the graph acyclic, and the proof
+    of such a ``j`` its finite proof); the rest use their consistency witness,
+    the first declared applicable rule.
     """
     j = system._id(j)
-    gen = _greatest(system, system._bound)
+    gen = system._gen
     if j not in gen:
         return None
-    rule_for = list(system._layers(use_corules=False)[1])
+    rule_for = list(system._layers(use_corules=False))
     for k, i in _first_support(system, gen, {k for k in gen if rule_for[k] is None}).items():
         rule_for[k] = i
-    chosen = _derivation(system, j, rule_for)
-    node_of = dict(zip(chosen, count())).__getitem__  # judgment -> its node
-    starts, body = system._starts, system._body
-    children = [tuple(map(node_of, body[starts[i]:starts[i + 1]])) for i in chosen.values()]
-    return RationalProofTree(zip(chosen, chosen.values(), children))
+    return _proof(system, j, rule_for)
 
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    return not _validated(tree)[2]
+    return _validated(tree)[2] is not None
 
 
-def _render(tree: FiniteProofTree | RationalProofTree, system: InferenceSystem,
-            rational: bool) -> str:
+def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) -> str:
     """One indented line per node, children below their parent; a repeated
-    node is printed as ``^n`` (rational) or copied (finite)."""
-    table, root, _ = _validated(tree, system, rational)
+    node is printed as ``^n`` (rational) or copied (finite, which must have no
+    cycle)."""
+    table, root, order = _validated(tree, system, rational)
+    if not rational:
+        _finite(order)
     plain = system._plain
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
@@ -321,12 +273,13 @@ def _render(tree: FiniteProofTree | RationalProofTree, system: InferenceSystem,
     return "\n".join(lines)
 
 
-def format_finite(tree: FiniteProofTree, system: InferenceSystem) -> str:
+def format_finite(tree: RationalProofTree, system: InferenceSystem) -> str:
     """Indented text rendering of a finite proof tree.
 
     A subproof shared by several nodes is printed at every occurrence, so the
     text can be exponentially longer than the proof; later occurrences at
-    the same depth copy the lines of the first.
+    the same depth copy the lines of the first. A table with a cycle raises
+    StructuralError.
     """
     return _render(tree, system, rational=False)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corules import inference
 from corules import (
     BOUNDEDNESS,
     CLOSEDNESS,
@@ -16,6 +17,7 @@ from corules import (
     bounded_coinduction_check,
     coind_interpretation,
     extract_finite_proof,
+    extract_rational_proof,
     gen_interpretation,
     ind_interpretation,
     is_closed,
@@ -303,6 +305,28 @@ class TestGenInterpretation:
             assert ind_interpretation(sys_) <= gen
             assert gen <= coind_interpretation(sys_)
 
+    def test_gen_pass_runs_once_per_system(self, monkeypatch):
+        # the interpretation, the bounded coinduction check and the rational
+        # extractor all read the one greatest fixed point inside the bound
+        calls = []
+        greatest = inference._greatest
+
+        def counted(system, live):
+            calls.append(system)
+            return greatest(system, live)
+
+        monkeypatch.setattr(inference, "_greatest", counted)
+        sys_ = abc_system(corules=(rule(C),))
+        gen = gen_interpretation(sys_)
+        assert bounded_coinduction_check(sys_, gen).ok
+        assert gen_interpretation(sys_) == gen
+        assert all(extract_rational_proof(sys_, j) is not None for j in gen)
+        assert calls == [sys_]
+        fresh = abc_system(corules=(rule(C),))  # the three in the other order
+        assert extract_rational_proof(fresh, C) is not None
+        assert bounded_coinduction_check(fresh, gen).ok and gen_interpretation(fresh) == gen
+        assert len(calls) == 2 and calls[1] is fresh
+
 
 class TestKleeneBehavior:
     def test_iteration_bound_holds(self):
@@ -385,14 +409,11 @@ class TestEngineAgainstStepReference:
                 stages = upward_stages(sys_, flag)
                 rules = sys_.all_rules(flag)
                 for j in stages[-1]:
-                    stack = [extract_finite_proof(sys_, j, allow_corules=flag)]
-                    while stack:
-                        node = stack.pop()
-                        r = next(r for r, s in enumerate(stages) if node.judgment in s)
+                    for judgment, rule_index, _ in extract_finite_proof(sys_, j, flag).nodes:
+                        r = next(r for r, s in enumerate(stages) if judgment in s)
                         first = next(i for i, x in enumerate(rules) if x.conclusion ==
-                                     node.judgment and x.premises <= set(stages[r - 1]))
-                        assert node.rule_index == first
-                        stack.extend(node.children)
+                                     judgment and x.premises <= set(stages[r - 1]))
+                        assert rule_index == first
 
 
 class TestIsClosed:

@@ -19,7 +19,6 @@ from corules import (
     ElementPredicate,
     Failure,
     Finite,
-    FiniteProofTree,
     InferenceSystem,
     JudgmentScheme,
     JudgmentSet,
@@ -31,8 +30,11 @@ from corules import (
     coind_interpretation,
     gen_interpretation,
     get,
+    bounded_coinduction_check,
     ind_interpretation,
     is_acyclic,
+    is_closed,
+    is_consistent,
     rule,
     suffix,
 )
@@ -50,8 +52,8 @@ SYSTEM_REPR = ("InferenceSystem(universe_size=2, rules=(Rule(premises=frozenset(
 AUT = SuffixAutomaton((1, None), (1, None))
 AUT_REPR = "SuffixAutomaton(heads=(1, None), nexts=(1, None))"
 SPEC = JudgmentSet(2, {1})
-LEAF = FiniteProofTree(0, 0)
-NODE = (1, 1, (1,))  # a rational proof's node: judgment, rule index, child indices
+NODE = (1, 1, (1,))  # a proof's node: judgment, rule index, child indices
+FINITE = ((1, 1, (1,)), (0, 0, ()))  # a finite proof's table: 1 <- 0 above the axiom 0
 
 
 def holds(n):
@@ -82,9 +84,10 @@ CASES = [
      (Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3), None),
      "JudgmentScheme(kind=<Kind.MAX_ELEM: 'max'>, colist=Finite(elements=(1,)), "
      f"automaton={AUT_REPR}, candidates=(1, 3), predicate=None)"),
-    (FiniteProofTree, ("judgment", "rule_index", "children"), (1, 1, (LEAF,)),
-     "FiniteProofTree(judgment=1, rule_index=1, "
-     "children=(FiniteProofTree(judgment=0, rule_index=0, children=()),))"),
+    # A finite proof is a table without a cycle; the row keeps the id of the
+    # FiniteProofTree type it tested before finite proofs were tables.
+    (RationalProofTree, ("nodes", "root"), (FINITE, 0),
+     "RationalProofTree(nodes=((1, 1, (1,)), (0, 0, ())), root=0)"),
     # A proof of one node, a plain table entry; the row keeps the id of the
     # RationalNode type it tested before nodes were entries.
     (RationalProofTree, ("nodes", "root"), ((NODE,), 0),
@@ -93,7 +96,7 @@ CASES = [
      "RationalProofTree(nodes=((0, 0, ()), (1, 1, (1,))), root=1)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
-IDS[IDS.index("RationalProofTree")] = "RationalNode"  # the one-node row
+IDS[-3:-1] = ["FiniteProofTree", "RationalNode"]
 
 # The message of calling each type with no arguments.
 MISSING = {
@@ -108,7 +111,6 @@ MISSING = {
     CheckReport: "1 required positional argument: 'ok'",
     ElementPredicate: "2 required positional arguments: 'name' and 'holds'",
     JudgmentScheme: "3 required positional arguments: 'kind', 'colist', and 'automaton'",
-    FiniteProofTree: "2 required positional arguments: 'judgment' and 'rule_index'",
     RationalProofTree: "1 required positional argument: 'nodes'",
 }
 
@@ -142,7 +144,7 @@ class TestEveryValueType:
         assert (value == values) is False and (values == value) is False
         assert value != values and values != value
         assert value.__eq__(values) is NotImplemented
-        other = R0 if cls is not Rule else LEAF
+        other = R0 if cls is not Rule else SPEC
         assert value != other and value.__eq__(other) is NotImplemented
 
     def test_hash_is_the_field_tuple_hash(self, cls, names, values, text):
@@ -150,9 +152,6 @@ class TestEveryValueType:
         if cls is CheckReport:  # its witnesses are a dict
             with pytest.raises(TypeError, match="unhashable type: 'dict'"):
                 hash(value)
-        elif cls is FiniteProofTree:  # hashes children by their hashes
-            assert hash(value) == hash((1, 1, (hash(LEAF),)))
-            assert hash(LEAF) == hash((0, 0, ()))
         else:
             assert hash(value) == hash(values)
             assert hash(value) == hash(cls(*values))
@@ -251,25 +250,27 @@ class TestCoercionsAndDefaults:
         assert pickle.loads(pickle.dumps(scheme)) == scheme
 
     def test_proof_children_and_nodes_become_tuples(self):
-        tree = FiniteProofTree(1, 1, [LEAF])
-        assert tree.children == (LEAF,) and type(tree.children) is tuple
-        assert LEAF.children == ()
+        tree = RationalProofTree(list(FINITE))
+        assert tree.nodes == FINITE and type(tree.nodes) is tuple
+        assert tree.children == (RationalProofTree(FINITE, 1),) and type(tree.children) is tuple
+        assert tree.children[0] is tree.children[0] and tree.children[0].children == ()
         graph = RationalProofTree(iter([(0, 0, ()), NODE]))
         assert graph.nodes == ((0, 0, ()), NODE) and type(graph.nodes) is tuple
         assert graph.nodes[1] is NODE and graph.root == 0
 
     def test_proof_caches_stay_out_of_the_fields(self):
-        tree, fresh = FiniteProofTree(1, 1, (LEAF,)), FiniteProofTree(1, 1, (LEAF,))
-        assert tree.depth() == 2
+        tree, fresh = RationalProofTree(FINITE), RationalProofTree(FINITE)
+        assert tree.depth() == 2 and tree.children[0].depth() == 1
         assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
+        assert pickle.loads(pickle.dumps(tree)) == fresh and copy.copy(tree) == fresh
         nodes = ((0, 0, (1,)), NODE)
         graph = RationalProofTree(nodes)
         assert is_acyclic(graph) is False
         assert graph == RationalProofTree(nodes) and hash(graph) == hash((nodes, 0))
-        assert not hasattr(graph, "_graph") and not hasattr(graph, "__dict__")  # its fields are its table
+        assert not hasattr(graph, "__dict__")  # its fields are its table
         for value in (tree, graph):
             with pytest.raises(AttributeError):
-                value._graph = None
+                value._walk = None
 
     def test_system_file(self):
         sf = parse_system("judgments: a b\nrule: a <-\nrule: b <- a\nspec: b\n")
@@ -313,6 +314,10 @@ class TestValidationErrors:
          "rule 1.0 <- references a judgment id that is not an integer"),
         (lambda: InferenceSystem(2, [Rule(["a"], 1)]), TypeError,
          "rule 1 <- a references a judgment id that is not an integer"),
+        (lambda: InferenceSystem(2, [0]), TypeError,
+         "rules and corules must be Rule objects, not int"),
+        (lambda: InferenceSystem(2, [rule(0)], [(0, ())]), TypeError,
+         "rules and corules must be Rule objects, not tuple"),
         (lambda: InferenceSystem(2.0, [rule(0)]), TypeError,
          "'float' object cannot be interpreted as an integer"),
         (lambda: InferenceSystem(2, [rule(5)], labels=["a"]), ValueError,
@@ -329,6 +334,26 @@ class TestValidationErrors:
     def test_construction(self, build, error, text):
         with pytest.raises(error) as excinfo:
             build()
+        assert type(excinfo.value) is error and message(excinfo) == text
+
+    # A judgment-set argument must be a JudgmentSet over the system's universe.
+    @pytest.mark.parametrize("call, error, text", [
+        (lambda: is_closed(SYSTEM, frozenset()), TypeError,
+         "s must be a JudgmentSet, not frozenset"),
+        (lambda: is_consistent(SYSTEM, {0}), TypeError, "s must be a JudgmentSet, not set"),
+        (lambda: bounded_coinduction_check(SYSTEM, None), TypeError,
+         "spec must be a JudgmentSet, not NoneType"),
+        (lambda: JudgmentSet(2).union(frozenset()), TypeError,
+         "other must be a JudgmentSet, not frozenset"),
+        (lambda: JudgmentSet(2) <= {1}, TypeError, "other must be a JudgmentSet, not set"),
+        (lambda: is_closed(SYSTEM, JudgmentSet(3)), ValueError,
+         "s is over a universe of 3, not 2: different universes"),
+        (lambda: JudgmentSet(2) | JudgmentSet(3), ValueError,
+         "other is over a universe of 3, not 2: different universes"),
+    ])
+    def test_judgment_set_argument(self, call, error, text):
+        with pytest.raises(error) as excinfo:
+            call()
         assert type(excinfo.value) is error and message(excinfo) == text
 
     @pytest.mark.parametrize("call, text", [

@@ -13,10 +13,11 @@ It builds two systems from a fixed seed:
 
 For each it prints the best of 5 wall times, in ms, of ``ind``, ``coind``, ``gen``,
 ``is_closed``, ``is_consistent`` and ``bounded_coinduction_check`` (the three checks
-of the generated interpretation) and of the two proof extractors (the finite proof,
+of the generated interpretation), of the two proof extractors (the finite proof,
 corules allowed, and the rational proof of the chain's last judgment, or of the
-grid's maximum at state 0). Each call gets a fresh copy of the system whose premise
-index is built, so no call reads what an earlier one cached.
+grid's maximum at state 0) and of the finite extraction followed by
+``check_finite`` of its proof. Each call gets a fresh copy of the system whose
+premise index is built, so no call reads what an earlier one cached.
 
 As in ``tests/conftest.py``, the checkout's ``src`` is appended to ``sys.path``, so
 a copy named on ``PYTHONPATH`` is the one measured. Run it alternately on two trees
@@ -34,9 +35,9 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from corules import (InferenceSystem, Lasso, Rule, bounded_coinduction_check,  # noqa: E402
-                     coind_interpretation, extract_finite_proof, extract_rational_proof,
-                     gen_interpretation, gen_maxelem_system, ind_interpretation, is_closed,
-                     is_consistent)
+                     check_finite, coind_interpretation, extract_finite_proof,
+                     extract_rational_proof, gen_interpretation, gen_maxelem_system,
+                     ind_interpretation, is_closed, is_consistent)
 
 SEED = 2026
 CHAIN, GHOST = 100_000, 50
@@ -78,6 +79,8 @@ def layers(system: InferenceSystem, target: int) -> dict:
         "bounded_coinduction_check": lambda s: bounded_coinduction_check(s, gen),
         "extract_finite_proof": lambda s: extract_finite_proof(s, target, allow_corules=True),
         "extract_rational_proof": lambda s: extract_rational_proof(s, target),
+        "extract_finite+check_finite": lambda s: check_finite(
+            extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
     }
 
 
@@ -96,7 +99,7 @@ def main() -> None:
     rng = random.Random(SEED)
     for name, (system, target) in (("chain", chain(rng)), ("maxgrid", max_grid(rng))):
         for layer, call in layers(system, target).items():
-            print(f"{name:8} {layer:26} {best_ms(call, system):9.1f} ms", flush=True)
+            print(f"{name:8} {layer:27} {best_ms(call, system):9.1f} ms", flush=True)
 
 
 if __name__ == "__main__":
