@@ -1,5 +1,5 @@
-"""The base of the package's immutable value types, and the index check
-their methods share."""
+"""The base of the package's immutable value types, and the index and type
+checks their methods share."""
 
 import operator
 from typing import Optional
@@ -20,6 +20,15 @@ def _index(value, what: str, size: Optional[int] = None) -> int:
         raise ValueError(f"{what} must be a natural number")
     if size is not None and not 0 <= value < size:
         raise ValueError(f"{what} {value} out of range")
+    return value
+
+
+def _typed(value, types: tuple[type, ...], what: str):
+    """``value``, an instance of one of ``types``; else TypeError naming it as ``what``."""
+    if not isinstance(value, types):
+        wanted = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{what} must be {'an' if wanted[0] in 'AEIOU' else 'a'} {wanted}, "
+                        f"not {type(value).__name__}")
     return value
 
 

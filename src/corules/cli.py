@@ -36,10 +36,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ._value import Value, _set
+from ._value import Value, _set, _typed
 from .colist import Colist, Finite, Lasso, _naturals_or_none
 from .inference import (BOUNDEDNESS, CONSISTENCY, InferenceSystem, InternalError, JudgmentSet,
-                        StructuralError, bounded_coinduction_check, interpret)
+                        StructuralError, _members, bounded_coinduction_check, interpret)
 
 ARROW = "<-"
 # The values of ``predicates.Kind``, in its order, so that building the
@@ -65,16 +65,22 @@ class ParseError(Exception):
 
 
 class SystemFile(Value):
-    """A parsed system file: names in declaration order, the system, and the
-    optional specification set."""
+    """A parsed system file: the system, whose labels are the judgment names in
+    declaration order, and the optional specification set over its universe."""
 
-    __slots__ = __match_args__ = ("names", "system", "spec")
+    __slots__ = __match_args__ = ("system", "spec")
 
-    def __init__(self, names: tuple[str, ...], system: InferenceSystem,
-                 spec: Optional[JudgmentSet]):
-        _set(self, "names", names)
+    def __init__(self, system: InferenceSystem, spec: Optional[JudgmentSet]):
+        if _typed(system, (InferenceSystem,), "system")._labels is None:  # without reading them
+            raise ValueError("a system file's system must label its judgments")
+        if spec is not None:
+            _members(spec, system.universe_size, "spec")
         _set(self, "system", system)
         _set(self, "spec", spec)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.system.labels
 
     def id_of(self, name: str) -> int:
         try:
@@ -172,7 +178,7 @@ def parse_system(text: str) -> SystemFile:
     system = InferenceSystem._compiled(len(names), heads + coheads, starts,
                                        premises + copremises, len(heads), tuple(names))
     spec = JudgmentSet.of(len(names), spec_ids) if spec_ids is not None else None
-    return SystemFile(tuple(names), system, spec)
+    return SystemFile(system, spec)
 
 
 def render_system(sf: SystemFile) -> str:
@@ -184,7 +190,7 @@ def render_system(sf: SystemFile) -> str:
         lines.append(" ".join(["rule:" if i < system._plain else "corule:", names[c], ARROW,
                                *premises]))
     if sf.spec is not None:
-        lines.append(" ".join(["spec:"] + [sf.names[j] for j in sf.spec]).rstrip())
+        lines.append(" ".join(["spec:"] + [names[j] for j in sf.spec]).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -280,7 +286,8 @@ def _load(path: str) -> SystemFile:
 
 def _cmd_interpret(ns) -> tuple[int, list[str]]:
     sf = _load(ns.file)
-    return 0, [sf.names[j] for j in interpret(ns.command, sf.system)]
+    names = sf.names
+    return 0, [names[j] for j in interpret(ns.command, sf.system)]
 
 
 def _cmd_check(ns) -> tuple[int, list[str]]:

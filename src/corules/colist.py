@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from ._value import Value, _index, _set
+from ._value import Value, _index, _set, _typed
 
 
 def _check_naturals(values, requirement: str) -> tuple[int, ...]:
@@ -81,9 +81,6 @@ class SuffixAutomaton(Value):
     def state_count(self) -> int:
         return len(self.heads)
 
-    def states(self) -> range:
-        return range(len(self.heads))
-
 
 def get(xs: Colist, i: int) -> Optional[int]:
     """Element of ``xs`` at position ``i``, or None past the end."""
@@ -111,9 +108,9 @@ def suffix_automaton(xs: Colist) -> SuffixAutomaton:
 
     A finite list of n elements yields n+1 states, the last one empty; a
     lasso with prefix u and loop v yields |u|+|v| states whose last state
-    jumps back to state |u|.
+    jumps back to state |u|. An ``xs`` that is neither raises TypeError.
     """
-    if isinstance(xs, Finite):
+    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
         n = len(xs.elements)
         heads = tuple(xs.elements) + (None,)
         nexts = tuple(range(1, n + 1)) + (None,)

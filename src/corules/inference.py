@@ -57,7 +57,7 @@ from functools import cached_property
 from itertools import accumulate, compress
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
 
-from ._value import Value, _index, _set
+from ._value import Value, _index, _set, _typed
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"
@@ -115,7 +115,8 @@ class JudgmentSet(Value):
     ``operator.index`` (so ``True`` is stored as ``1``) and must lie in
     ``0..size-1``. Membership is O(1), and iteration and the repr are
     ascending. Two sets are equal iff they have the same universe size and
-    the same members.
+    the same members. ``|``, ``&``, ``-`` and ``<=`` take a set over the
+    same universe.
     """
 
     __slots__ = __match_args__ = ("size", "members")
@@ -139,14 +140,6 @@ class JudgmentSet(Value):
         return s
 
     @classmethod
-    def empty(cls, size: int) -> "JudgmentSet":
-        return cls(size)
-
-    @classmethod
-    def full(cls, size: int) -> "JudgmentSet":
-        return cls(size, range(size))
-
-    @classmethod
     def of(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
         return cls(size, ids)
 
@@ -162,31 +155,20 @@ class JudgmentSet(Value):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
     def _peer(self, other: "JudgmentSet") -> frozenset[int]:
         return _members(other, self.size, "other")
 
-    def union(self, other: "JudgmentSet") -> "JudgmentSet":
+    def __or__(self, other: "JudgmentSet") -> "JudgmentSet":
         return JudgmentSet._valid(self.size, self.members | self._peer(other))
 
-    def intersection(self, other: "JudgmentSet") -> "JudgmentSet":
+    def __and__(self, other: "JudgmentSet") -> "JudgmentSet":
         return JudgmentSet._valid(self.size, self.members & self._peer(other))
 
-    def difference(self, other: "JudgmentSet") -> "JudgmentSet":
+    def __sub__(self, other: "JudgmentSet") -> "JudgmentSet":
         return JudgmentSet._valid(self.size, self.members - self._peer(other))
 
-    def is_subset_of(self, other: "JudgmentSet") -> bool:
+    def __le__(self, other: "JudgmentSet") -> bool:
         return self.members <= self._peer(other)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __le__ = is_subset_of
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 class InferenceSystem(Value):
@@ -329,9 +311,7 @@ def _ids(r: Rule) -> tuple[int, list[int]]:  # the conclusion and the ascending 
 def _members(s: JudgmentSet, size: int, what: str) -> frozenset[int]:
     """The members of ``s``, the argument named ``what``, which must be a JudgmentSet
     over a universe of ``size``."""
-    if not isinstance(s, JudgmentSet):
-        raise TypeError(f"{what} must be a JudgmentSet, not {type(s).__name__}")
-    if s.size != size:
+    if _typed(s, (JudgmentSet,), what).size != size:
         raise ValueError(f"{what} is over a universe of {s.size}, not {size}: "
                          "different universes")
     return s.members
@@ -461,20 +441,22 @@ _NEW_DICT = object()  # CheckReport's default witnesses: a new empty dict
 class CheckReport(Value):
     """Outcome of a principle check.
 
-    ``ok`` is true iff there are no failures. ``witnesses`` maps each
-    consistent judgment, ascending, to the index of the first declared rule
-    that concludes it from premises inside the checked set.
+    ``witnesses`` maps each consistent judgment, ascending, to the index of
+    the first declared rule that concludes it from premises inside the
+    checked set.
     """
 
-    __slots__ = __match_args__ = ("ok", "failures", "witnesses")
+    __slots__ = __match_args__ = ("failures", "witnesses")
 
-    def __init__(self, ok: bool, failures: Iterable[Failure] = (),
+    def __init__(self, failures: Iterable[Failure] = (),
                  witnesses: Mapping[int, int] = _NEW_DICT):
-        _set(self, "ok", ok)
         _set(self, "failures", tuple(failures))
         _set(self, "witnesses", {} if witnesses is _NEW_DICT else witnesses)
-        if ok != (not self.failures):
-            raise ValueError("ok must hold exactly when there are no failures")
+
+    @property
+    def ok(self) -> bool:
+        """Whether the check passed: there are no failures."""
+        return not self.failures
 
     def failures_tagged(self, reason: str) -> tuple[Failure, ...]:
         return tuple(f for f in self.failures if f.reason == reason)
@@ -491,8 +473,7 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     hits = [i for i in range(system._plain)
             if heads[i] not in inside and inside.issuperset(system._premises(i))]
     hits.sort(key=heads.__getitem__)  # stable: rules of one judgment stay in order
-    failures = tuple(Failure(heads[i], CLOSEDNESS, i) for i in hits)
-    return CheckReport(not failures, failures)
+    return CheckReport(Failure(heads[i], CLOSEDNESS, i) for i in hits)
 
 
 def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
@@ -504,9 +485,8 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     """
     inside = _members(s, system.universe_size, "s")
     first = _first_support(system, inside, inside)
-    failures = tuple(Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first)))
-    witnesses = {j: first[j] for j in sorted(first)}
-    return CheckReport(not failures, failures, witnesses)
+    failures = [Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first))]
+    return CheckReport(failures, {j: first[j] for j in sorted(first)})
 
 
 def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> CheckReport:
@@ -528,7 +508,6 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
-    ok = not failures
-    if ok and not system._gen.issuperset(inside):
+    if not failures and not system._gen.issuperset(inside):
         raise InternalError("bounded and consistent spec escaped the generated interpretation")
-    return CheckReport(ok, tuple(failures), consistency.witnesses)
+    return CheckReport(failures, consistency.witnesses)

@@ -32,7 +32,7 @@ import enum
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._value import Value, _index, _set
+from ._value import Value, _index, _set, _typed
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
                      _naturals_or_none, get, suffix_automaton)
 from .inference import InferenceSystem, interpret
@@ -173,7 +173,8 @@ def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
     reading = FAMILIES[kind].interpretation
     aut = suffix_automaton(xs)
     heads, starts, body, coaxioms = [], [0], [], []  # the judgment ids are the states
-    holds = p.holds  # called directly: ``hit`` is only read as a truth value
+    # called directly: ``hit`` is only read as a truth value
+    holds = _typed(p, (ElementPredicate,), "predicate").holds
     for s, head in enumerate(aut.heads):
         hit = head is not None and holds(head)
         if (head is None and reading == "coind") or (hit and reading == "ind"):
@@ -258,12 +259,12 @@ def gen_maxelem_system(xs: Colist,
     if not cands:
         raise ValueError("candidate set must be nonempty")
     _check_naturals(cands, "candidates must be natural numbers")
+    aut = suffix_automaton(xs)
     occurring = set(_all_elements(xs))
     missing = occurring - set(cands)
     if missing:
         raise ValueError(f"candidates must include every element of the colist; "
                          f"missing {sorted(missing)}")
-    aut = suffix_automaton(xs)
     # The id of (value, state) is the value's index times the state count, plus the state.
     n, c, index = aut.state_count, len(cands), {v: k for k, v in enumerate(cands)}
     heads, body, sizes, coaxioms = [], [], [], []  # sizes: premises per rule
@@ -401,18 +402,22 @@ FAMILIES = {
 }
 
 
-def _family(kind: Kind, x: Optional[int], predicate: Optional[ElementPredicate],
+def _family(kind: Kind, xs: Colist, x: Optional[int], predicate: Optional[ElementPredicate],
             direct: bool = False) -> Family:
-    """The row of ``kind``, once the arguments its decider needs are given and,
-    for a kind that takes ``x``, a given ``x`` is a natural number (a bool is not)."""
+    """The row of ``kind``, once ``xs`` is a colist and each argument the kind
+    takes is given (but a direct decider computes max), a predicate is an
+    ElementPredicate and an ``x`` a natural number (a bool is not)."""
     try:
         family = FAMILIES[kind]
     except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown kind {kind!r}") from None
+    _typed(xs, (Finite, Lasso), "xs")
     if family.needs_value and x is None and not (direct and family.computes_value):
         raise ValueError(f"{kind.value} needs a value")
     if family.needs_predicate and predicate is None:
         raise ValueError(f"{kind.value} needs an element predicate")
+    if family.needs_predicate:
+        _typed(predicate, (ElementPredicate,), "predicate")
     if family.needs_value and x is not None:
         _check_naturals((x,), "element must be a natural number")
     return family
@@ -425,7 +430,7 @@ def decide_direct(kind: Kind, xs: Colist, *, x: Optional[int] = None,
     Returns a boolean, except for ``max`` which returns the maximum element
     or None on the empty colist.
     """
-    return _family(kind, x, predicate, direct=True).direct(xs, x, predicate)
+    return _family(kind, xs, x, predicate, direct=True).direct(xs, x, predicate)
 
 
 def spec_oracle(kind: Kind, xs: Colist, *, x: Optional[int] = None,
@@ -435,7 +440,7 @@ def spec_oracle(kind: Kind, xs: Colist, *, x: Optional[int] = None,
     This is the meaning each inference system is checked against, evaluated
     without any reference to rules or automaton states.
     """
-    return _family(kind, x, predicate).oracle(xs, x, predicate)
+    return _family(kind, xs, x, predicate).oracle(xs, x, predicate)
 
 
 def three_way(kind: Kind, xs: Colist, *, x: Optional[int] = None,
@@ -444,9 +449,10 @@ def three_way(kind: Kind, xs: Colist, *, x: Optional[int] = None,
     """Whether ``xs`` satisfies ``kind``, by the engine (the root judgment
     under the kind's interpretation), ``decide_direct`` (for max: whether
     the maximum is ``x``) and ``spec_oracle``, in that order."""
-    family = _family(kind, x, predicate)
+    family = _family(kind, xs, x, predicate)
     system, scheme = family.build(xs, x, predicate, candidates)
-    engine = scheme.encode(0, x) in interpret(family.interpretation, system)
+    root = scheme.encode(0, x if family.needs_value else None)
+    engine = root in interpret(family.interpretation, system)
     direct = decide_direct(kind, xs, x=x, predicate=predicate)
     if family.computes_value:
         direct = direct == x

@@ -16,10 +16,11 @@ table for ``depth`` and ``children``, whose subproofs share their walk. It
 raises StructuralError when a node is not such a triple, the root or a child
 index is not the index of a node, a node is unreachable from the root or,
 given the system, a judgment id is not in the universe or a rule index not
-among the rules the proof may use. A well-formed but invalid derivation is
-different: the checkers return False, and ``check_finite`` returns False for
-a table with a cycle, which ``format_finite`` and ``depth`` refuse with
-StructuralError.
+the index of a rule or corule. A well-formed but invalid derivation is
+different: the checkers return False, for instance when a rational proof
+uses a corule, and ``check_finite`` returns False for a table with a cycle,
+which ``format_finite`` and ``depth`` refuse with StructuralError. A proof or
+a system argument of another type raises TypeError naming it.
 
 Extraction and checking take time linear in the sizes of the system and of
 the proof, up to sorting each rule's premises. Both renderers share one
@@ -34,7 +35,7 @@ from __future__ import annotations
 from itertools import count
 from typing import AbstractSet, Iterable, Optional
 
-from ._value import Value, _set
+from ._value import Value, _set, _typed
 from .inference import InferenceSystem, InternalError, StructuralError, _first_support
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
@@ -63,7 +64,7 @@ class RationalProofTree(Value):
         validator's post-order: made once per table and shared by its subproofs."""
         if self._walk is None:
             views = [None] * len(self.nodes)
-            _set(self, "_walk", (views, _validated(self)[2]))
+            _set(self, "_walk", (views, _validated(self)))
             views[self.root] = self
         return self._walk
 
@@ -87,16 +88,15 @@ class RationalProofTree(Value):
         return below[self.root]
 
 
-def _validated(tree: RationalProofTree, system: Optional[InferenceSystem] = None,
-               rational: bool = False) -> tuple[Table, int, Optional[list[int]]]:
-    """The node table and root of ``tree`` and, unless the table has a cycle, its
-    nodes in post-order (the root last), after the structural checks the module
-    docstring lists; ``rational`` proofs may only use plain rules."""
-    table, root = tree.nodes, tree.root
+def _validated(tree: RationalProofTree,
+               system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
+    """The nodes of ``tree`` in post-order (the root last), or None if the table
+    has a cycle, after the structural checks the module docstring lists."""
+    table, root = _typed(tree, (RationalProofTree,), "tree").nodes, tree.root
     n = len(table)
     if not (isinstance(root, int) and 0 <= root < n):
         raise StructuralError(f"root index {root!r} out of range" if n else "proof has no nodes")
-    rules = (system._plain if rational else len(system._heads)) if system else 0
+    rules = len(system._heads) if system else 0
     marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
     order: list[int] = []
     cyclic = False
@@ -113,9 +113,8 @@ def _validated(tree: RationalProofTree, system: Optional[InferenceSystem] = None
                                       " with a tuple of children")
             judgment, rule_index, children = node
             if system is not None and not (isinstance(rule_index, int) and 0 <= rule_index < rules):
-                raise StructuralError(f"rule index {rule_index!r} out of range " + (
-                    "(corules are not allowed in rational proofs)" if rational
-                    else f"(system has {rules} rules and corules)"))
+                raise StructuralError(f"rule index {rule_index!r} out of range "
+                                      f"(system has {rules} rules and corules)")
             if system is not None and not (isinstance(judgment, int)
                                            and 0 <= judgment < system.universe_size):
                 raise StructuralError(f"judgment id {judgment!r} out of range")
@@ -130,7 +129,7 @@ def _validated(tree: RationalProofTree, system: Optional[InferenceSystem] = None
                     stack.append(c)
     if not all(marks):
         raise StructuralError("every node must be reachable from the root")
-    return table, root, None if cyclic else order
+    return None if cyclic else order
 
 
 def _finite(order: Optional[list[int]]) -> list[int]:
@@ -184,8 +183,8 @@ def check_finite(tree: RationalProofTree, system: InferenceSystem,
     per premise. A node that uses a corule is rejected unless
     ``allow_corules`` is set. A malformed tree raises StructuralError.
     """
-    table, _, order = _validated(tree, system)
-    return order is not None and _matches(table, system, allow_corules)
+    order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
+    return order is not None and _matches(tree.nodes, system, allow_corules)
 
 
 def extract_finite_proof(system: InferenceSystem, j: int,
@@ -197,7 +196,7 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     strictly decrease toward the leaves, the table has no cycle and the tree
     depth never exceeds the universe size.
     """
-    j = system._id(j)
+    j = _typed(system, (InferenceSystem,), "system")._id(j)
     firing = system._layers(allow_corules)
     return None if firing[j] is None else _proof(system, j, firing)
 
@@ -205,12 +204,13 @@ def extract_finite_proof(system: InferenceSystem, j: int,
 def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> bool:
     """Validate a rational proof as a witness for the generated interpretation.
 
-    True iff every node is derived by a rule of the system (corules
-    forbidden) from exactly its premises, and every node's judgment is
-    inductively derivable once corules are admitted. Acceptance implies the
-    root lies in the generated interpretation.
+    True iff every node is derived by a rule of the system (not a corule)
+    from exactly its premises, and every node's judgment is inductively
+    derivable once corules are admitted. Acceptance implies the root lies in
+    the generated interpretation.
     """
-    return _matches(_validated(tree, system, rational=True)[0], system, False, system._bound)
+    _validated(tree, _typed(system, (InferenceSystem,), "system"))
+    return _matches(tree.nodes, system, False, system._bound)
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -224,7 +224,7 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     of such a ``j`` its finite proof); the rest use their consistency witness,
     the first declared applicable rule.
     """
-    j = system._id(j)
+    j = _typed(system, (InferenceSystem,), "system")._id(j)
     gen = system._gen
     if j not in gen:
         return None
@@ -236,20 +236,20 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    return _validated(tree)[2] is not None
+    return _validated(tree) is not None
 
 
 def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) -> str:
     """One indented line per node, children below their parent; a repeated
     node is printed as ``^n`` (rational) or copied (finite, which must have no
     cycle)."""
-    table, root, order = _validated(tree, system, rational)
+    order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
     if not rational:
         _finite(order)
-    plain = system._plain
+    table, plain = tree.nodes, system._plain
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
-    stack: list = [(root, 0)]
+    stack: list = [(tree.root, 0)]
     while stack:
         item = stack.pop()
         if type(item) is list:  # every line of the subtree this span starts is out

@@ -143,7 +143,7 @@ class TestParseSystem:
 
     def test_empty_spec_line_allowed(self):
         sf = parse_system("judgments: a\nspec:")
-        assert sf.spec == JudgmentSet.empty(1)
+        assert sf.spec == JudgmentSet(1)
 
 
 class TestRenderRoundTrip:
@@ -169,8 +169,7 @@ class TestRenderRoundTrip:
             if rng.random() < 0.5:
                 spec = set_from_bits(sys_.universe_size,
                                      rng.randrange(1 << sys_.universe_size))
-            sf = SystemFile(names,
-                            InferenceSystem(sys_.universe_size, sys_.rules,
+            sf = SystemFile(InferenceSystem(sys_.universe_size, sys_.rules,
                                             sys_.corules, labels=names),
                             spec)
             rendered = render_system(sf)

@@ -51,7 +51,7 @@ def observations(system: InferenceSystem, rng: random.Random) -> list:
                        gen_interpretation(system))
     out: list = [ind, ind_interpretation(system, use_corules=True), coind, gen]
     probe = JudgmentSet(n, (j for j in range(n) if rng.random() < 0.5))
-    for s in (ind, coind, gen, probe, JudgmentSet.full(n)):
+    for s in (ind, coind, gen, probe, JudgmentSet(n, range(n))):
         for report in (is_closed(system, s), is_consistent(system, s),
                        bounded_coinduction_check(system, s)):
             out += [report, repr(report)]
@@ -231,7 +231,7 @@ def test_queries_leave_a_builders_labels_unbuilt(monkeypatch):
         ind_interpretation(system), ind_interpretation(system, use_corules=True)
         coind_interpretation(system)
         reports = [check(system, s)
-                   for s in (gen, JudgmentSet(n, range(0, n, 2)), JudgmentSet.full(n))
+                   for s in (gen, JudgmentSet(n, range(0, n, 2)), JudgmentSet(n, range(n)))
                    for check in (is_closed, is_consistent, bounded_coinduction_check)]
         assert any(r.failures for r in reports) and any(r.witnesses for r in reports)
         for j in range(n):

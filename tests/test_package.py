@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 import subprocess
@@ -112,6 +113,25 @@ def test_a_rational_proof_node_is_a_table_entry():
     # no node type: a rational proof's nodes are (judgment, rule index, children) tuples
     for module in modules():
         assert not hasattr(module, "RationalNode"), module.__name__
+
+
+def test_each_thing_is_said_once():
+    # the operators are a judgment set's only algebra, and truth comes from len
+    for name in ("union", "intersection", "difference", "is_subset_of", "empty", "full", "ids",
+                 "__bool__"):
+        assert not hasattr(corules.JudgmentSet, name), name
+    assert not hasattr(corules.SuffixAutomaton, "states")  # range(state_count)
+    # a report's ok is read from its failures, a file's names from its system's labels
+    assert "ok" not in inspect.signature(corules.CheckReport).parameters
+    assert corules.CheckReport.__match_args__ == ("failures", "witnesses")
+    assert isinstance(inspect.getattr_static(corules.CheckReport, "ok"), property)
+    from corules.cli import SystemFile
+    assert list(inspect.signature(SystemFile).parameters) == ["system", "spec"]
+    assert "names" not in SystemFile.__slots__
+    assert isinstance(inspect.getattr_static(SystemFile, "names"), property)
+    # which rules a proof may use is decided where its steps are matched
+    validated = corules.prooftree._validated
+    assert list(inspect.signature(validated).parameters) == ["tree", "system"]
 
 
 def test_readme_python_blocks_run():

@@ -227,7 +227,7 @@ class TestInfinitelyOftenSystem:
                 sys_, scheme = gen_infoften_system(p, xs)
                 gen = gen_interpretation(sys_)
                 aut = scheme.automaton
-                for s in aut.states():
+                for s in range(aut.state_count):
                     reachable = set()
                     cursor = s
                     while cursor is not None and cursor not in reachable:
@@ -288,13 +288,13 @@ class TestMaxElemSystem:
 def maxelem_spec(sys_, scheme):
     ids = [scheme.encode(s, v)
            for v in scheme.candidates
-           for s in scheme.automaton.states()
+           for s in range(scheme.state_count)
            if spec_oracle(Kind.MAX_ELEM, suffix(scheme.colist, s), x=v)]
     return JudgmentSet.of(sys_.universe_size, ids)
 
 
 def infoften_spec(sys_, scheme):
-    ids = [scheme.encode(s) for s in scheme.automaton.states()
+    ids = [scheme.encode(s) for s in range(scheme.state_count)
            if spec_oracle(Kind.INFINITELY_OFTEN, suffix(scheme.colist, s),
                           predicate=scheme.predicate)]
     return JudgmentSet.of(sys_.universe_size, ids)
@@ -395,6 +395,13 @@ class TestDeciderArguments:
         # an x the kind does not take is not checked either
         assert decide_direct(Kind.ALL_POS, self.XS, x=-1)
         assert spec_oracle(Kind.ALWAYS, self.XS, x=True, predicate=POSITIVE)
+        # nor by three_way, which encodes its root with x only for a kind that takes x
+        agreed = (True, True, True)
+        assert three_way(Kind.EVENTUALLY, self.XS, predicate=POSITIVE, x=1) == agreed
+        assert three_way(Kind.ALL_POS, self.XS, x=0, predicate=EVEN) == agreed
+        assert three_way(Kind.INFINITELY_OFTEN, self.XS, x=-1, predicate=EVEN,
+                         candidates=[9]) == agreed
+        assert three_way(Kind.MEMBER_OF, self.XS, x=3, predicate=POSITIVE) == (False,) * 3
 
     @pytest.mark.parametrize("decide", [decide_direct, spec_oracle])
     @pytest.mark.parametrize("kind", ["member", None, 3, []])

@@ -263,13 +263,20 @@ class TestRender:
         with pytest.raises(StructuralError):
             format_finite(RationalProofTree([(1, 3, ())]), with_corule)
 
-    def test_rational_corule_index_is_structural(self):
+    def test_rational_rule_index_out_of_range_is_structural(self):
         sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
-        for index in (1, 9, -1, 0.0, 0.5, "0"):
+        for index in (9, -1, 0.0, 0.5, "0"):
             tree = RationalProofTree(((0, 0, (1,)), (0, index, (0,))))
             for call in (check_rational_in_gen, format_rational):
                 with pytest.raises(StructuralError, match=re.escape(f"rule index {index!r} out")):
                     call(tree, sys_)
+
+    def test_rational_corule_node_prints_as_a_corule(self):
+        # a corule's index is in range: the node is invalid, not malformed
+        sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
+        tree = RationalProofTree(((0, 0, (1,)), (0, 1, (0,))))
+        assert not check_rational_in_gen(tree, sys_)
+        assert format_rational(tree, sys_) == "0: j0  [rule 0]\n  1: j0  [corule 0]\n    ^0"
 
 
 class TestFiniteTreeEquality:
@@ -573,11 +580,12 @@ class TestCheckRational:
         bad = RationalProofTree(((B, 1, (1,)), (C, 2, ())), root=0)
         assert not check_rational_in_gen(bad, sys_)
 
-    def test_corule_index_is_structural(self):
+    def test_corule_node_is_rejected(self):
+        # as check_finite rejects it without allow_corules, which accepts it
         sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
         tree = RationalProofTree(((0, 1, ()),), root=0)
-        with pytest.raises(StructuralError):
-            check_rational_in_gen(tree, sys_)
+        assert not check_rational_in_gen(tree, sys_) and not check_finite(tree, sys_)
+        assert check_finite(tree, sys_, allow_corules=True)
 
     def test_unreachable_node_is_structural(self):
         sys_ = ab_system()

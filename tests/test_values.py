@@ -31,14 +31,26 @@ from corules import (
     gen_interpretation,
     get,
     bounded_coinduction_check,
+    check_finite,
+    check_rational_in_gen,
+    decide_direct,
+    extract_finite_proof,
+    extract_rational_proof,
+    gen_always_system,
+    gen_maxelem_system,
+    gen_member_system,
     ind_interpretation,
     is_acyclic,
     is_closed,
     is_consistent,
     rule,
+    spec_oracle,
     suffix,
+    suffix_automaton,
+    three_way,
 )
 from corules.cli import ParseError, SystemFile, parse_system
+from corules.prooftree import format_finite, format_rational
 
 from util import random_system
 
@@ -62,9 +74,9 @@ def holds(n):
 
 # type, field names, field values, repr
 CASES = [
-    (SystemFile, ("names", "system", "spec"), (("a", "b"), SYSTEM, SPEC),
-     f"SystemFile(names=('a', 'b'), system={SYSTEM_REPR}, "
-     "spec=JudgmentSet(size=2, members=frozenset({1})))"),
+    # a file's names are its system's labels
+    (SystemFile, ("system", "spec"), (SYSTEM, SPEC),
+     f"SystemFile(system={SYSTEM_REPR}, spec=JudgmentSet(size=2, members=frozenset({{1}})))"),
     (Finite, ("elements",), ((1, 2),), "Finite(elements=(1, 2))"),
     (Lasso, ("prefix", "loop"), ((1,), (2, 3)), "Lasso(prefix=(1,), loop=(2, 3))"),
     (SuffixAutomaton, ("heads", "nexts"), ((1, None), (1, None)), AUT_REPR),
@@ -77,8 +89,9 @@ CASES = [
     # reports name a rule by its index, here R1's in SYSTEM
     (Failure, ("judgment", "reason", "rule"), (1, CLOSEDNESS, 1),
      "Failure(judgment=1, reason='closedness', rule=1)"),
-    (CheckReport, ("ok", "failures", "witnesses"), (True, (), {1: 1}),
-     "CheckReport(ok=True, failures=(), witnesses={1: 1})"),
+    # ok is read from the failures
+    (CheckReport, ("failures", "witnesses"), ((), {1: 1}),
+     "CheckReport(failures=(), witnesses={1: 1})"),
     (ElementPredicate, ("name", "holds"), ("gt:2", holds), "ElementPredicate('gt:2')"),
     (JudgmentScheme, ("kind", "colist", "automaton", "candidates", "predicate"),
      (Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3), None),
@@ -100,7 +113,7 @@ IDS[-3:-1] = ["FiniteProofTree", "RationalNode"]
 
 # The message of calling each type with no arguments.
 MISSING = {
-    SystemFile: "3 required positional arguments: 'names', 'system', and 'spec'",
+    SystemFile: "2 required positional arguments: 'system' and 'spec'",
     Finite: "1 required positional argument: 'elements'",
     Lasso: "2 required positional arguments: 'prefix' and 'loop'",
     SuffixAutomaton: "2 required positional arguments: 'heads' and 'nexts'",
@@ -108,7 +121,6 @@ MISSING = {
     JudgmentSet: "1 required positional argument: 'size'",
     InferenceSystem: "2 required positional arguments: 'universe_size' and 'rules'",
     Failure: "2 required positional arguments: 'judgment' and 'reason'",
-    CheckReport: "1 required positional argument: 'ok'",
     ElementPredicate: "2 required positional arguments: 'name' and 'holds'",
     JudgmentScheme: "3 required positional arguments: 'kind', 'colist', and 'automaton'",
     RationalProofTree: "1 required positional argument: 'nodes'",
@@ -131,9 +143,12 @@ class TestEveryValueType:
         assert not cls(**dict(zip(names, values))) != cls(*values)
 
     def test_missing_arguments(self, cls, names, values, text):
-        with pytest.raises(TypeError) as excinfo:
-            cls()
-        assert message(excinfo) == f"{cls.__qualname__}.__init__() missing {MISSING[cls]}"
+        if cls is CheckReport:  # every field has a default
+            assert cls() == cls((), {})
+        else:
+            with pytest.raises(TypeError) as excinfo:
+                cls()
+            assert message(excinfo) == f"{cls.__qualname__}.__init__() missing {MISSING[cls]}"
         with pytest.raises(TypeError) as excinfo:
             cls(*values, extra=1)
         assert message(excinfo) == (f"{cls.__qualname__}.__init__() got an unexpected "
@@ -190,7 +205,7 @@ class TestCoercionsAndDefaults:
     def test_suffix_automaton_keeps_its_arguments(self):
         aut = SuffixAutomaton([1, None], [1, None])
         assert type(aut.heads) is list and type(aut.nexts) is list
-        assert aut.state_count == 2 and aut.states() == range(2)
+        assert aut.state_count == 2
 
     def test_rule_premises_become_a_frozenset(self):
         r = Rule([2, 1, 2], 0)
@@ -219,11 +234,12 @@ class TestCoercionsAndDefaults:
         assert Failure(1, CLOSEDNESS).rule is None
 
     def test_check_report_defaults(self):
-        report = CheckReport(True, [])
+        report = CheckReport([])
         assert report.failures == () and type(report.failures) is tuple
-        assert report.witnesses == {}
-        assert CheckReport(True).witnesses is not CheckReport(True).witnesses
-        assert CheckReport(True, (), None).witnesses is None
+        assert report.witnesses == {} and report.ok is True
+        assert CheckReport().witnesses is not CheckReport().witnesses
+        assert CheckReport((), None).witnesses is None
+        assert CheckReport(iter([Failure(0, CLOSEDNESS)])).ok is False
 
     def test_element_predicate(self):
         p = ElementPredicate("gt:2", holds)
@@ -274,7 +290,8 @@ class TestCoercionsAndDefaults:
 
     def test_system_file(self):
         sf = parse_system("judgments: a b\nrule: a <-\nrule: b <- a\nspec: b\n")
-        assert sf == SystemFile(("a", "b"), SYSTEM, SPEC)
+        assert sf == SystemFile(SYSTEM, SPEC)
+        assert sf.names == ("a", "b") and sf.names is sf.system.labels
         assert sf.id_of("b") == 1
         with pytest.raises(ParseError, match="unknown judgment name 'z'"):
             sf.id_of("z")
@@ -326,10 +343,14 @@ class TestValidationErrors:
          "label table must name every judgment"),
         (lambda: InferenceSystem(2, [], labels=["a", "a"]), ValueError,
          "judgment labels must be unique"),
-        (lambda: CheckReport(True, [Failure(0, CLOSEDNESS)]), ValueError,
-         "ok must hold exactly when there are no failures"),
-        (lambda: CheckReport(False), ValueError,
-         "ok must hold exactly when there are no failures"),
+        (lambda: SystemFile(InferenceSystem(2, [R0]), None), ValueError,
+         "a system file's system must label its judgments"),
+        (lambda: SystemFile(None, SPEC), TypeError,
+         "system must be an InferenceSystem, not NoneType"),
+        (lambda: SystemFile(SYSTEM, frozenset({1})), TypeError,
+         "spec must be a JudgmentSet, not frozenset"),
+        (lambda: SystemFile(SYSTEM, JudgmentSet(5, [4])), ValueError,
+         "spec is over a universe of 5, not 2: different universes"),
     ])
     def test_construction(self, build, error, text):
         with pytest.raises(error) as excinfo:
@@ -343,7 +364,7 @@ class TestValidationErrors:
         (lambda: is_consistent(SYSTEM, {0}), TypeError, "s must be a JudgmentSet, not set"),
         (lambda: bounded_coinduction_check(SYSTEM, None), TypeError,
          "spec must be a JudgmentSet, not NoneType"),
-        (lambda: JudgmentSet(2).union(frozenset()), TypeError,
+        (lambda: JudgmentSet(2) | frozenset(), TypeError,
          "other must be a JudgmentSet, not frozenset"),
         (lambda: JudgmentSet(2) <= {1}, TypeError, "other must be a JudgmentSet, not set"),
         (lambda: is_closed(SYSTEM, JudgmentSet(3)), ValueError,
@@ -355,6 +376,46 @@ class TestValidationErrors:
         with pytest.raises(error) as excinfo:
             call()
         assert type(excinfo.value) is error and message(excinfo) == text
+
+    # A proof or system argument of another type is named, at the validator's
+    # or the extractor's entry.
+    @pytest.mark.parametrize("call, text", [
+        (lambda t: check_finite(None, SYSTEM), "tree must be a RationalProofTree, not NoneType"),
+        (lambda t: check_finite(t, None), "system must be an InferenceSystem, not NoneType"),
+        (lambda t: check_rational_in_gen(t, None),
+         "system must be an InferenceSystem, not NoneType"),
+        (lambda t: format_finite(t, None), "system must be an InferenceSystem, not NoneType"),
+        (lambda t: format_rational(FINITE, SYSTEM), "tree must be a RationalProofTree, not tuple"),
+        (lambda t: is_acyclic(None), "tree must be a RationalProofTree, not NoneType"),
+        (lambda t: extract_finite_proof(None, 0),
+         "system must be an InferenceSystem, not NoneType"),
+        (lambda t: extract_rational_proof(FINITE, 0),
+         "system must be an InferenceSystem, not tuple"),
+    ])
+    def test_proof_argument(self, call, text):
+        with pytest.raises(TypeError) as excinfo:
+            call(RationalProofTree(FINITE))
+        assert type(excinfo.value) is TypeError and message(excinfo) == text
+
+    # A colist that is not a Finite or Lasso, and an element predicate that is
+    # not an ElementPredicate, are named.
+    @pytest.mark.parametrize("call, text", [
+        (lambda: suffix_automaton([1, 2]), "xs must be a Finite or Lasso, not list"),
+        (lambda: gen_member_system(1, [1, 2]), "xs must be a Finite or Lasso, not list"),
+        (lambda: gen_maxelem_system((1, 2), [1, 2]), "xs must be a Finite or Lasso, not tuple"),
+        (lambda: decide_direct(Kind.ALWAYS, [1, 2], predicate=POSITIVE),
+         "xs must be a Finite or Lasso, not list"),
+        (lambda: spec_oracle(Kind.MAX_ELEM, None, x=1),
+         "xs must be a Finite or Lasso, not NoneType"),
+        (lambda: gen_always_system(None, Lasso((), (1,))),
+         "predicate must be an ElementPredicate, not NoneType"),
+        (lambda: three_way(Kind.ALWAYS, Lasso((), (1,)), predicate="even"),
+         "predicate must be an ElementPredicate, not str"),
+    ])
+    def test_colist_and_predicate_argument(self, call, text):
+        with pytest.raises(TypeError) as excinfo:
+            call()
+        assert type(excinfo.value) is TypeError and message(excinfo) == text
 
     @pytest.mark.parametrize("call, text", [
         (lambda s: s.encode(5), "state 5 out of range"),

@@ -62,7 +62,7 @@ def reports_by_scan(system: InferenceSystem, s: JudgmentSet) -> dict[str, tuple[
         if support:
             witnesses[j] = support[0]
     unsupported = [(j, CONSISTENCY, None) for j in sorted(inside - witnesses.keys())]
-    bound = JudgmentSet.empty(system.universe_size)
+    bound = JudgmentSet(system.universe_size)
     while apply_step(system, bound, use_corules=True) != bound:
         bound = apply_step(system, bound, use_corules=True)
     unbounded = [(j, BOUNDEDNESS, None) for j in sorted(inside - bound.members)]
@@ -135,7 +135,7 @@ def reference_predicate_system(kind: Kind, xs: Colist, x=None, p=None,
     if kind is Kind.MAX_ELEM:
         cands = tuple(sorted(set(elements_of(xs) + (x,) if candidates is None else candidates)))
         offset = dict(zip(cands, range(0, len(cands) * aut.state_count, aut.state_count)))
-        for s in aut.states():
+        for s in range(aut.state_count):
             head = aut.heads[s]
             if head is None:
                 continue
@@ -145,11 +145,11 @@ def reference_predicate_system(kind: Kind, xs: Colist, x=None, p=None,
             # max(head, y) is itself a candidate: it is head or y.
             rules += [(offset[y if y > head else head] + s, (offset[y] + nxt,)) for y in cands]
             corules.append((offset[head] + s, ()))
-        labels = [f"max({v},s{s})" for v in cands for s in aut.states()]
+        labels = [f"max({v},s{s})" for v in cands for s in range(aut.state_count)]
     else:
         reading = READINGS[kind]
         p = eq_to(x) if kind is Kind.MEMBER_OF else POSITIVE if kind is Kind.ALL_POS else p
-        for s in aut.states():
+        for s in range(aut.state_count):
             head = aut.heads[s]
             hit = head is not None and p(head)
             if (head is None and reading == "coind") or (hit and reading == "ind"):
@@ -159,7 +159,7 @@ def reference_predicate_system(kind: Kind, xs: Colist, x=None, p=None,
             if hit and reading == "gen":
                 corules.append((s, ()))
         value = f"{x}," if kind is Kind.MEMBER_OF else ""
-        labels = [f"{kind.value}({value}s{s})" for s in aut.states()]
+        labels = [f"{kind.value}({value}s{s})" for s in range(aut.state_count)]
     return InferenceSystem(len(labels), [Rule(ps, c) for c, ps in rules],
                            [Rule(ps, c) for c, ps in corules], labels)
 
@@ -301,7 +301,7 @@ def kleene_iterations(system: InferenceSystem, use_corules: bool,
                       downward: bool) -> int:
     """Count step applications until stabilization, via ``apply_step`` only."""
     n = system.universe_size
-    current = JudgmentSet.full(n) if downward else JudgmentSet.empty(n)
+    current = JudgmentSet(n, range(n) if downward else ())
     for rounds in range(1, n + 3):
         nxt = apply_step(system, current, use_corules=use_corules)
         if nxt == current:

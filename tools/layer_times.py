@@ -1,106 +1,158 @@
-"""Wall times of the engine's layers on two large seeded systems, best of 5.
+"""Paired wall times of the engine's layers: this checkout against another revision.
 
-Run from the root of the checkout:
+Run from the root of a git checkout:
 
-    python tools/layer_times.py
+    python tools/layer_times.py REV
 
-It builds two systems from a fixed seed:
+It extracts the ``src`` of ``REV`` with ``git archive`` into a temporary directory
+and imports it as a second package, ``corules_rev``, beside this checkout's
+``corules``, in one process. The checkout builds two systems from a fixed seed:
 
 * a chain of 100,000 judgments, ``c0 <-`` and ``c(i) <- c(i-1)`` with the rules
   shuffled, plus a ghost cycle of 50 judgments that a coaxiom admits into the
   generated interpretation;
 * the max-element system of a 600-state lasso over 302 candidates (181,800 rules).
 
-For each it prints the best of 5 wall times, in ms, of ``ind``, ``coind``, ``gen``,
-``is_closed``, ``is_consistent`` and ``bounded_coinduction_check`` (the three checks
-of the generated interpretation), of the two proof extractors (the finite proof,
-corules allowed, and the rational proof of the chain's last judgment, or of the
-grid's maximum at state 0) and of the finite extraction followed by
-``check_finite`` of its proof. Each call gets a fresh copy of the system whose
-premise index is built, so no call reads what an earlier one cached.
-
-As in ``tests/conftest.py``, the checkout's ``src`` is appended to ``sys.path``, so
-a copy named on ``PYTHONPATH`` is the one measured. Run it alternately on two trees
-to compare them in pairs.
+The layers are ``ind``, ``coind``, ``gen``, ``is_closed``, ``is_consistent`` and
+``bounded_coinduction_check`` (the three checks of the generated interpretation),
+the two proof extractors (the finite proof, corules allowed, and the rational proof
+of the chain's last judgment, or of the grid's maximum at state 0) and the finite
+extraction followed by ``check_finite`` of its proof. Each call gets a fresh system
+of its tree on the same rule arrays and the same premise index, built once, so the
+two trees read the same input in the same memory and no call reads what an earlier
+one cached beyond that index. For each layer the two trees are called in pairs, the first call of a pair
+taking turns between them, with the garbage collector off during a call, as
+``timeit`` does: an even number of pairs, at least 8 and until the layer's calls
+add up to 5 s. The script prints each side's median wall time, in ms, their ratio,
+which is the median of the pairs' ratios of the checkout's time to REV's, and the
+number of pairs. A pair's two calls run back to back, so the ratio
+cancels the slow drift in speed that a shared host shows over seconds. Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib.util
+import io
 import random
+import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
+from types import ModuleType
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
-
-from corules import (InferenceSystem, Lasso, Rule, bounded_coinduction_check,  # noqa: E402
-                     check_finite, coind_interpretation, extract_finite_proof,
-                     extract_rational_proof, gen_interpretation, gen_maxelem_system,
-                     ind_interpretation, is_closed, is_consistent)
-
+ROOT = Path(__file__).resolve().parent.parent
 SEED = 2026
 CHAIN, GHOST = 100_000, 50
 STATES, CANDIDATES = 600, 302
-REPEATS = 5
+PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
+BUDGET = 5.0  # seconds of timed calls per layer, at least
 
 
-def chain(rng: random.Random) -> tuple[InferenceSystem, int]:
+def load(name: str, src: Path) -> ModuleType:
+    """The package ``src/corules``, imported under ``name``."""
+    init = src / "corules" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def chain(pkg: ModuleType, rng: random.Random) -> tuple:
+    Rule = pkg.Rule
     rules = [Rule((), 0)] + [Rule((i - 1,), i) for i in range(1, CHAIN)]
     rules += [Rule((CHAIN + (i - 1) % GHOST,), CHAIN + i) for i in range(GHOST)]
     rng.shuffle(rules)
-    return InferenceSystem(CHAIN + GHOST, rules, [Rule((), CHAIN)]), CHAIN - 1
+    return pkg.InferenceSystem(CHAIN + GHOST, rules, [Rule((), CHAIN)]), CHAIN - 1
 
 
-def max_grid(rng: random.Random) -> tuple[InferenceSystem, int]:
+def max_grid(pkg: ModuleType, rng: random.Random) -> tuple:
     half = STATES // 2
-    xs = Lasso([rng.randrange(CANDIDATES) for _ in range(half)],
-               [rng.randrange(CANDIDATES) for _ in range(STATES - half)])
-    system, scheme = gen_maxelem_system(xs, candidates=range(CANDIDATES))
+    xs = pkg.Lasso([rng.randrange(CANDIDATES) for _ in range(half)],
+                   [rng.randrange(CANDIDATES) for _ in range(STATES - half)])
+    system, scheme = pkg.gen_maxelem_system(xs, candidates=range(CANDIDATES))
     return system, scheme.encode(0, max(xs.prefix + xs.loop))
 
 
-def fresh(system: InferenceSystem) -> InferenceSystem:
-    """A new system on the same rule arrays, with only its premise index built."""
-    copy = InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
-                                     system._body, system._plain, system._labels)
-    copy._users
+def fresh(pkg: ModuleType, system):
+    """A new system of ``pkg`` on the rule arrays and the premise index of ``system``,
+    with nothing else cached."""
+    copy = pkg.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
+                                         system._body, system._plain, system._labels)
+    copy.__dict__["_users"] = system._users  # read-only: the engine never writes it
     return copy
 
 
-def layers(system: InferenceSystem, target: int) -> dict:
-    gen = gen_interpretation(system)
+def layers(pkg: ModuleType, system, target: int) -> dict:
+    """Per layer, the call on a system of ``pkg``; the checks check ``system``'s gen."""
+    gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
     return {
-        "ind": ind_interpretation,
-        "coind": coind_interpretation,
-        "gen": gen_interpretation,
-        "is_closed": lambda s: is_closed(s, gen),
-        "is_consistent": lambda s: is_consistent(s, gen),
-        "bounded_coinduction_check": lambda s: bounded_coinduction_check(s, gen),
-        "extract_finite_proof": lambda s: extract_finite_proof(s, target, allow_corules=True),
-        "extract_rational_proof": lambda s: extract_rational_proof(s, target),
-        "extract_finite+check_finite": lambda s: check_finite(
-            extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
+        "ind": pkg.ind_interpretation,
+        "coind": pkg.coind_interpretation,
+        "gen": pkg.gen_interpretation,
+        "is_closed": lambda s: pkg.is_closed(s, gen),
+        "is_consistent": lambda s: pkg.is_consistent(s, gen),
+        "bounded_coinduction_check": lambda s: pkg.bounded_coinduction_check(s, gen),
+        "extract_finite_proof": lambda s: pkg.extract_finite_proof(s, target,
+                                                                   allow_corules=True),
+        "extract_rational_proof": lambda s: pkg.extract_rational_proof(s, target),
+        "extract_finite+check_finite": lambda s: pkg.check_finite(
+            pkg.extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
     }
 
 
-def best_ms(call, system: InferenceSystem) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        copy = fresh(system)
-        gc.collect()
+def seconds(pkg: ModuleType, call, system) -> float:
+    """The wall time of ``call`` on a fresh system of ``pkg`` on the arrays of
+    ``system``, with the garbage collector off."""
+    copy = fresh(pkg, system)
+    gc.collect()
+    gc.disable()
+    try:
         start = time.perf_counter()
         call(copy)
-        best = min(best, time.perf_counter() - start)
-    return best * 1000
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
-def main() -> None:
-    rng = random.Random(SEED)
-    for name, (system, target) in (("chain", chain(rng)), ("maxgrid", max_grid(rng))):
-        for layer, call in layers(system, target).items():
-            print(f"{name:8} {layer:27} {best_ms(call, system):9.1f} ms", flush=True)
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python tools/layer_times.py REV", file=sys.stderr)
+        return 64
+    rev = sys.argv[1]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=False)
+    if archive.returncode:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return 64
+    with tempfile.TemporaryDirectory(prefix="corules-layer-times-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp)
+        trees = (load("corules_rev", Path(tmp) / "src"), load("corules", ROOT / "src"))
+        print(f"{'system':8} {'layer':27} {rev + ' ms':>12} {'checkout ms':>12} {'ratio':>6} "
+              f"{'pairs':>5}")
+        for name, build in (("chain", chain), ("maxgrid", max_grid)):
+            system, target = build(trees[1], random.Random(SEED))
+            calls = [layers(pkg, system, target) for pkg in trees]
+            for layer in calls[0]:
+                pairs: list[list[float]] = []
+                while len(pairs) < PAIRS or len(pairs) % 2 or sum(map(sum, pairs)) < BUDGET:
+                    pair = [0.0, 0.0]
+                    for side in ((0, 1) if len(pairs) % 2 == 0 else (1, 0)):
+                        pair[side] = seconds(trees[side], calls[side][layer], system)
+                    pairs.append(pair)
+                old, new = (statistics.median(times) * 1000 for times in zip(*pairs))
+                ratio = statistics.median(b / a for a, b in pairs)
+                print(f"{name:8} {layer:27} {old:12.1f} {new:12.1f} {ratio:6.2f} {len(pairs):5}",
+                      flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
