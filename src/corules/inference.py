@@ -410,13 +410,18 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
-    """The interpretation named ``name`` ("ind", "coind" or "gen").
+    """The interpretation named ``name`` ("ind", "coind" or "gen"); any other
+    name raises ValueError.
 
     The functions are looked up at each call, so a wrapper installed over
     one of them sees the call.
     """
-    return {"ind": ind_interpretation, "coind": coind_interpretation,
-            "gen": gen_interpretation}[name](system)
+    try:
+        reading = {"ind": ind_interpretation, "coind": coind_interpretation,
+                   "gen": gen_interpretation}[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown interpretation {name!r}") from None
+    return reading(system)
 
 
 class Failure(Value):

@@ -20,21 +20,21 @@ ids. ``FAMILIES`` is the one place that says how each family is built,
 read and decided: its builder, its interpretation (for a step-rule kind,
 also where the axioms go), its two deciders and the arguments it takes.
 The deciders, ``decide_direct`` (structural, looking at prefix and loop
-directly) and ``spec_oracle`` (index-quantified brute force over one
-periodicity window), exist purely to cross-check the engine verdicts and
-share no code with the interpretations; ``three_way`` gives all three
-verdicts, as ``corules pred`` prints them.
+directly) and ``spec_oracle`` (the index-quantified specification, decided
+in time linear in the periodicity window), exist purely to cross-check the
+engine verdicts and share no code with the interpretations; ``three_way``
+gives all three verdicts, as ``corules pred`` prints them.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ._value import Value, _index, _set, _typed
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
-                     _naturals_or_none, get, suffix_automaton)
+                     _naturals_or_none, suffix_automaton)
 from .inference import InferenceSystem, interpret
 
 
@@ -50,11 +50,14 @@ class Kind(enum.Enum):
 
 
 class ElementPredicate(Value):
-    """A named, total, decidable predicate on naturals."""
+    """A named, total, decidable predicate on naturals. A ``holds`` that
+    cannot be called raises TypeError."""
 
     __slots__ = __match_args__ = ("name", "holds")
 
     def __init__(self, name: str, holds: Callable[[int], bool]):
+        if not callable(holds):
+            raise TypeError(f"holds must be callable, not {type(holds).__name__}")
         _set(self, "name", name)
         _set(self, "holds", holds)
 
@@ -292,20 +295,30 @@ def _all_elements(xs: Colist) -> tuple[int, ...]:
     return xs.prefix + xs.loop
 
 
-def _window(xs: Colist) -> int:
-    """Quantifier bound exploiting periodicity: every position from the
-    prefix-plus-loop horizon on repeats within one further loop unroll."""
+def _unrolled(xs: Colist) -> tuple[int, list]:
+    """The periodicity window ``w`` of ``xs`` and its elements at positions
+    ``0 .. 2w - 1``, None past the end of a finite list: every position an
+    oracle quantifies over. ``w`` is a finite list's length, or a lasso's
+    prefix plus two loops: from the prefix on, every position repeats within
+    one further loop unroll."""
     if isinstance(xs, Finite):
-        return len(xs.elements)
-    return len(xs.prefix) + 2 * len(xs.loop)
+        w = len(xs.elements)
+        return w, [*xs.elements, *[None] * w]
+    u, v = len(xs.prefix), len(xs.loop)
+    w = u + 2 * v
+    return w, [*xs.prefix, *xs.loop * ((2 * w - u) // v + 1)][:2 * w]
 
 
-def _lifted(p: ElementPredicate, value: Optional[int]) -> bool:
-    return value is not None and p(value)
+def _hits(p: ElementPredicate, values: list) -> Iterator[bool]:
+    """Whether ``p`` holds at each of ``values`` (never at None), calling it
+    once per distinct value; lazy, so ``any`` and ``all`` can stop early."""
+    verdict = {v: p(v) for v in set(values) - {None}}
+    verdict[None] = False
+    return map(verdict.__getitem__, values)
 
 
 # The deciders of the rows below. A direct decider looks at the prefix and
-# loop; an oracle quantifies over indices up to the periodicity window. The
+# loop; an oracle quantifies over the positions of the unrolled window. The
 # two of a kind share no code, so each checks the other and the engine.
 
 def _eventually_direct(xs, x, p):
@@ -313,7 +326,8 @@ def _eventually_direct(xs, x, p):
 
 
 def _eventually_oracle(xs, x, p):
-    return any(p(get(xs, i)) for i in range(_window(xs)))
+    w, values = _unrolled(xs)
+    return any(_hits(p, values[:w]))
 
 
 def _always_direct(xs, x, p):
@@ -321,7 +335,8 @@ def _always_direct(xs, x, p):
 
 
 def _always_oracle(xs, x, p):
-    return all(p(get(xs, i)) for i in range(_window(xs)))
+    w, values = _unrolled(xs)
+    return all(_hits(p, values[:w]))
 
 
 def _infoften_direct(xs, x, p):
@@ -329,13 +344,18 @@ def _infoften_direct(xs, x, p):
 
 
 def _infoften_oracle(xs, x, p):
-    bound = _window(xs)
-    if bound == 0:
-        # An empty universal quantifier would claim the empty colist has
-        # infinitely many hits; the unbounded specification says no.
-        return False
-    return all(any(_lifted(p, get(xs, n)) for n in range(i + 1, i + bound + 1))
-               for i in range(bound))
+    """Whether every position ``i < w`` has a hit at some ``n`` in ``(i, i + w]``,
+    by one right-to-left sweep that keeps the nearest hit past ``i``. On the
+    empty colist (``w = 0``) the unbounded specification says no, where an
+    empty universal quantifier would say yes."""
+    w, values = _unrolled(xs)
+    hits, nearest = list(_hits(p, values)), None
+    for i in range(2 * w - 1, -1, -1):
+        if i < w and (nearest is None or nearest > i + w):
+            return False
+        if hits[i]:
+            nearest = i
+    return w > 0
 
 
 def _max_direct(xs, x, p):
@@ -343,10 +363,9 @@ def _max_direct(xs, x, p):
 
 
 def _max_oracle(xs, x, p):
-    bound = _window(xs)
-    if not any(get(xs, i) == x for i in range(bound)):
-        return False
-    return all(x >= get(xs, i) for i in range(bound))
+    w, values = _unrolled(xs)
+    window = values[:w]
+    return x in window and all(x >= v for v in window)
 
 
 class Family(NamedTuple):
@@ -435,10 +454,12 @@ def decide_direct(kind: Kind, xs: Colist, *, x: Optional[int] = None,
 
 def spec_oracle(kind: Kind, xs: Colist, *, x: Optional[int] = None,
                 predicate: Optional[ElementPredicate] = None) -> bool:
-    """Index-quantified specification, brute-forced over one periodicity window.
+    """Index-quantified specification, decided over one periodicity window.
 
     This is the meaning each inference system is checked against, evaluated
-    without any reference to rules or automaton states.
+    without any reference to rules or automaton states. The window of ``w``
+    positions is unrolled once, to ``2w`` elements, and each quantifier is one
+    pass over it, so the cost is linear in ``w`` (a prefix plus two loops).
     """
     return _family(kind, xs, x, predicate).oracle(xs, x, predicate)
 

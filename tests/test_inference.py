@@ -325,6 +325,20 @@ class TestGenInterpretation:
         assert len(calls) == 2 and calls[1] is fresh
 
 
+class TestInterpretByName:
+    def test_each_name_gives_its_interpretation(self):
+        sys_ = abc_system(corules=(rule(C),))
+        for name, reading in (("ind", ind_interpretation), ("coind", coind_interpretation),
+                              ("gen", gen_interpretation)):
+            assert inference.interpret(name, sys_) == reading(sys_)
+
+    @pytest.mark.parametrize("name", ["foo", "IND", "", None, []])
+    def test_unknown_name(self, name):
+        with pytest.raises(ValueError) as e:
+            inference.interpret(name, abc_system())
+        assert str(e.value) == f"unknown interpretation {name!r}"
+
+
 class TestKleeneBehavior:
     def test_iteration_bound_holds(self):
         rng = random.Random(12)

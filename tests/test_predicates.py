@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from corules import (
     EVEN,
     FAMILIES,
     POSITIVE,
+    ElementPredicate,
     Finite,
     JudgmentScheme,
     Kind,
@@ -42,6 +44,7 @@ from util import (
     elements_of,
     ind_oracle,
     max_of,
+    quantified_spec,
     random_colist,
     random_lasso,
 )
@@ -84,6 +87,12 @@ class TestElementPredicates:
             predicate_by_name("prime")
         with pytest.raises(ValueError):
             predicate_by_name("eq:x")
+
+    @pytest.mark.parametrize("holds", [None, 3, "n > 0"])
+    def test_holds_must_be_callable(self, holds):
+        with pytest.raises(TypeError) as e:
+            ElementPredicate("bad", holds)
+        assert str(e.value) == f"holds must be callable, not {type(holds).__name__}"
 
 
 class TestJudgmentScheme:
@@ -425,6 +434,43 @@ class TestSpecOracle:
 
     def test_empty_list_is_not_infinitely_often(self):
         assert not spec_oracle(Kind.INFINITELY_OFTEN, Finite(()), predicate=EVEN)
+
+    def test_matches_nested_quantifiers(self):
+        # sparse or no hits make the reference's inner quantifier scan far
+        rng = random.Random(19)
+        for _ in range(60):
+            xs = sparse_colist(rng)
+            elements = elements_of(xs)
+            values = sorted(set(elements) | {0, max(elements, default=0) + 1})
+            for kind, family in FAMILIES.items():
+                for x in values if family.needs_value else [None]:
+                    for p in PREDICATE_POOL if family.needs_predicate else [None]:
+                        assert (spec_oracle(kind, xs, x=x, predicate=p)
+                                == quantified_spec(kind, xs, x, p)), (xs, kind, x, p)
+
+    def test_long_hit_free_prefix_in_linear_time(self):
+        # the nested quantifiers take about 80 s here: window x gap between hits
+        xs = Lasso((0,) * 20_000, (1,))
+        start = time.monotonic()
+        verdicts = three_way(Kind.INFINITELY_OFTEN, xs, predicate=POSITIVE)
+        elapsed = time.monotonic() - start
+        assert verdicts == (True, True, True)
+        assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+
+
+def sparse_colist(rng: random.Random):
+    """The empty colist, a finite list, or a lasso with a prefix of up to 300,
+    mostly zeros: a third have no positive element, the rest one in 50."""
+    def chunk(lo: int, hi: int):
+        rate = 0.0 if rng.random() < 1 / 3 else 0.02
+        return tuple(rng.randint(1, 4) if rng.random() < rate else 0
+                     for _ in range(rng.randint(lo, hi)))
+
+    if rng.random() < 0.1:
+        return Finite(())
+    if rng.random() < 0.3:
+        return Finite(chunk(1, 300))
+    return Lasso(chunk(0, 300), chunk(1, 5))
 
 
 INTERPRET = {"ind": ind_interpretation, "coind": coind_interpretation,

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the engine's fixed-point iteration.
 Closed and consistent sets are found by enumerating all 2^n subsets of the
-universe, one inference step is a scan over ``Rule`` objects, and colists
-are compared by unrolling indices. These are the ground truths the engine
-gets checked against, so they must stay independent of the code under test.
+universe, one inference step is a scan over ``Rule`` objects, colists
+are compared by unrolling indices, and ``quantified_spec`` states what
+``spec_oracle`` decides as nested quantifiers over ``get``. These are the
+ground truths the engine and the deciders get checked against, so they must
+stay independent of the code under test.
 The reference builder and parser emit one ``Rule`` per rule, for the public
 constructor, where the library writes the flat rule arrays directly.
 Colist equality and pointwise relations, and ``max_of``, live here because
@@ -162,6 +164,28 @@ def reference_predicate_system(kind: Kind, xs: Colist, x=None, p=None,
         labels = [f"{kind.value}({value}s{s})" for s in range(aut.state_count)]
     return InferenceSystem(len(labels), [Rule(ps, c) for c, ps in rules],
                            [Rule(ps, c) for c, ps in corules], labels)
+
+
+def quantified_spec(kind: Kind, xs: Colist, x=None, p=None) -> bool:
+    """What ``spec_oracle(kind, xs, x=x, predicate=p)`` decides, as nested
+    quantifiers over ``get``. The window ``w`` is the list's length, or a
+    lasso's prefix plus two loops: from the prefix on, every position repeats
+    within one loop. Eventually, always and max quantify over positions
+    ``i < w``; infinitely often asks, for every ``i < w``, for a hit at some
+    ``n`` in ``(i, i + w]``, which the empty colist has not. Quadratic in
+    ``w``: this is the reference, not the decider."""
+    w = len(xs.elements) if isinstance(xs, Finite) else len(xs.prefix) + 2 * len(xs.loop)
+    p = eq_to(x) if kind is Kind.MEMBER_OF else POSITIVE if kind is Kind.ALL_POS else p
+    if kind in (Kind.MEMBER_OF, Kind.EVENTUALLY):
+        return any(p(get(xs, i)) for i in range(w))
+    if kind in (Kind.ALL_POS, Kind.ALWAYS):
+        return all(p(get(xs, i)) for i in range(w))
+    if kind is Kind.INFINITELY_OFTEN:
+        return w > 0 and all(any(get(xs, n) is not None and p(get(xs, n))
+                                 for n in range(i + 1, i + w + 1))
+                             for i in range(w))
+    return (any(get(xs, i) == x for i in range(w))
+            and all(x >= get(xs, i) for i in range(w)))
 
 
 def reference_parse(text: str) -> tuple[tuple[str, ...], InferenceSystem, JudgmentSet | None]:

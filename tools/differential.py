@@ -15,8 +15,12 @@ on ``PYTHONPATH``. The corpus:
   subproof (the largest about 50 MB);
 * on each file ``ind``, ``coind``, ``gen`` and ``check``, and ``prove`` and
   ``prove --rational`` of every judgment, plus an unknown judgment;
-* ``pred`` of every kind on seeded colists, with the flags each kind takes,
-  and a few malformed commands.
+* ``pred`` of every kind on seeded colists, with the flags each kind takes:
+  short random ones, and long ones (lassos with mostly-zero prefixes of 200
+  to 2,000 elements, a 2,000-element prefix with no positive element, and a
+  2,000-element finite list), where the index-quantified oracle has the most
+  positions to scan;
+* a few malformed commands.
 
 A record is a command's exit code, stdout and stderr. The script prints the
 number of records and the first differing ones, and exits 1 if any differs,
@@ -78,6 +82,16 @@ def ladder_inf(rungs: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sparse(rng: random.Random, length: int) -> list[int]:
+    """``length`` elements, each 0 but for about one in 100, drawn from 1 to 5."""
+    return [rng.randint(1, 5) if rng.random() < 0.01 else 0 for _ in range(length)]
+
+
+def literal(prefix: list[int], loop: list[int]) -> str:
+    """The ``--list`` text of a finite list (no loop) or of a lasso."""
+    return " ".join(map(str, prefix)) + (" | " + " ".join(map(str, loop)) if loop else "")
+
+
 def judgments(text: str) -> list[str]:
     line = next(line for line in text.splitlines() if line.startswith("judgments:"))
     return line.split("#")[0].split()[1:]
@@ -104,9 +118,13 @@ def corpus(files: Path) -> list[list[str]]:
         for _ in range(5):
             prefix = [rng.randint(0, 5) for _ in range(rng.randint(0, 3))]
             loop = [rng.randint(0, 5) for _ in range(rng.randint(0, 3))]
-            literal = " ".join(map(str, prefix)) + (" | " + " ".join(map(str, loop))
-                                                    if loop else "")
-            commands += [["pred", kind, "--list", literal, *flags] for flags in runs]
+            commands += [["pred", kind, "--list", literal(prefix, loop), *flags]
+                         for flags in runs]
+    longs = [literal(sparse(rng, rng.randint(200, 2000)),
+                     [rng.randint(0, 5) for _ in range(rng.randint(1, 4))]) for _ in range(3)]
+    longs += [literal([0] * 2000, [2]), literal(sparse(rng, 2000), [])]
+    commands += [["pred", kind, "--list", text, *flags]
+                 for text in longs for kind, runs in KINDS.items() for flags in runs]
     commands += [["pred", "max", "--list", "1 2"], ["pred", "allpos", "--list", "| x"],
                  ["pred", "member", "--list", "1", "--p", "even"], ["nosuch"], []]
     return commands
