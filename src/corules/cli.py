@@ -125,7 +125,7 @@ def parse_system(text: str) -> SystemFile:
     arrays: dict[str, tuple[list[int], list[int], list[int]]] = {
         "rule:": ([], [0], []), "corule:": ([], [0], [])}
     spec_ids: Optional[list[int]] = None
-    for line, raw in enumerate(text.splitlines(), 1):
+    for line, raw in enumerate(_typed(text, (str,), "text").splitlines(), 1):
         body = raw.partition("#")[0]
         words = body.split()
         if not words:
@@ -209,7 +209,7 @@ def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:
 
 
 def parse_colist(text: str) -> Colist:
-    pieces = text.replace("|", " | ").split()
+    pieces = _typed(text, (str,), "text").replace("|", " | ").split()
     separators = pieces.count("|")
     if separators > 1:
         raise ParseError("more than one loop separator '|'", code="extra-separator")
@@ -353,7 +353,7 @@ def _cmd_pred(ns) -> tuple[int, list[str]]:
 
 
 def parse_candidates(text: str) -> list[int]:
-    return [_natural(piece.strip()) for piece in text.split(",")]
+    return [_natural(piece.strip()) for piece in _typed(text, (str,), "text").split(",")]
 
 
 def _print(lines: list[str]) -> None:

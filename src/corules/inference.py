@@ -176,7 +176,7 @@ class InferenceSystem(Value):
 
     Rule and corule order is irrelevant to every interpretation; it only
     breaks ties when reporting witnesses. Duplicate rules are permitted and
-    semantically inert. ``labels``, when given, names every judgment. The
+    semantically inert. ``labels``, when given, are strings, one per judgment. The
     universe size and every id are coerced with ``operator.index``, so a
     float raises TypeError and ``True`` is stored as ``1``.
     """
@@ -208,6 +208,8 @@ class InferenceSystem(Value):
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("label table must name every judgment")
+            for label in labels:
+                _typed(label, (str,), "a label in labels")
             if len(set(labels)) != len(labels):
                 raise ValueError("judgment labels must be unique")
         self._store(n, heads, starts, body, len(rules), labels)
@@ -383,7 +385,7 @@ def _first_support(system: InferenceSystem, inside: AbstractSet[int],
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
-    firing = system._layers(use_corules)
+    firing = _typed(system, (InferenceSystem,), "system")._layers(use_corules)
     return JudgmentSet._valid(len(firing), [j for j, i in enumerate(firing) if i is not None])
 
 
@@ -393,7 +395,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     Corules never participate here; they only matter to
     ``gen_interpretation``.
     """
-    n = system.universe_size
+    n = _typed(system, (InferenceSystem,), "system").universe_size
     return JudgmentSet._valid(n, _greatest(system, range(n)))
 
 
@@ -406,7 +408,8 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     conclusions. The result is a fixed point of the restricted step,
     in general neither its least nor its greatest.
     """
-    return JudgmentSet._valid(system.universe_size, system._gen)
+    n = _typed(system, (InferenceSystem,), "system").universe_size
+    return JudgmentSet._valid(n, system._gen)
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -473,7 +476,7 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Each failure names the conclusion that is missing and the index of the
     rule that derives it, in ascending judgment order then rule order.
     """
-    inside = _members(s, system.universe_size, "s")
+    inside = _members(s, _typed(system, (InferenceSystem,), "system").universe_size, "s")
     heads = system._heads
     hits = [i for i in range(system._plain)
             if heads[i] not in inside and inside.issuperset(system._premises(i))]
@@ -488,7 +491,7 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     Witnesses record, for each member, the index of the first such rule in
     declaration order. Corules never count.
     """
-    inside = _members(s, system.universe_size, "s")
+    inside = _members(s, _typed(system, (InferenceSystem,), "system").universe_size, "s")
     first = _first_support(system, inside, inside)
     failures = [Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first))]
     return CheckReport(failures, {j: first[j] for j in sorted(first)})
@@ -508,7 +511,7 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     When both pass, ``spec`` is contained in the generated interpretation;
     this inclusion is verified before returning.
     """
-    inside = _members(spec, system.universe_size, "spec")
+    inside = _members(spec, _typed(system, (InferenceSystem,), "system").universe_size, "spec")
     failures = [Failure(j, BOUNDEDNESS, None) for j in inside - system._bound]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)

@@ -89,7 +89,7 @@ def predicate_by_name(text: str) -> ElementPredicate:
         return EVEN
     if text == "odd":
         return ODD
-    head, sep, arg = text.partition(":")
+    head, sep, arg = _typed(text, (str,), "text").partition(":")
     if sep and head in ("eq", "gt"):
         n = _naturals_or_none((arg,))
         if n is None:

@@ -10,21 +10,22 @@ rule and every node's judgment is inductively derivable with corules
 admitted. Both extractors emit one node per judgment the derivation
 reaches, the root first.
 
-One validator walks the table before every check, every render and
-``is_acyclic``, which answers whether the walk met a back edge, and once per
-table for ``depth`` and ``children``, whose subproofs share their walk. It
-raises StructuralError when a node is not such a triple, the root or a child
-index is not the index of a node, a node is unreachable from the root or,
-given the system, a judgment id is not in the universe or a rule index not
-the index of a rule or corule. A well-formed but invalid derivation is
-different: the checkers return False, for instance when a rational proof
-uses a corule, and ``check_finite`` returns False for a table with a cycle,
-which ``format_finite`` and ``depth`` refuse with StructuralError. A proof or
-a system argument of another type raises TypeError naming it.
+A proof walks its table once, when a reader first needs it, and keeps the walk
+for every check and render, ``is_acyclic`` (did the walk meet a back edge?),
+``depth`` and ``children``, whose subproofs share it. The walk raises
+StructuralError when a node is not such a triple, the root or a child index is
+not the index of a node or a node is unreachable from the root. Each check and
+render then raises it when a rule index names no rule or corule of the system
+or a judgment id lies outside its universe. A subproof is walked from its own
+root when it is checked or rendered. A well-formed but invalid derivation is
+different: the checkers return False, for instance when a rational proof uses
+a corule, and ``check_finite`` returns False for a table with a cycle, which
+``format_finite`` and ``depth`` refuse with StructuralError. A proof or system
+argument of another type raises TypeError naming it.
 
 Extraction and checking take time linear in the sizes of the system and of
-the proof, up to sorting each rule's premises. Both renderers share one
-walk. A rational render prints a repeated node as ``^n``. A finite render
+the proof, up to sorting each rule's premises. Both renderers are one
+loop. A rational render prints a repeated node as ``^n``. A finite render
 prints a shared subproof at every occurrence, so its text can be
 exponentially long, but it formats each (node, depth) pair once and copies
 those lines after that.
@@ -48,8 +49,8 @@ class RationalProofTree(Value):
 
     ``children`` are the root's subproofs: proofs over the same table, rooted
     at the root's child indices, one object per node of the table. A subproof
-    answers ``children`` and ``depth()``; the checks and renders, which want
-    every node of the table reachable from the root, take the whole proof."""
+    reads its proof's walk for ``children`` and ``depth()``; a check or render
+    walks it from its own root, from which every node must be reachable."""
 
     __match_args__ = ("nodes", "root")
     __slots__ = __match_args__ + ("_walk",)  # _walk: see _walked
@@ -59,13 +60,44 @@ class RationalProofTree(Value):
         _set(self, "root", root)
         _set(self, "_walk", None)
 
-    def _walked(self) -> tuple[list, Optional[list[int]]]:
-        """Per node, the proof rooted there or None until it is read, and the
-        validator's post-order: made once per table and shared by its subproofs."""
-        if self._walk is None:
-            views = [None] * len(self.nodes)
-            _set(self, "_walk", (views, _validated(self)))
-            views[self.root] = self
+    def _walked(self) -> tuple[list, Optional[list[int]], int]:
+        """Per node, the proof rooted there or None until it is read; the post-order of
+        the walk from ``root``, or None on a cycle; and that root. Walked once per table,
+        with the checks that need no system, and shared by its subproofs."""
+        if self._walk is not None:
+            return self._walk
+        table, root, n = self.nodes, self.root, len(self.nodes)
+        if not (isinstance(root, int) and 0 <= root < n):
+            raise StructuralError(f"root index {root!r} out of range" if n
+                                  else "proof has no nodes")
+        marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
+        order: list[int] = []
+        cyclic = False
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if i < 0:  # the marker pushed below the children of ~i: all below ~i is walked
+                marks[~i] = 2
+                order.append(~i)
+            elif not marks[i]:
+                node = table[i]
+                if not (isinstance(node, tuple) and len(node) == 3 and isinstance(node[2], tuple)):
+                    raise StructuralError(f"node {i} is not a (judgment, rule index, children) "
+                                          "triple with a tuple of children")
+                marks[i] = 1
+                stack.append(~i)
+                for c in node[2]:
+                    if not (isinstance(c, int) and 0 <= c < n):
+                        raise StructuralError(f"child index {c!r} out of range")
+                    if marks[c] == 1:  # c is on the walk's path to i: a back edge
+                        cyclic = True
+                    elif not marks[c]:
+                        stack.append(c)
+        if not all(marks):
+            raise StructuralError("every node must be reachable from the root")
+        views = [None] * n
+        views[root] = self
+        _set(self, "_walk", (views, None if cyclic else order, root))
         return self._walk
 
     @property
@@ -90,50 +122,24 @@ class RationalProofTree(Value):
 
 def _validated(tree: RationalProofTree,
                system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
-    """The nodes of ``tree`` in post-order (the root last), or None if the table
-    has a cycle, after the structural checks the module docstring lists."""
-    table, root = _typed(tree, (RationalProofTree,), "tree").nodes, tree.root
-    n = len(table)
-    if not (isinstance(root, int) and 0 <= root < n):
-        raise StructuralError(f"root index {root!r} out of range" if n else "proof has no nodes")
-    rules = len(system._heads) if system else 0
-    marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
-    order: list[int] = []
-    cyclic = False
-    stack = [root]
-    while stack:
-        i = stack.pop()
-        if i < 0:  # the marker pushed below the children of ~i: all below ~i is walked
-            marks[~i] = 2
-            order.append(~i)
-        elif not marks[i]:
-            node = table[i]
-            if not (isinstance(node, tuple) and len(node) == 3 and isinstance(node[2], tuple)):
-                raise StructuralError(f"node {i} is not a (judgment, rule index, children) triple"
-                                      " with a tuple of children")
-            judgment, rule_index, children = node
-            if system is not None and not (isinstance(rule_index, int) and 0 <= rule_index < rules):
+    """The post-order of the walk of ``tree`` from its own root, or None on a cycle;
+    given the system, after one pass that checks each rule index and judgment id."""
+    _, order, root = _typed(tree, (RationalProofTree,), "tree")._walked()
+    if root != tree.root:  # a subproof shares its proof's walk: walk it from its own root
+        order = RationalProofTree(tree.nodes, tree.root)._walked()[1]
+    if system is not None:
+        rules = len(system._heads)
+        for judgment, rule_index, _ in tree.nodes:
+            if not (isinstance(rule_index, int) and 0 <= rule_index < rules):
                 raise StructuralError(f"rule index {rule_index!r} out of range "
                                       f"(system has {rules} rules and corules)")
-            if system is not None and not (isinstance(judgment, int)
-                                           and 0 <= judgment < system.universe_size):
+            if not (isinstance(judgment, int) and 0 <= judgment < system.universe_size):
                 raise StructuralError(f"judgment id {judgment!r} out of range")
-            marks[i] = 1
-            stack.append(~i)
-            for c in children:
-                if not (isinstance(c, int) and 0 <= c < n):
-                    raise StructuralError(f"child index {c!r} out of range")
-                if marks[c] == 1:  # c is on the walk's path to i: a back edge
-                    cyclic = True
-                elif not marks[c]:
-                    stack.append(c)
-    if not all(marks):
-        raise StructuralError("every node must be reachable from the root")
-    return None if cyclic else order
+    return order
 
 
 def _finite(order: Optional[list[int]]) -> list[int]:
-    """The post-order ``_validated`` gives, which a finite proof has: it has no cycle."""
+    """The post-order of a walk, which a finite proof has: it has no cycle."""
     if order is None:
         raise StructuralError("proof has a cycle, so it is not finite")
     return order

@@ -440,6 +440,68 @@ class TestMalformedProofs:
             check_finite(tree, sys_)
 
 
+class TestOneWalk:
+    """A proof walks its table once, when a reader first needs it, and keeps the
+    walk; each check and render then only checks ids and indices against the
+    system. A subproof is walked from its own root when it is checked or rendered."""
+
+    def test_each_proof_walks_its_table_once(self):
+        # the walk checks each node's shape, asking its length; nothing else does
+        shape_checks = 0
+
+        class Entry(tuple):
+            def __len__(self):
+                nonlocal shape_checks
+                shape_checks += 1
+                return super().__len__()
+
+        for system, target in ((ab_system(), B), (ladder_system(4), 8), (chain_system(50), 49)):
+            proof = extract_finite_proof(system, target)
+            tree = RationalProofTree(map(Entry, proof.nodes), proof.root)
+            shape_checks = 0
+            for _ in range(2):
+                assert check_finite(tree, system) and tree.depth() == proof.depth()
+                assert format_finite(tree, system) == format_finite(proof, system)
+                assert is_acyclic(tree) and check_rational_in_gen(tree, system)
+                assert format_rational(tree, system) == format_rational(proof, system)
+                assert len(tree.children) == len(proof.children)
+            assert shape_checks == len(tree.nodes)
+
+    def test_a_subproof_is_walked_from_its_own_root(self):
+        tree = RationalProofTree([(B, 1, (1,)), (A, 0, ())])
+        child = tree.children[0]
+        assert child.root == 1 and child.depth() == 1 and child.children == ()
+        for call in (lambda: check_finite(child, ab_system()),
+                     lambda: format_finite(child, ab_system()), lambda: is_acyclic(child)):
+            with pytest.raises(StructuralError) as excinfo:
+                call()
+            assert str(excinfo.value) == "every node must be reachable from the root"
+        two_cycle = InferenceSystem(2, (rule(0, 1), rule(1, 0)))
+        tree = RationalProofTree([(0, 0, (1,)), (1, 1, (0,))])
+        for child in (tree.children[0], RationalProofTree(tree.nodes, 1)):
+            assert not check_rational_in_gen(child, two_cycle) and not is_acyclic(child)
+            assert format_rational(child, two_cycle) == "1: j1  [rule 1]\n  0: j0  [rule 0]\n    ^1"
+        assert tree.children[0].children == (tree,)
+
+    def test_a_structural_fault_is_reported_before_an_id_or_index_fault(self):
+        # the walk's faults come first; then the first node, in table order, whose
+        # rule index or judgment id the system does not have
+        sys_ = ab_system()
+        for nodes, text in (
+                ([(99, 0, ()), (A, 0, ())], "every node must be reachable from the root"),
+                ([(A, 9, (1,)), (A, 0, (7,))], "child index 7 out of range"),
+                ([(A, 9, (1,)), None], "node 1 is not a (judgment, rule index, children) "
+                                       "triple with a tuple of children"),
+                ([(B, 1, (1, 2)), (A, 7, ()), (99, 0, ())],
+                 "rule index 7 out of range (system has 3 rules and corules)"),
+                ([(B, 1, (1, 2)), (99, 0, ()), (A, 7, ())], "judgment id 99 out of range")):
+            tree = RationalProofTree(nodes)
+            for call in (check_finite, check_rational_in_gen, format_finite, format_rational):
+                with pytest.raises(StructuralError) as excinfo:
+                    call(tree, sys_)
+                assert str(excinfo.value) == text
+
+
 def unshared(tree):
     """A copy of a small acyclic proof in which every node has one parent: the
     unfolded tree, written as a table in pre-order."""

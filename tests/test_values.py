@@ -49,7 +49,8 @@ from corules import (
     suffix_automaton,
     three_way,
 )
-from corules.cli import ParseError, SystemFile, parse_system
+from corules.cli import ParseError, SystemFile, parse_candidates, parse_colist, parse_system
+from corules.predicates import predicate_by_name
 from corules.prooftree import format_finite, format_rational
 
 from util import random_system
@@ -343,6 +344,10 @@ class TestValidationErrors:
          "label table must name every judgment"),
         (lambda: InferenceSystem(2, [], labels=["a", "a"]), ValueError,
          "judgment labels must be unique"),
+        (lambda: InferenceSystem(2, [], labels=[[1], [2]]), TypeError,
+         "a label in labels must be a str, not list"),
+        (lambda: InferenceSystem(2, [], labels=[1, 2]), TypeError,
+         "a label in labels must be a str, not int"),
         (lambda: SystemFile(InferenceSystem(2, [R0]), None), ValueError,
          "a system file's system must label its judgments"),
         (lambda: SystemFile(None, SPEC), TypeError,
@@ -377,8 +382,8 @@ class TestValidationErrors:
             call()
         assert type(excinfo.value) is error and message(excinfo) == text
 
-    # A proof or system argument of another type is named, at the validator's
-    # or the extractor's entry.
+    # A proof or system argument of another type is named, at the entry of the
+    # validator, the extractors, the interpretations and the principle checks.
     @pytest.mark.parametrize("call, text", [
         (lambda t: check_finite(None, SYSTEM), "tree must be a RationalProofTree, not NoneType"),
         (lambda t: check_finite(t, None), "system must be an InferenceSystem, not NoneType"),
@@ -391,10 +396,31 @@ class TestValidationErrors:
          "system must be an InferenceSystem, not NoneType"),
         (lambda t: extract_rational_proof(FINITE, 0),
          "system must be an InferenceSystem, not tuple"),
+        (lambda t: ind_interpretation(None), "system must be an InferenceSystem, not NoneType"),
+        (lambda t: coind_interpretation(5), "system must be an InferenceSystem, not int"),
+        (lambda t: gen_interpretation("x"), "system must be an InferenceSystem, not str"),
+        (lambda t: is_closed(None, SPEC), "system must be an InferenceSystem, not NoneType"),
+        (lambda t: is_consistent(None, SPEC), "system must be an InferenceSystem, not NoneType"),
+        (lambda t: bounded_coinduction_check(None, SPEC),
+         "system must be an InferenceSystem, not NoneType"),
     ])
     def test_proof_argument(self, call, text):
         with pytest.raises(TypeError) as excinfo:
             call(RationalProofTree(FINITE))
+        assert type(excinfo.value) is TypeError and message(excinfo) == text
+
+    # A text to parse that is not a str is named.
+    @pytest.mark.parametrize("call, text", [
+        (lambda: parse_system(None), "text must be a str, not NoneType"),
+        (lambda: parse_system(b"judgments: a"), "text must be a str, not bytes"),
+        (lambda: parse_colist(None), "text must be a str, not NoneType"),
+        (lambda: parse_colist(5), "text must be a str, not int"),
+        (lambda: parse_candidates(None), "text must be a str, not NoneType"),
+        (lambda: predicate_by_name(None), "text must be a str, not NoneType"),
+    ])
+    def test_text_argument(self, call, text):
+        with pytest.raises(TypeError) as excinfo:
+            call()
         assert type(excinfo.value) is TypeError and message(excinfo) == text
 
     # A colist that is not a Finite or Lasso, and an element predicate that is

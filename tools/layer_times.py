@@ -16,18 +16,22 @@ and imports it as a second package, ``corules_rev``, beside this checkout's
 The layers are ``ind``, ``coind``, ``gen``, ``is_closed``, ``is_consistent`` and
 ``bounded_coinduction_check`` (the three checks of the generated interpretation),
 the two proof extractors (the finite proof, corules allowed, and the rational proof
-of the chain's last judgment, or of the grid's maximum at state 0) and the finite
-extraction followed by ``check_finite`` of its proof. Each call gets a fresh system
-of its tree on the same rule arrays and the same premise index, built once, so the
-two trees read the same input in the same memory and no call reads what an earlier
-one cached beyond that index. For each layer the two trees are called in pairs, the first call of a pair
-taking turns between them, with the garbage collector off during a call, as
-``timeit`` does: an even number of pairs, at least 8 and until the layer's calls
-add up to 5 s. The script prints each side's median wall time, in ms, their ratio,
-which is the median of the pairs' ratios of the checkout's time to REV's, and the
-number of pairs. A pair's two calls run back to back, so the ratio
-cancels the slow drift in speed that a shared host shows over seconds. Only the
-standard library is used.
+of the chain's last judgment, or of the grid's maximum at state 0), the finite
+extraction followed by ``check_finite`` of its proof, and the readers of one proof:
+``check_finite``, ``depth()`` and ``is_acyclic`` on a new ``RationalProofTree`` over
+the finite proof's table, which each tree extracts once. Renders are left out: an
+indented render grows with the square of a chain's depth, to about 10 GB at 100,000.
+Each call gets a fresh system of its tree on the same rule arrays and the same
+premise index, built once, so the two trees read the same input in the same memory
+and no call reads what an earlier one cached beyond that index. For each layer the
+two trees are called in pairs, the first call of a pair taking turns between them,
+with the garbage collector off during a call, as ``timeit`` does: an even number of
+pairs, at least 16 and until the layer's calls add up to 5 s or there are 1,000
+pairs, which a call of a tenth of a millisecond reaches first. The script prints
+each side's median wall time, in ms, their ratio, which is the median of the pairs'
+ratios of the checkout's time to REV's, and the number of pairs. A pair's two calls
+run back to back, so the ratio cancels the slow drift in speed that a shared host
+shows over seconds. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ CHAIN, GHOST = 100_000, 50
 STATES, CANDIDATES = 600, 302
 PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
 BUDGET = 5.0  # seconds of timed calls per layer, at least
+MAX_PAIRS = 1000  # per layer: enough for a stable median of the shortest calls
 
 
 def load(name: str, src: Path) -> ModuleType:
@@ -89,9 +94,18 @@ def fresh(pkg: ModuleType, system):
     return copy
 
 
+def readers(pkg: ModuleType, table: tuple, system) -> None:
+    """Check, measure and test for cycles one new proof over ``table``."""
+    tree = pkg.RationalProofTree(table)
+    pkg.check_finite(tree, system, allow_corules=True)
+    tree.depth()
+    pkg.is_acyclic(tree)
+
+
 def layers(pkg: ModuleType, system, target: int) -> dict:
     """Per layer, the call on a system of ``pkg``; the checks check ``system``'s gen."""
     gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
+    table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
     return {
         "ind": pkg.ind_interpretation,
         "coind": pkg.coind_interpretation,
@@ -104,6 +118,7 @@ def layers(pkg: ModuleType, system, target: int) -> dict:
         "extract_rational_proof": lambda s: pkg.extract_rational_proof(s, target),
         "extract_finite+check_finite": lambda s: pkg.check_finite(
             pkg.extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
+        "check_finite+depth+is_acyclic": lambda s: readers(pkg, table, s),
     }
 
 
@@ -135,21 +150,22 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp)
         trees = (load("corules_rev", Path(tmp) / "src"), load("corules", ROOT / "src"))
-        print(f"{'system':8} {'layer':27} {rev + ' ms':>12} {'checkout ms':>12} {'ratio':>6} "
+        print(f"{'system':8} {'layer':29} {rev + ' ms':>12} {'checkout ms':>12} {'ratio':>6} "
               f"{'pairs':>5}")
         for name, build in (("chain", chain), ("maxgrid", max_grid)):
             system, target = build(trees[1], random.Random(SEED))
             calls = [layers(pkg, system, target) for pkg in trees]
             for layer in calls[0]:
                 pairs: list[list[float]] = []
-                while len(pairs) < PAIRS or len(pairs) % 2 or sum(map(sum, pairs)) < BUDGET:
+                while (len(pairs) < PAIRS or len(pairs) % 2
+                       or sum(map(sum, pairs)) < BUDGET and len(pairs) < MAX_PAIRS):
                     pair = [0.0, 0.0]
                     for side in ((0, 1) if len(pairs) % 2 == 0 else (1, 0)):
                         pair[side] = seconds(trees[side], calls[side][layer], system)
                     pairs.append(pair)
                 old, new = (statistics.median(times) * 1000 for times in zip(*pairs))
                 ratio = statistics.median(b / a for a, b in pairs)
-                print(f"{name:8} {layer:27} {old:12.1f} {new:12.1f} {ratio:6.2f} {len(pairs):5}",
+                print(f"{name:8} {layer:29} {old:12.1f} {new:12.1f} {ratio:6.2f} {len(pairs):5}",
                       flush=True)
     return 0
 
