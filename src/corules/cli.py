@@ -177,13 +177,13 @@ def parse_system(text: str) -> SystemFile:
     starts += map(len(premises).__add__, costarts[1:])
     system = InferenceSystem._compiled(len(names), heads + coheads, starts,
                                        premises + copremises, len(heads), tuple(names))
-    spec = JudgmentSet.of(len(names), spec_ids) if spec_ids is not None else None
+    spec = JudgmentSet(len(names), spec_ids) if spec_ids is not None else None
     return SystemFile(system, spec)
 
 
 def render_system(sf: SystemFile) -> str:
     """Canonical text for a parsed system; reparsing yields an equal SystemFile."""
-    system, names = sf.system, sf.names
+    system, names = _typed(sf, (SystemFile,), "sf").system, sf.names
     lines = ["judgments: " + " ".join(names)]
     for i, c in enumerate(system._heads):  # the rules, then the corules
         premises = map(names.__getitem__, system._premises(i))
@@ -224,7 +224,7 @@ def parse_colist(text: str) -> Colist:
 
 
 def format_colist(xs: Colist) -> str:
-    if isinstance(xs, Finite):
+    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
         return " ".join(map(str, xs.elements))
     prefix = " ".join(map(str, xs.prefix))
     loop = " ".join(map(str, xs.loop))

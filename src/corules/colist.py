@@ -85,7 +85,7 @@ class SuffixAutomaton(Value):
 def get(xs: Colist, i: int) -> Optional[int]:
     """Element of ``xs`` at position ``i``, or None past the end."""
     i = _index(i, "index")
-    if isinstance(xs, Finite):
+    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
         return xs.elements[i] if i < len(xs.elements) else None
     if i < len(xs.prefix):
         return xs.prefix[i]
@@ -95,7 +95,7 @@ def get(xs: Colist, i: int) -> Optional[int]:
 def suffix(xs: Colist, i: int) -> Colist:
     """The colist starting at position ``i`` (the suffix denoted by state ``i``)."""
     i = _index(i, "index")
-    if isinstance(xs, Finite):
+    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
         return Finite(xs.elements[i:])
     if i <= len(xs.prefix):
         return Lasso(xs.prefix[i:], xs.loop)

@@ -23,7 +23,8 @@ The deciders, ``decide_direct`` (structural, looking at prefix and loop
 directly) and ``spec_oracle`` (the index-quantified specification, decided
 in time linear in the periodicity window), exist purely to cross-check the
 engine verdicts and share no code with the interpretations; ``three_way``
-gives all three verdicts, as ``corules pred`` prints them.
+gives all three verdicts, as ``corules pred`` prints them. ``PREDICATES`` is
+the one table of the element predicates' names that ``predicate_by_name`` reads.
 """
 
 from __future__ import annotations
@@ -81,22 +82,24 @@ def greater_than(k: int) -> ElementPredicate:
     return ElementPredicate(f"gt:{k}", lambda n: n > k)
 
 
+# The names ``predicate_by_name`` reads: a predicate, or a family, named with its
+# colon, whose predicate ``name:<n>`` it builds from the natural number n.
+PREDICATES = {"positive": POSITIVE, "even": EVEN, "odd": ODD, "eq:": eq_to, "gt:": greater_than}
+PREDICATE_NAMES = ", ".join(name + "<n>" if name.endswith(":") else name for name in PREDICATES)
+
+
 def predicate_by_name(text: str) -> ElementPredicate:
-    """Parse a predicate name: positive, even, odd, eq:<n>, gt:<n>."""
-    if text == "positive":
-        return POSITIVE
-    if text == "even":
-        return EVEN
-    if text == "odd":
-        return ODD
+    """Parse a predicate name, one of ``PREDICATE_NAMES``."""
     head, sep, arg = _typed(text, (str,), "text").partition(":")
-    if sep and head in ("eq", "gt"):
-        n = _naturals_or_none((arg,))
-        if n is None:
-            raise ValueError(f"predicate argument must be a natural number: {text!r}")
-        return eq_to(n[0]) if head == "eq" else greater_than(n[0])
-    raise ValueError(f"unknown predicate {text!r} "
-                     "(expected positive, even, odd, eq:<n>, gt:<n>)")
+    named = PREDICATES.get(head + sep)
+    if named is None:
+        raise ValueError(f"unknown predicate {text!r} (expected {PREDICATE_NAMES})")
+    if not sep:
+        return named
+    n = _naturals_or_none((arg,))
+    if n is None:
+        raise ValueError(f"predicate argument must be a natural number: {text!r}")
+    return named(n[0])
 
 
 class JudgmentScheme(Value):

@@ -10,16 +10,17 @@ rule and every node's judgment is inductively derivable with corules
 admitted. Both extractors emit one node per judgment the derivation
 reaches, the root first.
 
-A proof walks its table once, when a reader first needs it, and keeps the walk
-for every check and render, ``is_acyclic`` (did the walk meet a back edge?),
-``depth`` and ``children``, whose subproofs share it. The walk raises
-StructuralError when a node is not such a triple, the root or a child index is
-not the index of a node or a node is unreachable from the root. Each check and
-render then raises it when a rule index names no rule or corule of the system
-or a judgment id lies outside its universe. A subproof is walked from its own
-root when it is checked or rendered. A well-formed but invalid derivation is
-different: the checkers return False, for instance when a rational proof uses
-a corule, and ``check_finite`` returns False for a table with a cycle, which
+A proof walks its table once, from its own root, when a reader first needs it,
+and keeps the walk for every check and render, ``is_acyclic`` (did the walk
+meet a back edge?) and ``depth``. ``children`` only moves around the table:
+its handles are proofs rooted at other nodes, one per node, and a handle is
+read as any proof is. The walk raises StructuralError when a node is not such
+a triple, the root or a child index is not the index of a node or a node is
+unreachable from the root. Each check and render then raises it when a rule
+index names no rule or corule of the system or a judgment id lies outside its
+universe. A well-formed but invalid derivation is different: the checkers
+return False, for instance when a rational proof uses a corule, and
+``check_finite`` returns False for a table with a cycle, which
 ``format_finite`` and ``depth`` refuse with StructuralError. A proof or system
 argument of another type raises TypeError naming it.
 
@@ -47,25 +48,24 @@ class RationalProofTree(Value):
     """A finite graph presentation of a possibly-infinite regular proof tree:
     ``nodes`` is its node table and ``root`` the index of its root node.
 
-    ``children`` are the root's subproofs: proofs over the same table, rooted
-    at the root's child indices, one object per node of the table. A subproof
-    reads its proof's walk for ``children`` and ``depth()``; a check or render
-    walks it from its own root, from which every node must be reachable."""
+    ``children`` are handles on the root's subproofs, rooted at its child
+    indices: one proof per node of the table, in a list every handle shares,
+    so reading them walks nothing. A handle's readers walk from its own root."""
 
     __match_args__ = ("nodes", "root")
-    __slots__ = __match_args__ + ("_walk",)  # _walk: see _walked
+    __slots__ = __match_args__ + ("_walk", "_handles")  # see _walked and children
 
     def __init__(self, nodes: Iterable[Entry], root: int = 0):
         _set(self, "nodes", tuple(nodes))
         _set(self, "root", root)
         _set(self, "_walk", None)
+        _set(self, "_handles", None)
 
-    def _walked(self) -> tuple[list, Optional[list[int]], int]:
-        """Per node, the proof rooted there or None until it is read; the post-order of
-        the walk from ``root``, or None on a cycle; and that root. Walked once per table,
-        with the checks that need no system, and shared by its subproofs."""
+    def _walked(self) -> Optional[list[int]]:
+        """The post-order of the walk from ``root``, or None on a cycle: walked once,
+        with the checks that need no system, and kept (False for a cycle)."""
         if self._walk is not None:
-            return self._walk
+            return self._walk or None
         table, root, n = self.nodes, self.root, len(self.nodes)
         if not (isinstance(root, int) and 0 <= root < n):
             raise StructuralError(f"root index {root!r} out of range" if n
@@ -95,25 +95,23 @@ class RationalProofTree(Value):
                         stack.append(c)
         if not all(marks):
             raise StructuralError("every node must be reachable from the root")
-        views = [None] * n
-        views[root] = self
-        _set(self, "_walk", (views, None if cyclic else order, root))
-        return self._walk
+        _set(self, "_walk", False if cyclic else order)
+        return None if cyclic else order
 
     @property
     def children(self) -> tuple["RationalProofTree", ...]:
-        views = self._walked()[0]
-        out = []
-        for c in self.nodes[self.root][2]:
-            if views[c] is None:
-                views[c] = RationalProofTree(self.nodes, c)
-                _set(views[c], "_walk", self._walk)
-            out.append(views[c])
-        return tuple(out)
+        handles = self._handles
+        if handles is None:  # one per node, made once the walk has checked the table
+            self._walked()
+            handles = [RationalProofTree(self.nodes, i) for i in range(len(self.nodes))]
+            handles[self.root] = self
+            for handle in handles:
+                _set(handle, "_handles", handles)
+        return tuple(map(handles.__getitem__, self.nodes[self.root][2]))
 
     def depth(self) -> int:
         """Nodes on a longest root-to-leaf path; StructuralError if the table has a cycle."""
-        order = _finite(self._walked()[1])
+        order = _finite(self._walked())
         below = [0] * len(self.nodes)
         for i in order:
             below[i] = 1 + max([below[c] for c in self.nodes[i][2]], default=0)
@@ -122,11 +120,9 @@ class RationalProofTree(Value):
 
 def _validated(tree: RationalProofTree,
                system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
-    """The post-order of the walk of ``tree`` from its own root, or None on a cycle;
+    """The post-order of the walk of ``tree`` from its root, or None on a cycle;
     given the system, after one pass that checks each rule index and judgment id."""
-    _, order, root = _typed(tree, (RationalProofTree,), "tree")._walked()
-    if root != tree.root:  # a subproof shares its proof's walk: walk it from its own root
-        order = RationalProofTree(tree.nodes, tree.root)._walked()[1]
+    order = _typed(tree, (RationalProofTree,), "tree")._walked()
     if system is not None:
         rules = len(system._heads)
         for judgment, rule_index, _ in tree.nodes:
@@ -248,7 +244,8 @@ def is_acyclic(tree: RationalProofTree) -> bool:
 def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) -> str:
     """One indented line per node, children below their parent; a repeated
     node is printed as ``^n`` (rational) or copied (finite, which must have no
-    cycle)."""
+    cycle). Node numbers and rule indices print as integers: unary ``+`` makes a
+    bool the int it stands for, so ``True`` prints as 1."""
     order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
     if not rational:
         _finite(order)
@@ -265,11 +262,11 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
         key = ni if rational else item
         if key in done:
             span = done[key]
-            lines.extend(lines[span[0]:span[1]] if span else [f"{'  ' * depth}^{ni}"])
+            lines.extend(lines[span[0]:span[1]] if span else [f"{'  ' * depth}^{+ni}"])
             continue
         judgment, rule_index, children = table[ni]
-        name = f"rule {rule_index}" if rule_index < plain else f"corule {rule_index - plain}"
-        number = f"{ni}: " if rational else ""
+        name = f"rule {+rule_index}" if rule_index < plain else f"corule {rule_index - plain}"
+        number = f"{+ni}: " if rational else ""
         lines.append(f"{'  ' * depth}{number}{system.label_of(judgment)}  [{name}]")
         done[key] = None if rational else [len(lines) - 1, len(lines)]
         if children and not rational:

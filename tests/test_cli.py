@@ -37,6 +37,7 @@ from corules.cli import (
     render_system,
     run,
 )
+from corules.predicates import PREDICATE_NAMES
 
 from util import random_system, set_from_bits
 
@@ -383,6 +384,10 @@ class TestRunPred:
     def test_kind_names_are_those_of_kind(self):
         # the parser offers them without loading predicates
         assert KINDS == [k.value for k in Kind]
+
+    def test_predicate_names_are_those_of_the_table(self):
+        # the --p help names them without loading predicates; PRED_HELP is the help's bytes
+        assert f"  --p NAME              element predicate: {PREDICATE_NAMES}\n" in PRED_HELP
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         # no honest disagreement exists, so force one to pin the exit code

@@ -36,6 +36,7 @@ from corules import (
 )
 from corules.cli import _build_parser
 from corules.inference import BOUNDEDNESS, InferenceSystem, JudgmentSet
+from corules.predicates import PREDICATES
 
 from util import (
     PREDICATE_POOL,
@@ -83,10 +84,22 @@ class TestElementPredicates:
         assert predicate_by_name("eq:3")(3)
         assert predicate_by_name("gt:3")(4)
         assert predicate_by_name("odd")(3)
-        with pytest.raises(ValueError):
-            predicate_by_name("prime")
-        with pytest.raises(ValueError):
-            predicate_by_name("eq:x")
+        # each name of the table: a predicate's gives it back; a family's, with a number,
+        # builds one
+        for name, named in PREDICATES.items():
+            if name.endswith(":"):
+                assert predicate_by_name(name + "3").name == named(3).name == name + "3"
+            else:
+                assert predicate_by_name(name) is named and named.name == name
+        for text in ("prime", "positive:", "eq", ":", "Even"):
+            with pytest.raises(ValueError) as e:
+                predicate_by_name(text)
+            assert str(e.value) == (f"unknown predicate {text!r} "
+                                    "(expected positive, even, odd, eq:<n>, gt:<n>)")
+        for text in ("eq:x", "eq:", "gt:x", "eq:-1"):
+            with pytest.raises(ValueError) as e:
+                predicate_by_name(text)
+            assert str(e.value) == f"predicate argument must be a natural number: {text!r}"
 
     @pytest.mark.parametrize("holds", [None, 3, "n > 0"])
     def test_holds_must_be_callable(self, holds):

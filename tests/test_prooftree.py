@@ -263,6 +263,13 @@ class TestRender:
         with pytest.raises(StructuralError):
             format_finite(RationalProofTree([(1, 3, ())]), with_corule)
 
+    def test_finite_bool_rule_index_prints_as_an_integer(self):
+        # True is 1 here as everywhere: the rule index prints as the integer it stands for
+        sys_ = InferenceSystem(2, (rule(0), rule(1, 0)))
+        tree = RationalProofTree([(1, True, (1,)), (0, False, ())])
+        assert check_finite(tree, sys_)
+        assert format_finite(tree, sys_) == "j1  [rule 1]\n  j0  [rule 0]"
+
     def test_rational_rule_index_out_of_range_is_structural(self):
         sys_ = InferenceSystem(1, (rule(0, 0),), (rule(0),))
         for index in (9, -1, 0.0, 0.5, "0"):
@@ -349,6 +356,15 @@ class TestRationalRender:
         text = format_rational(tree, sys_)
         assert text == naive_format_rational(tree, sys_)
         assert text.splitlines() == ["1: j1  [rule 1]", "  0: j0  [rule 0]", "    ^1"]
+
+    def test_bool_node_numbers_print_as_integers(self):
+        # a child, a root and a repeated node given as a bool print as their integers
+        sys_ = InferenceSystem(2, (rule(0), rule(1, 0)))
+        tree = RationalProofTree([(1, 1, (True,)), (0, 0, ())])
+        assert format_rational(tree, sys_) == "0: j1  [rule 1]\n  1: j0  [rule 0]"
+        two_cycle = InferenceSystem(2, (rule(0, 1), rule(1, 0)))
+        tree = RationalProofTree([(0, 0, (True,)), (1, 1, (False,))], root=True)
+        assert format_rational(tree, two_cycle) == "1: j1  [rule 1]\n  0: j0  [rule 0]\n    ^1"
 
 
 class TestMalformedProofs:
@@ -441,9 +457,9 @@ class TestMalformedProofs:
 
 
 class TestOneWalk:
-    """A proof walks its table once, when a reader first needs it, and keeps the
-    walk; each check and render then only checks ids and indices against the
-    system. A subproof is walked from its own root when it is checked or rendered."""
+    """A proof walks its table once, from its own root, when a reader first needs
+    it, and keeps the walk; each check and render then only checks ids and
+    indices against the system. A handle from ``children`` is read as any proof is."""
 
     def test_each_proof_walks_its_table_once(self):
         # the walk checks each node's shape, asking its length; nothing else does
@@ -470,8 +486,9 @@ class TestOneWalk:
     def test_a_subproof_is_walked_from_its_own_root(self):
         tree = RationalProofTree([(B, 1, (1,)), (A, 0, ())])
         child = tree.children[0]
-        assert child.root == 1 and child.depth() == 1 and child.children == ()
-        for call in (lambda: check_finite(child, ab_system()),
+        assert child.root == 1 and child.children == ()
+        assert RationalProofTree([tree.nodes[1]]).depth() == 1  # a leaf on its own table
+        for call in (child.depth, lambda: check_finite(child, ab_system()),
                      lambda: format_finite(child, ab_system()), lambda: is_acyclic(child)):
             with pytest.raises(StructuralError) as excinfo:
                 call()
@@ -481,7 +498,32 @@ class TestOneWalk:
         for child in (tree.children[0], RationalProofTree(tree.nodes, 1)):
             assert not check_rational_in_gen(child, two_cycle) and not is_acyclic(child)
             assert format_rational(child, two_cycle) == "1: j1  [rule 1]\n  0: j0  [rule 0]\n    ^1"
+            with pytest.raises(StructuralError, match="proof has a cycle, so it is not finite"):
+                child.depth()
         assert tree.children[0].children == (tree,)
+
+    def test_a_handle_answers_as_the_proof_built_on_its_root(self):
+        # a handle from children equals the proof built on its table and root, and
+        # every reader gives both the same value or raises both the same fault
+        def outcome(call, tree):
+            try:
+                return "returns", call(tree)
+            except StructuralError as error:
+                return "raises", str(error)
+
+        system = InferenceSystem(2, (rule(0, 0, 1), rule(1)))
+        readers = (RationalProofTree.depth, is_acyclic, lambda t: check_finite(t, system),
+                   lambda t: format_finite(t, system))
+        unreachable = ("raises", "every node must be reachable from the root")
+        for nodes in ([(0, 0, (0, 1)), (1, 1, ())], [(1, 1, (1,)), (0, 0, ())]):
+            tree = RationalProofTree(nodes)
+            for handle in tree.children:
+                built = RationalProofTree(nodes, handle.root)
+                assert handle == built
+                answers = [outcome(call, handle) for call in readers]
+                assert answers == [outcome(call, built) for call in readers]
+                if handle.root == 1:  # the leaf, from which node 0 is unreachable
+                    assert answers == [unreachable] * len(readers)
 
     def test_a_structural_fault_is_reported_before_an_id_or_index_fault(self):
         # the walk's faults come first; then the first node, in table order, whose

@@ -49,7 +49,8 @@ from corules import (
     suffix_automaton,
     three_way,
 )
-from corules.cli import ParseError, SystemFile, parse_candidates, parse_colist, parse_system
+from corules.cli import (ParseError, SystemFile, format_colist, parse_candidates, parse_colist,
+                         parse_system, render_system)
 from corules.predicates import predicate_by_name
 from corules.prooftree import format_finite, format_rational
 
@@ -277,7 +278,8 @@ class TestCoercionsAndDefaults:
 
     def test_proof_caches_stay_out_of_the_fields(self):
         tree, fresh = RationalProofTree(FINITE), RationalProofTree(FINITE)
-        assert tree.depth() == 2 and tree.children[0].depth() == 1
+        assert tree.depth() == 2 and tree.children[0].root == 1
+        assert RationalProofTree([FINITE[1]]).depth() == 1  # the leaf, on its own table
         assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
         assert pickle.loads(pickle.dumps(tree)) == fresh and copy.copy(tree) == fresh
         nodes = ((0, 0, (1,)), NODE)
@@ -286,8 +288,9 @@ class TestCoercionsAndDefaults:
         assert graph == RationalProofTree(nodes) and hash(graph) == hash((nodes, 0))
         assert not hasattr(graph, "__dict__")  # its fields are its table
         for value in (tree, graph):
-            with pytest.raises(AttributeError):
-                value._walk = None
+            for cache in ("_walk", "_handles"):
+                with pytest.raises(AttributeError):
+                    setattr(value, cache, None)
 
     def test_system_file(self):
         sf = parse_system("judgments: a b\nrule: a <-\nrule: b <- a\nspec: b\n")
@@ -439,6 +442,21 @@ class TestValidationErrors:
          "predicate must be an ElementPredicate, not str"),
     ])
     def test_colist_and_predicate_argument(self, call, text):
+        with pytest.raises(TypeError) as excinfo:
+            call()
+        assert type(excinfo.value) is TypeError and message(excinfo) == text
+
+    # So are those of the colist position functions and the CLI formatters.
+    @pytest.mark.parametrize("call, text", [
+        (lambda: get(None, 1), "xs must be a Finite or Lasso, not NoneType"),
+        (lambda: suffix(None, 1), "xs must be a Finite or Lasso, not NoneType"),
+        (lambda: format_colist(None), "xs must be a Finite or Lasso, not NoneType"),
+        (lambda: format_colist((1, 2)), "xs must be a Finite or Lasso, not tuple"),
+        (lambda: render_system(None), "sf must be a SystemFile, not NoneType"),
+        (lambda: render_system(SYSTEM), "sf must be a SystemFile, not InferenceSystem"),
+    ], ids=["get", "suffix", "format_colist", "format_colist-tuple", "render_system",
+            "render_system-system"])
+    def test_position_and_formatter_argument(self, call, text):
         with pytest.raises(TypeError) as excinfo:
             call()
         assert type(excinfo.value) is TypeError and message(excinfo) == text

@@ -20,7 +20,7 @@ on ``PYTHONPATH``. The corpus:
   to 2,000 elements, a 2,000-element prefix with no positive element, and a
   2,000-element finite list), where the index-quantified oracle has the most
   positions to scan;
-* a few malformed commands.
+* a few malformed commands, and predicate names that name no predicate.
 
 A record is a command's exit code, stdout and stderr. The script prints the
 number of records and the first differing ones, and exits 1 if any differs,
@@ -127,6 +127,8 @@ def corpus(files: Path) -> list[list[str]]:
                  for text in longs for kind, runs in KINDS.items() for flags in runs]
     commands += [["pred", "max", "--list", "1 2"], ["pred", "allpos", "--list", "| x"],
                  ["pred", "member", "--list", "1", "--p", "even"], ["nosuch"], []]
+    commands += [["pred", "eventually", "--list", "1 2", "--p", name]
+                 for name in ("nosuch", "eq:", "gt:x")]
     return commands
 
 
