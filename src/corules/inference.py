@@ -8,11 +8,12 @@ the conclusions of its rules, then corules, in one array and their premises
 (ascending, without repeats) in another, cut by offsets. The public
 constructor turns its ``Rule`` objects into these arrays; the parser and the
 predicate builders write them directly and hand them to the unchecked
-``_compiled``. The premise index, the firing rules of the inductive passes,
-the corule-extended bound and the generated interpretation are computed
-once, when first needed, and kept; ``rules`` and ``corules`` are built on
-first read, and so are the labels of a system whose builder gave a function
-that makes them.
+``_compiled``. The premise index, the firing rules of the inductive passes
+and the generated interpretation are computed once, when first needed, and
+kept; the corule pass's firing rules are also the corule-extended bound (the
+judgments it fires a rule for). ``rules`` and ``corules`` are built on first
+read, and so are the labels of a system whose builder gave a function that
+makes them.
 
 The three interpretations:
 
@@ -182,8 +183,8 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: labels, rules, corules, _users, _bound, _gen and the passes of _layers, each
-    # made when needed
+    # __dict__: labels, rules, corules, _users, _gen and the passes of _layers, each made
+    # when needed
     __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
@@ -273,15 +274,11 @@ class InferenceSystem(Value):
         return self.__dict__[name]
 
     @cached_property
-    def _bound(self) -> frozenset[int]:
-        """The judgments inductively derivable once corules are admitted."""
-        return frozenset([j for j, i in enumerate(self._layers(True)) if i is not None])
-
-    @cached_property
     def _gen(self) -> frozenset[int]:
-        """The generated interpretation: the greatest fixed point of the rules inside
-        ``_bound``."""
-        return frozenset(_greatest(self, self._bound))
+        """The generated interpretation: the greatest fixed point of the rules inside the
+        bound, the judgments for which the corule pass ``_layers(True)`` fires a rule."""
+        firing = self._layers(True)
+        return frozenset(_greatest(self, {j for j, i in enumerate(firing) if i is not None}))
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -512,7 +509,8 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     this inclusion is verified before returning.
     """
     inside = _members(spec, _typed(system, (InferenceSystem,), "system").universe_size, "spec")
-    failures = [Failure(j, BOUNDEDNESS, None) for j in inside - system._bound]
+    firing = system._layers(True)
+    failures = [Failure(j, BOUNDEDNESS, None) for j in inside if firing[j] is None]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))

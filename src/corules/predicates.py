@@ -117,9 +117,9 @@ class JudgmentScheme(Value):
     def __init__(self, kind: Kind, colist: Colist, automaton: SuffixAutomaton,
                  candidates: Optional[tuple[int, ...]] = None,
                  predicate: Optional[ElementPredicate] = None):
-        _set(self, "kind", kind)
+        _set(self, "kind", _typed(kind, (Kind,), "kind"))
         _set(self, "colist", colist)
-        _set(self, "automaton", automaton)
+        _set(self, "automaton", _typed(automaton, (SuffixAutomaton,), "automaton"))
         _set(self, "candidates", candidates)
         _set(self, "predicate", predicate)
         _set(self, "state_count", automaton.state_count)

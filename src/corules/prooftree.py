@@ -35,7 +35,7 @@ those lines after that.
 from __future__ import annotations
 
 from itertools import count
-from typing import AbstractSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from ._value import Value, _set, _typed
 from .inference import InferenceSystem, InternalError, StructuralError, _first_support
@@ -142,17 +142,17 @@ def _finite(order: Optional[list[int]]) -> list[int]:
 
 
 def _matches(table: Table, system: InferenceSystem, use_corules: bool,
-             admitted: Optional[AbstractSet[int]] = None) -> bool:
+             firing: Optional[list[Optional[int]]] = None) -> bool:
     """Whether at every entry the rule (or, if used, corule) of its index exists
     and concludes the entry's judgment from exactly one child per premise and,
-    given ``admitted``, every judgment lies in it."""
+    given an inductive pass's firing rules, the pass fires one at every judgment."""
     heads, starts, body = system._heads, system._starts, system._body
     rules = len(heads) if use_corules else system._plain
     judgment_of = [entry[0] for entry in table].__getitem__
     for judgment, i, children in table:
         if (i >= rules or heads[i] != judgment
                 or sorted(map(judgment_of, children)) != body[starts[i]:starts[i + 1]]
-                or admitted is not None and judgment not in admitted):
+                or firing is not None and firing[judgment] is None):
             return False
     return True
 
@@ -212,7 +212,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     the generated interpretation.
     """
     _validated(tree, _typed(system, (InferenceSystem,), "system"))
-    return _matches(tree.nodes, system, False, system._bound)
+    return _matches(tree.nodes, system, False, system._layers(True))
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -244,12 +244,12 @@ def is_acyclic(tree: RationalProofTree) -> bool:
 def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) -> str:
     """One indented line per node, children below their parent; a repeated
     node is printed as ``^n`` (rational) or copied (finite, which must have no
-    cycle). Node numbers and rule indices print as integers: unary ``+`` makes a
-    bool the int it stands for, so ``True`` prints as 1."""
+    cycle). The labels are read once. An id without a label, a node number and a
+    rule index print as integers: unary ``+`` makes a bool the int it stands for."""
     order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
     if not rational:
         _finite(order)
-    table, plain = tree.nodes, system._plain
+    table, plain, labels = tree.nodes, system._plain, system.labels
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
     stack: list = [(tree.root, 0)]
@@ -267,7 +267,8 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
         judgment, rule_index, children = table[ni]
         name = f"rule {+rule_index}" if rule_index < plain else f"corule {rule_index - plain}"
         number = f"{+ni}: " if rational else ""
-        lines.append(f"{'  ' * depth}{number}{system.label_of(judgment)}  [{name}]")
+        label = labels[+judgment] if labels else f"j{+judgment}"
+        lines.append(f"{'  ' * depth}{number}{label}  [{name}]")
         done[key] = None if rational else [len(lines) - 1, len(lines)]
         if children and not rational:
             stack.append(done[key])

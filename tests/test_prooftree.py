@@ -138,6 +138,16 @@ def chain_text(n):
     return "\n".join(lines) + "\n"
 
 
+class CountingLabels(tuple):
+    """A label table that counts the labels read from it."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
 def ladder_system(rungs):
     """a(i+1) <- a(i) b(i) and b(i) <- a(i), with a(i) = 2i and b(i) = 2i + 1.
     The proof of a(rungs) shares every subproof, so as a tree it is 2^rungs big."""
@@ -235,21 +245,33 @@ class TestRender:
                                      "  j2  [rule 2]", "    j1  [rule 1]", "      j0  [rule 0]"]
 
     def test_ladder_formats_each_node_and_depth_once(self, monkeypatch):
+        # a label read is a line formatted: the table counts its reads
         rungs = 16
-        system = ladder_system(rungs)
+        bare = ladder_system(rungs)
+        labels = CountingLabels(f"n{j}" for j in range(bare.universe_size))
+        system = InferenceSystem._compiled(bare.universe_size, bare._heads, bare._starts,
+                                           bare._body, bare._plain, labels)
         tree = extract_finite_proof(system, 2 * rungs)
-        calls = 0
-        label_of = InferenceSystem.label_of
 
-        def counting(self, j):
-            nonlocal calls
-            calls += 1
-            return label_of(self, j)
+        def refused(self, j):
+            raise AssertionError("a render reads the label table, not label_of")
 
-        monkeypatch.setattr(InferenceSystem, "label_of", counting)
+        monkeypatch.setattr(InferenceSystem, "label_of", refused)
         text = format_finite(tree, system)
-        assert calls <= (2 * rungs + 2) ** 2
+        assert 0 < labels.reads <= (2 * rungs + 2) ** 2
         assert text.count("\n") + 1 == 3 * 2 ** rungs - 2
+
+    @pytest.mark.parametrize("labels, finite, rational", [
+        (None, "j1  [rule 1]\n  j0  [rule 0]", "0: j1  [rule 1]\n  1: j0  [rule 0]"),
+        (("a", "b"), "b  [rule 1]\n  a  [rule 0]", "0: b  [rule 1]\n  1: a  [rule 0]"),
+    ], ids=["bare", "labelled"])
+    def test_bool_judgment_ids_print_as_integers(self, labels, finite, rational):
+        # True is judgment 1 in both renders, with a label table and without
+        sys_ = InferenceSystem(2, (rule(0), rule(1, 0)), labels=labels)
+        tree = RationalProofTree([(True, 1, (1,)), (False, 0, ())])
+        assert check_finite(tree, sys_) and check_rational_in_gen(tree, sys_)
+        assert format_finite(tree, sys_) == finite
+        assert format_rational(tree, sys_) == rational
 
     def test_finite_rule_index_out_of_range_is_structural(self):
         sys_ = InferenceSystem(2, (rule(0), rule(1, 0)))

@@ -351,6 +351,10 @@ class TestValidationErrors:
          "a label in labels must be a str, not list"),
         (lambda: InferenceSystem(2, [], labels=[1, 2]), TypeError,
          "a label in labels must be a str, not int"),
+        (lambda: JudgmentScheme(Kind.MEMBER_OF, Finite((1,)), None), TypeError,
+         "automaton must be a SuffixAutomaton, not NoneType"),
+        (lambda: JudgmentScheme("x", Finite((1,)), suffix_automaton(Finite((1,)))), TypeError,
+         "kind must be a Kind, not str"),
         (lambda: SystemFile(InferenceSystem(2, [R0]), None), ValueError,
          "a system file's system must label its judgments"),
         (lambda: SystemFile(None, SPEC), TypeError,

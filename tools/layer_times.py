@@ -17,21 +17,23 @@ The layers are ``ind``, ``coind``, ``gen``, ``is_closed``, ``is_consistent`` and
 ``bounded_coinduction_check`` (the three checks of the generated interpretation),
 the two proof extractors (the finite proof, corules allowed, and the rational proof
 of the chain's last judgment, or of the grid's maximum at state 0), the finite
-extraction followed by ``check_finite`` of its proof, and the readers of one proof:
+extraction followed by ``check_finite`` of its proof, the readers of one proof:
 ``check_finite``, ``depth()`` and ``is_acyclic`` on a new ``RationalProofTree`` over
-the finite proof's table, which each tree extracts once. Renders are left out: an
-indented render grows with the square of a chain's depth, to about 10 GB at 100,000.
-Each call gets a fresh system of its tree on the same rule arrays and the same
-premise index, built once, so the two trees read the same input in the same memory
-and no call reads what an earlier one cached beyond that index. For each layer the
-two trees are called in pairs, the first call of a pair taking turns between them,
-with the garbage collector off during a call, as ``timeit`` does: an even number of
-pairs, at least 16 and until the layer's calls add up to 5 s or there are 1,000
-pairs, which a call of a tenth of a millisecond reaches first. The script prints
-each side's median wall time, in ms, their ratio, which is the median of the pairs'
-ratios of the checkout's time to REV's, and the number of pairs. A pair's two calls
-run back to back, so the ratio cancels the slow drift in speed that a shared host
-shows over seconds. Only the standard library is used.
+the finite proof's table, and ``check_rational_in_gen`` of a new proof over the
+rational proof's table; each tree extracts both tables once. On the max grid only,
+``format_finite`` and ``format_rational`` render a new proof over the finite and the
+rational table: an indented render grows with the square of a chain's depth, to
+about 10 GB at 100,000. Each call gets a fresh system of its tree on the same rule
+arrays, labels and premise index, built once, so the two trees read the same input
+in the same memory and no call reads what an earlier one cached beyond that index.
+For each layer the two trees are called in pairs, the first call of a pair taking
+turns between them, with the garbage collector off during a call, as ``timeit``
+does: an even number of pairs, at least 16 and until the layer's calls add up to 5 s
+or there are 1,000 pairs, which a call of a tenth of a millisecond reaches first.
+The script prints each side's median wall time, in ms, their ratio, which is the
+median of the pairs' ratios of the checkout's time to REV's, and the number of
+pairs. A pair's two calls run back to back, so the ratio cancels the slow drift in
+speed that a shared host shows over seconds. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def max_grid(pkg: ModuleType, rng: random.Random) -> tuple:
 
 
 def fresh(pkg: ModuleType, system):
-    """A new system of ``pkg`` on the rule arrays and the premise index of ``system``,
-    with nothing else cached."""
+    """A new system of ``pkg`` on the rule arrays, the labels and the premise index of
+    ``system``, with nothing else cached."""
     copy = pkg.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
-                                         system._body, system._plain, system._labels)
+                                         system._body, system._plain, system.labels)
     copy.__dict__["_users"] = system._users  # read-only: the engine never writes it
     return copy
 
@@ -102,11 +104,14 @@ def readers(pkg: ModuleType, table: tuple, system) -> None:
     pkg.is_acyclic(tree)
 
 
-def layers(pkg: ModuleType, system, target: int) -> dict:
-    """Per layer, the call on a system of ``pkg``; the checks check ``system``'s gen."""
+def layers(pkg: ModuleType, system, target: int, renders: bool) -> dict:
+    """Per layer, the call on a system of ``pkg``; the checks check ``system``'s gen,
+    and ``renders`` adds the two renders."""
     gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
     table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
-    return {
+    rational = pkg.extract_rational_proof(fresh(pkg, system), target).nodes
+    proof = pkg.RationalProofTree
+    calls = {
         "ind": pkg.ind_interpretation,
         "coind": pkg.coind_interpretation,
         "gen": pkg.gen_interpretation,
@@ -119,7 +124,12 @@ def layers(pkg: ModuleType, system, target: int) -> dict:
         "extract_finite+check_finite": lambda s: pkg.check_finite(
             pkg.extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
         "check_finite+depth+is_acyclic": lambda s: readers(pkg, table, s),
+        "check_rational_in_gen": lambda s: pkg.check_rational_in_gen(proof(rational), s),
     }
+    if renders:
+        calls["format_finite"] = lambda s: pkg.prooftree.format_finite(proof(table), s)
+        calls["format_rational"] = lambda s: pkg.prooftree.format_rational(proof(rational), s)
+    return calls
 
 
 def seconds(pkg: ModuleType, call, system) -> float:
@@ -154,7 +164,7 @@ def main() -> int:
               f"{'pairs':>5}")
         for name, build in (("chain", chain), ("maxgrid", max_grid)):
             system, target = build(trees[1], random.Random(SEED))
-            calls = [layers(pkg, system, target) for pkg in trees]
+            calls = [layers(pkg, system, target, name == "maxgrid") for pkg in trees]
             for layer in calls[0]:
                 pairs: list[list[float]] = []
                 while (len(pairs) < PAIRS or len(pairs) % 2
