@@ -14,7 +14,9 @@ whitespace; only a ParseError works out the column of the token it blames.
 Each command loads only the modules it runs. Importing this module loads
 ``colist`` and ``inference``, all that ``ind``, ``coind``, ``gen`` and
 ``check`` use; ``prove`` imports ``prooftree`` and ``pred`` imports
-``predicates``, each inside its command. Only ``run`` imports ``argparse``.
+``predicates``, each inside its command. ``run`` reads a plain, well-formed
+command line itself (see ``_direct``); only ``--help`` and the command lines
+that reader declines import ``argparse``.
 
 Colist literals are whitespace-separated naturals, with ``|`` introducing
 the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
@@ -34,6 +36,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ._value import Value, _set, _typed
@@ -236,7 +239,7 @@ class _UsageError(Exception):
 
 
 def _build_parser():
-    import argparse  # here, not at the top: only ``run`` parses arguments
+    import argparse  # here, not at the top: only what ``_direct`` declines needs it
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -369,10 +372,44 @@ def _print(lines: list[str]) -> None:
         os.close(devnull)
 
 
+# The attribute of each ``pred`` option, as ``_build_parser`` declares it.
+_PRED_OPTIONS = {"--list": "colist", "--p": "pred", "--x": "x", "--candidates": "candidates"}
+
+
+def _direct(args: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace ``_build_parser().parse_args(args)`` returns, for a plain,
+    well-formed ``args``: ``ind``, ``coind``, ``gen`` or ``check FILE``; ``prove FILE J``,
+    ``--rational`` last if given; ``pred KIND`` followed by ``--list`` and any of ``--p``,
+    ``--x`` and ``--candidates``, each once and as its own token followed by its value.
+    No other token may start with ``-``. None for any other ``args``: argparse reads them."""
+    command, *rest = args or [""]
+    if command in ("ind", "coind", "gen", "check") and len(rest) == 1:
+        values = rest
+        ns = {"file": rest[0], "handler": _cmd_check if command == "check" else _cmd_interpret}
+    elif command == "prove" and len(rest) == 2 + (rest[-1:] == ["--rational"]):
+        values = rest[:2]
+        ns = {"file": rest[0], "judgment": rest[1], "rational": len(rest) == 3,
+              "handler": _cmd_prove}
+    elif command == "pred" and rest[:1] and rest[0] in KINDS and len(rest) % 2:
+        options, values = rest[1::2], rest[2::2]
+        if "--list" not in options or len(_PRED_OPTIONS.keys() & set(options)) < len(options):
+            return None  # an option repeated or not declared
+        ns = dict.fromkeys(_PRED_OPTIONS.values())
+        ns.update(zip(map(_PRED_OPTIONS.get, options), values), kind=rest[0],
+                  handler=_cmd_pred)
+    else:
+        return None
+    if any(value.startswith("-") for value in values):
+        return None
+    return SimpleNamespace(command=command, **ns)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = list(argv) if argv is not None else sys.argv[1:]
+    for arg in args:
+        _typed(arg, (str,), "an argument in argv")
     try:
-        ns = _build_parser().parse_args(args)
+        ns = _direct(args) or _build_parser().parse_args(args)
         code, lines = ns.handler(ns)
         _print(lines)
         return code

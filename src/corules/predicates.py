@@ -30,8 +30,9 @@ the one table of the element predicates' names that ``predicate_by_name`` reads.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._value import Value, _index, _set, _typed
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
@@ -118,9 +119,16 @@ class JudgmentScheme(Value):
                  candidates: Optional[tuple[int, ...]] = None,
                  predicate: Optional[ElementPredicate] = None):
         _set(self, "kind", _typed(kind, (Kind,), "kind"))
-        _set(self, "colist", colist)
+        _set(self, "colist", _typed(colist, (Finite, Lasso), "colist"))
         _set(self, "automaton", _typed(automaton, (SuffixAutomaton,), "automaton"))
+        if candidates is not None:
+            _check_naturals(_typed(candidates, (tuple,), "candidates"),
+                            "candidates must be natural numbers")
+            if len(set(candidates)) < len(candidates):
+                raise ValueError(f"candidates must be distinct, got {candidates!r}")
         _set(self, "candidates", candidates)
+        if predicate is not None:
+            _typed(predicate, (ElementPredicate,), "predicate")
         _set(self, "predicate", predicate)
         _set(self, "state_count", automaton.state_count)
 
@@ -261,10 +269,11 @@ def gen_maxelem_system(xs: Colist,
     every element of the colist (those are the only possible maxima) and may
     add probe values, which the corules then correctly fail to justify.
     """
-    cands = tuple(sorted(set(candidates)))
+    cands = _check_naturals(_typed(candidates, (Iterable,), "candidates"),
+                            "candidates must be natural numbers")
+    cands = tuple(sorted(set(cands)))
     if not cands:
         raise ValueError("candidate set must be nonempty")
-    _check_naturals(cands, "candidates must be natural numbers")
     aut = suffix_automaton(xs)
     occurring = set(_all_elements(xs))
     missing = occurring - set(cands)

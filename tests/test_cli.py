@@ -29,6 +29,9 @@ from corules.cli import (
     KINDS,
     ParseError,
     SystemFile,
+    _build_parser,
+    _direct,
+    _UsageError,
     format_colist,
     main,
     parse_candidates,
@@ -495,6 +498,73 @@ class TestRunPlumbing:
             run(argv)
             out = capsys.readouterr().out
             assert all(line == line.rstrip() for line in out.splitlines())
+
+
+class TestDirectReader:
+    """``run`` reads a plain, well-formed command line itself; what its reader
+    returns is what argparse would, and whatever it declines argparse reads."""
+
+    WORDS = ["ind", "coind", "gen", "check", "prove", "pred", "nosuch", *KINDS, "-h",
+             "--help", "--rational", "--rat", "--list", "--list=1", "--li", "--p", "--x",
+             "--candidates", "--", "", "-1", "1 2", "| 1", "even", "2", "1,2",
+             str(DEMOS / "basics.inf"), "a b.inf"]
+    WORD = st.one_of(st.sampled_from(WORDS), st.text(max_size=3))
+    OPTION = st.sampled_from(["--list", "--p", "--x", "--candidates", "--li", "--list=1",
+                              "--rational", "--", "-h"])
+
+    @staticmethod
+    def parsed(argv):
+        """``vars`` of argparse's namespace, or None where argparse refuses ``argv``
+        or prints help."""
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                return vars(_build_parser().parse_args(argv))
+        except (_UsageError, SystemExit):
+            return None
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.one_of(
+        st.lists(WORD, max_size=7),
+        st.tuples(st.sampled_from(["ind", "coind", "gen", "check"]), WORD).map(list),
+        st.tuples(st.just("prove"), WORD, WORD,
+                  st.lists(st.sampled_from(["--rational", "--rat", "-h", "x"]), max_size=2))
+        .map(lambda t: [*t[:3], *t[3]]),
+        st.tuples(st.sampled_from(KINDS + ["nope"]),
+                  st.lists(st.tuples(OPTION, WORD), max_size=5))
+        .map(lambda t: ["pred", t[0], *(w for pair in t[1] for w in pair)])))
+    def test_agrees_with_argparse(self, argv):
+        direct, parsed = _direct(argv), self.parsed(argv)
+        assert direct is None or vars(direct) == parsed, argv
+
+    @pytest.mark.parametrize("argv", [
+        [command, str(DEMOS / "basics.inf")] for command in ("ind", "coind", "gen", "check")
+    ] + [
+        ["prove", str(DEMOS / "basics.inf"), "b"],
+        ["prove", str(DEMOS / "max_stream12.inf"), "max(2,xs)", "--rational"],
+        ["pred", "allpos", "--list", ""],
+        ["pred", "member", "--list", "1 2", "--x", "1"],
+        ["pred", "always", "--list", "| 1", "--p", "positive"],
+        ["pred", "infoften", "--list", "1 | 2", "--p", "even"],
+        ["pred", "eventually", "--list", "0 0 | 3", "--p", "gt:2"],
+        ["pred", "max", "--list", "| 1 2", "--x", "2", "--candidates", "1,2,3"],
+        ["pred", "max", "--candidates", "1,2", "--x", "2", "--list", "2 1"],
+    ])
+    def test_reads_every_shape_of_the_benchmark_and_the_readme(self, argv):
+        direct = _direct(argv)
+        assert direct is not None and vars(direct) == self.parsed(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["ind"], ["gen", "--", "f"], ["gen", "-h"], ["gen", "f", "extra"], ["gen", "-1"],
+        ["prove", "f"], ["prove", "f", "j", "--rat"], ["prove", "f", "j", "--rational", "x"],
+        ["prove", "f", "j", "--rational", "--rational"], ["prove", "--rational", "f", "j"],
+        ["pred", "--list", "1 2", "max", "--x", "2"], ["pred", "max", "--list=1", "--x", "1"],
+        ["pred", "max", "--li", "1 2", "--x", "2"], ["pred", "max", "--x", "2"],
+        ["pred", "member", "--list", "1", "--x", "1", "--x", "2"],
+        ["pred", "member", "--list", "1", "--x", "-1"], ["pred", "member", "--list", "1", "--x"],
+        ["pred", "nope", "--list", "1"], ["pred", "max", "--list", "1", "extra", "2"],
+    ])
+    def test_declines_what_is_not_plain(self, argv):
+        assert _direct(argv) is None
 
 
 class TestClosedStdout:

@@ -35,6 +35,7 @@ from corules import (
     rule,
     spec_oracle,
 )
+from corules.cli import parse_colist, parse_system
 from corules.prooftree import format_finite, format_rational
 
 PACKAGE = os.path.dirname(corules.__file__) + os.sep
@@ -137,6 +138,22 @@ def infoften_oracle_of(n):
     return call
 
 
+def parse_system_of(n):
+    # a chain file: the header names n judgments, then c0 <- and c(i) <- c(i-1), shuffled
+    lines = ["rule: c0 <-"] + [f"rule: c{i} <- c{i - 1}" for i in range(1, n)]
+    random.Random(SEED).shuffle(lines)
+    text = "\n".join(["judgments: " + " ".join(f"c{i}" for i in range(n)), *lines])
+    return lambda: parse_system(text)
+
+
+def parse_colist_of(n):
+    # a lasso literal: a prefix of n elements, then a loop of n elements
+    rng = random.Random(SEED)
+    text = " ".join(str(rng.randrange(100)) for _ in range(n)) + " | " + " ".join(
+        str(rng.randrange(100)) for _ in range(n))
+    return lambda: parse_colist(text)
+
+
 @pytest.mark.parametrize("prepare, n", [
     (gen_of, 1000),
     (bounded_check_of, 1000),
@@ -145,9 +162,11 @@ def infoften_oracle_of(n):
     (render_of(format_rational), 500),
     (coind_of, 2000),
     (infoften_oracle_of, 2000),
+    (parse_system_of, 1000),
+    (parse_colist_of, 2000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
-        "coind_interpretation", "spec_oracle_infoften"])
+        "coind_interpretation", "spec_oracle_infoften", "parse_system", "parse_colist"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -50,7 +50,7 @@ from corules import (
     three_way,
 )
 from corules.cli import (ParseError, SystemFile, format_colist, parse_candidates, parse_colist,
-                         parse_system, render_system)
+                         parse_system, render_system, run)
 from corules.predicates import predicate_by_name
 from corules.prooftree import format_finite, format_rational
 
@@ -254,8 +254,8 @@ class TestCoercionsAndDefaults:
         scheme = JudgmentScheme(Kind.ALWAYS, Finite((1,)), AUT)
         assert scheme.candidates is None and scheme.predicate is None
         assert scheme.state_count == 2 and scheme.universe_size == 2
-        listed = JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, [1, 3])
-        assert type(listed.candidates) is list and listed.universe_size == 4
+        listed = JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3))
+        assert listed.candidates == (1, 3) and listed.universe_size == 4
 
     def test_judgment_scheme_cache_stays_out_of_the_fields(self):
         values = (Kind.MAX_ELEM, Finite((1,)), AUT, (1, 3), None)
@@ -355,6 +355,26 @@ class TestValidationErrors:
          "automaton must be a SuffixAutomaton, not NoneType"),
         (lambda: JudgmentScheme("x", Finite((1,)), suffix_automaton(Finite((1,)))), TypeError,
          "kind must be a Kind, not str"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, (1,), AUT), TypeError,
+         "colist must be a Finite or Lasso, not tuple"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (1, 1)), ValueError,
+         "candidates must be distinct, got (1, 1)"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, {1: 2}), TypeError,
+         "candidates must be a tuple, not dict"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, 5), TypeError,
+         "candidates must be a tuple, not int"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, [1, 3]), TypeError,
+         "candidates must be a tuple, not list"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (1, True)), ValueError,
+         "candidates must be natural numbers, got True"),
+        (lambda: JudgmentScheme(Kind.MAX_ELEM, Finite((1,)), AUT, (-1,)), ValueError,
+         "candidates must be natural numbers, got -1"),
+        (lambda: JudgmentScheme(Kind.ALWAYS, Finite((1,)), AUT, predicate="even"), TypeError,
+         "predicate must be an ElementPredicate, not str"),
+        (lambda: gen_maxelem_system(Finite((1,)), 5), TypeError,
+         "candidates must be an Iterable, not int"),
+        (lambda: gen_maxelem_system(Finite((1,)), None), TypeError,
+         "candidates must be an Iterable, not NoneType"),
         (lambda: SystemFile(InferenceSystem(2, [R0]), None), ValueError,
          "a system file's system must label its judgments"),
         (lambda: SystemFile(None, SPEC), TypeError,
@@ -424,6 +444,10 @@ class TestValidationErrors:
         (lambda: parse_colist(5), "text must be a str, not int"),
         (lambda: parse_candidates(None), "text must be a str, not NoneType"),
         (lambda: predicate_by_name(None), "text must be a str, not NoneType"),
+        (lambda: run([5]), "an argument in argv must be a str, not int"),
+        (lambda: run(["ind", 5]), "an argument in argv must be a str, not int"),
+        (lambda: run(["pred", "max", "--list", None]),
+         "an argument in argv must be a str, not NoneType"),
     ])
     def test_text_argument(self, call, text):
         with pytest.raises(TypeError) as excinfo:
@@ -542,10 +566,11 @@ class TestEngineBuiltSets:
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up stays lean: importing the package and its CLI pulls in no
-    dataclass or source-introspection machinery, no argument parser, which
-    only ``cli.run`` needs, and of the package only what every command uses.
-    A command then loads only what it runs: ``prove`` adds ``prooftree``,
-    ``pred`` adds ``predicates`` and the other commands add nothing."""
+    dataclass or source-introspection machinery, no argument parser, and of
+    the package only what every command uses. A command then loads only what
+    it runs: ``prove`` adds ``prooftree``, ``pred`` adds ``predicates`` and the
+    other commands add nothing. A well-formed command line is read without
+    ``argparse``; ``--help`` and a malformed command line load it."""
     root = Path(__file__).resolve().parent.parent
     code = ("import contextlib, io, sys\n"
             f"sys.path.append({str(root / 'src')!r})\n"
@@ -557,7 +582,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "print(sorted(before))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = corules.cli.run(sys.argv[1:])\n"
-            "print(code, sorted(loaded() - before))\n")
+            "print(code, sorted(loaded() - before), 'argparse' in sys.modules)\n")
     startup = ["corules", "corules._value", "corules.cli", "corules.colist",
                "corules.inference"]
     demo = str(root / "demos" / "basics.inf")
@@ -570,4 +595,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                          ["corules.predicates"])):
         done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, check=True)
-        assert done.stdout == f"[]\n{startup}\n0 {added}\n", argv
+        assert done.stdout == f"[]\n{startup}\n0 {added} False\n", argv
+    for argv, exit_code in ((["pred", "--help"], 0), (["pred", "nope", "--list", "1"], 64)):
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == f"[]\n{startup}\n{exit_code} [] True\n", argv

@@ -20,7 +20,10 @@ on ``PYTHONPATH``. The corpus:
   to 2,000 elements, a 2,000-element prefix with no positive element, and a
   2,000-element finite list), where the index-quantified oracle has the most
   positions to scan;
-* a few malformed commands, and predicate names that name no predicate.
+* a few malformed commands, and predicate names that name no predicate;
+* command lines on both sides of the boundary of what ``corules.cli._direct``
+  reads without argparse: abbreviated, repeated or misplaced flags, ``--opt=value``,
+  ``--``, ``-h``, a value that starts with ``-``, an empty or an extra positional.
 
 A record is a command's exit code, stdout and stderr. The script prints the
 number of records and the first differing ones, and exits 1 if any differs,
@@ -129,6 +132,16 @@ def corpus(files: Path) -> list[list[str]]:
                  ["pred", "member", "--list", "1", "--p", "even"], ["nosuch"], []]
     commands += [["pred", "eventually", "--list", "1 2", "--p", name]
                  for name in ("nosuch", "eq:", "gt:x")]
+    basics = str(files / "basics.inf")
+    commands += [["prove", basics, "b", "--rat"],
+                 ["prove", basics, "b", "--rational", "--rational"],
+                 ["prove", "--rational", basics, "b"], ["prove", basics],
+                 ["pred", "--list", "1 2", "max", "--x", "2"],
+                 ["pred", "max", "--list=1", "--x", "1"],
+                 ["pred", "max", "--li", "1 2", "--x", "2"],
+                 ["pred", "member", "--list", "1", "--x", "1", "--x", "2"],
+                 ["pred", "member", "--list", "1", "--x", "-1"],
+                 ["gen", "--", basics], ["gen", "-h"], ["gen", basics, "extra"], ["gen", ""]]
     return commands
 
 
