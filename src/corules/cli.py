@@ -8,8 +8,14 @@ System files (``.inf``) are line oriented; ``#`` starts a comment:
     spec: a c               # optional, at most once
 
 Judgment names are arbitrary non-whitespace tokens (except the reserved
-``<-``), mapped to dense ids in declaration order. A line is split on
-whitespace; only a ParseError works out the column of the token it blames.
+``<-``), mapped to dense ids in declaration order. Comments are cut only
+from a text that has a ``#``; then each line is split on whitespace. The
+header's names are mapped in one pass. A rule or corule line goes by its
+token count: three tokens are an axiom, four store their one premise as it
+is, and only five or more are sorted and rid of repeats. The lookups of a
+line may meet its faults in any order, so a faulty line (or header) is read
+again, left to right, for its first fault; only a ParseError works out the
+column of the token it blames.
 
 Each command loads only the modules it runs. Importing this module loads
 ``colist`` and ``inference``, all that ``ind``, ``coind``, ``gen`` and
@@ -121,6 +127,19 @@ def _rule_error(ids: dict[str, int], words: list[str], line: int, body: str) -> 
     return _unknown(ids, words, 3, line, body)
 
 
+def _header_error(names: list[str], line: int, body: str) -> ParseError:
+    """The first fault, left to right, of the faulty header declaring ``names``: a
+    reserved or a repeated name."""
+    seen: set[str] = set()
+    for k, name in enumerate(names, 1):
+        if name == ARROW:
+            return _error(f"{ARROW} is not a valid judgment name", "reserved-name", line,
+                          body, k)
+        if name in seen:
+            return _error(f"duplicate judgment name {name!r}", "duplicate-name", line, body, k)
+        seen.add(name)
+
+
 def parse_system(text: str) -> SystemFile:
     names: list[str] = []
     ids: dict[str, int] = {}
@@ -128,40 +147,42 @@ def parse_system(text: str) -> SystemFile:
     arrays: dict[str, tuple[list[int], list[int], list[int]]] = {
         "rule:": ([], [0], []), "corule:": ([], [0], [])}
     spec_ids: Optional[list[int]] = None
-    for line, raw in enumerate(_typed(text, (str,), "text").splitlines(), 1):
-        body = raw.partition("#")[0]
-        words = body.split()
+    bodies = _typed(text, (str,), "text").splitlines()
+    if "#" in text:
+        bodies = [raw.partition("#")[0] for raw in bodies]
+    for line, words in enumerate(map(str.split, bodies), 1):
         if not words:
             continue
         directive = words[0]
         target = arrays.get(directive)
         if target is not None and names:
             heads, starts, premises = target
-            try:
+            size = len(words)
+            try:  # whichever lookup meets a fault first, _rule_error finds the first one
                 conclusion = ids[words[1]]
+                if size == 4:
+                    premises.append(ids[words[3]])
+                elif size > 4:  # each premise once, ascending
+                    premises += sorted(set(map(ids.__getitem__, words[3:])))
                 arrow = words[2] == ARROW
-                premises += sorted(set(map(ids.__getitem__, words[3:])))  # once, ascending
             except (IndexError, KeyError):
                 arrow = False
             if not arrow:
-                raise _rule_error(ids, words, line, body)
+                raise _rule_error(ids, words, line, bodies[line - 1])
             heads.append(conclusion)
             starts.append(len(premises))
-        elif directive == "judgments:":
+            continue
+        body = bodies[line - 1]  # a header, a spec or a fault: the column of an error
+        if directive == "judgments:":
             if names:
                 raise _error("duplicate judgments: header", "duplicate-header", line, body, 0)
             if len(words) == 1:
                 raise _error("judgments: needs at least one name", "empty-judgments",
                              line, body, 0)
-            for k, name in enumerate(words[1:], 1):
-                if name == ARROW:
-                    raise _error(f"{ARROW} is not a valid judgment name", "reserved-name",
-                                 line, body, k)
-                if name in ids:
-                    raise _error(f"duplicate judgment name {name!r}", "duplicate-name",
-                                 line, body, k)
-                ids[name] = len(names)
-                names.append(name)
+            names = words[1:]
+            ids = dict(zip(names, range(len(names))))
+            if len(ids) < len(names) or ARROW in ids:
+                raise _header_error(names, line, body)
         elif not names:
             raise _error("judgments: header must be the first directive", "missing-header",
                          line, body, 0)
@@ -180,7 +201,7 @@ def parse_system(text: str) -> SystemFile:
     starts += map(len(premises).__add__, costarts[1:])
     system = InferenceSystem._compiled(len(names), heads + coheads, starts,
                                        premises + copremises, len(heads), tuple(names))
-    spec = JudgmentSet(len(names), spec_ids) if spec_ids is not None else None
+    spec = JudgmentSet._valid(len(names), spec_ids) if spec_ids is not None else None
     return SystemFile(system, spec)
 
 
@@ -282,6 +303,8 @@ def _build_parser():
 
 
 def _load(path: str) -> SystemFile:
+    if not path:  # Path("") is the working directory, which the user never named
+        raise _UsageError("the system file path is empty")
     return parse_system(Path(path).read_text(encoding="utf-8"))
 
 

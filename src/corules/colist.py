@@ -117,5 +117,5 @@ def suffix_automaton(xs: Colist) -> SuffixAutomaton:
         return SuffixAutomaton(heads, nexts)
     u, v = len(xs.prefix), len(xs.loop)
     heads = xs.prefix + xs.loop
-    nexts = tuple(i + 1 for i in range(u + v - 1)) + (u,)
+    nexts = (*range(1, u + v), u)
     return SuffixAutomaton(heads, nexts)

@@ -54,8 +54,9 @@ everything here can be freely shared across threads.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, repeat
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
 
 from ._value import Value, _index, _set, _typed
@@ -243,13 +244,24 @@ class InferenceSystem(Value):
     def _rule(self, i: int) -> Rule:
         return Rule(self._premises(i), self._heads[i])
 
+    def _rules(self, first: int, last: int) -> tuple[Rule, ...]:
+        """The rules of indices ``first`` to ``last - 1``, made in one pass: each premise
+        run is sliced, and the two slots of each new ``Rule`` are set, in bulk."""
+        starts = self._starts  # read through islice: no copy of an array is made
+        rules = tuple(map(object.__new__, repeat(Rule, last - first)))
+        cuts = map(slice, islice(starts, first, last), islice(starts, first + 1, last + 1))
+        runs = map(self._body.__getitem__, cuts)
+        deque(map(Rule.premises.__set__, rules, map(frozenset, runs)), 0)
+        deque(map(Rule.conclusion.__set__, rules, islice(self._heads, first, last)), 0)
+        return rules
+
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        return tuple(map(self._rule, range(self._plain)))
+        return self._rules(0, self._plain)
 
     @cached_property
     def corules(self) -> tuple[Rule, ...]:
-        return tuple(map(self._rule, range(self._plain, len(self._heads))))
+        return self._rules(self._plain, len(self._heads))
 
     @cached_property
     def _users(self) -> tuple[list[int], list[int], list[int]]:

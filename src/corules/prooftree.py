@@ -231,8 +231,10 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     if j not in gen:
         return None
     rule_for = list(system._layers(use_corules=False))
-    for k, i in _first_support(system, gen, {k for k in gen if rule_for[k] is None}).items():
-        rule_for[k] = i
+    missing = {k for k in gen if rule_for[k] is None}
+    if missing:  # else, as in every chain, no rule need be scanned for a witness
+        for k, i in _first_support(system, gen, missing).items():
+            rule_for[k] = i
     return _proof(system, j, rule_for)
 
 

@@ -440,6 +440,13 @@ class TestRunPlumbing:
         assert run(["ind", "/nonexistent/system.inf"]) == 64
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["ind", ""], ["coind", ""], ["gen", ""], ["check", ""],
+                                      ["prove", "", "a"], ["prove", "", "a", "--rational"]])
+    def test_an_empty_path_is_named_empty(self, argv, capsys):
+        # not read as the working directory, which the user never named
+        assert run(argv) == 64
+        assert capsys.readouterr() == ("", "error: the system file path is empty\n")
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         assert run(["ind", write(tmp_path, "rule: a <-")]) == 64
         err = capsys.readouterr().err

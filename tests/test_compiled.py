@@ -123,6 +123,24 @@ def test_a_bool_id_is_stored_as_one():
     assert type(InferenceSystem(True, [rule(0)]).universe_size) is int
 
 
+def test_rules_and_corules_are_the_rules_of_their_indices():
+    """The bulk fill of ``rules`` and ``corules`` makes, index by index, the ``Rule``
+    that ``rule_at`` makes, axioms and repeated rules included, on both ways in."""
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        pool = [Rule(rng.sample(range(n), min(rng.choice([0, 0, 1, 2, 4]), n)),
+                     rng.randrange(n)) for _ in range(rng.randint(1, 5))]
+        rules, corules = (rng.choices(pool, k=rng.randint(0, 10)) for _ in "rc")
+        public = InferenceSystem(n, rules, corules)
+        for system in (public, compiled_from(public)):
+            every = tuple(map(system.rule_at, range(len(system._heads))))
+            assert system.rules + system.corules == every == tuple(rules + corules)
+            assert all(type(r) is Rule and type(r.premises) is frozenset
+                       and hash(r) == hash(rule(r.conclusion, *r.premises))
+                       for r in system.rules + system.corules)
+
+
 def test_rule_repr_lists_premises_in_ascending_order():
     assert repr(rule(0, 9, 1)) == repr(rule(0, 1, 9)) == \
         "Rule(premises=frozenset({1, 9}), conclusion=0)"
@@ -212,15 +230,21 @@ def test_parser_matches_the_pair_reference():
 def test_queries_leave_a_builders_labels_unbuilt(monkeypatch):
     """Only a read of ``labels`` (a render, ``==``, ``repr``) formats them, and no
     query builds a ``Rule``: reports and proofs name rules by index, so ``rules``
-    and ``corules`` stay unbuilt too."""
+    and ``corules`` stay unbuilt too. ``rule_at`` calls ``Rule.__init__``; the bulk
+    fill of ``rules`` and ``corules`` does not, so it is counted on its own."""
     made = []
-    init = Rule.__init__
+    init, fill = Rule.__init__, InferenceSystem._rules
 
     def counted(self, premises, conclusion):
         made.append(conclusion)
         init(self, premises, conclusion)
 
+    def filled(self, first, last):
+        made.append((first, last))
+        return fill(self, first, last)
+
     monkeypatch.setattr(Rule, "__init__", counted)
+    monkeypatch.setattr(InferenceSystem, "_rules", filled)
     xs = Lasso((1, 0, 2), (3, 1))
     built = [family.build(xs, 1, EVEN, None) for family in FAMILIES.values()]
     parsed = [(parse_system(demo.read_text(encoding="utf-8")).system, None)
@@ -252,3 +276,10 @@ def test_queries_leave_a_builders_labels_unbuilt(monkeypatch):
         engine, direct, oracle = three_way(kind, xs, x=1 if family.needs_value else None,
                                            predicate=EVEN if family.needs_predicate else None)
         assert engine == direct == oracle
+    # the two checks above see a read of rules or corules
+    for system, _ in built + parsed:
+        made.clear()
+        assert system.rules + system.corules == tuple(map(system.rule_at,
+                                                          range(len(system._heads))))
+        assert made[:2] == [(0, system._plain), (system._plain, len(system._heads))]
+        assert {"rules", "corules"} <= set(system.__dict__)

@@ -146,6 +146,15 @@ def parse_system_of(n):
     return lambda: parse_system(text)
 
 
+def rules_of(n):
+    # the rules and the corule of a ghost chain, read once from its arrays
+    system = ghost_chain(n)
+
+    def call():
+        assert len(system.rules + system.corules) == 3 * n + 1
+    return call
+
+
 def parse_colist_of(n):
     # a lasso literal: a prefix of n elements, then a loop of n elements
     rng = random.Random(SEED)
@@ -163,10 +172,12 @@ def parse_colist_of(n):
     (coind_of, 2000),
     (infoften_oracle_of, 2000),
     (parse_system_of, 1000),
+    (rules_of, 1000),
     (parse_colist_of, 2000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
-        "coind_interpretation", "spec_oracle_infoften", "parse_system", "parse_colist"])
+        "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
+        "parse_colist"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -20,6 +20,7 @@ on ``PYTHONPATH``. The corpus:
   to 2,000 elements, a 2,000-element prefix with no positive element, and a
   2,000-element finite list), where the index-quantified oracle has the most
   positions to scan;
+* malformed ``.inf`` files (``malformed_infs``), each read by ``gen`` and ``prove``;
 * a few malformed commands, and predicate names that name no predicate;
 * command lines on both sides of the boundary of what ``corules.cli._direct``
   reads without argparse: abbreviated, repeated or misplaced flags, ``--opt=value``,
@@ -85,6 +86,29 @@ def ladder_inf(rungs: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def malformed_infs() -> dict[str, str]:
+    """Files with one fault each, or none where a ``#`` cuts a token: an unknown name
+    in every position of rule and corule lines of 0, 1 and 2 premises, each line after
+    a well-formed one; a missing or misplaced arrow; ``#`` inside a token; a repeated
+    header or spec."""
+    header = "judgments: a b c\nrule: a <-\n"
+    lines = []
+    for directive in ("rule:", "corule:"):
+        for words in (["b", "<-"], ["b", "<-", "a"], ["c", "<-", "a", "b"]):
+            lines += [" ".join([directive, *words[:k], "zz", *words[k + 1:]])
+                      for k in range(len(words))]
+    lines += ["rule: b a", "rule: b a <-", "rule: b", "rule:", "rule: <- a", "rule: b <- <-",
+              "rule: b <- a <-", "rule: b <- a a", "rule: a#b <- c", "rule: b <- a#c",
+              "rule: c <- a b#x zz", "judgments: a", "spec: a\nspec: b", "spec: a zz",
+              "spec: <-", "rules: b <- a", "b <- a"]
+    texts = {f"malformed{k}.inf": header + line + "\n" for k, line in enumerate(lines)}
+    texts.update({"headless.inf": "rule: a <-\njudgments: a\n",
+                  "hashed-header.inf": "judgments: a b#c\nrule: b <- a\n",
+                  "repeated-name.inf": "judgments: a b a\n", "reserved.inf": "judgments: <-\n",
+                  "empty-header.inf": "judgments: # none\n", "comments.inf": "# only\n\n"})
+    return texts
+
+
 def sparse(rng: random.Random, length: int) -> list[int]:
     """``length`` elements, each 0 but for about one in 100, drawn from 1 to 5."""
     return [rng.randint(1, 5) if rng.random() < 0.01 else 0 for _ in range(length)]
@@ -117,6 +141,10 @@ def corpus(files: Path) -> list[list[str]]:
         if name != "broken.inf":
             for j in judgments(text) + ["nosuch"]:
                 commands += [["prove", path, j], ["prove", path, j, "--rational"]]
+    for name, text in malformed_infs().items():
+        path = str(files / name)
+        Path(path).write_text(text, encoding="utf-8")
+        commands += [["gen", path], ["prove", path, "a"]]
     for kind, runs in KINDS.items():
         for _ in range(5):
             prefix = [rng.randint(0, 5) for _ in range(rng.randint(0, 3))]

@@ -13,10 +13,11 @@ and imports it as a second package, ``corules_rev``, beside this checkout's
   generated interpretation;
 * the max-element system of a 600-state lasso over 302 candidates (181,800 rules).
 
-The layers are ``ind``, ``coind``, ``gen``, ``is_closed``, ``is_consistent`` and
-``bounded_coinduction_check`` (the three checks of the generated interpretation),
-the two proof extractors (the finite proof, corules allowed, and the rational proof
-of the chain's last judgment, or of the grid's maximum at state 0), the finite
+The layers are ``parse_system`` of the system's file (judgment ``j`` named ``j<j>``),
+the build of ``rules`` from the rule arrays, ``ind``, ``coind``, ``gen``, ``is_closed``,
+``is_consistent`` and ``bounded_coinduction_check`` (the three checks of the generated
+interpretation), the two proof extractors (the finite proof, corules allowed, and the
+rational proof of the chain's last judgment, or of the grid's maximum at state 0), the finite
 extraction followed by ``check_finite`` of its proof, the readers of one proof:
 ``check_finite``, ``depth()`` and ``is_acyclic`` on a new ``RationalProofTree`` over
 the finite proof's table, and ``check_rational_in_gen`` of a new proof over the
@@ -104,14 +105,27 @@ def readers(pkg: ModuleType, table: tuple, system) -> None:
     pkg.is_acyclic(tree)
 
 
+def inf_text(cli: ModuleType, system) -> str:
+    """The system file of ``system``, judgment ``j`` named ``j<j>``, as ``cli`` renders it."""
+    names = tuple(f"j{j}" for j in range(system.universe_size))
+    named = cli.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
+                                          system._body, system._plain, names)
+    return cli.render_system(cli.SystemFile(named, None))
+
+
 def layers(pkg: ModuleType, system, target: int, renders: bool) -> dict:
-    """Per layer, the call on a system of ``pkg``; the checks check ``system``'s gen,
-    and ``renders`` adds the two renders."""
+    """Per layer, the call on a system of ``pkg``; ``parse_system`` reads the file of
+    ``system`` instead, the checks check ``system``'s gen, and ``renders`` adds the
+    two renders."""
     gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
     table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
     rational = pkg.extract_rational_proof(fresh(pkg, system), target).nodes
     proof = pkg.RationalProofTree
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    text = inf_text(cli, system)
     calls = {
+        "parse_system": lambda s: cli.parse_system(text),
+        "rules": lambda s: s.rules,
         "ind": pkg.ind_interpretation,
         "coind": pkg.coind_interpretation,
         "gen": pkg.gen_interpretation,
