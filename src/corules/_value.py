@@ -2,6 +2,7 @@
 checks their methods share."""
 
 import operator
+from collections.abc import Iterable
 from typing import Optional
 
 # Sets a field from ``__init__``, past the ``__setattr__`` that refuses it.
@@ -30,6 +31,16 @@ def _typed(value, types: tuple[type, ...], what: str):
         raise TypeError(f"{what} must be {'an' if wanted[0] in 'AEIOU' else 'a'} {wanted}, "
                         f"not {type(value).__name__}")
     return value
+
+
+def _tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; a ``values`` that is not iterable raises TypeError naming
+    it as ``what``. The check runs only once ``tuple`` has failed."""
+    try:
+        return tuple(values)
+    except TypeError:
+        _typed(values, (Iterable,), what)
+        raise
 
 
 class Value:

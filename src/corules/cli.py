@@ -27,7 +27,9 @@ that reader declines import ``argparse``.
 Colist literals are whitespace-separated naturals, with ``|`` introducing
 the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
 ``3 4`` forever after ``1 2``, ``| 1`` is the constant stream, and the
-empty string is the empty list.
+empty string is the empty list. ``parse_colist`` converts each part's tokens
+in one pass to exact non-negative ints and builds its ``Finite`` or ``Lasso``
+unchecked, as ``parse_system`` builds its spec.
 
 Exit codes: 0 success (for ``pred``: all routes agree on true), 1 a
 well-formed negative outcome (failed check, underivable judgment, agreed
@@ -243,8 +245,8 @@ def parse_colist(text: str) -> Colist:
         loop = _naturals(pieces[k + 1:])
         if not loop:
             raise ParseError("loop declared empty", code="empty-loop")
-        return Lasso(_naturals(pieces[:k]), loop)
-    return Finite(_naturals(pieces))
+        return Lasso._valid(_naturals(pieces[:k]), loop)
+    return Finite._valid(_naturals(pieces))
 
 
 def format_colist(xs: Colist) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from ._value import Value, _index, _set, _typed
+from ._value import Value, _index, _set, _tuple, _typed
 
 
 def _check_naturals(values, requirement: str) -> tuple[int, ...]:
@@ -23,6 +23,12 @@ def _check_naturals(values, requirement: str) -> tuple[int, ...]:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"{requirement}, got {v!r}")
     return out
+
+
+def _naturals_of(values, what: str) -> tuple[int, ...]:
+    """The argument ``what``, an iterable of natural numbers, as a tuple; else
+    TypeError (not an iterable) or ValueError (a value that is not a natural)."""
+    return _check_naturals(_tuple(values, what), f"{what} must be natural numbers")
 
 
 def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
@@ -43,7 +49,14 @@ class Finite(Value):
     __slots__ = __match_args__ = ("elements",)
 
     def __init__(self, elements: Iterable[int]):
-        _set(self, "elements", _check_naturals(elements, "elements must be natural numbers"))
+        _set(self, "elements", _naturals_of(elements, "elements"))
+
+    @classmethod
+    def _valid(cls, elements: tuple[int, ...]) -> "Finite":
+        """The list of ``elements``, a tuple of exact non-negative ints, unchecked."""
+        xs = object.__new__(cls)
+        _set(xs, "elements", elements)
+        return xs
 
 
 class Lasso(Value):
@@ -52,10 +65,19 @@ class Lasso(Value):
     __slots__ = __match_args__ = ("prefix", "loop")
 
     def __init__(self, prefix: Iterable[int], loop: Iterable[int]):
-        _set(self, "prefix", _check_naturals(prefix, "prefix must be natural numbers"))
-        _set(self, "loop", _check_naturals(loop, "loop must be natural numbers"))
+        _set(self, "prefix", _naturals_of(prefix, "prefix"))
+        _set(self, "loop", _naturals_of(loop, "loop"))
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
+
+    @classmethod
+    def _valid(cls, prefix: tuple[int, ...], loop: tuple[int, ...]) -> "Lasso":
+        """The lasso of ``prefix`` and ``loop``, tuples of exact non-negative ints, the
+        loop nonempty, unchecked."""
+        xs = object.__new__(cls)
+        _set(xs, "prefix", prefix)
+        _set(xs, "loop", loop)
+        return xs
 
 
 Colist = Union[Finite, Lasso]

@@ -30,9 +30,13 @@ The three interpretations:
 One counting engine computes all three in time linear in the size of the
 system: ``_least`` fires each rule, layer by layer, once its count of
 unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
-layer is still its Kleene round; ``_greatest`` starts with the judgments
-outside its live set removed and drops each judgment whose count of live
-rules reaches zero (Liu & Smolka). Membership and proofs read the rule
+layer is still its Kleene round; ``_greatest`` drops each judgment whose
+count of live rules reaches zero (Liu & Smolka). Its live set is closed under
+the rules (the universe for ``coind``, the corule pass's bound for ``gen``),
+so it first removes only the rules that use a judgment outside, none for the
+universe. ``gen`` of a system without corules runs no ``_greatest``: its
+bound is the inductive interpretation, which is consistent, so it is the
+answer. Membership and proofs read the rule
 ``_least`` records as firing first for each judgment; a consistency witness
 is the index of the first declared rule supported inside the checked set.
 
@@ -55,11 +59,12 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Callable, Mapping, Optional
 
-from ._value import Value, _index, _set, _typed
+from ._value import Value, _index, _set, _tuple, _typed
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"
@@ -115,10 +120,11 @@ class JudgmentSet(Value):
 
     ``members`` may be given as any iterable of ids. Each is coerced with
     ``operator.index`` (so ``True`` is stored as ``1``) and must lie in
-    ``0..size-1``. Membership is O(1), and iteration and the repr are
-    ascending. Two sets are equal iff they have the same universe size and
-    the same members. ``|``, ``&``, ``-`` and ``<=`` take a set over the
-    same universe.
+    ``0..size-1``; a TypeError names ``members`` (unless an iterator
+    yielded the id that is not an integer). Membership is O(1), and
+    iteration and the repr are ascending. Two sets are equal iff they have
+    the same universe size and the same members. ``|``, ``&``, ``-`` and
+    ``<=`` take a set over the same universe.
     """
 
     __slots__ = __match_args__ = ("size", "members")
@@ -126,7 +132,15 @@ class JudgmentSet(Value):
     def __init__(self, size: int, members: Iterable[int] = frozenset()):
         if operator.index(size) < 0:
             raise ValueError("universe size must be non-negative")
-        members = frozenset(map(operator.index, members))
+        try:
+            members = frozenset(map(operator.index, members))
+        except TypeError:
+            if not isinstance(members, Iterator):  # an iterator's fault is already read
+                for j in _typed(members, (Iterable,), "members"):
+                    if not hasattr(type(j), "__index__"):
+                        raise TypeError("a judgment id in members must be an integer, "
+                                        f"not {type(j).__name__}") from None
+            raise
         if members and not (0 <= min(members) and max(members) < size):
             j = min(members) if min(members) < 0 else max(members)
             raise ValueError(f"judgment id {j} out of range for universe of {size}")
@@ -190,8 +204,8 @@ class InferenceSystem(Value):
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
                  labels: Optional[Iterable[str]] = None):
-        n, rules = operator.index(universe_size), tuple(rules)
-        every = rules + tuple(corules)
+        n, rules = operator.index(universe_size), _tuple(rules, "rules")
+        every = rules + _tuple(corules, "corules")
         if n < 0:
             raise ValueError("universe size must be non-negative")
         heads, starts, body = [], [0], []
@@ -207,7 +221,7 @@ class InferenceSystem(Value):
                     raise ValueError(f"rule {r} references judgment ids {bad} "
                                      f"outside universe of {n}")
         if labels is not None:
-            labels = tuple(labels)
+            labels = _tuple(labels, "labels")
             if len(labels) != n:
                 raise ValueError("label table must name every judgment")
             for label in labels:
@@ -288,9 +302,13 @@ class InferenceSystem(Value):
     @cached_property
     def _gen(self) -> frozenset[int]:
         """The generated interpretation: the greatest fixed point of the rules inside the
-        bound, the judgments for which the corule pass ``_layers(True)`` fires a rule."""
+        bound, the judgments for which the corule pass ``_layers(True)`` fires a rule.
+        Without corules the bound is the inductive interpretation, which is consistent,
+        so it is the answer as it is."""
         firing = self._layers(True)
-        return frozenset(_greatest(self, {j for j, i in enumerate(firing) if i is not None}))
+        fired = map(operator.is_not, firing, repeat(None))
+        bound = frozenset(compress(range(len(firing)), fired))
+        return bound if self._plain == len(self._heads) else frozenset(_greatest(self, bound))
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -354,18 +372,26 @@ def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
     return firing
 
 
-def _greatest(system: InferenceSystem, live: AbstractSet[int] | range) -> set[int]:
-    """The greatest fixed point of the rules inside ``live``: the rules that conclude
-    or use a judgment outside go first, then each judgment left without a rule."""
+def _greatest(system: InferenceSystem, live: Optional[frozenset[int]] = None) -> set[int]:
+    """The greatest fixed point of the rules inside ``live``, the whole universe if None.
+    ``live`` must be closed under the rules, as the universe and the corule pass's bound
+    are: a rule whose premises lie inside concludes inside. So only the rules that use a
+    judgment outside go first, none for the universe; then each judgment left without a
+    rule."""
     heads, plain, (users, at, owners) = system._heads, system._plain, system._users
-    kept = bytearray(map(live.__contains__, heads[:plain])) + bytearray(len(heads) - plain)
-    for i in compress(owners, map(operator.not_, map(live.__contains__, system._body))):
-        kept[i] = 0  # a premise of rule i lies outside
+    kept = bytearray(b"\x01") * plain + bytearray(len(heads) - plain)
+    if live is not None:
+        for i in compress(owners, map(operator.not_, map(live.__contains__, system._body))):
+            kept[i] = 0  # a premise of rule i lies outside
     support = [0] * system.universe_size  # per judgment, its kept rules not yet taken
     for c in compress(heads, kept):
         support[c] += 1
-    alive = {j for j in live if support[j]}
-    doomed = list(set(live).difference(alive))
+    if live is None:
+        alive = set(compress(range(system.universe_size), support))
+        doomed = list(compress(range(system.universe_size), map(operator.not_, support)))
+    else:
+        alive = set(compress(live, map(support.__getitem__, live)))
+        doomed = list(live.difference(alive))
     while doomed:
         j = doomed.pop()
         for i in users[at[j]:at[j + 1]]:
@@ -405,7 +431,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = _typed(system, (InferenceSystem,), "system").universe_size
-    return JudgmentSet._valid(n, _greatest(system, range(n)))
+    return JudgmentSet._valid(n, _greatest(system))
 
 
 def gen_interpretation(system: InferenceSystem) -> JudgmentSet:

@@ -30,12 +30,13 @@ the one table of the element predicates' names that ``predicate_by_name`` reads.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._value import Value, _index, _set, _typed
-from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals,
+from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, _naturals_of,
                      _naturals_or_none, suffix_automaton)
 from .inference import InferenceSystem, interpret
 
@@ -160,11 +161,14 @@ class JudgmentScheme(Value):
 
     def labels(self) -> tuple[str, ...]:
         """The label of every id, in id order: ``kind(s<state>)``, or
-        ``kind(<value>,s<state>)`` when judgments carry a value."""
+        ``kind(<value>,s<state>)`` when judgments carry a value: the head of each
+        candidate joined to the tail of each state."""
         name, states = self.kind.value, range(self.state_count)
         if self.candidates is None:
             return tuple(f"{name}(s{s})" for s in states)
-        return tuple(f"{name}({v},s{s})" for v in self.candidates for s in states)
+        tails = [f",s{s})" for s in states]
+        return tuple(chain.from_iterable(map(operator.add, repeat(f"{name}({v}", len(tails)), tails)
+                                         for v in self.candidates))
 
 
 def _system(scheme: JudgmentScheme, heads: list[int], starts: list[int], body: list[int],
@@ -269,9 +273,7 @@ def gen_maxelem_system(xs: Colist,
     every element of the colist (those are the only possible maxima) and may
     add probe values, which the corules then correctly fail to justify.
     """
-    cands = _check_naturals(_typed(candidates, (Iterable,), "candidates"),
-                            "candidates must be natural numbers")
-    cands = tuple(sorted(set(cands)))
+    cands = tuple(sorted(set(_naturals_of(candidates, "candidates"))))
     if not cands:
         raise ValueError("candidate set must be nonempty")
     aut = suffix_automaton(xs)

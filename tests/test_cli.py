@@ -187,6 +187,17 @@ class TestRenderRoundTrip:
         assert all(line == line.rstrip() for line in rendered.splitlines())
 
 
+# The zeros of decimal digit systems that int() reads: ASCII, Arabic-Indic,
+# Devanagari and fullwidth.
+DIGIT_ZEROS = ("0", "\u0660", "\u0966", "\uff10")
+# A natural number, the zero of the digits that write it, and its leading zeros.
+NUMERAL = st.tuples(st.integers(0, 10 ** 12), st.sampled_from(DIGIT_ZEROS), st.integers(0, 2))
+
+
+def numeral(n, zero, pad):
+    return "".join(chr(ord(zero) + int(d)) for d in "0" * pad + str(n))
+
+
 class TestParseColist:
     @pytest.mark.parametrize("text,expected", [
         ("1 2 | 3", Lasso((1, 2), (3,))),
@@ -224,6 +235,30 @@ class TestParseColist:
             assert str(e.value) == f"not a natural number: {token!r}"
         with pytest.raises(ValueError, match="must be a natural number"):
             predicate_by_name(f"eq:{token}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(NUMERAL, max_size=6), st.none() | st.lists(NUMERAL, min_size=1, max_size=6),
+           st.none() | st.integers(0, 11))
+    def test_parse_is_the_checked_constructor(self, prefix, loop, refused_at):
+        # the parser builds its colist unchecked: it must equal the checked constructor's
+        # on the same naturals, a tuple of exact ints, in any decimal digits int() reads
+        tokens = [numeral(*n) for n in prefix + (loop or [])]
+        if refused_at is not None and tokens:  # '\u00b2' is a digit that int() refuses
+            k = refused_at % len(tokens)
+            tokens[k] += "\u00b2"
+        words = tokens if loop is None else tokens[:len(prefix)] + ["|"] + tokens[len(prefix):]
+        text = " ".join(words)
+        if refused_at is not None and tokens:
+            with pytest.raises(ParseError) as e:
+                parse_colist(text)
+            assert e.value.code == "bad-token" and "\u00b2" in str(e.value)
+            return
+        values = [n for n, _, _ in prefix], [n for n, _, _ in loop or ()]
+        expected = Finite(values[0]) if loop is None else Lasso(*values)
+        xs = parse_colist(text)
+        assert xs == expected and type(xs) is type(expected)
+        for field in (xs.elements,) if loop is None else (xs.prefix, xs.loop):
+            assert type(field) is tuple and all(type(v) is int for v in field)
 
     def test_other_decimal_digits_stay_accepted(self):
         assert parse_colist("\u0663 | 1") == Lasso((3,), (1,))

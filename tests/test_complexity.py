@@ -4,7 +4,10 @@
 ``corules`` package, with ``sys.settrace``. Line events miss the work done in
 C, so it also charges each call, from the package, of a list or tuple method
 that scans its receiver (``remove``, ``index``, ``count``, ``insert``) the
-receiver's length, with ``sys.setprofile``. Unlike a wall clock, the count is
+receiver's length, with ``sys.setprofile``. A C ``map`` makes no such call
+event, so each system's rule arrays are ``CountingList``s, handed to
+``InferenceSystem._compiled``, that count the items read from them however
+they are read. Unlike a wall clock, the count is
 the same on every run. Each family is built from a fixed seed, outside the
 count, at sizes n and 2n, and the count at 2n must be at most 2.2 times the
 count at n: a linear operation reads about 2, a quadratic one about 4. A
@@ -44,11 +47,41 @@ SEED = 12
 GROWTH = 2.2  # the most that doubling the input may multiply the work by
 
 
+class CountingList(list):
+    """A rule array that counts, in ``CountingList.reads``, the items read from it: one
+    per index, a slice's length, the whole length per iteration begun, and the items
+    an ``index`` passes."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        item = super().__getitem__(k)
+        CountingList.reads += len(item) if isinstance(k, slice) else 1
+        return item
+
+    def __iter__(self):
+        CountingList.reads += len(self)
+        return super().__iter__()
+
+    def index(self, *args):
+        at = super().index(*args)
+        CountingList.reads += at + 1
+        return at
+
+
+def counted(system: InferenceSystem) -> InferenceSystem:
+    """``system`` rebuilt on ``CountingList`` copies of its rule arrays."""
+    return InferenceSystem._compiled(system.universe_size, CountingList(system._heads),
+                                     CountingList(system._starts), CountingList(system._body),
+                                     system._plain, system.labels)
+
+
 def work(call) -> int:
     """The line events inside the package while ``call()`` runs, plus the length of
-    every list or tuple a scanning method of it is called on from the package. The
-    tracer and the profiler in place before are put back after."""
-    count = 0
+    every list or tuple a scanning method of it is called on from the package, plus
+    the items read from ``CountingList``s. The tracer and the profiler in place before
+    are put back after."""
+    count = -CountingList.reads
 
     def lines(frame, event, arg):
         nonlocal count
@@ -74,23 +107,42 @@ def work(call) -> int:
     finally:
         sys.settrace(previous[0])
         sys.setprofile(previous[1])
-    return count
+    return count + CountingList.reads
 
 
-def ghost_chain(n):
+def ghost_chain(n, corules=True):
     """A chain ``0 <-``, ``i <- i-1`` of n judgments; a ghost cycle of n judgments
-    that a coaxiom admits into the generated interpretation; and a cycle of n
-    judgments outside the bound. The rules are shuffled."""
+    that a coaxiom admits into the generated interpretation, unless ``corules`` is
+    false; and a cycle of n judgments outside the bound. The rules are shuffled, and
+    the system's arrays count their reads."""
     rules = [rule(0)] + [rule(i, i - 1) for i in range(1, n)]
     rules += [rule(n + i, n + (i - 1) % n) for i in range(n)]
     rules += [rule(2 * n + i, 2 * n + (i - 1) % n) for i in range(n)]
     random.Random(SEED).shuffle(rules)
-    return InferenceSystem(3 * n, rules, [rule(n)])
+    return counted(InferenceSystem(3 * n, rules, [rule(n)] if corules else []))
 
 
 def gen_of(n):
     system = ghost_chain(n)
     return lambda: gen_interpretation(system)
+
+
+def gen_without_corules_of(n):
+    # the bound is the answer: only the chain is in it
+    system = ghost_chain(n, corules=False)
+
+    def call():
+        assert len(gen_interpretation(system)) == n
+    return call
+
+
+def coind_ghost_chain_of(n):
+    # the universe is the live set: the chain and both cycles are consistent
+    system = ghost_chain(n)
+
+    def call():
+        assert len(coind_interpretation(system)) == 3 * n
+    return call
 
 
 def bounded_check_of(n):
@@ -122,7 +174,7 @@ def coind_of(n):
     # i <- i+1 and no axiom: the greatest fixed point removes every judgment, the last first
     rules = [rule(i, i + 1) for i in range(n - 1)]
     random.Random(SEED).shuffle(rules)
-    system = InferenceSystem(n, rules)
+    system = counted(InferenceSystem(n, rules))
 
     def call():
         assert not coind_interpretation(system)
@@ -174,10 +226,13 @@ def parse_colist_of(n):
     (parse_system_of, 1000),
     (rules_of, 1000),
     (parse_colist_of, 2000),
+    (gen_without_corules_of, 1000),
+    (coind_ghost_chain_of, 1000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
-        "parse_colist"])
+        "parse_colist", "gen_interpretation_without_corules",
+        "coind_interpretation_ghost_chain"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -324,6 +324,46 @@ class TestGenInterpretation:
         assert bounded_coinduction_check(fresh, gen).ok and gen_interpretation(fresh) == gen
         assert len(calls) == 2 and calls[1] is fresh
 
+    def test_gen_without_corules_runs_no_greatest_pass(self, monkeypatch):
+        # the bound of a system without corules is its inductive interpretation,
+        # which is consistent: the greatest pass could remove nothing
+        calls = []
+        monkeypatch.setattr(inference, "_greatest", lambda *args: calls.append(args))
+        sys_ = abc_system()
+        gen = gen_interpretation(sys_)
+        assert bounded_coinduction_check(sys_, gen).ok
+        assert all(extract_rational_proof(sys_, j) is not None for j in gen)
+        assert calls == [] and gen == ind_interpretation(sys_) and members(gen) == {A, B}
+
+    def test_greatest_pass_gets_a_bound_closed_under_the_rules(self, monkeypatch):
+        # _greatest drops no rule for its conclusion, so the set it keeps to must be
+        # closed under the plain rules; without corules the bound is the answer
+        lives = []
+        greatest = inference._greatest
+
+        def recorded(system, live=None):
+            lives.append(live)
+            return greatest(system, live)
+
+        monkeypatch.setattr(inference, "_greatest", recorded)
+        rng = random.Random(25)
+        seen = {True: 0, False: 0}
+        for k in range(120):
+            sys_ = random_system(rng, max_universe=7, max_rules=12, max_corules=4 * (k % 2))
+            bound = JudgmentSet(sys_.universe_size)  # Kleene iteration, corules admitted
+            while apply_step(sys_, bound, use_corules=True) != bound:
+                bound = apply_step(sys_, bound, use_corules=True)
+            assert apply_step(sys_, bound) <= bound
+            lives.clear()
+            gen = gen_interpretation(sys_)
+            if sys_.corules:
+                assert lives == [bound.members]
+            else:
+                assert lives == [] and gen == bound
+            assert gen == gen_oracle(sys_)
+            seen[bool(sys_.corules)] += 1
+        assert min(seen.values()) >= 30
+
 
 class TestInterpretByName:
     def test_each_name_gives_its_interpretation(self):

@@ -130,6 +130,22 @@ class TestJudgmentScheme:
         assert len(set(scheme.labels())) == scheme.universe_size
         assert sys_.labels == scheme.labels()
 
+    def test_labels_are_the_formatted_pairs(self):
+        # each label is kind(s<state>), or kind(<value>,s<state>) for a scheme with values
+        rng = random.Random(36)
+        for k in range(60):
+            xs = random_colist(rng, max_element=12, max_prefix=8, max_loop=8)
+            cands = sorted(set(elements_of(xs)) | set(rng.sample(range(20), 3)))
+            build = (lambda: gen_maxelem_system(xs, cands), lambda: gen_member_system(cands[0], xs),
+                     lambda: gen_always_system(EVEN, xs), lambda: gen_infoften_system(EVEN, xs))
+            _, scheme = build[k % 4]()
+            name, states = scheme.kind.value, range(scheme.state_count)
+            if scheme.candidates is None:
+                expected = tuple(f"{name}(s{s})" for s in states)
+            else:
+                expected = tuple(f"{name}({v},s{s})" for v in scheme.candidates for s in states)
+            assert scheme.labels() == expected and len(expected) == scheme.universe_size
+
 
 class TestMemberSystem:
     def test_present_element_derivable_at_both_states(self):

@@ -306,7 +306,10 @@ class TestValidationErrors:
         (lambda: Finite((1, -1)), ValueError, "elements must be natural numbers, got -1"),
         (lambda: Finite((True,)), ValueError, "elements must be natural numbers, got True"),
         (lambda: Finite(("1",)), ValueError, "elements must be natural numbers, got '1'"),
-        (lambda: Finite(5), TypeError, "'int' object is not iterable"),
+        (lambda: Finite(5), TypeError, "elements must be an Iterable, not int"),
+        (lambda: Finite(None), TypeError, "elements must be an Iterable, not NoneType"),
+        (lambda: Lasso(1, (2,)), TypeError, "prefix must be an Iterable, not int"),
+        (lambda: Lasso((), None), TypeError, "loop must be an Iterable, not NoneType"),
         (lambda: Lasso((1,), ()), ValueError, "lasso loop must be nonempty"),
         (lambda: Lasso((-1,), ()), ValueError, "prefix must be natural numbers, got -1"),
         (lambda: Lasso((), (1.0,)), ValueError, "loop must be natural numbers, got 1.0"),
@@ -319,12 +322,18 @@ class TestValidationErrors:
         (lambda: JudgmentSet(3, [5, -1, 4]), ValueError,
          "judgment id -1 out of range for universe of 3"),
         (lambda: JudgmentSet(3, [1.5]), TypeError,
-         "'float' object cannot be interpreted as an integer"),
+         "a judgment id in members must be an integer, not float"),
         (lambda: JudgmentSet(3, ["a"]), TypeError,
-         "'str' object cannot be interpreted as an integer"),
+         "a judgment id in members must be an integer, not str"),
+        (lambda: JudgmentSet(3, None), TypeError, "members must be an Iterable, not NoneType"),
         (lambda: InferenceSystem(-1, [rule(0)]), ValueError,
          "universe size must be non-negative"),
-        (lambda: InferenceSystem(-1, 5), TypeError, "'int' object is not iterable"),
+        (lambda: InferenceSystem(-1, 5), TypeError, "rules must be an Iterable, not int"),
+        (lambda: InferenceSystem(2, None), TypeError, "rules must be an Iterable, not NoneType"),
+        (lambda: InferenceSystem(2, [], None), TypeError,
+         "corules must be an Iterable, not NoneType"),
+        (lambda: InferenceSystem(2, [], labels=5), TypeError,
+         "labels must be an Iterable, not int"),
         (lambda: InferenceSystem(2, [rule(2, 0, 3)]), ValueError,
          "rule 2 <- 0 3 references judgment ids [2, 3] outside universe of 2"),
         (lambda: InferenceSystem(2, [], [rule(0, -1)]), ValueError,

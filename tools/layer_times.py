@@ -24,7 +24,10 @@ the finite proof's table, and ``check_rational_in_gen`` of a new proof over the
 rational proof's table; each tree extracts both tables once. On the max grid only,
 ``format_finite`` and ``format_rational`` render a new proof over the finite and the
 rational table: an indented render grows with the square of a chain's depth, to
-about 10 GB at 100,000. Each call gets a fresh system of its tree on the same rule
+about 10 GB at 100,000. On the chain only, ``parse_colist`` reads the literal of a
+lasso of 100,000 elements drawn from the seed, and ``gen (no corules)`` is ``gen`` on
+a new system of the chain's rules without its coaxiom, so that its bound is the
+answer. Each call gets a fresh system of its tree on the same rule
 arrays, labels and premise index, built once, so the two trees read the same input
 in the same memory and no call reads what an earlier one cached beyond that index.
 For each layer the two trees are called in pairs, the first call of a pair taking
@@ -55,6 +58,7 @@ from types import ModuleType
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2026
 CHAIN, GHOST = 100_000, 50
+COLIST = 100_000
 STATES, CANDIDATES = 600, 302
 PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
 BUDGET = 5.0  # seconds of timed calls per layer, at least
@@ -97,6 +101,23 @@ def fresh(pkg: ModuleType, system):
     return copy
 
 
+def colist_text(rng: random.Random) -> str:
+    """The literal of a lasso of COLIST elements below 1,000, half of them in the loop."""
+    values = [str(rng.randrange(1000)) for _ in range(COLIST)]
+    return " ".join(values[:COLIST // 2]) + " | " + " ".join(values[COLIST // 2:])
+
+
+def rules_only(pkg: ModuleType, system):
+    """A system of ``pkg`` on the rules of ``system``, without its corules, with its
+    premise index built. Each corule must be a coaxiom, so the premise arrays stay."""
+    plain = system._plain
+    bare = pkg.InferenceSystem._compiled(system.universe_size, system._heads[:plain],
+                                         system._starts[:plain + 1], system._body, plain,
+                                         system.labels)
+    bare._users  # built here, outside the timed calls
+    return bare
+
+
 def readers(pkg: ModuleType, table: tuple, system) -> None:
     """Check, measure and test for cycles one new proof over ``table``."""
     tree = pkg.RationalProofTree(table)
@@ -113,10 +134,10 @@ def inf_text(cli: ModuleType, system) -> str:
     return cli.render_system(cli.SystemFile(named, None))
 
 
-def layers(pkg: ModuleType, system, target: int, renders: bool) -> dict:
+def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
     """Per layer, the call on a system of ``pkg``; ``parse_system`` reads the file of
-    ``system`` instead, the checks check ``system``'s gen, and ``renders`` adds the
-    two renders."""
+    ``system`` instead, and the checks check ``system``'s gen. The max grid adds the
+    two renders, the chain ``parse_colist`` and ``gen (no corules)``."""
     gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
     table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
     rational = pkg.extract_rational_proof(fresh(pkg, system), target).nodes
@@ -140,9 +161,13 @@ def layers(pkg: ModuleType, system, target: int, renders: bool) -> dict:
         "check_finite+depth+is_acyclic": lambda s: readers(pkg, table, s),
         "check_rational_in_gen": lambda s: pkg.check_rational_in_gen(proof(rational), s),
     }
-    if renders:
+    if maxgrid:
         calls["format_finite"] = lambda s: pkg.prooftree.format_finite(proof(table), s)
         calls["format_rational"] = lambda s: pkg.prooftree.format_rational(proof(rational), s)
+    else:
+        literal, bare = colist_text(random.Random(SEED)), rules_only(pkg, system)
+        calls["parse_colist"] = lambda s: cli.parse_colist(literal)
+        calls["gen (no corules)"] = lambda s: pkg.gen_interpretation(fresh(pkg, bare))
     return calls
 
 
