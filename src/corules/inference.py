@@ -29,14 +29,14 @@ The three interpretations:
 
 One counting engine computes all three in time linear in the size of the
 system: ``_least`` fires each rule, layer by layer, once its count of
-unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's
-layer is still its Kleene round; ``_greatest`` drops each judgment whose
-count of live rules reaches zero (Liu & Smolka). Its live set is closed under
-the rules (the universe for ``coind``, the corule pass's bound for ``gen``),
-so it first removes only the rules that use a judgment outside, none for the
-universe. ``gen`` of a system without corules runs no ``_greatest``: its
-bound is the inductive interpretation, which is consistent, so it is the
-answer. Membership and proofs read the rule
+unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's layer
+is still its Kleene round; ``_greatest`` drops each judgment whose count of
+kept rules reaches zero (Liu & Smolka). The plain rules whose counts reach zero
+in the corule pass are those inside the bound, where ``gen``'s greatest pass
+starts, and the rules it keeps to the end give ``gen``'s witnesses. A pass
+reads the premise index only to follow a premise: not if no rule is ready or no
+judgment loses its rules. ``gen`` without corules runs no ``_greatest``: its
+bound is ``ind``, which is consistent. Membership and proofs read the rule
 ``_least`` records as firing first for each judgment; a consistency witness
 is the index of the first declared rule supported inside the checked set.
 
@@ -62,7 +62,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
-from typing import AbstractSet, Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from ._value import Value, _index, _set, _tuple, _typed
 
@@ -94,7 +94,11 @@ class Rule(Value):
     __slots__ = __match_args__ = ("premises", "conclusion")
 
     def __init__(self, premises: Iterable[int], conclusion: int):
-        _set(self, "premises", frozenset(premises))
+        try:
+            _set(self, "premises", frozenset(premises))
+        except TypeError:  # checked only once the conversion has failed, as in _tuple
+            _typed(premises, (Iterable,), "premises")
+            raise
         _set(self, "conclusion", conclusion)
 
     def __repr__(self) -> str:
@@ -198,8 +202,8 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: labels, rules, corules, _users, _gen and the passes of _layers, each made
-    # when needed
+    # __dict__: labels, rules, corules, _users, _gen, the passes of _layers, the corule
+    # pass's _waiting and the greatest pass's _kept, each made when needed
     __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
@@ -278,9 +282,9 @@ class InferenceSystem(Value):
         return self._rules(self._plain, len(self._heads))
 
     @cached_property
-    def _users(self) -> tuple[list[int], list[int], list[int]]:
-        """``(users, at, owners)``: the rules, then corules, with premise ``j`` are
-        ``users[at[j]:at[j + 1]]``, ascending; ``owners[k]`` has premise ``_body[k]``."""
+    def _users(self) -> tuple[list[int], list[int]]:
+        """``(users, at)``: the rules, then corules, with premise ``j`` are
+        ``users[at[j]:at[j + 1]]``, ascending."""
         body, marks = self._body, [0] * (len(self._body) + 1)
         for start in self._starts[1:-1]:
             marks[start] += 1
@@ -290,7 +294,7 @@ class InferenceSystem(Value):
         tally = [0] * (self.universe_size + 1)
         for p in body:
             tally[p + 1] += 1
-        return users, list(accumulate(tally)), owners
+        return users, list(accumulate(tally))
 
     def _layers(self, use_corules: bool) -> list[Optional[int]]:
         """``_least`` of the rules, with the corules if used, computed once: read only."""
@@ -304,11 +308,18 @@ class InferenceSystem(Value):
         """The generated interpretation: the greatest fixed point of the rules inside the
         bound, the judgments for which the corule pass ``_layers(True)`` fires a rule.
         Without corules the bound is the inductive interpretation, which is consistent,
-        so it is the answer as it is."""
+        so it is the answer as it is. Else the greatest pass starts from the plain rules
+        whose count in the corule pass's ``_waiting`` is 0, those inside the bound."""
         firing = self._layers(True)
         fired = map(operator.is_not, firing, repeat(None))
         bound = frozenset(compress(range(len(firing)), fired))
-        return bound if self._plain == len(self._heads) else frozenset(_greatest(self, bound))
+        if self._plain == len(self._heads):
+            return bound
+        kept = bytearray(map(operator.not_, self.__dict__["_waiting"]))
+        kept[self._plain:] = bytes(len(self._heads) - self._plain)  # no corule is kept
+        gen = frozenset(_greatest(self, kept, bound))
+        self.__dict__["_kept"] = kept  # the witnesses of gen: see _greatest
+        return gen
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -349,13 +360,15 @@ def _members(s: JudgmentSet, size: int, what: str) -> frozenset[int]:
 def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
     """Per judgment of the least fixed point of the rules (and corules, if used), the
     first declared rule that fires at the judgment's Kleene round; None outside it.
-    Read it through ``InferenceSystem._layers``, which keeps it."""
-    (users, at, _), heads, starts = system._users, system._heads, system._starts
+    The premise index is read only if some rule is ready. With corules, the final counts
+    of premises not derived are kept as ``_waiting``. Read it through ``_layers``."""
+    heads, starts = system._heads, system._starts
     firing: list[Optional[int]] = [None] * system.universe_size
     waiting = list(map(operator.sub, starts[1:], starts))  # premises not yet derived
     if not use_corules:  # a count below zero never reaches zero: corules never fire
         waiting[system._plain:] = [-1] * (len(heads) - system._plain)
     ready = [i for i, left in enumerate(waiting) if not left]
+    users, at = system._users if ready else ((), ())  # nothing fires: no index is built
     while ready:  # one Kleene round per pass
         later = []  # rules whose last premise is derived in this round
         for i in ready:
@@ -369,20 +382,20 @@ def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
                         later.append(k)
         later.sort()
         ready = later
+    if use_corules:
+        system.__dict__["_waiting"] = waiting
     return firing
 
 
-def _greatest(system: InferenceSystem, live: Optional[frozenset[int]] = None) -> set[int]:
-    """The greatest fixed point of the rules inside ``live``, the whole universe if None.
-    ``live`` must be closed under the rules, as the universe and the corule pass's bound
-    are: a rule whose premises lie inside concludes inside. So only the rules that use a
-    judgment outside go first, none for the universe; then each judgment left without a
-    rule."""
-    heads, plain, (users, at, owners) = system._heads, system._plain, system._users
-    kept = bytearray(b"\x01") * plain + bytearray(len(heads) - plain)
-    if live is not None:
-        for i in compress(owners, map(operator.not_, map(live.__contains__, system._body))):
-            kept[i] = 0  # a premise of rule i lies outside
+def _greatest(system: InferenceSystem, kept: Optional[bytearray] = None,
+              live: Optional[frozenset[int]] = None) -> set[int]:
+    """The greatest fixed point of the rules inside ``live``, the whole universe if None,
+    which must be closed under the rules, as the universe and the corule pass's bound are.
+    ``kept`` marks, per rule and corule, the plain rules with premises in ``live`` (all if
+    None), and ends marking those with premises in the answer. Each judgment left
+    without a kept rule goes, with the rules that use it: only then is the index read."""
+    heads, plain = system._heads, system._plain
+    kept = bytearray(b"\x01") * plain + bytearray(len(heads) - plain) if kept is None else kept
     support = [0] * system.universe_size  # per judgment, its kept rules not yet taken
     for c in compress(heads, kept):
         support[c] += 1
@@ -392,6 +405,7 @@ def _greatest(system: InferenceSystem, live: Optional[frozenset[int]] = None) ->
     else:
         alive = set(compress(live, map(support.__getitem__, live)))
         doomed = list(live.difference(alive))
+    users, at = system._users if doomed else ((), ())  # no judgment goes: no index is built
     while doomed:
         j = doomed.pop()
         for i in users[at[j]:at[j + 1]]:
@@ -403,19 +417,6 @@ def _greatest(system: InferenceSystem, live: Optional[frozenset[int]] = None) ->
                     alive.remove(c)
                     doomed.append(c)
     return alive
-
-
-def _first_support(system: InferenceSystem, inside: AbstractSet[int],
-                   wanted: AbstractSet[int]) -> dict[int, int]:
-    """Per judgment of ``wanted``, the index of the first declared rule that
-    concludes it from premises inside; judgments with no such rule are absent."""
-    heads, premises = system._heads, system._premises
-    first: dict[int, int] = {}
-    for i in range(system._plain):
-        c = heads[i]
-        if c in wanted and c not in first and inside.issuperset(premises(i)):
-            first[c] = i
-    return first
 
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
@@ -527,7 +528,12 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     declaration order. Corules never count.
     """
     inside = _members(s, _typed(system, (InferenceSystem,), "system").universe_size, "s")
-    first = _first_support(system, inside, inside)
+    heads, premises = system._heads, system._premises
+    first: dict[int, int] = {}  # per member, the first rule that concludes it from inside
+    for i in range(system._plain):
+        c = heads[i]
+        if c in inside and c not in first and inside.issuperset(premises(i)):
+            first[c] = i
     failures = [Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first))]
     return CheckReport(failures, {j: first[j] for j in sorted(first)})
 

@@ -34,11 +34,11 @@ those lines after that.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Optional
 
 from ._value import Value, _set, _typed
-from .inference import InferenceSystem, InternalError, StructuralError, _first_support
+from .inference import InferenceSystem, InternalError, StructuralError
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
 Table = tuple[Entry, ...]
@@ -224,17 +224,19 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     derivable in the restricted system is derived by the rule firing at its
     first Kleene round (keeping that part of the graph acyclic, and the proof
     of such a ``j`` its finite proof); the rest use their consistency witness,
-    the first declared applicable rule.
+    the first declared rule with premises in the generated interpretation,
+    read from the rules that the greatest pass of ``gen`` keeps to the end.
     """
     j = _typed(system, (InferenceSystem,), "system")._id(j)
     gen = system._gen
     if j not in gen:
         return None
     rule_for = list(system._layers(use_corules=False))
-    missing = {k for k in gen if rule_for[k] is None}
-    if missing:  # else, as in every chain, no rule need be scanned for a witness
-        for k, i in _first_support(system, gen, missing).items():
-            rule_for[k] = i
+    if len(gen) > len(rule_for) - rule_for.count(None):  # else, as in every chain, gen is ind
+        heads = system._heads
+        for i in compress(range(system._plain), system._kept):
+            if rule_for[heads[i]] is None:
+                rule_for[heads[i]] = i
     return _proof(system, j, rule_for)
 
 

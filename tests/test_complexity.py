@@ -34,7 +34,9 @@ from corules import (
     coind_interpretation,
     extract_finite_proof,
     extract_rational_proof,
+    gen_infoften_system,
     gen_interpretation,
+    ind_interpretation,
     rule,
     spec_oracle,
 )
@@ -162,6 +164,28 @@ def rational_proofs_of(n):
     return call
 
 
+def ind_chain_of(n):
+    # the chain is the least fixed point, one Kleene round per judgment
+    system = ghost_chain(n)
+
+    def call():
+        assert len(ind_interpretation(system)) == n
+    return call
+
+
+def rational_proofs_infoften_of(n):
+    # hits at every fourth element of an n-element prefix and at the head of an
+    # n-element loop: the rules alone derive nothing, so every judgment needs a witness
+    prefix, loop = tuple(int(i % 4 == 0) for i in range(n)), (1,) + (0,) * (n - 1)
+    system = counted(gen_infoften_system(POSITIVE, Lasso(prefix, loop))[0])
+
+    def call():
+        tree = extract_rational_proof(system, 0)
+        assert len(tree.nodes) == system.universe_size == 2 * n
+        assert check_rational_in_gen(tree, system)
+    return call
+
+
 def render_of(format_proof):
     def prepare(n):
         system = ghost_chain(n)
@@ -228,11 +252,14 @@ def parse_colist_of(n):
     (parse_colist_of, 2000),
     (gen_without_corules_of, 1000),
     (coind_ghost_chain_of, 1000),
+    (ind_chain_of, 1000),
+    (rational_proofs_infoften_of, 1000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
         "parse_colist", "gen_interpretation_without_corules",
-        "coind_interpretation_ghost_chain"])
+        "coind_interpretation_ghost_chain", "ind_interpretation_chain",
+        "extract_rational_proof+check_rational_in_gen_infoften"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

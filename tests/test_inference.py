@@ -10,15 +10,21 @@ from corules import (
     CLOSEDNESS,
     CONSISTENCY,
     CheckReport,
+    EVEN,
     Failure,
     InferenceSystem,
     JudgmentSet,
+    Lasso,
+    ODD,
+    POSITIVE,
     Rule,
     bounded_coinduction_check,
     coind_interpretation,
     extract_finite_proof,
     extract_rational_proof,
+    gen_infoften_system,
     gen_interpretation,
+    gen_maxelem_system,
     ind_interpretation,
     is_closed,
     is_consistent,
@@ -308,9 +314,9 @@ class TestGenInterpretation:
         calls = []
         greatest = inference._greatest
 
-        def counted(system, live):
+        def counted(system, kept, live):
             calls.append(system)
-            return greatest(system, live)
+            return greatest(system, kept, live)
 
         monkeypatch.setattr(inference, "_greatest", counted)
         sys_ = abc_system(corules=(rule(C),))
@@ -341,9 +347,9 @@ class TestGenInterpretation:
         lives = []
         greatest = inference._greatest
 
-        def recorded(system, live=None):
+        def recorded(system, kept=None, live=None):
             lives.append(live)
-            return greatest(system, live)
+            return greatest(system, kept, live)
 
         monkeypatch.setattr(inference, "_greatest", recorded)
         rng = random.Random(25)
@@ -363,6 +369,102 @@ class TestGenInterpretation:
             assert gen == gen_oracle(sys_)
             seen[bool(sys_.corules)] += 1
         assert min(seen.values()) >= 30
+
+
+def ghost_chain(rng, n):
+    """A chain ``0 <-``, ``i <- i-1``; a ghost cycle that a coaxiom admits into gen; and a
+    cycle outside the bound, n judgments each, the rules shuffled: every judgment heads
+    a rule."""
+    rules = [rule(0)] + [rule(i, i - 1) for i in range(1, n)]
+    rules += [rule(n + i, n + (i - 1) % n) for i in range(n)]
+    rules += [rule(2 * n + i, 2 * n + (i - 1) % n) for i in range(n)]
+    rng.shuffle(rules)
+    return InferenceSystem(3 * n, rules, [rule(n)])
+
+
+def fresh(system):
+    """The same system with nothing computed yet."""
+    return InferenceSystem(system.universe_size, system.rules, system.corules)
+
+
+def random_lasso_of(rng):
+    return Lasso([rng.randrange(6) for _ in range(rng.randint(0, 9))],
+                 [rng.randrange(6) for _ in range(rng.randint(1, 9))])
+
+
+class TestPassesFollowOnlyWhatTheyNeed:
+    # the premise index is built by the first pass that follows a premise, and gen's
+    # greatest pass starts from the corule pass's counts
+
+    def test_ind_of_an_axiom_free_system_builds_no_index(self):
+        rng = random.Random(26)
+        for _ in range(20):
+            xs = random_lasso_of(rng)
+            grid, _ = gen_maxelem_system(xs, candidates=range(6))
+            lasso, _ = gen_infoften_system(rng.choice((EVEN, ODD, POSITIVE)), xs)
+            for system in (grid, lasso):
+                assert not ind_interpretation(system)
+                assert "_users" not in system.__dict__
+                gen = gen_interpretation(system)  # the corule pass follows any coaxiom
+                assert ("_users" in system.__dict__) == bool(system.corules)
+                assert gen == gen_interpretation(fresh(system))  # as if ind was not read
+
+    def test_coind_of_a_fully_supported_system_builds_no_index(self):
+        rng = random.Random(27)
+        for n in (1, 2, 5, 40):
+            chain = ghost_chain(rng, n)
+            lasso, _ = gen_infoften_system(POSITIVE, random_lasso_of(rng))
+            for system in (chain, lasso):
+                assert members(coind_interpretation(system)) == set(range(system.universe_size))
+                assert "_users" not in system.__dict__
+
+    def test_a_pass_that_follows_a_premise_builds_the_index(self):
+        # one ready rule, the axiom at the end: _least follows its conclusion
+        chain = InferenceSystem(3, [rule(2, 1), rule(1, 0), rule(0)])
+        assert members(ind_interpretation(chain)) == {0, 1, 2}
+        assert "_users" in chain.__dict__
+        # judgment 2 heads no rule: _greatest follows it to the rule that uses it
+        broken = InferenceSystem(3, [rule(0, 0), rule(1, 2)])
+        assert members(coind_interpretation(broken)) == {0}
+        assert "_users" in broken.__dict__
+
+    def test_passes_agree_with_the_oracles_on_fresh_systems(self):
+        # each system is read first by one interpretation alone, so each pass builds
+        # the index itself when it needs it
+        rng = random.Random(28)
+        for k in range(300):
+            sys_ = random_system(rng, max_universe=6, max_rules=10, max_corules=3 * (k % 2))
+            assert ind_interpretation(fresh(sys_)) == ind_oracle(sys_)
+            assert ind_interpretation(fresh(sys_), use_corules=True) == ind_oracle(sys_, True)
+            assert coind_interpretation(fresh(sys_)) == coind_oracle(sys_)
+            assert gen_interpretation(fresh(sys_)) == gen_oracle(sys_)
+
+    def test_greatest_pass_of_gen_keeps_exactly_the_rules_inside(self, monkeypatch):
+        # it starts from the plain rules whose premises all lie in the bound, and keeps
+        # to the end the plain rules whose premises all lie in gen
+        starts = []
+        greatest = inference._greatest
+
+        def recorded(system, kept=None, live=None):
+            starts.append(bytes(kept[:system._plain]))
+            return greatest(system, kept, live)
+
+        monkeypatch.setattr(inference, "_greatest", recorded)
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(200):
+            sys_ = random_system(rng, max_universe=7, max_rules=12, max_corules=4)
+            if not sys_.corules:
+                continue
+            checked += 1
+            bound = ind_oracle(sys_, True).members
+            starts.clear()
+            gen = gen_interpretation(sys_).members
+            assert gen == gen_oracle(sys_).members
+            assert starts == [bytes(r.premises <= bound for r in sys_.rules)]
+            final = [r.premises <= gen for r in sys_.rules] + [False] * len(sys_.corules)
+            assert sys_.__dict__["_kept"] == bytes(final)
+        assert checked >= 100
 
 
 class TestInterpretByName:

@@ -19,10 +19,11 @@ from corules import (
     is_acyclic,
     rule,
 )
+from corules import inference, prooftree
 from corules.cli import parse_system, run
 from corules.prooftree import format_finite, format_rational
 
-from util import ind_oracle, random_system
+from util import ind_oracle, random_system, reports_by_scan
 
 A, B, C = 0, 1, 2
 
@@ -771,6 +772,43 @@ class TestExtractRational:
                 assert (tree is not None) == (j in gen)
                 if tree is not None:
                     assert check_rational_in_gen(tree, sys_)
+
+
+def scanned_rules(system):
+    """Per judgment, the rule that derives it in the rational proofs whose witnesses
+    are searched for: the rule the rules-only pass fires, else for a judgment of gen
+    the first declared rule with premises in gen, found by a scan over every rule."""
+    witnesses = reports_by_scan(system, gen_interpretation(system))["is_consistent"][1]
+    return [witnesses.get(k) if i is None else i
+            for k, i in enumerate(system._layers(use_corules=False))]
+
+
+class TestWitnessesFromTheGreatestPass:
+    def test_no_rule_scan_is_left(self):
+        assert not hasattr(inference, "_first_support")
+        assert "_first_support" not in vars(prooftree)
+
+    def test_tables_equal_those_of_a_scan(self):
+        # the rules the greatest pass keeps to the end are the consistency witnesses
+        rng = random.Random(26)
+        chosen = 0  # judgments with a witness chosen among several kept rules
+        for _ in range(300):
+            sys_ = random_system(rng, max_universe=6, max_rules=20, max_corules=4)
+            gen = gen_interpretation(sys_).members
+            ind = ind_interpretation(sys_).members
+            scanned = scanned_rules(sys_)
+            for j in gen:
+                tree = extract_rational_proof(sys_, j)
+                assert tree == prooftree._proof(sys_, j, scanned)
+                assert check_rational_in_gen(tree, sys_)
+            chosen += sum(sum(r.conclusion == j and r.premises <= gen for r in sys_.rules) > 1
+                          for j in gen - ind)
+        assert chosen >= 15
+        for n in (1, 3, 10):  # max grids on lassos: no judgment is fired without corules
+            sys_, _ = gen_maxelem_system(Lasso((2,) * n, (1, 3, 2)), [1, 2, 3])
+            scanned = scanned_rules(sys_)
+            for j in gen_interpretation(sys_):
+                assert extract_rational_proof(sys_, j) == prooftree._proof(sys_, j, scanned)
 
 
 def mutate_finite(rng, tree, universe_size, rule_count):

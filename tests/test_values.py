@@ -133,6 +133,12 @@ def message(excinfo) -> str:
     return str(excinfo.value)
 
 
+def unreadable_rules():
+    """A rules iterable whose own iteration raises TypeError after one rule."""
+    yield R0
+    raise TypeError("the rules could not be read")
+
+
 @pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
 class TestEveryValueType:
     def test_fields_in_declaration_order(self, cls, names, values, text):
@@ -392,6 +398,14 @@ class TestValidationErrors:
          "spec must be a JudgmentSet, not frozenset"),
         (lambda: SystemFile(SYSTEM, JudgmentSet(5, [4])), ValueError,
          "spec is over a universe of 5, not 2: different universes"),
+        (lambda: Rule(5, 1), TypeError, "premises must be an Iterable, not int"),
+        (lambda: Rule(None, 0), TypeError, "premises must be an Iterable, not NoneType"),
+        # an iterable's own TypeError, and an iterator's id that is not an integer,
+        # which is read before it could be named, propagate as they are
+        (lambda: InferenceSystem(2, unreadable_rules()), TypeError,
+         "the rules could not be read"),
+        (lambda: JudgmentSet(3, iter([0.5])), TypeError,
+         "'float' object cannot be interpreted as an integer"),
     ])
     def test_construction(self, build, error, text):
         with pytest.raises(error) as excinfo:

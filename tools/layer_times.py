@@ -28,8 +28,10 @@ about 10 GB at 100,000. On the chain only, ``parse_colist`` reads the literal of
 lasso of 100,000 elements drawn from the seed, and ``gen (no corules)`` is ``gen`` on
 a new system of the chain's rules without its coaxiom, so that its bound is the
 answer. Each call gets a fresh system of its tree on the same rule
-arrays, labels and premise index, built once, so the two trees read the same input
-in the same memory and no call reads what an earlier one cached beyond that index.
+arrays and labels, and on the premise index that the tree's own code built once,
+outside the timed calls, so the two trees read the same input in the same memory and
+no call reads what an earlier one cached beyond that index. So a change in when the
+index is built does not show here; ``tools/op_cycles.py`` times whole ops and does.
 For each layer the two trees are called in pairs, the first call of a pair taking
 turns between them, with the garbage collector off during a call, as ``timeit``
 does: an even number of pairs, at least 16 and until the layer's calls add up to 5 s
@@ -63,6 +65,7 @@ STATES, CANDIDATES = 600, 302
 PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
 BUDGET = 5.0  # seconds of timed calls per layer, at least
 MAX_PAIRS = 1000  # per layer: enough for a stable median of the shortest calls
+INDEXES: dict = {}  # (package name, id of a system) -> (that system, its premise index)
 
 
 def load(name: str, src: Path) -> ModuleType:
@@ -93,11 +96,15 @@ def max_grid(pkg: ModuleType, rng: random.Random) -> tuple:
 
 
 def fresh(pkg: ModuleType, system):
-    """A new system of ``pkg`` on the rule arrays, the labels and the premise index of
-    ``system``, with nothing else cached."""
+    """A new system of ``pkg`` on the rule arrays and the labels of ``system``, with
+    nothing cached but the premise index that ``pkg``'s own code built for those arrays
+    on the first call: the index's form may differ between the two trees."""
     copy = pkg.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
                                          system._body, system._plain, system.labels)
-    copy.__dict__["_users"] = system._users  # read-only: the engine never writes it
+    key = (pkg.__name__, id(system))
+    if key not in INDEXES:
+        INDEXES[key] = (system, copy._users)  # the system, so that its id stays its own
+    copy.__dict__["_users"] = INDEXES[key][1]  # read-only: the engine never writes it
     return copy
 
 
@@ -108,14 +115,12 @@ def colist_text(rng: random.Random) -> str:
 
 
 def rules_only(pkg: ModuleType, system):
-    """A system of ``pkg`` on the rules of ``system``, without its corules, with its
-    premise index built. Each corule must be a coaxiom, so the premise arrays stay."""
+    """A system of ``pkg`` on the rules of ``system``, without its corules. Each corule
+    must be a coaxiom, so the premise arrays stay."""
     plain = system._plain
-    bare = pkg.InferenceSystem._compiled(system.universe_size, system._heads[:plain],
+    return pkg.InferenceSystem._compiled(system.universe_size, system._heads[:plain],
                                          system._starts[:plain + 1], system._body, plain,
                                          system.labels)
-    bare._users  # built here, outside the timed calls
-    return bare
 
 
 def readers(pkg: ModuleType, table: tuple, system) -> None:

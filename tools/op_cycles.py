@@ -16,9 +16,17 @@ its own tree. Every op then runs once on each side, and its answer is checked as
 Then CYCLES pairs (default 20) of whole op cycles follow. A cycle runs every op of
 the workload once, in an order drawn per pair, and both cycles of a pair run in the
 same order. The side that goes first takes turns, and a full collection runs before
-each cycle. The script prints the median cycle time of each side in ms, the median
-of the pairs' ratios of the checkout's time to REV's, the interquartile range of
-those ratios, and the pairs the checkout won. Only the standard library is used.
+each cycle. Each op is timed on its own, and a cycle's time is the sum of its ops'.
+The script prints the median cycle time of each side in ms, the median of the pairs'
+ratios of the checkout's time to REV's, the interquartile range of those ratios, and
+the pairs the checkout won. Then, per op kind, it prints the median of the pairs'
+ratios of that kind's time, so a change shows where its gain or loss sits. Only the
+standard library is used.
+
+The cycles time whole ops, so they see every cost an op pays, lazily built caches
+included. ``tools/layer_times.py`` times single calls on systems whose premise index
+it builds outside the timed calls, so it cannot show work saved by not building the
+index.
 """
 
 from __future__ import annotations
@@ -74,14 +82,28 @@ def checked(side: str, ops: list) -> list:
     return ops
 
 
-def cycle(ops: list, modules: dict, order: list[int]) -> float:
-    """The wall time of one run of every op of ``ops`` in ``order``."""
+def cycle(ops: list, modules: dict, order: list[int]) -> list[float]:
+    """The wall time of each op of ``ops``, by index, in one run of them all in ``order``."""
     sys.modules.update(modules)
     gc.collect()
-    start = time.perf_counter()
+    times = [0.0] * len(ops)
+    clock = time.perf_counter
     for i in order:
+        start = clock()
         ops[i].run()
-    return time.perf_counter() - start
+        times[i] = clock() - start
+    return times
+
+
+def by_kind(kinds: list[str], pairs: list[list[list[float]]]) -> list[tuple[str, int, float]]:
+    """Per op kind, in order of first appearance: its op count and the median of the
+    pairs' ratios of the checkout's time on its ops to REV's."""
+    ops: dict[str, list[int]] = {}
+    for i, kind in enumerate(kinds):
+        ops.setdefault(kind, []).append(i)
+    return [(kind, len(index), statistics.median(
+        sum(map(new.__getitem__, index)) / sum(map(old.__getitem__, index))
+        for old, new in pairs)) for kind, index in ops.items()]
 
 
 def main() -> int:
@@ -110,20 +132,23 @@ def main() -> int:
             print("the two builds made different ops", file=sys.stderr)
             return 1
         rng = random.Random(f"{workload}/{SEED}/cycles")
-        pairs: list[list[float]] = []
+        pairs: list[list[list[float]]] = []  # per pair, per side, per op
         for k in range(cycles):
             order = rng.sample(range(len(sides[0][0])), len(sides[0][0]))
-            pair = [0.0, 0.0]
+            pair: list[list[float]] = [[], []]
             for side in ((0, 1) if k % 2 == 0 else (1, 0)):
                 pair[side] = cycle(*sides[side], order)
             pairs.append(pair)
-    old, new = (statistics.median(times) * 1000 for times in zip(*pairs))
-    ratios = [b / a for a, b in pairs]
+    totals = [(sum(old), sum(new)) for old, new in pairs]
+    old, new = (statistics.median(times) * 1000 for times in zip(*totals))
+    ratios = [b / a for a, b in totals]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(b < a for a, b in pairs)
+    wins = sum(b < a for a, b in totals)
     print(f"{workload}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
     print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {statistics.median(ratios):.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), checkout won {wins}/{len(pairs)}")
+    for kind, count, ratio in by_kind([op.kind for op in sides[0][0]], pairs):
+        print(f"  {kind}: {count} ops, ratio {ratio:.3f}")
     return 0
 
 
