@@ -10,34 +10,34 @@ rule and every node's judgment is inductively derivable with corules
 admitted. Both extractors emit one node per judgment the derivation
 reaches, the root first.
 
-A proof walks its table once, from its own root, when a reader first needs it,
-and keeps the walk for every check and render, ``is_acyclic`` (did the walk
-meet a back edge?) and ``depth``. ``children`` only moves around the table:
-its handles are proofs rooted at other nodes, one per node, and a handle is
-read as any proof is. The walk raises StructuralError when a node is not such
-a triple, the root or a child index is not the index of a node or a node is
-unreachable from the root. Each check and render then raises it when a rule
-index names no rule or corule of the system or a judgment id lies outside its
-universe. A well-formed but invalid derivation is different: the checkers
-return False, for instance when a rational proof uses a corule, and
-``check_finite`` returns False for a table with a cycle, which
-``format_finite`` and ``depth`` refuse with StructuralError. A proof or system
-argument of another type raises TypeError naming it.
+An extracted proof comes walked; any other proof walks its table once, from its
+own root, when a reader first needs it. Each keeps the walk for every check and
+render, ``is_acyclic`` (did it meet a back edge?) and ``depth``. ``children``
+only moves around the table: its handles are proofs rooted at other nodes, one
+per node, and a handle is read as any proof is. The walk raises StructuralError
+when a node is not such a triple, the root or a child index is not the index of
+a node or a node is unreachable from the root. Each check and render then raises
+it when a rule index names no rule or corule of the system or a judgment id lies
+outside its universe. A well-formed but invalid derivation is different: the
+checkers return False, for instance when a rational proof uses a corule, and
+``check_finite`` returns False for a table with a cycle, which ``format_finite``
+and ``depth`` refuse with StructuralError. A proof or system argument of another
+type raises TypeError naming it.
 
-Extraction and checking take time linear in the sizes of the system and of
-the proof, up to sorting each rule's premises. Both renderers are one
-loop. A rational render prints a repeated node as ``^n``. A finite render
-prints a shared subproof at every occurrence, so its text can be
-exponentially long, but it formats each (node, depth) pair once and copies
-those lines after that.
+Extraction and checking take time linear in the sizes of the system and of the
+proof: a check sorts a node's child judgments only when they are out of premise
+order. Both renderers are one loop. A rational render prints a repeated node as
+``^n``. A finite render prints a shared subproof at every occurrence, so its
+text can be exponentially long, but it formats each (node, depth) pair once and
+copies those lines after that.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress
 from typing import Iterable, Optional
 
-from ._value import Value, _set, _typed
+from ._value import Value, _set, _tuple, _typed
 from .inference import InferenceSystem, InternalError, StructuralError
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
@@ -56,7 +56,7 @@ class RationalProofTree(Value):
     __slots__ = __match_args__ + ("_walk", "_handles")  # see _walked and children
 
     def __init__(self, nodes: Iterable[Entry], root: int = 0):
-        _set(self, "nodes", tuple(nodes))
+        _set(self, "nodes", _tuple(nodes, "nodes"))
         _set(self, "root", root)
         _set(self, "_walk", None)
         _set(self, "_handles", None)
@@ -71,9 +71,7 @@ class RationalProofTree(Value):
             raise StructuralError(f"root index {root!r} out of range" if n
                                   else "proof has no nodes")
         marks = [0] * n  # 1 while a node is on the walk's path, 2 once all below it is walked
-        order: list[int] = []
-        cyclic = False
-        stack = [root]
+        order, cyclic, stack = [], False, [root]
         while stack:
             i = stack.pop()
             if i < 0:  # the marker pushed below the children of ~i: all below ~i is walked
@@ -110,11 +108,13 @@ class RationalProofTree(Value):
         return tuple(map(handles.__getitem__, self.nodes[self.root][2]))
 
     def depth(self) -> int:
-        """Nodes on a longest root-to-leaf path; StructuralError if the table has a cycle."""
-        order = _finite(self._walked())
-        below = [0] * len(self.nodes)
+        """Nodes on a longest root-to-leaf path, read off the walk; StructuralError on a cycle."""
+        # below: per node, the nodes on a longest path down from it
+        order, table, below = _finite(self._walked()), self.nodes, [1] * len(self.nodes)
+        get = below.__getitem__
         for i in order:
-            below[i] = 1 + max([below[c] for c in self.nodes[i][2]], default=0)
+            if table[i][2]:
+                below[i] = 1 + max(map(get, table[i][2]))
         return below[self.root]
 
 
@@ -143,15 +143,16 @@ def _finite(order: Optional[list[int]]) -> list[int]:
 
 def _matches(table: Table, system: InferenceSystem, use_corules: bool,
              firing: Optional[list[Optional[int]]] = None) -> bool:
-    """Whether at every entry the rule (or, if used, corule) of its index exists
-    and concludes the entry's judgment from exactly one child per premise and,
-    given an inductive pass's firing rules, the pass fires one at every judgment."""
+    """Whether at every entry the rule (or, if used, corule) of its index exists and concludes
+    the entry's judgment from exactly one child per premise (sorted only if not in premise
+    order) and, given an inductive pass's firing rules, the pass fires one at every judgment."""
     heads, starts, body = system._heads, system._starts, system._body
     rules = len(heads) if use_corules else system._plain
     judgment_of = [entry[0] for entry in table].__getitem__
     for judgment, i, children in table:
-        if (i >= rules or heads[i] != judgment
-                or sorted(map(judgment_of, children)) != body[starts[i]:starts[i + 1]]
+        # an extracted table lists each node's children in premise order
+        found, premises = [*map(judgment_of, children)], body[starts[i]:starts[i + 1]]
+        if (i >= rules or heads[i] != judgment or found != premises and sorted(found) != premises
                 or firing is not None and firing[judgment] is None):
             return False
     return True
@@ -159,21 +160,34 @@ def _matches(table: Table, system: InferenceSystem, use_corules: bool,
 
 def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> RationalProofTree:
     """The proof of ``j`` in which each judgment is derived by the rule ``rule_for``
-    picks: one node per judgment it reaches, numbered in pre-order with premises in
-    ascending order, so the root is node 0."""
+    picks, one node per judgment it reaches, numbered in pre-order with premises in
+    ascending order (the root is node 0), with the walk ``_walked`` would keep."""
     starts, body = system._starts, system._body
-    chosen: dict[int, int] = {}  # judgment -> its rule, in pre-order
-    stack = [j]
+    # judgment -> its node, in pre-order; the post-order; per node, 1 once all below it
+    # is walked; whether a back edge was met
+    node_of, order, out, cyclic, stack = {}, [], bytearray(len(rule_for)), False, [j]
     while stack:
         k = stack.pop()
-        if k not in chosen:
-            i = chosen[k] = rule_for[k]
+        if k < 0:  # the marker pushed below the premises of node ~k
+            order.append(~k)
+            out[~k] = 1
+        elif k in node_of:  # a back edge if k is on the path to the node that pushed it
+            cyclic = cyclic or not out[node_of[k]]
+        else:
+            i = rule_for[k]
             if i is None:
                 raise InternalError(f"judgment {k} is derivable but no rule derives it")
-            stack += body[starts[i]:starts[i + 1]][::-1]
-    node_of = dict(zip(chosen, count())).__getitem__  # judgment -> its node
-    children = [tuple(map(node_of, body[starts[i]:starts[i + 1]])) for i in chosen.values()]
-    return RationalProofTree(zip(chosen, chosen.values(), children))
+            node_of[k] = n = len(node_of)
+            stack.append(~n)
+            if starts[i + 1] - starts[i] == 1:  # one premise: pushed without a slice
+                stack.append(body[starts[i]])
+            else:
+                stack += body[starts[i]:starts[i + 1]][::-1]
+    node, rules = node_of.__getitem__, list(map(rule_for.__getitem__, node_of))
+    children = [tuple(map(node, body[starts[i]:starts[i + 1]])) for i in rules]
+    proof = RationalProofTree(zip(node_of, rules, children))
+    _set(proof, "_walk", False if cyclic else order)
+    return proof
 
 
 def check_finite(tree: RationalProofTree, system: InferenceSystem,
@@ -269,10 +283,10 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
             lines.extend(lines[span[0]:span[1]] if span else [f"{'  ' * depth}^{+ni}"])
             continue
         judgment, rule_index, children = table[ni]
-        name = f"rule {+rule_index}" if rule_index < plain else f"corule {rule_index - plain}"
-        number = f"{+ni}: " if rational else ""
-        label = labels[+judgment] if labels else f"j{+judgment}"
-        lines.append(f"{'  ' * depth}{number}{label}  [{name}]")
+        co = rule_index >= plain  # a corule, numbered among the corules
+        lines.append(f"{'  ' * depth}{f'{+ni}: ' if rational else ''}"
+                     f"{labels[+judgment] if labels else f'j{+judgment}'}  "
+                     f"[{'co' if co else ''}rule {rule_index - plain if co else +rule_index}]")
         done[key] = None if rational else [len(lines) - 1, len(lines)]
         if children and not rational:
             stack.append(done[key])

@@ -30,6 +30,7 @@ from corules import (
     Lasso,
     RationalProofTree,
     bounded_coinduction_check,
+    check_finite,
     check_rational_in_gen,
     coind_interpretation,
     extract_finite_proof,
@@ -37,6 +38,7 @@ from corules import (
     gen_infoften_system,
     gen_interpretation,
     ind_interpretation,
+    is_acyclic,
     rule,
     spec_oracle,
 )
@@ -186,6 +188,16 @@ def rational_proofs_infoften_of(n):
     return call
 
 
+def finite_proof_readers_of(n):
+    # the chain's last judgment: an n-deep proof, extracted walked, then read
+    system = ghost_chain(n)
+
+    def call():
+        tree = extract_finite_proof(system, n - 1)
+        assert check_finite(tree, system) and tree.depth() == n and is_acyclic(tree)
+    return call
+
+
 def render_of(format_proof):
     def prepare(n):
         system = ghost_chain(n)
@@ -254,12 +266,14 @@ def parse_colist_of(n):
     (coind_ghost_chain_of, 1000),
     (ind_chain_of, 1000),
     (rational_proofs_infoften_of, 1000),
+    (finite_proof_readers_of, 1000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
         "parse_colist", "gen_interpretation_without_corules",
         "coind_interpretation_ghost_chain", "ind_interpretation_chain",
-        "extract_rational_proof+check_rational_in_gen_infoften"])
+        "extract_rational_proof+check_rational_in_gen_infoften",
+        "extract_finite_proof+check_finite+depth+is_acyclic"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

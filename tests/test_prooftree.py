@@ -4,6 +4,7 @@ import re
 import pytest
 
 from corules import (
+    POSITIVE,
     InferenceSystem,
     Lasso,
     RationalProofTree,
@@ -13,6 +14,7 @@ from corules import (
     coind_interpretation,
     extract_finite_proof,
     extract_rational_proof,
+    gen_infoften_system,
     gen_interpretation,
     gen_maxelem_system,
     ind_interpretation,
@@ -565,6 +567,77 @@ class TestOneWalk:
                 with pytest.raises(StructuralError) as excinfo:
                     call(tree, sys_)
                 assert str(excinfo.value) == text
+
+
+def outcome(call, tree):
+    """What ``call(tree)`` gives: its value, or the message of its StructuralError."""
+    try:
+        return "returns", call(tree)
+    except StructuralError as error:
+        return "raises", str(error)
+
+
+def extracted_proofs():
+    """Every proof both extractors give on 300 seeded random systems, every other one
+    with up to four corules, and on chains, ladders and infinitely-often lassos, each
+    with its system."""
+    rng = random.Random(27)
+    systems = [random_system(rng, max_universe=7, max_rules=14, max_corules=4 * (k % 2))
+               for k in range(300)]
+    systems += [chain_system(n) for n in (1, 2, 40)] + [ladder_system(n) for n in (1, 5)]
+    systems += [gen_infoften_system(POSITIVE, Lasso(prefix, loop))[0]
+                for prefix, loop in (((), (1,)), ((0, 1, 0), (0, 0, 1)), ((1,) * 4, (0, 2)))]
+    for system in systems:
+        for j in range(system.universe_size):
+            for proof in (extract_finite_proof(system, j, allow_corules=True),
+                          extract_rational_proof(system, j)):
+                if proof is not None:
+                    yield system, proof
+
+
+class TestExtractedProofsComeWalked:
+    """An extractor walks the table it builds and hands the walk on: its readers
+    answer as on the same table given to ``RationalProofTree``, which walks it itself."""
+
+    def test_an_extracted_proof_carries_its_walk(self):
+        kinds = set()
+        for system, proof in extracted_proofs():
+            assert proof._walk is not None
+            kinds.add(proof._walk is False)
+        assert kinds == {True, False}  # cyclic and acyclic proofs both occur
+
+    def test_readers_answer_as_on_the_rebuilt_proof(self):
+        # is_acyclic first: a finite render of a table with an unflagged cycle never ends
+        proofs = 0
+        for system, proof in extracted_proofs():
+            rebuilt = RationalProofTree(proof.nodes, proof.root)
+            for call in (is_acyclic, RationalProofTree.depth,
+                         lambda t: check_finite(t, system), lambda t: check_finite(t, system, True),
+                         lambda t: check_rational_in_gen(t, system),
+                         lambda t: format_finite(t, system), lambda t: format_rational(t, system)):
+                assert outcome(call, proof) == outcome(call, rebuilt)
+            proofs += 1
+        assert proofs > 1000
+
+    def test_a_handed_on_walk_is_a_post_order(self):
+        # an acyclic walk lists each node once, each child before its parent
+        for system, proof in extracted_proofs():
+            if proof._walk:
+                at = {node: k for k, node in enumerate(proof._walk)}
+                assert sorted(proof._walk) == list(range(len(proof.nodes)))
+                assert all(at[c] < at[i] for i, node in enumerate(proof.nodes) for c in node[2])
+                assert proof._walk[-1] == proof.root
+            else:
+                assert not is_acyclic(RationalProofTree(proof.nodes, proof.root))
+
+    def test_children_out_of_premise_order_match(self):
+        # a hand-made table may list a node's children in any order
+        system = InferenceSystem(3, (rule(2, 0, 1), rule(0), rule(1)))
+        swapped = RationalProofTree([(2, 0, (2, 1)), (0, 1, ()), (1, 2, ())])
+        assert check_finite(swapped, system) and check_rational_in_gen(swapped, system)
+        assert format_finite(swapped, system) == "j2  [rule 0]\n  j1  [rule 2]\n  j0  [rule 1]"
+        twice = RationalProofTree([(2, 0, (1, 1)), (0, 1, ())])
+        assert not check_finite(twice, system) and not check_rational_in_gen(twice, system)
 
 
 def unshared(tree):

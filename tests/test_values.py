@@ -406,6 +406,9 @@ class TestValidationErrors:
          "the rules could not be read"),
         (lambda: JudgmentSet(3, iter([0.5])), TypeError,
          "'float' object cannot be interpreted as an integer"),
+        # a proof's node table is named as the other iterables are
+        (lambda: RationalProofTree(None), TypeError, "nodes must be an Iterable, not NoneType"),
+        (lambda: RationalProofTree(5), TypeError, "nodes must be an Iterable, not int"),
     ])
     def test_construction(self, build, error, text):
         with pytest.raises(error) as excinfo:

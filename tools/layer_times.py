@@ -37,9 +37,11 @@ turns between them, with the garbage collector off during a call, as ``timeit``
 does: an even number of pairs, at least 16 and until the layer's calls add up to 5 s
 or there are 1,000 pairs, which a call of a tenth of a millisecond reaches first.
 The script prints each side's median wall time, in ms, their ratio, which is the
-median of the pairs' ratios of the checkout's time to REV's, and the number of
-pairs. A pair's two calls run back to back, so the ratio cancels the slow drift in
-speed that a shared host shows over seconds. Only the standard library is used.
+median of the pairs' ratios of the checkout's time to REV's, the interquartile range
+of those ratios, and the number of pairs. A pair's two calls run back to back, so the
+ratio cancels the slow drift in speed that a shared host shows over seconds; the
+range shows the noise left, so a layer reads as slower only when its range lies above
+1. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def main() -> int:
             tar.extractall(tmp)
         trees = (load("corules_rev", Path(tmp) / "src"), load("corules", ROOT / "src"))
         print(f"{'system':8} {'layer':29} {rev + ' ms':>12} {'checkout ms':>12} {'ratio':>6} "
-              f"{'pairs':>5}")
+              f"{'IQR':>11} {'pairs':>5}")
         for name, build in (("chain", chain), ("maxgrid", max_grid)):
             system, target = build(trees[1], random.Random(SEED))
             calls = [layers(pkg, system, target, name == "maxgrid") for pkg in trees]
@@ -218,9 +220,10 @@ def main() -> int:
                         pair[side] = seconds(trees[side], calls[side][layer], system)
                     pairs.append(pair)
                 old, new = (statistics.median(times) * 1000 for times in zip(*pairs))
-                ratio = statistics.median(b / a for a, b in pairs)
-                print(f"{name:8} {layer:29} {old:12.1f} {new:12.1f} {ratio:6.2f} {len(pairs):5}",
-                      flush=True)
+                ratios = [b / a for a, b in pairs]
+                q1, ratio, q3 = statistics.quantiles(ratios, n=4)
+                print(f"{name:8} {layer:29} {old:12.1f} {new:12.1f} {ratio:6.2f} "
+                      f"{q1:5.2f}-{q3:5.2f} {len(pairs):5}", flush=True)
     return 0
 
 

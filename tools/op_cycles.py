@@ -2,11 +2,12 @@
 
 Run from the root of a git checkout:
 
-    python tools/op_cycles.py REV WORKLOAD [CYCLES]
+    python tools/op_cycles.py REV WORKLOAD [CYCLES [SEED]]
 
 It extracts the ``src`` of ``REV`` with ``git archive`` into a temporary directory
-and builds ``WORKLOAD`` (``fixpoint_large``, ``proof_shapes`` or ``small_batch``,
-seed 7) from this checkout's ``perfbench/`` twice in one process: once on REV's
+and builds ``WORKLOAD`` (``fixpoint_large``, ``proof_shapes`` or ``small_batch``)
+from SEED (default 7, the benchmark's usual seed; give 11 to pair a held-out seed)
+with this checkout's ``perfbench/`` twice in one process: once on REV's
 ``src`` and once on this checkout's. Each build imports its own ``corules``, its own
 ``perfbench`` modules and its own ``tests/util.py``, and each side's modules are put
 back in ``sys.modules`` before any of its ops runs, so an import inside a call finds
@@ -55,15 +56,15 @@ def own(name: str) -> bool:
     return name.split(".")[0] in OWN
 
 
-def build(src: Path, workload: str, tmp: Path) -> tuple[list, dict]:
-    """The ops of ``workload`` built on the ``corules`` of ``src``, and the modules
-    the build imported."""
+def build(src: Path, workload: str, seed: int, tmp: Path) -> tuple[list, dict]:
+    """The ops of ``workload`` from ``seed``, built on the ``corules`` of ``src``, and
+    the modules the build imported."""
     for name in list(filter(own, sys.modules)):
         del sys.modules[name]
     paths = [str(src), str(ROOT / "tests"), str(ROOT / "perfbench")]
     sys.path[:0] = paths
     try:
-        ops = importlib.import_module("workloads").build(workload, SEED, tmp, ROOT).ops
+        ops = importlib.import_module("workloads").build(workload, seed, tmp, ROOT).ops
     finally:
         del sys.path[:len(paths)]
     return ops, {name: module for name, module in sys.modules.items() if own(name)}
@@ -108,13 +109,14 @@ def by_kind(kinds: list[str], pairs: list[list[list[float]]]) -> list[tuple[str,
 
 def main() -> int:
     args = sys.argv[1:]
-    cycles = args[2] if len(args) == 3 else str(CYCLES)
-    if len(args) not in (2, 3) or args[1] not in WORKLOADS or not cycles.isdigit() \
-            or int(cycles) < 2:
-        print("usage: python tools/op_cycles.py REV WORKLOAD [CYCLES], CYCLES at least 2",
-              file=sys.stderr)
+    cycles = args[2] if len(args) > 2 else str(CYCLES)
+    seed = args[3] if len(args) > 3 else str(SEED)
+    if len(args) not in (2, 3, 4) or args[1] not in WORKLOADS or not cycles.isdigit() \
+            or int(cycles) < 2 or not seed.isdigit():
+        print("usage: python tools/op_cycles.py REV WORKLOAD [CYCLES [SEED]], CYCLES at "
+              "least 2", file=sys.stderr)
         return 64
-    rev, workload, cycles = args[0], args[1], int(cycles)
+    rev, workload, cycles, seed = args[0], args[1], int(cycles), int(seed)
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              capture_output=True, check=False)
     if archive.returncode:
@@ -125,13 +127,13 @@ def main() -> int:
             tar.extractall(Path(tmp) / "rev")
         sides = []
         for name, src in ((rev, Path(tmp) / "rev" / "src"), ("checkout", ROOT / "src")):
-            ops, modules = build(src, workload, Path(tmp))
+            ops, modules = build(src, workload, seed, Path(tmp))
             sys.modules.update(modules)
             sides.append((checked(name, ops), modules))
         if [op.kind for op in sides[0][0]] != [op.kind for op in sides[1][0]]:
             print("the two builds made different ops", file=sys.stderr)
             return 1
-        rng = random.Random(f"{workload}/{SEED}/cycles")
+        rng = random.Random(f"{workload}/{seed}/cycles")
         pairs: list[list[list[float]]] = []  # per pair, per side, per op
         for k in range(cycles):
             order = rng.sample(range(len(sides[0][0])), len(sides[0][0]))
@@ -144,7 +146,7 @@ def main() -> int:
     ratios = [b / a for a, b in totals]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     wins = sum(b < a for a, b in totals)
-    print(f"{workload}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
+    print(f"{workload} seed {seed}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
     print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {statistics.median(ratios):.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), checkout won {wins}/{len(pairs)}")
     for kind, count, ratio in by_kind([op.kind for op in sides[0][0]], pairs):
