@@ -47,7 +47,8 @@ class Value:
     """An immutable record whose fields are ``__match_args__``, in order.
 
     A subclass declares its fields in ``__slots__`` (after them, any slot for
-    a cached value) and sets them in ``__init__`` with ``_set``. As for a
+    a cached value) and sets them in ``__init__`` with ``_set``. ``_valid`` fills
+    the slots, not the fields, with values its caller has checked. As for a
     frozen dataclass: ``==`` holds between two values of the same class with
     equal fields and is ``NotImplemented`` otherwise, so no value equals a
     tuple; ``hash`` is the hash of the field tuple; ``repr`` is
@@ -57,6 +58,14 @@ class Value:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    @classmethod
+    def _valid(cls, *slots):
+        """The value of ``cls`` with ``slots`` in its ``__slots__`` but ``__dict__``, unchecked."""
+        value = object.__new__(cls)
+        for name, slot in zip(cls.__slots__, slots):
+            _set(value, name, slot)
+        return value
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -148,7 +148,7 @@ def parse_system(text: str) -> SystemFile:
     # per directive, the rule arrays of its lines: conclusions, premise offsets, premises
     arrays: dict[str, tuple[list[int], list[int], list[int]]] = {
         "rule:": ([], [0], []), "corule:": ([], [0], [])}
-    spec_ids: Optional[list[int]] = None
+    spec_ids: Optional[frozenset[int]] = None
     bodies = _typed(text, (str,), "text").splitlines()
     if "#" in text:
         bodies = [raw.partition("#")[0] for raw in bodies]
@@ -192,7 +192,7 @@ def parse_system(text: str) -> SystemFile:
             if spec_ids is not None:
                 raise _error("duplicate spec: line", "duplicate-spec", line, body, 0)
             try:
-                spec_ids = [ids[name] for name in words[1:]]
+                spec_ids = frozenset([ids[name] for name in words[1:]])
             except KeyError:
                 raise _unknown(ids, words, 1, line, body) from None
         else:
@@ -201,8 +201,8 @@ def parse_system(text: str) -> SystemFile:
         raise ParseError("missing judgments: header", 1, 1, "missing-header")
     (heads, starts, premises), (coheads, costarts, copremises) = arrays.values()
     starts += map(len(premises).__add__, costarts[1:])
-    system = InferenceSystem._compiled(len(names), heads + coheads, starts,
-                                       premises + copremises, len(heads), tuple(names))
+    system = InferenceSystem._valid(len(names), heads + coheads, starts,
+                                    premises + copremises, len(heads), tuple(names))
     spec = JudgmentSet._valid(len(names), spec_ids) if spec_ids is not None else None
     return SystemFile(system, spec)
 

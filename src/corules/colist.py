@@ -51,13 +51,6 @@ class Finite(Value):
     def __init__(self, elements: Iterable[int]):
         _set(self, "elements", _naturals_of(elements, "elements"))
 
-    @classmethod
-    def _valid(cls, elements: tuple[int, ...]) -> "Finite":
-        """The list of ``elements``, a tuple of exact non-negative ints, unchecked."""
-        xs = object.__new__(cls)
-        _set(xs, "elements", elements)
-        return xs
-
 
 class Lasso(Value):
     """The infinite list prefix + loop + loop + ... (loop is nonempty)."""
@@ -69,15 +62,6 @@ class Lasso(Value):
         _set(self, "loop", _naturals_of(loop, "loop"))
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
-
-    @classmethod
-    def _valid(cls, prefix: tuple[int, ...], loop: tuple[int, ...]) -> "Lasso":
-        """The lasso of ``prefix`` and ``loop``, tuples of exact non-negative ints, the
-        loop nonempty, unchecked."""
-        xs = object.__new__(cls)
-        _set(xs, "prefix", prefix)
-        _set(xs, "loop", loop)
-        return xs
 
 
 Colist = Union[Finite, Lasso]

@@ -7,9 +7,9 @@ auxiliary inductive phase of the generated interpretation. A system stores
 the conclusions of its rules, then corules, in one array and their premises
 (ascending, without repeats) in another, cut by offsets. The public
 constructor turns its ``Rule`` objects into these arrays; the parser and the
-predicate builders write them directly and hand them to the unchecked
-``_compiled``. The premise index, the firing rules of the inductive passes
-and the generated interpretation are computed once, when first needed, and
+predicate builders write them directly and hand them to the unchecked ``_valid``
+(see ``InferenceSystem``). The premise index, the firing rules of the inductive
+passes and the generated interpretation are computed once, when first needed, and
 kept; the corule pass's firing rules are also the corule-extended bound (the
 judgments it fires a rule for). ``rules`` and ``corules`` are built on first
 read, and so are the labels of a system whose builder gave a function that
@@ -62,7 +62,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from ._value import Value, _index, _set, _tuple, _typed
 
@@ -122,8 +122,8 @@ class JudgmentSet(Value):
     """A subset of the universe: a frozenset of judgment ids plus the
     universe size.
 
-    ``members`` may be given as any iterable of ids. Each is coerced with
-    ``operator.index`` (so ``True`` is stored as ``1``) and must lie in
+    ``members`` may be given as any iterable of ids. The size and each id are
+    coerced with ``operator.index`` (so ``True`` is stored as ``1``); an id must lie in
     ``0..size-1``; a TypeError names ``members`` (unless an iterator
     yielded the id that is not an integer). Membership is O(1), and
     iteration and the repr are ascending. Two sets are equal iff they have
@@ -134,7 +134,8 @@ class JudgmentSet(Value):
     __slots__ = __match_args__ = ("size", "members")
 
     def __init__(self, size: int, members: Iterable[int] = frozenset()):
-        if operator.index(size) < 0:
+        size = operator.index(size)
+        if size < 0:
             raise ValueError("universe size must be non-negative")
         try:
             members = frozenset(map(operator.index, members))
@@ -150,14 +151,6 @@ class JudgmentSet(Value):
             raise ValueError(f"judgment id {j} out of range for universe of {size}")
         _set(self, "size", size)
         _set(self, "members", members)
-
-    @classmethod
-    def _valid(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
-        """The set of ``ids``, ints known to lie in ``range(size)``, unchecked."""
-        s = object.__new__(cls)
-        _set(s, "size", size)
-        _set(s, "members", frozenset(ids))
-        return s
 
     @classmethod
     def of(cls, size: int, ids: Iterable[int]) -> "JudgmentSet":
@@ -199,6 +192,12 @@ class InferenceSystem(Value):
     semantically inert. ``labels``, when given, are strings, one per judgment. The
     universe size and every id are coerced with ``operator.index``, so a
     float raises TypeError and ``True`` is stored as ``1``.
+
+    ``_valid(n, heads, starts, body, plain, labels)`` is the system, unchecked, whose
+    ``i``-th rule (a corule from ``plain`` on) concludes ``heads[i]`` from
+    ``body[starts[i]:starts[i + 1]]``: ids must be ints in ``range(n)``, each premise run
+    ascending without repeats, ``starts`` one longer than ``heads`` from 0 to ``len(body)``,
+    and labels ``n`` distinct strings, None or a function that returns them on first read.
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
@@ -232,25 +231,8 @@ class InferenceSystem(Value):
                 _typed(label, (str,), "a label in labels")
             if len(set(labels)) != len(labels):
                 raise ValueError("judgment labels must be unique")
-        self._store(n, heads, starts, body, len(rules), labels)
-
-    def _store(self, n: int, heads: list[int], starts: list[int], body: list[int], plain: int,
-               labels: object) -> None:
-        for name, value in zip(self.__slots__, (n, heads, starts, body, plain, labels)):
+        for name, value in zip(self.__slots__, (n, heads, starts, body, len(rules), labels)):
             _set(self, name, value)
-
-    @classmethod
-    def _compiled(cls, n: int, heads: list[int], starts: list[int], body: list[int], plain: int,
-                  labels: Optional[tuple[str, ...] | Callable[[], tuple[str, ...]]] = None
-                  ) -> "InferenceSystem":
-        """The system whose ``i``-th rule (a corule from index ``plain`` on) concludes
-        ``heads[i]`` from ``body[starts[i]:starts[i + 1]]``, unchecked: ids must be ints
-        in ``range(n)``, each premise run ascending without repeats, ``starts`` one
-        longer than ``heads`` from 0 to ``len(body)``, and labels ``n`` distinct strings
-        or a function of no arguments that returns them on the first read."""
-        system = object.__new__(cls)
-        system._store(n, heads, starts, body, plain, labels)
-        return system
 
     @cached_property
     def labels(self) -> Optional[tuple[str, ...]]:
@@ -422,7 +404,8 @@ def _greatest(system: InferenceSystem, kept: Optional[bytearray] = None,
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
     firing = _typed(system, (InferenceSystem,), "system")._layers(use_corules)
-    return JudgmentSet._valid(len(firing), [j for j, i in enumerate(firing) if i is not None])
+    return JudgmentSet._valid(len(firing),
+                              frozenset([j for j, i in enumerate(firing) if i is not None]))
 
 
 def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -432,7 +415,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = _typed(system, (InferenceSystem,), "system").universe_size
-    return JudgmentSet._valid(n, _greatest(system))
+    return JudgmentSet._valid(n, frozenset(_greatest(system)))
 
 
 def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
@@ -494,7 +477,9 @@ class CheckReport(Value):
 
     def __init__(self, failures: Iterable[Failure] = (),
                  witnesses: Mapping[int, int] = _NEW_DICT):
-        _set(self, "failures", tuple(failures))
+        _set(self, "failures", _tuple(failures, "failures"))
+        for f in self.failures:
+            _typed(f, (Failure,), "a failure in failures")
         _set(self, "witnesses", {} if witnesses is _NEW_DICT else witnesses)
 
     @property
@@ -517,7 +502,7 @@ def is_closed(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
     hits = [i for i in range(system._plain)
             if heads[i] not in inside and inside.issuperset(system._premises(i))]
     hits.sort(key=heads.__getitem__)  # stable: rules of one judgment stay in order
-    return CheckReport(Failure(heads[i], CLOSEDNESS, i) for i in hits)
+    return CheckReport._valid(tuple([Failure(heads[i], CLOSEDNESS, i) for i in hits]), {})
 
 
 def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
@@ -535,7 +520,7 @@ def is_consistent(system: InferenceSystem, s: JudgmentSet) -> CheckReport:
         if c in inside and c not in first and inside.issuperset(premises(i)):
             first[c] = i
     failures = [Failure(j, CONSISTENCY, None) for j in sorted(inside.difference(first))]
-    return CheckReport(failures, {j: first[j] for j in sorted(first)})
+    return CheckReport._valid(tuple(failures), {j: first[j] for j in sorted(first)})
 
 
 def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> CheckReport:
@@ -560,4 +545,4 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     failures.sort(key=lambda f: (f.judgment, f.reason))
     if not failures and not system._gen.issuperset(inside):
         raise InternalError("bounded and consistent spec escaped the generated interpretation")
-    return CheckReport(failures, consistency.witnesses)
+    return CheckReport._valid(tuple(failures), consistency.witnesses)

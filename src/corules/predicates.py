@@ -173,13 +173,13 @@ class JudgmentScheme(Value):
 
 def _system(scheme: JudgmentScheme, heads: list[int], starts: list[int], body: list[int],
             coaxioms: list[int]) -> tuple[InferenceSystem, JudgmentScheme]:
-    """The system of the rule arrays (see ``InferenceSystem._compiled``) with a coaxiom
+    """The system of the rule arrays (see ``InferenceSystem``) with a coaxiom
     at each id of ``coaxioms``, labelled by ``scheme`` on the first read of its labels."""
     plain = len(heads)
     heads += coaxioms
     starts += [len(body)] * len(coaxioms)
-    return InferenceSystem._compiled(scheme.universe_size, heads, starts, body, plain,
-                                     scheme.labels), scheme
+    return InferenceSystem._valid(scheme.universe_size, heads, starts, body, plain,
+                                  scheme.labels), scheme
 
 
 def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,

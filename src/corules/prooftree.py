@@ -118,8 +118,8 @@ class RationalProofTree(Value):
         return below[self.root]
 
 
-def _validated(tree: RationalProofTree,
-               system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
+def _checked_walk(tree: RationalProofTree,
+                  system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
     """The post-order of the walk of ``tree`` from its root, or None on a cycle;
     given the system, after one pass that checks each rule index and judgment id."""
     order = _typed(tree, (RationalProofTree,), "tree")._walked()
@@ -185,9 +185,8 @@ def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> Ra
                 stack += body[starts[i]:starts[i + 1]][::-1]
     node, rules = node_of.__getitem__, list(map(rule_for.__getitem__, node_of))
     children = [tuple(map(node, body[starts[i]:starts[i + 1]])) for i in rules]
-    proof = RationalProofTree(zip(node_of, rules, children))
-    _set(proof, "_walk", False if cyclic else order)
-    return proof
+    return RationalProofTree._valid(tuple(zip(node_of, rules, children)), 0,
+                                    False if cyclic else order, None)
 
 
 def check_finite(tree: RationalProofTree, system: InferenceSystem,
@@ -199,7 +198,7 @@ def check_finite(tree: RationalProofTree, system: InferenceSystem,
     per premise. A node that uses a corule is rejected unless
     ``allow_corules`` is set. A malformed tree raises StructuralError.
     """
-    order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
+    order = _checked_walk(tree, _typed(system, (InferenceSystem,), "system"))
     return order is not None and _matches(tree.nodes, system, allow_corules)
 
 
@@ -225,7 +224,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     derivable once corules are admitted. Acceptance implies the root lies in
     the generated interpretation.
     """
-    _validated(tree, _typed(system, (InferenceSystem,), "system"))
+    _checked_walk(tree, _typed(system, (InferenceSystem,), "system"))
     return _matches(tree.nodes, system, False, system._layers(True))
 
 
@@ -256,7 +255,7 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
 
 def is_acyclic(tree: RationalProofTree) -> bool:
     """Whether the proof graph has no cycle (i.e. denotes a finite tree)."""
-    return _validated(tree) is not None
+    return _checked_walk(tree) is not None
 
 
 def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) -> str:
@@ -264,7 +263,7 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
     node is printed as ``^n`` (rational) or copied (finite, which must have no
     cycle). The labels are read once. An id without a label, a node number and a
     rule index print as integers: unary ``+`` makes a bool the int it stands for."""
-    order = _validated(tree, _typed(system, (InferenceSystem,), "system"))
+    order = _checked_walk(tree, _typed(system, (InferenceSystem,), "system"))
     if not rational:
         _finite(order)
     table, plain, labels = tree.nodes, system._plain, system.labels

@@ -1,7 +1,7 @@
 """The two ways into an inference system build the same value.
 
 The parser and the builders hand rule arrays (conclusions, premise offsets
-and premises) to the unchecked ``InferenceSystem._compiled``; everyone else
+and premises) to the unchecked ``InferenceSystem._valid``; everyone else
 calls the public constructor with ``Rule`` objects. Built both ways from the
 same rules, a system must compare, hash, print and pickle alike, and every
 interpretation, check report, proof and render read off it must be the same. The 2^n
@@ -36,8 +36,8 @@ def compiled_from(system: InferenceSystem) -> InferenceSystem:
         heads.append(r.conclusion)
         body += sorted(r.premises)
         starts.append(len(body))
-    return InferenceSystem._compiled(system.universe_size, heads, starts, body,
-                                     len(system.rules), system.labels)
+    return InferenceSystem._valid(system.universe_size, heads, starts, body,
+                                  len(system.rules), system.labels)
 
 
 def public_from(system: InferenceSystem) -> InferenceSystem:

@@ -6,7 +6,7 @@ C, so it also charges each call, from the package, of a list or tuple method
 that scans its receiver (``remove``, ``index``, ``count``, ``insert``) the
 receiver's length, with ``sys.setprofile``. A C ``map`` makes no such call
 event, so each system's rule arrays are ``CountingList``s, handed to
-``InferenceSystem._compiled``, that count the items read from them however
+``InferenceSystem._valid``, that count the items read from them however
 they are read. Unlike a wall clock, the count is
 the same on every run. Each family is built from a fixed seed, outside the
 count, at sizes n and 2n, and the count at 2n must be at most 2.2 times the
@@ -75,9 +75,9 @@ class CountingList(list):
 
 def counted(system: InferenceSystem) -> InferenceSystem:
     """``system`` rebuilt on ``CountingList`` copies of its rule arrays."""
-    return InferenceSystem._compiled(system.universe_size, CountingList(system._heads),
-                                     CountingList(system._starts), CountingList(system._body),
-                                     system._plain, system.labels)
+    return InferenceSystem._valid(system.universe_size, CountingList(system._heads),
+                                  CountingList(system._starts), CountingList(system._body),
+                                  system._plain, system.labels)
 
 
 def work(call) -> int:

@@ -130,8 +130,8 @@ def test_each_thing_is_said_once():
     assert "names" not in SystemFile.__slots__
     assert isinstance(inspect.getattr_static(SystemFile, "names"), property)
     # which rules a proof may use is decided where its steps are matched
-    validated = corules.prooftree._validated
-    assert list(inspect.signature(validated).parameters) == ["tree", "system"]
+    checked_walk = corules.prooftree._checked_walk
+    assert list(inspect.signature(checked_walk).parameters) == ["tree", "system"]
 
 
 def test_readme_python_blocks_run():

@@ -252,8 +252,8 @@ class TestRender:
         rungs = 16
         bare = ladder_system(rungs)
         labels = CountingLabels(f"n{j}" for j in range(bare.universe_size))
-        system = InferenceSystem._compiled(bare.universe_size, bare._heads, bare._starts,
-                                           bare._body, bare._plain, labels)
+        system = InferenceSystem._valid(bare.universe_size, bare._heads, bare._starts,
+                                        bare._body, bare._plain, labels)
         tree = extract_finite_proof(system, 2 * rungs)
 
         def refused(self, j):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import corules
 from corules import (
     CLOSEDNESS,
     POSITIVE,
@@ -49,6 +50,7 @@ from corules import (
     suffix_automaton,
     three_way,
 )
+from corules._value import Value
 from corules.cli import (ParseError, SystemFile, format_colist, parse_candidates, parse_colist,
                          parse_system, render_system, run)
 from corules.predicates import predicate_by_name
@@ -227,7 +229,9 @@ class TestCoercionsAndDefaults:
         assert s.members == frozenset({1, 2})
         assert all(type(j) is int for j in s.members)
         assert JudgmentSet(3, iter([0, 1])) == JudgmentSet.of(3, (1, 0))
-        assert JudgmentSet(True, [0]).size is True  # the size is checked, not coerced
+        coerced = JudgmentSet(True, [0])  # the size is coerced, as a system's is
+        assert coerced == JudgmentSet(1, [0]) and type(coerced.size) is int
+        assert repr(coerced) == "JudgmentSet(size=1, members=frozenset({0}))"
 
     def test_inference_system_stores_tuples(self):
         system = InferenceSystem(2, [R0], [R1], ["a", "b"])
@@ -409,6 +413,16 @@ class TestValidationErrors:
         # a proof's node table is named as the other iterables are
         (lambda: RationalProofTree(None), TypeError, "nodes must be an Iterable, not NoneType"),
         (lambda: RationalProofTree(5), TypeError, "nodes must be an Iterable, not int"),
+        # a report's failures are named as the other iterables are, and each is a Failure
+        (lambda: CheckReport(None), TypeError, "failures must be an Iterable, not NoneType"),
+        (lambda: CheckReport(5, {}), TypeError, "failures must be an Iterable, not int"),
+        (lambda: CheckReport([1, 2]), TypeError,
+         "a failure in failures must be a Failure, not int"),
+        (lambda: CheckReport((Failure(0, CLOSEDNESS), (0, CLOSEDNESS))), TypeError,
+         "a failure in failures must be a Failure, not tuple"),
+        # the size is coerced before the members are checked against it
+        (lambda: JudgmentSet(True, [1]), ValueError,
+         "judgment id 1 out of range for universe of 1"),
     ])
     def test_construction(self, build, error, text):
         with pytest.raises(error) as excinfo:
@@ -588,6 +602,59 @@ class TestEngineBuiltSets:
             shuffled = JudgmentSet(n, rng.sample(ids, len(ids)))
             assert repr(forward) == repr(backward) == repr(shuffled)
             assert repr(forward) == repr(JudgmentSet(n, set(ids)) | JudgmentSet(n))
+
+
+def value_classes() -> set[type]:
+    """Every subclass of ``Value`` the package defines, once all its modules are loaded."""
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls)
+            todo.append(cls)
+    return found
+
+
+class TestOneUncheckedConstructor:
+    """``Value._valid`` is the one way to build a value unchecked: it fills every slot
+    but ``__dict__``, in ``__slots__`` order, and no value type has a way of its own."""
+
+    TEXT = "judgments: a b c\nrule: a <- b\nrule: b <- a\ncorule: a <-\nspec: a b\n"
+
+    @staticmethod
+    def rebuilt(v: Value) -> Value:
+        return type(v)._valid(*[getattr(v, s) for s in type(v).__slots__ if s != "__dict__"])
+
+    def test_every_value_type_rebuilds_from_its_slots(self):
+        public = {value for value in (getattr(corules, name) for name in corules.__all__)
+                  if isinstance(value, type) and issubclass(value, Value)}
+        extracted = extract_rational_proof(parse_system(self.TEXT).system, 0)
+        values = [cls(*fields) for cls, _, fields, _ in CASES]
+        values += [parse_system(self.TEXT), extracted, suffix_automaton(Lasso((1,), (2, 3)))]
+        assert {type(v) for v in values} == public | {SystemFile}
+        assert extracted._walk is not None  # a cached slot is filled too
+        for v in values:
+            again = self.rebuilt(v)
+            assert type(again) is type(v) and again == v
+            for name in type(v).__slots__:
+                if name != "__dict__":
+                    assert getattr(again, name) is getattr(v, name), (type(v), name)
+
+    def test_a_rebuilt_system_reads_alike(self):
+        rng = random.Random(28)
+        for _ in range(100):
+            system = random_system(rng, 10, 20, max_corules=3)
+            again = self.rebuilt(system)
+            assert again.__dict__ == {} and again == system
+            for reading in (ind_interpretation, coind_interpretation, gen_interpretation):
+                assert reading(again) == reading(system)
+
+    def test_no_value_type_has_its_own(self):
+        assert "_valid" in vars(Value)
+        classes = value_classes()
+        assert {SystemFile, RationalProofTree, JudgmentScheme} <= classes
+        for cls in classes:
+            for name in ("_valid", "_compiled", "_store"):
+                assert name not in vars(cls), (cls, name)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -25,17 +25,16 @@ time to REV's, and the pairs the checkout won. Only the standard library is used
 
 from __future__ import annotations
 
-import io
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _pairs import ROOT, rev_src, summary
+
 PAIRS = 20
 REF_START_S = 0.04  # a bare interpreter's start at the reference speed, as in perfbench
 CHAIN = 600
@@ -72,15 +71,11 @@ def main() -> int:
               file=sys.stderr)
         return 64
     rev, pairs = args[0], int(args[1]) if len(args) == 2 else PAIRS
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=False)
-    if archive.returncode:
-        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
-        return 64
     with tempfile.TemporaryDirectory(prefix="corules-cmd-times-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(Path(tmp) / "base")
-        trees = (Path(tmp) / "base" / "src", ROOT / "src")  # REV's, the checkout's
+        base = rev_src(rev, Path(tmp) / "base")
+        if base is None:
+            return 64
+        trees = (base, ROOT / "src")  # REV's, the checkout's
         argvs = commands(Path(tmp))
         for argv in argvs:
             (_, old), (_, new) = (timed(CORULES + argv, src) for src in trees)
@@ -101,8 +96,7 @@ def main() -> int:
     print(f"{'command':<56} {rev[:10]:>10} {'checkout':>9} {'IQR':>6} {'ratio':>6} {'wins':>6}")
     for argv, (old, new) in zip(argvs, times):
         q1, _, q3 = statistics.quantiles(old, n=4)
-        ratio = statistics.median(b / a for a, b in zip(old, new))
-        wins = sum(b < a for a, b in zip(old, new))
+        ratio, _, _, wins = summary(zip(old, new))
         shown = " ".join(Path(w).name if "/" in w else repr(w) if " " in w else w for w in argv)
         print(f"{shown:<56} {1000 * statistics.median(old):10.1f} "
               f"{1000 * statistics.median(new):9.1f} {1000 * (q3 - q1):6.1f} {ratio:6.3f} "

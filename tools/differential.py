@@ -34,17 +34,16 @@ else 0. Only the standard library is used.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import random
 import subprocess
 import sys
-import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _pairs import ROOT, rev_src
+
 SEED = 2026
 SHOWN = 5  # differing records printed in full
 HEAD = 400  # bytes of stdout shown per differing record
@@ -189,22 +188,17 @@ def main() -> int:
         print("usage: python tools/differential.py REV", file=sys.stderr)
         return 64
     rev = sys.argv[1]
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=False)
-    if archive.returncode:
-        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
-        return 64
     with tempfile.TemporaryDirectory(prefix="corules-differential-") as tmp:
-        base = Path(tmp) / "base"
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(base)
+        base = rev_src(rev, Path(tmp) / "base")
+        if base is None:
+            return 64
         files = Path(tmp) / "files"
         files.mkdir()
         commands = corpus(files)
         differing = []
         with ThreadPoolExecutor(2) as pool:  # the two trees' runs of a command side by side
             for argv in commands:
-                old, new = pool.map(record, (base / "src", ROOT / "src"), (argv, argv))
+                old, new = pool.map(record, (base, ROOT / "src"), (argv, argv))
                 if old != new:
                     differing.append((argv, old, new))
     print(f"{len(commands)} records, {len(differing)} differing ({rev} against the checkout)")

@@ -24,17 +24,23 @@ the finite proof's table, and ``check_rational_in_gen`` of a new proof over the
 rational proof's table; each tree extracts both tables once. On the max grid only,
 ``format_finite`` and ``format_rational`` render a new proof over the finite and the
 rational table: an indented render grows with the square of a chain's depth, to
-about 10 GB at 100,000. On the chain only, ``parse_colist`` reads the literal of a
-lasso of 100,000 elements drawn from the seed, and ``gen (no corules)`` is ``gen`` on
-a new system of the chain's rules without its coaxiom, so that its bound is the
-answer. Each call gets a fresh system of its tree on the same rule
+about 10 GB at 100,000. ``check_rational_in_gen alone`` is the same check on a system
+whose corule pass ``ind_interpretation(s, True)`` ran before the timed call, so it
+times the check without that pass. On the chain only, ``parse_colist`` reads the
+literal of a lasso of 100,000 elements drawn from the seed, and ``gen (no corules)``
+is ``gen`` on a new system of the chain's rules without its coaxiom, so that its
+bound is the answer. Each call gets a fresh system of its tree on the same rule
 arrays and labels, and on the premise index that the tree's own code built once,
 outside the timed calls, so the two trees read the same input in the same memory and
 no call reads what an earlier one cached beyond that index. So a change in when the
 index is built does not show here; ``tools/op_cycles.py`` times whole ops and does.
+A fresh system is made by setting its storage slots, whose names every revision
+since the rule arrays shares, so REV may be any such revision.
 For each layer the two trees are called in pairs, the first call of a pair taking
 turns between them, with the garbage collector off during a call, as ``timeit``
-does: an even number of pairs, at least 16 and until the layer's calls add up to 5 s
+does. The systems and proofs built before the timing are frozen out of the
+collector's reach (``gc.freeze``), so the collection before each call is short.
+There are an even number of pairs, at least 16 and until the layer's calls add up to 5 s
 or there are 1,000 pairs, which a call of a tenth of a millisecond reaches first.
 The script prints each side's median wall time, in ms, their ratio, which is the
 median of the pairs' ratios of the checkout's time to REV's, the interquartile range
@@ -48,18 +54,16 @@ from __future__ import annotations
 
 import gc
 import importlib.util
-import io
 import random
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 from types import ModuleType
 
-ROOT = Path(__file__).resolve().parent.parent
+from _pairs import ROOT, rev_src, summary
+
 SEED = 2026
 CHAIN, GHOST = 100_000, 50
 COLIST = 100_000
@@ -68,6 +72,7 @@ PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
 BUDGET = 5.0  # seconds of timed calls per layer, at least
 MAX_PAIRS = 1000  # per layer: enough for a stable median of the shortest calls
 INDEXES: dict = {}  # (package name, id of a system) -> (that system, its premise index)
+SLOTS = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels")
 
 
 def load(name: str, src: Path) -> ModuleType:
@@ -97,12 +102,21 @@ def max_grid(pkg: ModuleType, rng: random.Random) -> tuple:
     return system, scheme.encode(0, max(xs.prefix + xs.loop))
 
 
+def compiled(pkg: ModuleType, *slots):
+    """The system of ``pkg`` whose storage slots, from ``universe_size`` to ``_labels``,
+    hold ``slots``, with nothing cached."""
+    system = object.__new__(pkg.InferenceSystem)
+    for name, value in zip(SLOTS, slots):
+        object.__setattr__(system, name, value)
+    return system
+
+
 def fresh(pkg: ModuleType, system):
     """A new system of ``pkg`` on the rule arrays and the labels of ``system``, with
     nothing cached but the premise index that ``pkg``'s own code built for those arrays
     on the first call: the index's form may differ between the two trees."""
-    copy = pkg.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
-                                         system._body, system._plain, system.labels)
+    copy = compiled(pkg, system.universe_size, system._heads, system._starts, system._body,
+                    system._plain, system.labels)
     key = (pkg.__name__, id(system))
     if key not in INDEXES:
         INDEXES[key] = (system, copy._users)  # the system, so that its id stays its own
@@ -120,9 +134,8 @@ def rules_only(pkg: ModuleType, system):
     """A system of ``pkg`` on the rules of ``system``, without its corules. Each corule
     must be a coaxiom, so the premise arrays stay."""
     plain = system._plain
-    return pkg.InferenceSystem._compiled(system.universe_size, system._heads[:plain],
-                                         system._starts[:plain + 1], system._body, plain,
-                                         system.labels)
+    return compiled(pkg, system.universe_size, system._heads[:plain],
+                    system._starts[:plain + 1], system._body, plain, system.labels)
 
 
 def readers(pkg: ModuleType, table: tuple, system) -> None:
@@ -136,16 +149,17 @@ def readers(pkg: ModuleType, table: tuple, system) -> None:
 def inf_text(cli: ModuleType, system) -> str:
     """The system file of ``system``, judgment ``j`` named ``j<j>``, as ``cli`` renders it."""
     names = tuple(f"j{j}" for j in range(system.universe_size))
-    named = cli.InferenceSystem._compiled(system.universe_size, system._heads, system._starts,
-                                          system._body, system._plain, names)
+    named = compiled(cli, system.universe_size, system._heads, system._starts, system._body,
+                     system._plain, names)
     return cli.render_system(cli.SystemFile(named, None))
 
 
 def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
     """Per layer, the call on a system of ``pkg``; ``parse_system`` reads the file of
     ``system`` instead, and the checks check ``system``'s gen. The max grid adds the
-    two renders, the chain ``parse_colist`` and ``gen (no corules)``."""
-    gen = pkg.JudgmentSet._valid(system.universe_size, system._gen)
+    two renders, the chain ``parse_colist`` and ``gen (no corules)``. A layer given as
+    ``(setup, call)`` runs ``setup``, untimed, on the system before ``call``."""
+    gen = pkg.gen_interpretation(fresh(pkg, system))
     table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
     rational = pkg.extract_rational_proof(fresh(pkg, system), target).nodes
     proof = pkg.RationalProofTree
@@ -167,6 +181,8 @@ def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
             pkg.extract_finite_proof(s, target, allow_corules=True), s, allow_corules=True),
         "check_finite+depth+is_acyclic": lambda s: readers(pkg, table, s),
         "check_rational_in_gen": lambda s: pkg.check_rational_in_gen(proof(rational), s),
+        "check_rational_in_gen alone": (lambda s: pkg.ind_interpretation(s, True),
+                                        lambda s: pkg.check_rational_in_gen(proof(rational), s)),
     }
     if maxgrid:
         calls["format_finite"] = lambda s: pkg.prooftree.format_finite(proof(table), s)
@@ -180,8 +196,12 @@ def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
 
 def seconds(pkg: ModuleType, call, system) -> float:
     """The wall time of ``call`` on a fresh system of ``pkg`` on the arrays of
-    ``system``, with the garbage collector off."""
+    ``system``, with the garbage collector off; a ``(setup, call)`` runs ``setup`` on
+    that system first, untimed."""
     copy = fresh(pkg, system)
+    if isinstance(call, tuple):
+        setup, call = call
+        setup(copy)
     gc.collect()
     gc.disable()
     try:
@@ -197,20 +217,17 @@ def main() -> int:
         print("usage: python tools/layer_times.py REV", file=sys.stderr)
         return 64
     rev = sys.argv[1]
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=False)
-    if archive.returncode:
-        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
-        return 64
     with tempfile.TemporaryDirectory(prefix="corules-layer-times-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp)
-        trees = (load("corules_rev", Path(tmp) / "src"), load("corules", ROOT / "src"))
+        src = rev_src(rev, Path(tmp))
+        if src is None:
+            return 64
+        trees = (load("corules_rev", src), load("corules", ROOT / "src"))
         print(f"{'system':8} {'layer':29} {rev + ' ms':>12} {'checkout ms':>12} {'ratio':>6} "
               f"{'IQR':>11} {'pairs':>5}")
         for name, build in (("chain", chain), ("maxgrid", max_grid)):
             system, target = build(trees[1], random.Random(SEED))
             calls = [layers(pkg, system, target, name == "maxgrid") for pkg in trees]
+            gc.freeze()  # the systems and proofs built so far: no collection walks them
             for layer in calls[0]:
                 pairs: list[list[float]] = []
                 while (len(pairs) < PAIRS or len(pairs) % 2
@@ -220,8 +237,7 @@ def main() -> int:
                         pair[side] = seconds(trees[side], calls[side][layer], system)
                     pairs.append(pair)
                 old, new = (statistics.median(times) * 1000 for times in zip(*pairs))
-                ratios = [b / a for a, b in pairs]
-                q1, ratio, q3 = statistics.quantiles(ratios, n=4)
+                ratio, q1, q3, _ = summary(pairs)
                 print(f"{name:8} {layer:29} {old:12.1f} {new:12.1f} {ratio:6.2f} "
                       f"{q1:5.2f}-{q3:5.2f} {len(pairs):5}", flush=True)
     return 0

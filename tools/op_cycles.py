@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import gc
 import importlib
-import io
 import random
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _pairs import ROOT, rev_src, summary
+
 SEED = 7
 CYCLES = 20
 WORKLOADS = ("fixpoint_large", "proof_shapes", "small_batch")
@@ -117,16 +115,12 @@ def main() -> int:
               "least 2", file=sys.stderr)
         return 64
     rev, workload, cycles, seed = args[0], args[1], int(cycles), int(seed)
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
-                             capture_output=True, check=False)
-    if archive.returncode:
-        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
-        return 64
     with tempfile.TemporaryDirectory(prefix="corules-op-cycles-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(Path(tmp) / "rev")
+        rev_tree = rev_src(rev, Path(tmp) / "rev")
+        if rev_tree is None:
+            return 64
         sides = []
-        for name, src in ((rev, Path(tmp) / "rev" / "src"), ("checkout", ROOT / "src")):
+        for name, src in ((rev, rev_tree), ("checkout", ROOT / "src")):
             ops, modules = build(src, workload, seed, Path(tmp))
             sys.modules.update(modules)
             sides.append((checked(name, ops), modules))
@@ -143,11 +137,9 @@ def main() -> int:
             pairs.append(pair)
     totals = [(sum(old), sum(new)) for old, new in pairs]
     old, new = (statistics.median(times) * 1000 for times in zip(*totals))
-    ratios = [b / a for a, b in totals]
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(b < a for a, b in totals)
+    ratio, q1, q3, wins = summary(totals)
     print(f"{workload} seed {seed}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
-    print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {statistics.median(ratios):.3f} "
+    print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {ratio:.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), checkout won {wins}/{len(pairs)}")
     for kind, count, ratio in by_kind([op.kind for op in sides[0][0]], pairs):
         print(f"  {kind}: {count} ops, ratio {ratio:.3f}")
