@@ -33,11 +33,11 @@ def _typed(value, types: tuple[type, ...], what: str):
     return value
 
 
-def _tuple(values, what: str) -> tuple:
-    """``values`` as a tuple; a ``values`` that is not iterable raises TypeError naming
-    it as ``what``. The check runs only once ``tuple`` has failed."""
+def _tuple(values, what: str, into=tuple):
+    """``into(values)``, by default a tuple; a ``values`` that is not iterable raises
+    TypeError naming it as ``what``, checked only once ``into`` has failed."""
     try:
-        return tuple(values)
+        return into(values)
     except TypeError:
         _typed(values, (Iterable,), what)
         raise

@@ -8,12 +8,11 @@ the conclusions of its rules, then corules, in one array and their premises
 (ascending, without repeats) in another, cut by offsets. The public
 constructor turns its ``Rule`` objects into these arrays; the parser and the
 predicate builders write them directly and hand them to the unchecked ``_valid``
-(see ``InferenceSystem``). The premise index, the firing rules of the inductive
-passes and the generated interpretation are computed once, when first needed, and
-kept; the corule pass's firing rules are also the corule-extended bound (the
-judgments it fires a rule for). ``rules`` and ``corules`` are built on first
-read, and so are the labels of a system whose builder gave a function that
-makes them.
+(see ``InferenceSystem``). A system keeps the premise index and each pass's record,
+computed once, when first needed: the rules' inductive pass ``_ind``, the corule pass
+``_bound``, whose firing rules are the corule-extended bound (the judgments it fires a
+rule for), and ``_gen``. ``rules`` and ``corules`` are built on first read, and so are
+the labels of a system whose builder gave a function that makes them.
 
 The three interpretations:
 
@@ -31,9 +30,10 @@ One counting engine computes all three in time linear in the size of the
 system: ``_least`` fires each rule, layer by layer, once its count of
 unsatisfied premises reaches zero (Dowling & Gallier), so a judgment's layer
 is still its Kleene round; ``_greatest`` drops each judgment whose count of
-kept rules reaches zero (Liu & Smolka). The plain rules whose counts reach zero
-in the corule pass are those inside the bound, where ``gen``'s greatest pass
-starts, and the rules it keeps to the end give ``gen``'s witnesses. A pass
+kept rules reaches zero (Liu & Smolka). Each pass returns its evidence with its
+answer: the corule pass its final counts, whose plain rules at zero are those inside
+the bound, where ``gen``'s greatest pass starts, and that pass the rules it keeps to
+the end, ``gen``'s witnesses. A pass
 reads the premise index only to follow a premise: not if no rule is ready or no
 judgment loses its rules. ``gen`` without corules runs no ``_greatest``: its
 bound is ``ind``, which is consistent. Membership and proofs read the rule
@@ -94,11 +94,7 @@ class Rule(Value):
     __slots__ = __match_args__ = ("premises", "conclusion")
 
     def __init__(self, premises: Iterable[int], conclusion: int):
-        try:
-            _set(self, "premises", frozenset(premises))
-        except TypeError:  # checked only once the conversion has failed, as in _tuple
-            _typed(premises, (Iterable,), "premises")
-            raise
+        _set(self, "premises", _tuple(premises, "premises", frozenset))
         _set(self, "conclusion", conclusion)
 
     def __repr__(self) -> str:
@@ -201,8 +197,8 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: labels, rules, corules, _users, _gen, the passes of _layers, the corule
-    # pass's _waiting and the greatest pass's _kept, each made when needed
+    # __dict__: labels, rules, corules, _users and the passes _ind, _bound and _gen, each
+    # made when first needed
     __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
@@ -241,9 +237,6 @@ class InferenceSystem(Value):
     def _premises(self, i: int) -> list[int]:
         return self._body[self._starts[i]:self._starts[i + 1]]
 
-    def _rule(self, i: int) -> Rule:
-        return Rule(self._premises(i), self._heads[i])
-
     def _rules(self, first: int, last: int) -> tuple[Rule, ...]:
         """The rules of indices ``first`` to ``last - 1``, made in one pass: each premise
         run is sliced, and the two slots of each new ``Rule`` are set, in bulk."""
@@ -278,30 +271,30 @@ class InferenceSystem(Value):
             tally[p + 1] += 1
         return users, list(accumulate(tally))
 
-    def _layers(self, use_corules: bool) -> list[Optional[int]]:
-        """``_least`` of the rules, with the corules if used, computed once: read only."""
-        name = "_ind_corules" if use_corules and self._plain < len(self._heads) else "_ind"
-        if name not in self.__dict__:  # no corules: both names read the rules' pass
-            self.__dict__[name] = _least(self, name == "_ind_corules")
-        return self.__dict__[name]
+    @cached_property
+    def _ind(self) -> list[Optional[int]]:
+        """The firing rules of the rules' inductive pass (see ``_least``): read only."""
+        return _least(self, False)[0]
 
     @cached_property
-    def _gen(self) -> frozenset[int]:
-        """The generated interpretation: the greatest fixed point of the rules inside the
-        bound, the judgments for which the corule pass ``_layers(True)`` fires a rule.
-        Without corules the bound is the inductive interpretation, which is consistent,
-        so it is the answer as it is. Else the greatest pass starts from the plain rules
-        whose count in the corule pass's ``_waiting`` is 0, those inside the bound."""
-        firing = self._layers(True)
-        fired = map(operator.is_not, firing, repeat(None))
-        bound = frozenset(compress(range(len(firing)), fired))
-        if self._plain == len(self._heads):
-            return bound
-        kept = bytearray(map(operator.not_, self.__dict__["_waiting"]))
+    def _bound(self) -> tuple[list[Optional[int]], Optional[list[int]]]:
+        """``(firing, waiting)`` of the corule pass, whose firing list is the bound; without
+        corules that pass is the rules' pass: ``(_ind, None)``. Read only."""
+        return _least(self, True) if self._plain < len(self._heads) else (self._ind, None)
+
+    @cached_property
+    def _gen(self) -> tuple[frozenset[int], Optional[bytearray]]:
+        """``(gen, kept)``: the greatest fixed point of the rules inside the bound, and the
+        rules its greatest pass keeps to the end, the witnesses of gen (see ``_greatest``).
+        Without corules the bound is ind, which is consistent, so it is gen, and ``kept`` is
+        None. Else the pass starts from the plain rules the corule pass left at count 0."""
+        firing, waiting = self._bound
+        bound = frozenset(compress(range(len(firing)), map(operator.is_not, firing, repeat(None))))
+        if waiting is None:
+            return bound, None
+        kept = bytearray(map(operator.not_, waiting))
         kept[self._plain:] = bytes(len(self._heads) - self._plain)  # no corule is kept
-        gen = frozenset(_greatest(self, kept, bound))
-        self.__dict__["_kept"] = kept  # the witnesses of gen: see _greatest
-        return gen
+        return frozenset(_greatest(self, kept, bound)), kept
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -314,7 +307,7 @@ class InferenceSystem(Value):
     def rule_at(self, i: int) -> Rule:
         """The rule of index ``i``, counting the rules and then the corules, as reports
         and proofs do. ``i`` is coerced with ``operator.index`` and must be in range."""
-        return self._rule(_index(i, "rule index", len(self._heads)))
+        return self._rules(i := _index(i, "rule index", len(self._heads)), i + 1)[0]
 
     def all_rules(self, use_corules: bool = False) -> tuple[Rule, ...]:
         """The rules of the system, with corules appended when requested."""
@@ -339,11 +332,11 @@ def _members(s: JudgmentSet, size: int, what: str) -> frozenset[int]:
     return s.members
 
 
-def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
-    """Per judgment of the least fixed point of the rules (and corules, if used), the
-    first declared rule that fires at the judgment's Kleene round; None outside it.
-    The premise index is read only if some rule is ready. With corules, the final counts
-    of premises not derived are kept as ``_waiting``. Read it through ``_layers``."""
+def _least(system: InferenceSystem, use_corules: bool) -> tuple[list[Optional[int]], list[int]]:
+    """``(firing, waiting)``: per judgment of the least fixed point of the rules (and
+    corules, if used), the first declared rule that fires at its Kleene round, else None;
+    per rule and corule, its final count of premises not derived (below 0 for an unused
+    corule). The index is read only if some rule is ready. Read through ``_ind``, ``_bound``."""
     heads, starts = system._heads, system._starts
     firing: list[Optional[int]] = [None] * system.universe_size
     waiting = list(map(operator.sub, starts[1:], starts))  # premises not yet derived
@@ -364,9 +357,7 @@ def _least(system: InferenceSystem, use_corules: bool) -> list[Optional[int]]:
                         later.append(k)
         later.sort()
         ready = later
-    if use_corules:
-        system.__dict__["_waiting"] = waiting
-    return firing
+    return firing, waiting
 
 
 def _greatest(system: InferenceSystem, kept: Optional[bytearray] = None,
@@ -403,7 +394,8 @@ def _greatest(system: InferenceSystem, kept: Optional[bytearray] = None,
 
 def ind_interpretation(system: InferenceSystem, use_corules: bool = False) -> JudgmentSet:
     """The least fixed point: judgments with a finite proof tree."""
-    firing = _typed(system, (InferenceSystem,), "system")._layers(use_corules)
+    _typed(system, (InferenceSystem,), "system")
+    firing = system._bound[0] if use_corules else system._ind
     return JudgmentSet._valid(len(firing),
                               frozenset([j for j, i in enumerate(firing) if i is not None]))
 
@@ -428,7 +420,7 @@ def gen_interpretation(system: InferenceSystem) -> JudgmentSet:
     in general neither its least nor its greatest.
     """
     n = _typed(system, (InferenceSystem,), "system").universe_size
-    return JudgmentSet._valid(n, system._gen)
+    return JudgmentSet._valid(n, system._gen[0])
 
 
 def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
@@ -538,11 +530,11 @@ def bounded_coinduction_check(system: InferenceSystem, spec: JudgmentSet) -> Che
     this inclusion is verified before returning.
     """
     inside = _members(spec, _typed(system, (InferenceSystem,), "system").universe_size, "spec")
-    firing = system._layers(True)
+    firing = system._bound[0]
     failures = [Failure(j, BOUNDEDNESS, None) for j in inside if firing[j] is None]
     consistency = is_consistent(system, spec)
     failures.extend(consistency.failures)
     failures.sort(key=lambda f: (f.judgment, f.reason))
-    if not failures and not system._gen.issuperset(inside):
+    if not failures and not system._gen[0].issuperset(inside):
         raise InternalError("bounded and consistent spec escaped the generated interpretation")
     return CheckReport._valid(tuple(failures), consistency.witnesses)

@@ -212,7 +212,7 @@ def extract_finite_proof(system: InferenceSystem, j: int,
     depth never exceeds the universe size.
     """
     j = _typed(system, (InferenceSystem,), "system")._id(j)
-    firing = system._layers(allow_corules)
+    firing = system._bound[0] if allow_corules else system._ind
     return None if firing[j] is None else _proof(system, j, firing)
 
 
@@ -225,7 +225,7 @@ def check_rational_in_gen(tree: RationalProofTree, system: InferenceSystem) -> b
     the generated interpretation.
     """
     _checked_walk(tree, _typed(system, (InferenceSystem,), "system"))
-    return _matches(tree.nodes, system, False, system._layers(True))
+    return _matches(tree.nodes, system, False, system._bound[0])
 
 
 def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[RationalProofTree]:
@@ -238,16 +238,17 @@ def extract_rational_proof(system: InferenceSystem, j: int) -> Optional[Rational
     first Kleene round (keeping that part of the graph acyclic, and the proof
     of such a ``j`` its finite proof); the rest use their consistency witness,
     the first declared rule with premises in the generated interpretation,
-    read from the rules that the greatest pass of ``gen`` keeps to the end.
+    read from the rules that the greatest pass of ``gen`` keeps to the end
+    (``kept``, which is None only without corules, when ``gen`` is ``ind``).
     """
     j = _typed(system, (InferenceSystem,), "system")._id(j)
-    gen = system._gen
+    gen, kept = system._gen
     if j not in gen:
         return None
-    rule_for = list(system._layers(use_corules=False))
+    rule_for = list(system._ind)
     if len(gen) > len(rule_for) - rule_for.count(None):  # else, as in every chain, gen is ind
         heads = system._heads
-        for i in compress(range(system._plain), system._kept):
+        for i in compress(range(system._plain), kept):
             if rule_for[heads[i]] is None:
                 rule_for[heads[i]] = i
     return _proof(system, j, rule_for)

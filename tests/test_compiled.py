@@ -230,8 +230,8 @@ def test_parser_matches_the_pair_reference():
 def test_queries_leave_a_builders_labels_unbuilt(monkeypatch):
     """Only a read of ``labels`` (a render, ``==``, ``repr``) formats them, and no
     query builds a ``Rule``: reports and proofs name rules by index, so ``rules``
-    and ``corules`` stay unbuilt too. ``rule_at`` calls ``Rule.__init__``; the bulk
-    fill of ``rules`` and ``corules`` does not, so it is counted on its own."""
+    and ``corules`` stay unbuilt too. ``rule_at``, like ``rules`` and ``corules``,
+    reads the bulk fill, which calls no ``Rule.__init__``, so it is counted on its own."""
     made = []
     init, fill = Rule.__init__, InferenceSystem._rules
 

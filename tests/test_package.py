@@ -1,5 +1,6 @@
 import importlib
 import inspect
+from functools import cached_property
 import pkgutil
 import re
 import subprocess
@@ -132,6 +133,24 @@ def test_each_thing_is_said_once():
     # which rules a proof may use is decided where its steps are matched
     checked_walk = corules.prooftree._checked_walk
     assert list(inspect.signature(checked_walk).parameters) == ["tree", "system"]
+
+
+def test_a_system_keeps_each_pass_one_way():
+    # each pass returns its evidence, and a system caches it as a cached_property: no
+    # source writes into a system's __dict__ by hand
+    system_type = corules.InferenceSystem
+    for name in ("_ind", "_bound", "_gen", "_users", "rules", "corules", "labels"):
+        assert isinstance(inspect.getattr_static(system_type, name), cached_property), name
+    for name in ("_layers", "_rule", "_waiting", "_kept"):
+        assert not hasattr(system_type, name), name
+    system = system_type(3, [corules.rule(0), corules.rule(1, 2)], [corules.rule(2)])
+    for query in (corules.gen_interpretation, corules.ind_interpretation,
+                  corules.coind_interpretation):
+        query(system)
+    corules.extract_rational_proof(system, 1)
+    assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_users"}
+    for path in sorted(Path(corules.__file__).parent.glob("*.py")):
+        assert "__dict__[" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_readme_python_blocks_run():

@@ -853,7 +853,7 @@ def scanned_rules(system):
     the first declared rule with premises in gen, found by a scan over every rule."""
     witnesses = reports_by_scan(system, gen_interpretation(system))["is_consistent"][1]
     return [witnesses.get(k) if i is None else i
-            for k, i in enumerate(system._layers(use_corules=False))]
+            for k, i in enumerate(system._ind)]
 
 
 class TestWitnessesFromTheGreatestPass:
