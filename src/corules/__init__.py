@@ -3,8 +3,8 @@ interpretations, proof-principle checking, and lasso-colist predicates.
 
 Each export loads on first use: ``import corules`` imports no submodule, and
 reading a name (or ``from corules import name``) imports only its home
-module, so a program that never touches ``predicates`` or ``prooftree``
-never compiles them. The home modules themselves resolve as attributes too.
+module, which resolves as an attribute too: a program never compiles the
+home modules it never touches, such as ``predicates`` or ``prooftree``.
 """
 
 from importlib import import_module as _import_module
@@ -13,15 +13,15 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "colist": ("Colist", "Finite", "Lasso", "SuffixAutomaton", "get", "suffix",
                "suffix_automaton"),
-    "inference": ("BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure",
-                  "InferenceSystem", "InternalError", "JudgmentSet", "Rule", "StructuralError",
-                  "bounded_coinduction_check", "coind_interpretation", "gen_interpretation",
-                  "ind_interpretation", "is_closed", "is_consistent", "rule"),
+    "inference": ("InferenceSystem", "InternalError", "JudgmentSet", "Rule", "StructuralError",
+                  "coind_interpretation", "gen_interpretation", "ind_interpretation", "rule"),
     "predicates": ("EVEN", "FAMILIES", "ODD", "POSITIVE", "ElementPredicate", "Family",
                    "JudgmentScheme", "Kind", "decide_direct", "eq_to", "greater_than",
                    "predicate_by_name", "gen_allpos_system", "gen_always_system",
                    "gen_eventually_system", "gen_infoften_system", "gen_maxelem_system",
                    "gen_member_system", "spec_oracle", "three_way"),
+    "principles": ("BOUNDEDNESS", "CLOSEDNESS", "CONSISTENCY", "CheckReport", "Failure",
+                   "bounded_coinduction_check", "is_closed", "is_consistent"),
     "prooftree": ("RationalProofTree", "check_finite", "check_rational_in_gen",
                   "extract_finite_proof", "extract_rational_proof", "is_acyclic"),
 }

@@ -17,12 +17,11 @@ line may meet its faults in any order, so a faulty line (or header) is read
 again, left to right, for its first fault; only a ParseError works out the
 column of the token it blames.
 
-Each command loads only the modules it runs. Importing this module loads
-``colist`` and ``inference``, all that ``ind``, ``coind``, ``gen`` and
-``check`` use; ``prove`` imports ``prooftree`` and ``pred`` imports
-``predicates``, each inside its command. ``run`` reads a plain, well-formed
-command line itself (see ``_direct``); only ``--help`` and the command lines
-that reader declines import ``argparse``.
+Each command loads only the modules it runs: importing this module loads
+``inference`` only, all that ``ind``, ``coind`` and ``gen`` use, and ``check``
+adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``predicates`` and
+``colist``. ``run`` reads a plain, well-formed command line itself (see
+``_direct``); only ``--help`` and the lines that reader declines load argparse.
 
 Colist literals are whitespace-separated naturals, with ``|`` introducing
 the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
@@ -48,9 +47,8 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ._value import Value, _set, _typed
-from .colist import Colist, Finite, Lasso, _naturals_or_none
-from .inference import (BOUNDEDNESS, CONSISTENCY, InferenceSystem, InternalError, JudgmentSet,
-                        StructuralError, _members, bounded_coinduction_check, interpret)
+from .inference import (InferenceSystem, InternalError, JudgmentSet, StructuralError, _members,
+                        interpret)
 
 ARROW = "<-"
 # The values of ``predicates.Kind``, in its order, so that building the
@@ -220,6 +218,15 @@ def render_system(sf: SystemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+_colist = None  # the ``colist`` module, which the colist functions import on first use
+
+
+def _import_colist():
+    global _colist
+    from . import colist as _colist
+    return _colist
+
+
 def _natural(token: str) -> int:
     return _naturals((token,))[0]
 
@@ -227,14 +234,17 @@ def _natural(token: str) -> int:
 def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:
     """The natural numbers ``tokens`` write, converted in one pass; else the error
     naming the first token that writes none."""
-    ns = _naturals_or_none(tokens)
+    naturals_or_none = (_colist or _import_colist())._naturals_or_none
+    ns = naturals_or_none(tokens)
     if ns is None:
-        bad = next(t for t in tokens if _naturals_or_none((t,)) is None)
+        bad = next(t for t in tokens if naturals_or_none((t,)) is None)
         raise ParseError(f"not a natural number: {bad!r}", code="bad-token")
     return ns
 
 
-def parse_colist(text: str) -> Colist:
+def parse_colist(text: str):
+    """The ``Finite`` or ``Lasso`` that the colist literal ``text`` writes."""
+    colist = _colist or _import_colist()
     pieces = _typed(text, (str,), "text").replace("|", " | ").split()
     separators = pieces.count("|")
     if separators > 1:
@@ -245,12 +255,14 @@ def parse_colist(text: str) -> Colist:
         loop = _naturals(pieces[k + 1:])
         if not loop:
             raise ParseError("loop declared empty", code="empty-loop")
-        return Lasso._valid(_naturals(pieces[:k]), loop)
-    return Finite._valid(_naturals(pieces))
+        return colist.Lasso._valid(_naturals(pieces[:k]), loop)
+    return colist.Finite._valid(_naturals(pieces))
 
 
-def format_colist(xs: Colist) -> str:
-    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
+def format_colist(xs) -> str:
+    """The literal of ``xs``, a ``Finite`` or a ``Lasso``, that ``parse_colist`` reads back."""
+    colist = _colist or _import_colist()
+    if isinstance(_typed(xs, (colist.Finite, colist.Lasso), "xs"), colist.Finite):
         return " ".join(map(str, xs.elements))
     prefix = " ".join(map(str, xs.prefix))
     loop = " ".join(map(str, xs.loop))
@@ -319,6 +331,8 @@ def _cmd_interpret(ns) -> tuple[int, list[str]]:
 
 
 def _cmd_check(ns) -> tuple[int, list[str]]:
+    from .principles import BOUNDEDNESS, CONSISTENCY, bounded_coinduction_check
+
     sf = _load(ns.file)
     if sf.spec is None:
         raise ParseError("file has no spec: line to check", code="missing-spec")

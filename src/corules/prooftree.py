@@ -168,21 +168,22 @@ def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> Ra
     node_of, order, out, cyclic, stack = {}, [], bytearray(len(rule_for)), False, [j]
     while stack:
         k = stack.pop()
-        if k < 0:  # the marker pushed below the premises of node ~k
-            order.append(~k)
-            out[~k] = 1
-        elif k in node_of:  # a back edge if k is on the path to the node that pushed it
-            cyclic = cyclic or not out[node_of[k]]
-        else:
+        while k >= 0:  # a judgment; from one with a lone premise, on to it without the stack
+            if k in node_of:  # a back edge if k is on the path to the node that reached it
+                cyclic = cyclic or not out[node_of[k]]
+                break
             i = rule_for[k]
             if i is None:
                 raise InternalError(f"judgment {k} is derivable but no rule derives it")
             node_of[k] = n = len(node_of)
             stack.append(~n)
-            if starts[i + 1] - starts[i] == 1:  # one premise: pushed without a slice
-                stack.append(body[starts[i]])
-            else:
+            if starts[i + 1] - starts[i] != 1:
                 stack += body[starts[i]:starts[i + 1]][::-1]
+                break
+            k = body[starts[i]]
+        else:  # the marker pushed below the premises of node ~k
+            order.append(~k)
+            out[~k] = 1
     node, rules = node_of.__getitem__, list(map(rule_for.__getitem__, node_of))
     children = [tuple(map(node, body[starts[i]:starts[i + 1]])) for i in rules]
     return RationalProofTree._valid(tuple(zip(node_of, rules, children)), 0,

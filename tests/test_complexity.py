@@ -37,8 +37,11 @@ from corules import (
     extract_rational_proof,
     gen_infoften_system,
     gen_interpretation,
+    gen_maxelem_system,
     ind_interpretation,
     is_acyclic,
+    is_closed,
+    is_consistent,
     rule,
     spec_oracle,
 )
@@ -251,6 +254,55 @@ def parse_colist_of(n):
     return lambda: parse_colist(text)
 
 
+def max_lasso(n, candidates=8):
+    """A lasso of n elements below ``candidates``, half of them in the loop, drawn from
+    the seed: its max grid has n states, so about n * candidates judgments."""
+    rng = random.Random(SEED)
+    return Lasso([rng.randrange(candidates) for _ in range(n // 2)],
+                 [rng.randrange(candidates) for _ in range(n - n // 2)])
+
+
+def check_chain_of(check):
+    # the chain and half the ghost cycle: one rule leaves it, and one member of it has
+    # no rule inside
+    def prepare(n):
+        system = ghost_chain(n)
+        spec = JudgmentSet(3 * n, range(3 * n // 2))
+        return lambda: check(system, spec)
+    return prepare
+
+
+def check_maxgrid_of(check):
+    # the grid's generated interpretation, read before the count
+    def prepare(n):
+        system = max_grid(n)
+        spec = gen_interpretation(system)
+        return lambda: check(system, spec)
+    return prepare
+
+
+def max_grid(n):
+    return counted(gen_maxelem_system(max_lasso(n), candidates=range(8))[0])
+
+
+def maxelem_system_of(n):
+    xs = max_lasso(n)
+
+    def call():
+        assert gen_maxelem_system(xs, candidates=range(8))[0].universe_size == 8 * n
+    return call
+
+
+def infoften_system_of(n):
+    # hits at every third element of an n-element prefix and of an n-element loop
+    hits = tuple(int(i % 3 == 0) for i in range(n))
+    xs = Lasso(hits, hits)
+
+    def call():
+        assert gen_infoften_system(POSITIVE, xs)[0].universe_size == 2 * n
+    return call
+
+
 @pytest.mark.parametrize("prepare, n", [
     (gen_of, 1000),
     (bounded_check_of, 1000),
@@ -267,13 +319,21 @@ def parse_colist_of(n):
     (ind_chain_of, 1000),
     (rational_proofs_infoften_of, 1000),
     (finite_proof_readers_of, 1000),
+    (check_chain_of(is_closed), 1000),
+    (check_chain_of(is_consistent), 1000),
+    (check_maxgrid_of(is_closed), 200),
+    (check_maxgrid_of(is_consistent), 200),
+    (maxelem_system_of, 200),
+    (infoften_system_of, 1000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
         "parse_colist", "gen_interpretation_without_corules",
         "coind_interpretation_ghost_chain", "ind_interpretation_chain",
         "extract_rational_proof+check_rational_in_gen_infoften",
-        "extract_finite_proof+check_finite+depth+is_acyclic"])
+        "extract_finite_proof+check_finite+depth+is_acyclic", "is_closed_chain",
+        "is_consistent_chain", "is_closed_maxgrid", "is_consistent_maxgrid",
+        "gen_maxelem_system", "gen_infoften_system"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 from functools import cached_property
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -29,7 +30,7 @@ PUBLIC = [  # sorted
 ]
 
 
-HOMES = ("colist", "inference", "predicates", "prooftree")
+HOMES = ("colist", "inference", "predicates", "principles", "prooftree")
 
 
 def test_all_lists_every_public_name_and_no_module():
@@ -51,6 +52,26 @@ def test_each_export_is_the_object_of_its_home_module():
     # defined beside InternalError, so every command catches it without prooftree
     assert corules.StructuralError is corules.prooftree.StructuralError
     assert corules.StructuralError.__module__ == "corules.inference"
+
+
+# CheckReport((Failure(2, CONSISTENCY),), {0: 1}), pickled when the checks lived in inference
+OLD_REPORT = (b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x11corules.inference\x94"
+              b"\x8c\x0bCheckReport\x94\x93\x94h\x00\x8c\x07Failure\x94\x93\x94K\x02"
+              b"\x8c\x0bconsistency\x94N\x87\x94R\x94\x85\x94}\x94K\x00K\x01s\x86\x94R\x94.")
+
+
+def test_inference_answers_for_each_name_of_principles(monkeypatch):
+    # the checks moved to principles: inference reads each of their names from there on
+    # first use and keeps it, so its old callers and reports pickled before still work
+    inference, principles = corules.inference, corules.principles
+    for name in corules._EXPORTS["principles"]:
+        monkeypatch.delitem(vars(inference), name, raising=False)
+        assert getattr(inference, name) is getattr(principles, name)
+        assert vars(inference)[name] is getattr(principles, name)
+    with pytest.raises(AttributeError, match="has no attribute 'restrict'"):
+        getattr(inference, "restrict")
+    report = corules.CheckReport((corules.Failure(2, corules.CONSISTENCY),), {0: 1})
+    assert pickle.loads(OLD_REPORT) == report
 
 
 def test_star_import_binds_exactly_all():
@@ -139,7 +160,7 @@ def test_a_system_keeps_each_pass_one_way():
     # each pass returns its evidence, and a system caches it as a cached_property: no
     # source writes into a system's __dict__ by hand
     system_type = corules.InferenceSystem
-    for name in ("_ind", "_bound", "_gen", "_users", "rules", "corules", "labels"):
+    for name in ("_ind", "_bound", "_gen", "_coind", "_users", "rules", "corules", "labels"):
         assert isinstance(inspect.getattr_static(system_type, name), cached_property), name
     for name in ("_layers", "_rule", "_waiting", "_kept"):
         assert not hasattr(system_type, name), name
@@ -148,7 +169,7 @@ def test_a_system_keeps_each_pass_one_way():
                   corules.coind_interpretation):
         query(system)
     corules.extract_rational_proof(system, 1)
-    assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_users"}
+    assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_coind", "_users"}
     for path in sorted(Path(corules.__file__).parent.glob("*.py")):
         assert "__dict__[" not in path.read_text(encoding="utf-8"), path.name
 

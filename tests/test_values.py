@@ -661,9 +661,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up stays lean: importing the package and its CLI pulls in no
     dataclass or source-introspection machinery, no argument parser, and of
     the package only what every command uses. A command then loads only what
-    it runs: ``prove`` adds ``prooftree``, ``pred`` adds ``predicates`` and the
-    other commands add nothing. A well-formed command line is read without
-    ``argparse``; ``--help`` and a malformed command line load it."""
+    it runs: ``check`` adds ``principles``, ``prove`` adds ``prooftree``, ``pred``
+    adds ``colist`` and ``predicates`` and the other commands add nothing. A
+    well-formed command line is read without ``argparse``; ``--help`` and a
+    malformed command line load it."""
     root = Path(__file__).resolve().parent.parent
     code = ("import contextlib, io, sys\n"
             f"sys.path.append({str(root / 'src')!r})\n"
@@ -676,16 +677,15 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = corules.cli.run(sys.argv[1:])\n"
             "print(code, sorted(loaded() - before), 'argparse' in sys.modules)\n")
-    startup = ["corules", "corules._value", "corules.cli", "corules.colist",
-               "corules.inference"]
+    startup = ["corules", "corules._value", "corules.cli", "corules.inference"]
     demo = str(root / "demos" / "basics.inf")
+    pred = ["corules.colist", "corules.predicates"]
     for argv, added in ((["ind", demo], []), (["coind", demo], []), (["gen", demo], []),
-                        (["check", demo], []),
+                        (["check", demo], ["corules.principles"]),
                         (["prove", demo, "b"], ["corules.prooftree"]),
                         (["prove", demo, "b", "--rational"], ["corules.prooftree"]),
-                        (["pred", "allpos", "--list", "| 1"], ["corules.predicates"]),
-                        (["pred", "max", "--list", "2 | 1", "--x", "2"],
-                         ["corules.predicates"])):
+                        (["pred", "allpos", "--list", "| 1"], pred),
+                        (["pred", "max", "--list", "2 | 1", "--x", "2"], pred)):
         done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True, check=True)
         assert done.stdout == f"[]\n{startup}\n0 {added} False\n", argv

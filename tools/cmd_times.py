@@ -16,7 +16,10 @@ first run of a pair taking turns between the trees, and the rounds of pairs goin
 over the whole list in turn, so that a slow stretch of the host falls on every
 command. A bare interpreter (``python -c pass``) runs before every run, and each
 run's wall time is scaled to a bare interpreter's 40 ms by the bare runs just
-before and just after it, as ``perfbench`` scales ``cmd_ms``.
+before and just after it, as ``perfbench`` scales ``cmd_ms``. A start-up row goes
+first, paired and scaled in the same way: it times a fresh interpreter from its start
+until it prints a ready line after ``import corules, corules.cli``, as ``perfbench``'s
+``probe`` times ``setup_s``.
 
 Per command the script prints the median scaled time on each tree in ms, the
 interquartile range of REV's, the median of the pairs' ratios of the checkout's
@@ -39,6 +42,7 @@ PAIRS = 20
 REF_START_S = 0.04  # a bare interpreter's start at the reference speed, as in perfbench
 CHAIN = 600
 CORULES = ["-c", "from corules.cli import main; main()"]
+STARTUP = "import corules, corules.cli\nprint('ready', flush=True)"
 
 
 def commands(files: Path) -> list[list[str]]:
@@ -64,6 +68,20 @@ def timed(argv: list[str], src: Path) -> tuple[float, subprocess.CompletedProces
     return time.perf_counter() - start, done
 
 
+def ready(src: Path) -> float:
+    """Wall seconds from starting an interpreter on ``src`` until it prints its ready line
+    after ``import corules, corules.cli``."""
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", STARTUP], cwd=ROOT, stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=str(src))) as child:
+        line = child.stdout.readline()
+        took = time.perf_counter() - start
+        child.communicate()
+    if line.strip() != b"ready" or child.returncode:
+        raise RuntimeError(f"the start-up probe on {src} exited {child.returncode}")
+    return took
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) not in (1, 2) or not all(a.isdigit() and int(a) >= 2 for a in args[1:]):
@@ -82,22 +100,27 @@ def main() -> int:
             if (old.returncode, old.stdout) != (new.returncode, new.stdout):
                 print(f"corules {' '.join(argv)}: the trees differ", file=sys.stderr)
                 return 1
-        times: list[tuple[list[float], list[float]]] = [([], []) for _ in argvs]
+        rows = [None, *argvs]  # None: the start-up row
+        times: list[tuple[list[float], list[float]]] = [([], []) for _ in rows]
         before = timed(["-c", "pass"], ROOT / "src")[0]
         for k in range(pairs):
-            for argv, record in zip(argvs, times):
+            for argv, record in zip(rows, times):
                 for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    took = timed(CORULES + argv, trees[side])[0]
+                    if argv is None:
+                        took = ready(trees[side])
+                    else:
+                        took = timed(CORULES + argv, trees[side])[0]
                     after = timed(["-c", "pass"], ROOT / "src")[0]
                     record[side].append(took * 2 * REF_START_S / (before + after))
                     before = after
     print(f"{pairs} pairs per command, ms scaled to a {1000 * REF_START_S:.0f} ms bare "
           f"interpreter ({rev} against the checkout)")
     print(f"{'command':<56} {rev[:10]:>10} {'checkout':>9} {'IQR':>6} {'ratio':>6} {'wins':>6}")
-    for argv, (old, new) in zip(argvs, times):
+    for argv, (old, new) in zip(rows, times):
         q1, _, q3 = statistics.quantiles(old, n=4)
         ratio, _, _, wins = summary(zip(old, new))
-        shown = " ".join(Path(w).name if "/" in w else repr(w) if " " in w else w for w in argv)
+        shown = "start-up: import corules, corules.cli" if argv is None else " ".join(
+            Path(w).name if "/" in w else repr(w) if " " in w else w for w in argv)
         print(f"{shown:<56} {1000 * statistics.median(old):10.1f} "
               f"{1000 * statistics.median(new):9.1f} {1000 * (q3 - q1):6.1f} {ratio:6.3f} "
               f"{wins:>3}/{pairs}")

@@ -64,6 +64,31 @@ MUTANTS = [
      "zip(cls.__slots__, reversed(slots))",
      ["tests/test_values.py::TestOneUncheckedConstructor::"
       "test_every_value_type_rebuilds_from_its_slots"]),
+    ("_gen returns its bound with corules", "inference.py",
+     "        if waiting is None:\n            return bound, None\n",
+     "        return bound, None\n",
+     ["tests/test_inference.py::TestGenInterpretation::test_matches_enumeration_oracle",
+      MODEL]),
+    ("_rules finds each start with starts.index in a map", "inference.py",
+     "cuts = map(slice, islice(starts, first, last),",
+     "cuts = map(slice, map(starts.__getitem__, map(starts.index, islice(starts, first, last))),",
+     ["tests/test_complexity.py::test_work_grows_linearly[rules+corules]"]),
+    ("_direct without its leading-- check", "cli.py",
+     "    if any(value.startswith(\"-\") for value in values):\n        return None\n",
+     "",
+     ["tests/test_cli.py::TestDirectReader"]),
+    ("5-token rule lines keep their repeats", "cli.py",
+     "premises += sorted(set(map(ids.__getitem__, words[3:])))",
+     "premises += sorted(map(ids.__getitem__, words[3:]))",
+     ["tests/test_compiled.py::test_parser_matches_the_pair_reference"]),
+    ("coind reruns its pass on every call", "inference.py",
+     "return JudgmentSet._valid(n, system._coind)",
+     "return JudgmentSet._valid(n, frozenset(_greatest(system)))",
+     ["tests/test_inference.py::TestGenInterpretation::test_coind_pass_runs_once_per_system"]),
+    ("cli imports principles at module level", "cli.py",
+     "from ._value import Value, _set, _typed\n",
+     "from ._value import Value, _set, _typed\nfrom .principles import CheckReport\n",
+     ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
 ]
 
 
