@@ -1,8 +1,9 @@
-"""The base of the package's immutable value types, and the index and type
-checks their methods share."""
+"""The base of the package's immutable value types, the index and type checks
+their methods share, and what the text readers share: the errors of an input text and
+of a command line, and the reader of natural numbers written as text."""
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 # Sets a field from ``__init__``, past the ``__setattr__`` that refuses it.
@@ -41,6 +42,39 @@ def _tuple(values, what: str, into=tuple):
     except TypeError:
         _typed(values, (Iterable,), what)
         raise
+
+
+class ParseError(Exception):
+    """A diagnosable problem in an input text."""
+
+    def __init__(self, message: str, line: Optional[int] = None,
+                 column: Optional[int] = None, code: str = "parse-error"):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.column = column
+        self.code = code
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.message
+        return f"line {self.line}, column {self.column}: {self.message}"
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
+    """The natural numbers ``tokens`` write in decimal digits, else None."""
+    # isdigit() rules out the signs, spaces and underscores int() takes; int()
+    # still rejects some digits, such as '²', and numerals past its digit limit.
+    if all(map(str.isdigit, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    return None
 
 
 class Value:

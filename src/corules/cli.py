@@ -19,16 +19,10 @@ column of the token it blames.
 
 Each command loads only the modules it runs: importing this module loads
 ``inference`` only, all that ``ind``, ``coind`` and ``gen`` use, and ``check``
-adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``predicates`` and
-``colist``. ``run`` reads a plain, well-formed command line itself (see
-``_direct``); only ``--help`` and the lines that reader declines load argparse.
-
-Colist literals are whitespace-separated naturals, with ``|`` introducing
-the loop of a lasso: ``1 2`` is a finite list, ``1 2 | 3 4`` repeats
-``3 4`` forever after ``1 2``, ``| 1`` is the constant stream, and the
-empty string is the empty list. ``parse_colist`` converts each part's tokens
-in one pass to exact non-negative ints and builds its ``Finite`` or ``Lasso``
-unchecked, as ``parse_system`` builds its spec.
+adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``_pred`` (the command and
+its colist literals), ``predicates`` and ``colist``. ``run`` reads a plain, well-formed
+command line itself (see ``_direct``); only ``--help`` and the lines that reader
+declines load argparse.
 
 Exit codes: 0 success (for ``pred``: all routes agree on true), 1 a
 well-formed negative outcome (failed check, underivable judgment, agreed
@@ -46,7 +40,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from ._value import Value, _set, _typed
+from ._value import ParseError, Value, _UsageError, _set, _typed
 from .inference import (InferenceSystem, InternalError, JudgmentSet, StructuralError, _members,
                         interpret)
 
@@ -54,23 +48,6 @@ ARROW = "<-"
 # The values of ``predicates.Kind``, in its order, so that building the
 # argument parser does not load ``predicates``.
 KINDS = ["member", "allpos", "eventually", "always", "infoften", "max"]
-
-
-class ParseError(Exception):
-    """A diagnosable problem in an input text."""
-
-    def __init__(self, message: str, line: Optional[int] = None,
-                 column: Optional[int] = None, code: str = "parse-error"):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.column = column
-        self.code = code
-
-    def __str__(self) -> str:
-        if self.line is None:
-            return self.message
-        return f"line {self.line}, column {self.column}: {self.message}"
 
 
 class SystemFile(Value):
@@ -218,61 +195,6 @@ def render_system(sf: SystemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-_colist = None  # the ``colist`` module, which the colist functions import on first use
-
-
-def _import_colist():
-    global _colist
-    from . import colist as _colist
-    return _colist
-
-
-def _natural(token: str) -> int:
-    return _naturals((token,))[0]
-
-
-def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:
-    """The natural numbers ``tokens`` write, converted in one pass; else the error
-    naming the first token that writes none."""
-    naturals_or_none = (_colist or _import_colist())._naturals_or_none
-    ns = naturals_or_none(tokens)
-    if ns is None:
-        bad = next(t for t in tokens if naturals_or_none((t,)) is None)
-        raise ParseError(f"not a natural number: {bad!r}", code="bad-token")
-    return ns
-
-
-def parse_colist(text: str):
-    """The ``Finite`` or ``Lasso`` that the colist literal ``text`` writes."""
-    colist = _colist or _import_colist()
-    pieces = _typed(text, (str,), "text").replace("|", " | ").split()
-    separators = pieces.count("|")
-    if separators > 1:
-        raise ParseError("more than one loop separator '|'", code="extra-separator")
-
-    if separators == 1:
-        k = pieces.index("|")
-        loop = _naturals(pieces[k + 1:])
-        if not loop:
-            raise ParseError("loop declared empty", code="empty-loop")
-        return colist.Lasso._valid(_naturals(pieces[:k]), loop)
-    return colist.Finite._valid(_naturals(pieces))
-
-
-def format_colist(xs) -> str:
-    """The literal of ``xs``, a ``Finite`` or a ``Lasso``, that ``parse_colist`` reads back."""
-    colist = _colist or _import_colist()
-    if isinstance(_typed(xs, (colist.Finite, colist.Lasso), "xs"), colist.Finite):
-        return " ".join(map(str, xs.elements))
-    prefix = " ".join(map(str, xs.prefix))
-    loop = " ".join(map(str, xs.loop))
-    return f"{prefix} | {loop}" if prefix else f"| {loop}"
-
-
-class _UsageError(Exception):
-    pass
-
-
 def _build_parser():
     import argparse  # here, not at the top: only what ``_direct`` declines needs it
 
@@ -361,41 +283,19 @@ def _cmd_prove(ns) -> tuple[int, list[str]]:
     return 0, [render(proof, sf.system)]
 
 
-def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
-    value = getattr(ns, attr)
-    if needed and value is None:
-        raise _UsageError(f"pred {kind} requires {flag}")
-    if not needed and value is not None:
-        raise _UsageError(f"pred {kind} does not take {flag}")
-    return value
-
-
 def _cmd_pred(ns) -> tuple[int, list[str]]:
-    from .predicates import FAMILIES, Kind, predicate_by_name, three_way
+    from ._pred import command
 
-    kind = Kind(ns.kind)
-    family = FAMILIES[kind]
-    xs = parse_colist(ns.colist)
-    name = _flag(ns, "pred", "--p", kind.value, family.needs_predicate)
-    predicate = None if name is None else predicate_by_name(name)
-    x = _flag(ns, "x", "--x", kind.value, family.needs_value)
-    x = None if x is None else _natural(x)
-    if ns.candidates is not None and not family.computes_value:
-        raise _UsageError(f"pred {kind.value} does not take --candidates")
-    candidates = None if ns.candidates is None else parse_candidates(ns.candidates)
-
-    engine, direct, oracle = three_way(kind, xs, x=x, predicate=predicate,
-                                       candidates=candidates)
-    agree = engine == direct == oracle
-    lines = [f"kind: {kind.value}", f"colist: {format_colist(xs)}"]
-    lines.extend(f"{route}: {'true' if verdict else 'false'}" for route, verdict
-                 in (("engine", engine), ("direct", direct), ("oracle", oracle)))
-    lines.append(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
-    return (0 if engine else 1) if agree else 2, lines
+    return command(ns)
 
 
-def parse_candidates(text: str) -> list[int]:
-    return [_natural(piece.strip()) for piece in _typed(text, (str,), "text").split(",")]
+def __getattr__(name: str):
+    """A colist reader or writer of ``_pred``, read from there on first use and kept here."""
+    if name in ("parse_colist", "format_colist", "parse_candidates"):
+        from . import _pred
+        globals()[name] = value = getattr(_pred, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _print(lines: list[str]) -> None:

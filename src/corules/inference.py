@@ -11,8 +11,8 @@ predicate builders write them directly and hand them to the unchecked ``_valid``
 (see ``InferenceSystem``). A system keeps the premise index and each pass's record,
 computed once, when first needed: the rules' inductive pass ``_ind``, the corule pass
 ``_bound``, whose firing rules are the corule-extended bound (the judgments it fires a
-rule for), ``_gen`` and ``_coind``. ``rules`` and ``corules`` are built on first read,
-and so are the labels of a system whose builder gave a function that makes them.
+rule for), and ``_gen``. ``rules`` and ``corules`` are built on first read, and so are
+the labels of a system whose builder gave a function that makes them.
 
 The three interpretations:
 
@@ -186,8 +186,8 @@ class InferenceSystem(Value):
     """
 
     __match_args__ = ("universe_size", "rules", "corules", "labels")
-    # __dict__: labels, rules, corules, _users and the passes _ind, _bound, _gen and _coind,
-    # each made when first needed
+    # __dict__: labels, rules, corules, _users and the passes _ind, _bound and _gen, each
+    # made when first needed
     __slots__ = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels", "__dict__")
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
@@ -284,11 +284,6 @@ class InferenceSystem(Value):
         kept = bytearray(map(operator.not_, waiting))
         kept[self._plain:] = bytes(len(self._heads) - self._plain)  # no corule is kept
         return frozenset(_greatest(self, kept, bound)), kept
-
-    @cached_property
-    def _coind(self) -> frozenset[int]:
-        """The greatest fixed point of the rules over the whole universe: read only."""
-        return frozenset(_greatest(self))
 
     def _id(self, j: int) -> int:
         """``j`` coerced with ``operator.index``, after checking that it names a judgment."""
@@ -401,7 +396,7 @@ def coind_interpretation(system: InferenceSystem) -> JudgmentSet:
     ``gen_interpretation``.
     """
     n = _typed(system, (InferenceSystem,), "system").universe_size
-    return JudgmentSet._valid(n, system._coind)
+    return JudgmentSet._valid(n, frozenset(_greatest(system)))
 
 
 def gen_interpretation(system: InferenceSystem) -> JudgmentSet:

@@ -516,6 +516,17 @@ class TestRunPlumbing:
         run(["check", path])
         assert capsys.readouterr().out == first
 
+    def test_pred_errors_exit_64_as_a_module(self):
+        # under `python -m corules.cli` the cli code runs as __main__, and the pred
+        # code it loads must raise the errors that module catches
+        for argv, message in ((["member", "--list", "1 2", "--x", "x"],
+                               "not a natural number: 'x'"),
+                              (["allpos", "--list", "1", "--x", "2"],
+                               "pred allpos does not take --x")):
+            command, env = cli_command("pred", *argv)
+            done = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+            assert (done.returncode, done.stdout, done.stderr) == (64, "", f"error: {message}\n")
+
     def test_reports_identical_across_processes(self, tmp_path):
         path = write(tmp_path, BASICS)
         for argv in (["check", path],

@@ -330,21 +330,6 @@ class TestGenInterpretation:
         assert bounded_coinduction_check(fresh, gen).ok and gen_interpretation(fresh) == gen
         assert len(calls) == 2 and calls[1] is fresh
 
-    def test_coind_pass_runs_once_per_system(self, monkeypatch):
-        # coind is kept like the other readings: a second query reads it back
-        calls = []
-        greatest = inference._greatest
-
-        def counted(system, kept=None, live=None):
-            calls.append(system)
-            return greatest(system, kept, live)
-
-        monkeypatch.setattr(inference, "_greatest", counted)
-        sys_ = abc_system(corules=(rule(C),))
-        coind = coind_interpretation(sys_)
-        assert coind_interpretation(sys_) == coind == coind_oracle(sys_)
-        assert calls == [sys_] and members(coind) == {A, B, C}
-
     def test_gen_without_corules_runs_no_greatest_pass(self, monkeypatch):
         # the bound of a system without corules is its inductive interpretation,
         # which is consistent: the greatest pass could remove nothing

@@ -160,7 +160,7 @@ def test_a_system_keeps_each_pass_one_way():
     # each pass returns its evidence, and a system caches it as a cached_property: no
     # source writes into a system's __dict__ by hand
     system_type = corules.InferenceSystem
-    for name in ("_ind", "_bound", "_gen", "_coind", "_users", "rules", "corules", "labels"):
+    for name in ("_ind", "_bound", "_gen", "_users", "rules", "corules", "labels"):
         assert isinstance(inspect.getattr_static(system_type, name), cached_property), name
     for name in ("_layers", "_rule", "_waiting", "_kept"):
         assert not hasattr(system_type, name), name
@@ -169,7 +169,7 @@ def test_a_system_keeps_each_pass_one_way():
                   corules.coind_interpretation):
         query(system)
     corules.extract_rational_proof(system, 1)
-    assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_coind", "_users"}
+    assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_users"}
     for path in sorted(Path(corules.__file__).parent.glob("*.py")):
         assert "__dict__[" not in path.read_text(encoding="utf-8"), path.name
 

@@ -662,7 +662,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     dataclass or source-introspection machinery, no argument parser, and of
     the package only what every command uses. A command then loads only what
     it runs: ``check`` adds ``principles``, ``prove`` adds ``prooftree``, ``pred``
-    adds ``colist`` and ``predicates`` and the other commands add nothing. A
+    adds ``_pred``, ``colist`` and ``predicates`` and the other commands add nothing. A
     well-formed command line is read without ``argparse``; ``--help`` and a
     malformed command line load it."""
     root = Path(__file__).resolve().parent.parent
@@ -679,7 +679,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "print(code, sorted(loaded() - before), 'argparse' in sys.modules)\n")
     startup = ["corules", "corules._value", "corules.cli", "corules.inference"]
     demo = str(root / "demos" / "basics.inf")
-    pred = ["corules.colist", "corules.predicates"]
+    pred = ["corules._pred", "corules.colist", "corules.predicates"]
     for argv, added in ((["ind", demo], []), (["coind", demo], []), (["gen", demo], []),
                         (["check", demo], ["corules.principles"]),
                         (["prove", demo, "b"], ["corules.prooftree"]),

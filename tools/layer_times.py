@@ -42,12 +42,9 @@ does. The inputs are built twice, on two views of the system (objects over the s
 arrays): on one REV's tree builds its index, proofs and file text first, on the other
 the checkout's does, and each pair runs on the view built by the tree that goes first
 in it. So neither tree always reads the data built first, which would make a lean
-by position: an A/A run with one order for all pairs read chain ``gen`` 1.04. And an
-input that the second tree builds equal to the first's (the premise index, the proof
-tables, the texts: all of them in an A/A run) is replaced by the first's, so that both
-trees read it in the same memory. The systems and proofs built before the timing are
-frozen out of the collector's reach (``gc.freeze``), so the collection before each call
-is short.
+by position: an A/A run with one order for all pairs read chain ``gen`` 1.04. The
+systems and proofs built before the timing are frozen out of the collector's reach
+(``gc.freeze``), so the collection before each call is short.
 There are an even number of pairs, at least 16 and until the layer's calls add up to 5 s
 or there are 1,000 pairs, which a call of a tenth of a millisecond reaches first.
 The script prints each side's median wall time, in ms, their ratio, which is the
@@ -80,7 +77,6 @@ PAIRS = 16  # at least, per layer: each tree goes first in half of the pairs
 BUDGET = 5.0  # seconds of timed calls per layer, at least
 MAX_PAIRS = 1000  # per layer: enough for a stable median of the shortest calls
 INDEXES: dict = {}  # (package name, id of a system) -> (that system, its premise index)
-FIRST: dict = {}  # (id of a system, what) -> the first tree's input built for that system
 SLOTS = ("universe_size", "_heads", "_starts", "_body", "_plain", "_labels")
 ORDERS = ((0, 1), (1, 0))  # which tree (REV's 0, the checkout's 1) builds and goes first
 
@@ -121,23 +117,15 @@ def compiled(pkg: ModuleType, *slots):
     return system
 
 
-def same(system, what: str, value):
-    """``value``, an input built for ``system``; but if the other tree built an equal one
-    first, that one, so that both trees read the same memory."""
-    first = FIRST.setdefault((id(system), what), value)
-    return first if first == value else value
-
-
 def fresh(pkg: ModuleType, system):
     """A new system of ``pkg`` on the rule arrays and the labels of ``system``, with
     nothing cached but the premise index that ``pkg``'s own code built for those arrays
-    on the first call: the index's form may differ between the two trees (when it does
-    not, the trees share the first one built, see ``same``)."""
+    on the first call: the index's form may differ between the two trees."""
     copy = compiled(pkg, system.universe_size, system._heads, system._starts, system._body,
                     system._plain, system.labels)
     key = (pkg.__name__, id(system))
-    if key not in INDEXES:  # the system is kept, so that its id stays its own
-        INDEXES[key] = (system, same(system, "index", copy._users))
+    if key not in INDEXES:
+        INDEXES[key] = (system, copy._users)  # the system, so that its id stays its own
     copy.__dict__["_users"] = INDEXES[key][1]  # read-only: the engine never writes it
     return copy
 
@@ -179,12 +167,10 @@ def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
     ``(setup, call)`` runs ``setup``, untimed, on the system before ``call``."""
     gen = pkg.gen_interpretation(fresh(pkg, system))
     table = pkg.extract_finite_proof(fresh(pkg, system), target, allow_corules=True).nodes
-    table = same(system, "table", table)
-    rational = same(system, "rational", pkg.extract_rational_proof(fresh(pkg, system),
-                                                                   target).nodes)
+    rational = pkg.extract_rational_proof(fresh(pkg, system), target).nodes
     proof = pkg.RationalProofTree
     cli = importlib.import_module(f"{pkg.__name__}.cli")
-    text = same(system, "text", inf_text(cli, system))
+    text = inf_text(cli, system)
     calls = {
         "parse_system": lambda s: cli.parse_system(text),
         "rules": lambda s: s.rules,
@@ -208,9 +194,7 @@ def layers(pkg: ModuleType, system, target: int, maxgrid: bool) -> dict:
         calls["format_finite"] = lambda s: pkg.prooftree.format_finite(proof(table), s)
         calls["format_rational"] = lambda s: pkg.prooftree.format_rational(proof(rational), s)
     else:
-        literal = same(system, "literal", colist_text(random.Random(SEED)))
-        # one for both trees: ``fresh`` reads only its arrays
-        bare = FIRST.setdefault((id(system), "bare"), rules_only(pkg, system))
+        literal, bare = colist_text(random.Random(SEED)), rules_only(pkg, system)
         fresh(pkg, bare)  # its index, built here, outside the timed calls
         calls["parse_colist"] = lambda s: cli.parse_colist(literal)
         calls["gen (no corules)"] = lambda s: pkg.gen_interpretation(fresh(pkg, bare))

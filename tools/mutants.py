@@ -81,13 +81,10 @@ MUTANTS = [
      "premises += sorted(set(map(ids.__getitem__, words[3:])))",
      "premises += sorted(map(ids.__getitem__, words[3:]))",
      ["tests/test_compiled.py::test_parser_matches_the_pair_reference"]),
-    ("coind reruns its pass on every call", "inference.py",
-     "return JudgmentSet._valid(n, system._coind)",
-     "return JudgmentSet._valid(n, frozenset(_greatest(system)))",
-     ["tests/test_inference.py::TestGenInterpretation::test_coind_pass_runs_once_per_system"]),
     ("cli imports principles at module level", "cli.py",
-     "from ._value import Value, _set, _typed\n",
-     "from ._value import Value, _set, _typed\nfrom .principles import CheckReport\n",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "from .principles import CheckReport\n",
      ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
 ]
 
