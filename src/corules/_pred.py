@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._value import ParseError, _UsageError, _naturals_or_none, _typed
-from .colist import Colist, Finite, Lasso
+from ._value import ParseError, _UsageError, _typed
+from .colist import Colist, Finite, Lasso, _naturals_or_none
 
 
 def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:

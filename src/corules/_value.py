@@ -1,9 +1,9 @@
 """The base of the package's immutable value types, the index and type checks
-their methods share, and what the text readers share: the errors of an input text and
-of a command line, and the reader of natural numbers written as text."""
+their methods share, and the errors of an input text and of a command line, which
+``cli`` and ``_pred`` both raise."""
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Optional
 
 # Sets a field from ``__init__``, past the ``__setattr__`` that refuses it.
@@ -63,18 +63,6 @@ class ParseError(Exception):
 
 class _UsageError(Exception):
     pass
-
-
-def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
-    """The natural numbers ``tokens`` write in decimal digits, else None."""
-    # isdigit() rules out the signs, spaces and underscores int() takes; int()
-    # still rejects some digits, such as '²', and numerals past its digit limit.
-    if all(map(str.isdigit, tokens)):
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:
-            pass
-    return None
 
 
 class Value:

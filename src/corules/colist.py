@@ -10,7 +10,7 @@ their judgment universes from these states.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._value import Value, _index, _set, _tuple, _typed
 
@@ -29,6 +29,18 @@ def _naturals_of(values, what: str) -> tuple[int, ...]:
     """The argument ``what``, an iterable of natural numbers, as a tuple; else
     TypeError (not an iterable) or ValueError (a value that is not a natural)."""
     return _check_naturals(_tuple(values, what), f"{what} must be natural numbers")
+
+
+def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
+    """The natural numbers ``tokens`` write in decimal digits, else None."""
+    # isdigit() rules out the signs, spaces and underscores int() takes; int()
+    # still rejects some digits, such as '²', and numerals past its digit limit.
+    if all(map(str.isdigit, tokens)):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    return None
 
 
 class Finite(Value):

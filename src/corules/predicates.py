@@ -35,9 +35,9 @@ from collections.abc import Iterable
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from ._value import Value, _index, _naturals_or_none, _set, _typed
+from ._value import Value, _index, _set, _typed
 from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, _naturals_of,
-                     suffix_automaton)
+                     _naturals_or_none, suffix_automaton)
 from .inference import InferenceSystem, interpret
 
 
