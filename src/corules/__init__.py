@@ -1,10 +1,11 @@
 """Inference systems with corules: inductive, coinductive, and generated
 interpretations, proof-principle checking, and lasso-colist predicates.
 
-Each export loads on first use: ``import corules`` imports no submodule, and
-reading a name (or ``from corules import name``) imports only its home
-module, which resolves as an attribute too: a program never compiles the
-home modules it never touches, such as ``predicates`` or ``prooftree``.
+Each export loads on first use: ``import corules`` imports no submodule, and reading a
+name (or ``from corules import name``) imports only its home module, which resolves as an
+attribute too: a program never compiles the home modules it never touches, such as
+``predicates`` or ``prooftree``. ``_forward`` makes this lookup, and the one by which
+``inference`` and ``cli`` answer for the names that moved out of them.
 """
 
 from importlib import import_module as _import_module
@@ -30,15 +31,21 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
-def __getattr__(name: str):
-    """An export, read from its home module and kept here; or a home module."""
-    home = _HOME.get(name)
-    if home is not None:
-        value = globals()[name] = getattr(_import_module(f".{home}", __name__), name)
+def _forward(namespace: dict, homes: dict[str, str]):
+    """The PEP 562 ``__getattr__`` of the module whose globals are ``namespace``: a name of
+    ``homes`` is imported from its home module (a home module's own name is the module)
+    and kept in ``namespace``; any other name raises AttributeError naming the module."""
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        module = _import_module(f".{home}", __name__)
+        namespace[name] = value = module if name == home else getattr(module, name)
         return value
-    if name in _EXPORTS:
-        return _import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return __getattr__
+
+
+__getattr__ = _forward(globals(), {**_HOME, **{home: home for home in _EXPORTS}})
 
 
 def __dir__() -> list[str]:

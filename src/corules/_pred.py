@@ -8,8 +8,6 @@ converts each part's tokens in one pass to exact non-negative ints and builds it
 ``Finite`` or ``Lasso`` unchecked, as ``parse_system`` builds its spec.
 """
 
-from __future__ import annotations
-
 from typing import Sequence
 
 from ._value import ParseError, _UsageError, _typed

@@ -22,7 +22,7 @@ Each command loads only the modules it runs: importing this module loads
 adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``_pred`` (the command and
 its colist literals), ``predicates`` and ``colist``. ``run`` reads a plain, well-formed
 command line itself (see ``_direct``); only ``--help`` and the lines that reader
-declines load argparse.
+declines load argparse. ``_pred``'s colist readers and writer, once here, are still read here.
 
 Exit codes: 0 success (for ``pred``: all routes agree on true), 1 a
 well-formed negative outcome (failed check, underivable judgment, agreed
@@ -31,8 +31,6 @@ false verdict), 2 route disagreement in ``pred`` (an engine bug signal),
 (``| head -1``) is no error: the command's own exit code stands.
 """
 
-from __future__ import annotations
-
 import os
 import re
 import sys
@@ -40,6 +38,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
+from . import _forward
 from ._value import ParseError, Value, _UsageError, _set, _typed
 from .inference import (InferenceSystem, InternalError, JudgmentSet, StructuralError, _members,
                         interpret)
@@ -241,7 +240,8 @@ def _build_parser():
 def _load(path: str) -> SystemFile:
     if not path:  # Path("") is the working directory, which the user never named
         raise _UsageError("the system file path is empty")
-    return parse_system(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig: a leading byte-order mark is read as no part of the header
+    return parse_system(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # Each command returns its exit code and the lines it prints; ``run`` prints them.
@@ -289,13 +289,8 @@ def _cmd_pred(ns) -> tuple[int, list[str]]:
     return command(ns)
 
 
-def __getattr__(name: str):
-    """A colist reader or writer of ``_pred``, read from there on first use and kept here."""
-    if name in ("parse_colist", "format_colist", "parse_candidates"):
-        from . import _pred
-        globals()[name] = value = getattr(_pred, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), dict.fromkeys(("parse_colist", "format_colist",
+                                                 "parse_candidates"), "_pred"))
 
 
 def _print(lines: list[str]) -> None:

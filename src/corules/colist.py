@@ -8,8 +8,6 @@ suffix positions; the predicate engines in :mod:`corules.predicates` build
 their judgment universes from these states.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, Optional, Sequence, Union
 
 from ._value import Value, _index, _set, _tuple, _typed

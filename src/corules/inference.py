@@ -45,10 +45,9 @@ computes plus the universe size, so membership is O(1) and iteration is
 ascending.
 
 All values are immutable and every operation is a pure function, so
-everything here can be freely shared across threads.
+everything here can be freely shared across threads. The names of ``principles``, once
+here, are still read here, by old callers and by reports pickled before they moved.
 """
-
-from __future__ import annotations
 
 import operator
 from collections import deque
@@ -57,7 +56,7 @@ from functools import cached_property
 from itertools import accumulate, compress, islice, repeat
 from typing import Optional
 
-from . import _EXPORTS
+from . import _EXPORTS, _forward
 from ._value import Value, _index, _set, _tuple, _typed
 
 
@@ -107,21 +106,19 @@ class JudgmentSet(Value):
     """A subset of the universe: a frozenset of judgment ids plus the
     universe size.
 
-    ``members`` may be given as any iterable of ids. The size and each id are
-    coerced with ``operator.index`` (so ``True`` is stored as ``1``); an id must lie in
-    ``0..size-1``; a TypeError names ``members`` (unless an iterator
-    yielded the id that is not an integer). Membership is O(1), and
-    iteration and the repr are ascending. Two sets are equal iff they have
-    the same universe size and the same members. ``|``, ``&``, ``-`` and
-    ``<=`` take a set over the same universe.
+    ``members`` may be given as any iterable of ids. The size and each id are coerced
+    with ``operator.index`` (so ``True`` is stored as ``1``); a size that is not a
+    natural number raises TypeError or ValueError naming the ``universe size``; an id
+    must lie in ``0..size-1``; a TypeError names ``members`` (unless an iterator yielded
+    the id that is not an integer). Membership is O(1), and iteration and the repr are
+    ascending. Two sets are equal iff they have the same universe size and the same
+    members. ``|``, ``&``, ``-`` and ``<=`` take a set over the same universe.
     """
 
     __slots__ = __match_args__ = ("size", "members")
 
     def __init__(self, size: int, members: Iterable[int] = frozenset()):
-        size = operator.index(size)
-        if size < 0:
-            raise ValueError("universe size must be non-negative")
+        size = _index(size, "universe size")
         try:
             members = frozenset(map(operator.index, members))
         except TypeError:
@@ -172,11 +169,11 @@ class JudgmentSet(Value):
 class InferenceSystem(Value):
     """A finite universe together with rules and (optionally) corules.
 
-    Rule and corule order is irrelevant to every interpretation; it only
-    breaks ties when reporting witnesses. Duplicate rules are permitted and
-    semantically inert. ``labels``, when given, are strings, one per judgment. The
-    universe size and every id are coerced with ``operator.index``, so a
-    float raises TypeError and ``True`` is stored as ``1``.
+    Rule and corule order is irrelevant to every interpretation; it only breaks ties when
+    reporting witnesses. Duplicate rules are permitted and semantically inert. ``labels``,
+    when given, are strings, one per judgment. The universe size and every id are coerced
+    with ``operator.index``, so ``True`` is stored as ``1``; a size that is not a natural
+    number, read after the rules, raises TypeError or ValueError naming it.
 
     ``_valid(n, heads, starts, body, plain, labels)`` is the system, unchecked, whose
     ``i``-th rule (a corule from ``plain`` on) concludes ``heads[i]`` from
@@ -192,10 +189,8 @@ class InferenceSystem(Value):
 
     def __init__(self, universe_size: int, rules: Iterable[Rule], corules: Iterable[Rule] = (),
                  labels: Optional[Iterable[str]] = None):
-        n, rules = operator.index(universe_size), _tuple(rules, "rules")
-        every = rules + _tuple(corules, "corules")
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
+        rules = _tuple(rules, "rules")
+        every, n = rules + _tuple(corules, "corules"), _index(universe_size, "universe size")
         heads, starts, body = [], [0], []
         for r in every:
             conclusion, premises = _ids(r)
@@ -427,10 +422,4 @@ def interpret(name: str, system: InferenceSystem) -> JudgmentSet:
     return reading(system)
 
 
-def __getattr__(name: str):
-    """A name of ``principles``, read from there on first use and kept here."""
-    if name in _EXPORTS["principles"]:
-        from . import principles
-        globals()[name] = value = getattr(principles, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _forward(globals(), dict.fromkeys(_EXPORTS["principles"], "principles"))

@@ -27,8 +27,6 @@ gives all three verdicts, as ``corules pred`` prints them. ``PREDICATES`` is
 the one table of the element predicates' names that ``predicate_by_name`` reads.
 """
 
-from __future__ import annotations
-
 import enum
 import operator
 from collections.abc import Iterable
@@ -123,8 +121,7 @@ class JudgmentScheme(Value):
         _set(self, "colist", _typed(colist, (Finite, Lasso), "colist"))
         _set(self, "automaton", _typed(automaton, (SuffixAutomaton,), "automaton"))
         if candidates is not None:
-            _check_naturals(_typed(candidates, (tuple,), "candidates"),
-                            "candidates must be natural numbers")
+            _naturals_of(_typed(candidates, (tuple,), "candidates"), "candidates")
             if len(set(candidates)) < len(candidates):
                 raise ValueError(f"candidates must be distinct, got {candidates!r}")
         _set(self, "candidates", candidates)
@@ -183,8 +180,7 @@ def _system(scheme: JudgmentScheme, heads: list[int], starts: list[int], body: l
 
 
 def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
-                     candidates: Optional[tuple[int, ...]] = None,
-                     predicate: Optional[ElementPredicate] = None
+                     candidates: Optional[tuple[int, ...]] = None
                      ) -> tuple[InferenceSystem, JudgmentScheme]:
     """The step rule ``s <- next(s)`` on the suffix states of ``xs``, with axioms
     placed by ``FAMILIES[kind].interpretation`` (see the module docstring)."""
@@ -204,7 +200,7 @@ def _temporal_system(kind: Kind, xs: Colist, p: ElementPredicate,
             starts.append(len(body))
         if hit and reading == "gen":
             coaxioms.append(s)
-    return _system(JudgmentScheme(kind, xs, aut, candidates, predicate),
+    return _system(JudgmentScheme(kind, xs, aut, candidates, p if candidates is None else None),
                    heads, starts, body, coaxioms)
 
 
@@ -230,12 +226,12 @@ def gen_always_system(p: ElementPredicate,
     reaches finite colists, which is exactly why the coinductive reading is
     the one of interest.
     """
-    return _temporal_system(Kind.ALWAYS, xs, p, predicate=p)
+    return _temporal_system(Kind.ALWAYS, xs, p)
 
 
 def gen_allpos_system(xs: Colist) -> tuple[InferenceSystem, JudgmentScheme]:
     """``always(positive)``, labelled as ``allpos``."""
-    return _temporal_system(Kind.ALL_POS, xs, POSITIVE, predicate=POSITIVE)
+    return _temporal_system(Kind.ALL_POS, xs, POSITIVE)
 
 
 def gen_eventually_system(p: ElementPredicate,
@@ -247,7 +243,7 @@ def gen_eventually_system(p: ElementPredicate,
     any lasso (the step rule alone sustains an infinite tree), so only the
     inductive reading means anything.
     """
-    return _temporal_system(Kind.EVENTUALLY, xs, p, predicate=p)
+    return _temporal_system(Kind.EVENTUALLY, xs, p)
 
 
 def gen_infoften_system(p: ElementPredicate,
@@ -259,7 +255,7 @@ def gen_infoften_system(p: ElementPredicate,
     coaxioms, one per suffix whose head satisfies ``p``, cut the coinductive
     reading down to suffixes from which hits never stop coming.
     """
-    return _temporal_system(Kind.INFINITELY_OFTEN, xs, p, predicate=p)
+    return _temporal_system(Kind.INFINITELY_OFTEN, xs, p)
 
 
 def gen_maxelem_system(xs: Colist,

@@ -7,8 +7,6 @@ a rule by its index: the rules in declaration order, then the corules
 (``InferenceSystem.rule_at``).
 """
 
-from __future__ import annotations
-
 from typing import Iterable, Mapping, Optional
 
 from ._value import Value, _set, _tuple, _typed

@@ -32,8 +32,6 @@ text can be exponentially long, but it formats each (node, depth) pair once and
 copies those lines after that.
 """
 
-from __future__ import annotations
-
 from itertools import compress
 from typing import Iterable, Optional
 

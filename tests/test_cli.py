@@ -737,6 +737,23 @@ class TestDemoFiles:
         assert run(["check", str(DEMOS / "infinitely_often_even.inf")]) == 0
         assert run(["check", str(DEMOS / "basics.inf")]) == 0
 
+    @pytest.mark.parametrize("name", ["basics.inf", "infinitely_often_even.inf",
+                                      "max_stream12.inf"])
+    def test_a_leading_byte_order_mark_is_ignored(self, name, tmp_path, capsys):
+        # every command reads a copy saved with a UTF-8 byte-order mark as the demo itself
+        demo = DEMOS / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+        last = parse_system(demo.read_text(encoding="utf-8")).names[-1]
+        for command in (["ind"], ["coind"], ["gen"], ["check"], ["prove", last],
+                        ["prove", last, "--rational"]):
+            outcomes = []
+            for path in (demo, marked):
+                code = run([command[0], str(path), *command[1:]])
+                outcomes.append((code, capsys.readouterr()))
+            assert outcomes[1] == outcomes[0], command
+            assert outcomes[0][0] in (0, 1) and outcomes[0][1].err == ""
+
     def test_demo_round_trips(self):
         for name in ("max_stream12.inf", "infinitely_often_even.inf",
                      "basics.inf"):

@@ -7,7 +7,8 @@ that scans its receiver (``remove``, ``index``, ``count``, ``insert``) the
 receiver's length, with ``sys.setprofile``. A C ``map`` makes no such call
 event, so each system's rule arrays are ``CountingList``s, handed to
 ``InferenceSystem._valid``, that count the items read from them however
-they are read. Unlike a wall clock, the count is
+they are read, and a decider's colist parts are ``CountingTuple``s, handed to
+``Lasso._valid``, that count them too. Unlike a wall clock, the count is
 the same on every run. Each family is built from a fixed seed, outside the
 count, at sizes n and 2n, and the count at 2n must be at most 2.2 times the
 count at n: a linear operation reads about 2, a quadratic one about 4. A
@@ -23,6 +24,7 @@ import pytest
 
 import corules
 from corules import (
+    EVEN,
     POSITIVE,
     InferenceSystem,
     JudgmentSet,
@@ -33,17 +35,24 @@ from corules import (
     check_finite,
     check_rational_in_gen,
     coind_interpretation,
+    decide_direct,
+    eq_to,
     extract_finite_proof,
     extract_rational_proof,
+    gen_allpos_system,
+    gen_always_system,
+    gen_eventually_system,
     gen_infoften_system,
     gen_interpretation,
     gen_maxelem_system,
+    gen_member_system,
     ind_interpretation,
     is_acyclic,
     is_closed,
     is_consistent,
     rule,
     spec_oracle,
+    three_way,
 )
 from corules.cli import parse_colist, parse_system
 from corules.prooftree import format_finite, format_rational
@@ -303,6 +312,83 @@ def infoften_system_of(n):
     return call
 
 
+def temporal_system_of(build):
+    # a state per element of the lasso, each with its step rule
+    def prepare(n):
+        xs = max_lasso(n)
+
+        def call():
+            assert build(xs)[0].universe_size == n
+        return call
+    return prepare
+
+
+class CountingTuple(tuple):
+    """A colist part that counts, in ``CountingList.reads``, the items read from it: the
+    whole length per iteration begun, and both lengths per concatenation."""
+
+    def __iter__(self):
+        CountingList.reads += len(self)
+        return super().__iter__()
+
+    def __add__(self, other):
+        CountingList.reads += len(self) + len(other)
+        return CountingTuple(super().__add__(other))
+
+
+def decider_of(decide, kind):
+    # n distinct elements, 0 last: eventually(eq:0), always(positive) and max, of n - 1,
+    # turn on the last; its parts count their reads, for the work done in C
+    def prepare(n):
+        xs = Lasso._valid(CountingTuple(range(1, n // 2 + 1)),
+                          CountingTuple([*range(n // 2 + 1, n), 0]))
+        x, p, holds = {Kind.EVENTUALLY: (None, eq_to(0), True),
+                       Kind.ALWAYS: (None, POSITIVE, False),
+                       Kind.MAX_ELEM: (n - 1, None, True)}[kind]
+        # the direct decider of max returns the maximum itself
+        want = x if decide is decide_direct and x is not None else holds
+
+        def call():
+            assert decide(kind, xs, x=x, predicate=p) == want
+        return call
+    return prepare
+
+
+def three_way_of(kind):
+    # infoften on hits at every third element; max on a lasso of eight values, whose
+    # grid has 8n judgments
+    def prepare(n):
+        if kind is Kind.MAX_ELEM:
+            xs = max_lasso(n)
+            x, p = max(xs.prefix + xs.loop), None
+        else:
+            hits = tuple(int(i % 3 == 0) for i in range(n))
+            xs, x, p = Lasso(hits, hits), None, POSITIVE
+
+        def call():
+            assert three_way(kind, xs, x=x, predicate=p) == (True, True, True)
+        return call
+    return prepare
+
+
+def ind_maxgrid_of(n):
+    # a lasso's max grid has no axiom: no rule is ready, so no index is built
+    system = max_grid(n)
+
+    def call():
+        assert not ind_interpretation(system) and "_users" not in system.__dict__
+    return call
+
+
+def ind_with_corules_of(n):
+    # the corule pass: the chain and the ghost cycle its coaxiom admits
+    system = ghost_chain(n)
+
+    def call():
+        assert len(ind_interpretation(system, use_corules=True)) == 2 * n
+    return call
+
+
 @pytest.mark.parametrize("prepare, n", [
     (gen_of, 1000),
     (bounded_check_of, 1000),
@@ -325,6 +411,20 @@ def infoften_system_of(n):
     (check_maxgrid_of(is_consistent), 200),
     (maxelem_system_of, 200),
     (infoften_system_of, 1000),
+    (temporal_system_of(lambda xs: gen_member_system(3, xs)), 1000),
+    (temporal_system_of(gen_allpos_system), 1000),
+    (temporal_system_of(lambda xs: gen_eventually_system(EVEN, xs)), 1000),
+    (temporal_system_of(lambda xs: gen_always_system(EVEN, xs)), 1000),
+    (decider_of(decide_direct, Kind.EVENTUALLY), 2000),
+    (decider_of(decide_direct, Kind.ALWAYS), 2000),
+    (decider_of(decide_direct, Kind.MAX_ELEM), 2000),
+    (decider_of(spec_oracle, Kind.EVENTUALLY), 2000),
+    (decider_of(spec_oracle, Kind.ALWAYS), 2000),
+    (decider_of(spec_oracle, Kind.MAX_ELEM), 2000),
+    (three_way_of(Kind.INFINITELY_OFTEN), 1000),
+    (three_way_of(Kind.MAX_ELEM), 200),
+    (ind_maxgrid_of, 200),
+    (ind_with_corules_of, 1000),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
@@ -333,7 +433,12 @@ def infoften_system_of(n):
         "extract_rational_proof+check_rational_in_gen_infoften",
         "extract_finite_proof+check_finite+depth+is_acyclic", "is_closed_chain",
         "is_consistent_chain", "is_closed_maxgrid", "is_consistent_maxgrid",
-        "gen_maxelem_system", "gen_infoften_system"])
+        "gen_maxelem_system", "gen_infoften_system", "gen_member_system",
+        "gen_allpos_system", "gen_eventually_system", "gen_always_system",
+        "decide_direct_eventually", "decide_direct_always", "decide_direct_max",
+        "spec_oracle_eventually", "spec_oracle_always", "spec_oracle_max",
+        "three_way_infoften", "three_way_max", "ind_interpretation_maxgrid",
+        "ind_interpretation_with_corules"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -143,9 +143,9 @@ class TestJudgmentSetModel:
             assert str(e.value) in named
 
     def test_size_must_be_a_non_negative_integer(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="universe size must be a natural number"):
             JudgmentSet(-1)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="universe size 2.5 is not an integer"):
             JudgmentSet(2.5, [0, 1, 2])
 
     def test_bools_come_back_as_ints(self):

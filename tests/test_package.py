@@ -174,6 +174,34 @@ def test_a_system_keeps_each_pass_one_way():
         assert "__dict__[" not in path.read_text(encoding="utf-8"), path.name
 
 
+def test_a_module_answers_for_a_name_it_does_not_own_one_way(monkeypatch):
+    # the package, inference and cli each bind a closure of _forward as their PEP 562
+    # hook, and no other function of the package is a module's __getattr__
+    cli = importlib.import_module("corules.cli")
+    forwarding = (corules, corules.inference, cli)
+    for module in forwarding:
+        assert module.__getattr__.__qualname__.startswith("_forward."), module.__name__
+    for module in modules():
+        hook = vars(module).get("__getattr__")
+        assert hook is None or module in forwarding, module.__name__
+    for path in sorted(Path(corules.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert text.count("def __getattr__") == (path.name == "__init__.py"), path.name
+    # cli answers for the colist readers and writer of _pred with _pred's objects, and
+    # keeps them
+    pred = importlib.import_module("corules._pred")
+    for name in ("parse_colist", "format_colist", "parse_candidates"):
+        monkeypatch.delitem(vars(cli), name, raising=False)
+        assert getattr(cli, name) is getattr(pred, name)
+        assert vars(cli)[name] is getattr(pred, name)
+    # perfbench/spans.py's install reads each module's wrappable names this way
+    for module in forwarding:
+        assert getattr(module, "restrict", None) is None
+        with pytest.raises(AttributeError) as excinfo:
+            getattr(module, "restrict")
+        assert str(excinfo.value) == f"module {module.__name__!r} has no attribute 'restrict'"
+
+
 def test_readme_python_blocks_run():
     # each fenced python block of README.md runs as written, in a fresh namespace
     text = README.read_text(encoding="utf-8")

@@ -324,9 +324,8 @@ class TestValidationErrors:
         (lambda: Lasso((-1,), ()), ValueError, "prefix must be natural numbers, got -1"),
         (lambda: Lasso((), (1.0,)), ValueError, "loop must be natural numbers, got 1.0"),
         (lambda: Rule([[1]], 0), TypeError, "unhashable type: 'list'"),
-        (lambda: JudgmentSet(-1), ValueError, "universe size must be non-negative"),
-        (lambda: JudgmentSet(2.0), TypeError,
-         "'float' object cannot be interpreted as an integer"),
+        (lambda: JudgmentSet(-1), ValueError, "universe size must be a natural number"),
+        (lambda: JudgmentSet(2.0), TypeError, "universe size 2.0 is not an integer"),
         (lambda: JudgmentSet(3, [3]), ValueError,
          "judgment id 3 out of range for universe of 3"),
         (lambda: JudgmentSet(3, [5, -1, 4]), ValueError,
@@ -337,7 +336,7 @@ class TestValidationErrors:
          "a judgment id in members must be an integer, not str"),
         (lambda: JudgmentSet(3, None), TypeError, "members must be an Iterable, not NoneType"),
         (lambda: InferenceSystem(-1, [rule(0)]), ValueError,
-         "universe size must be non-negative"),
+         "universe size must be a natural number"),
         (lambda: InferenceSystem(-1, 5), TypeError, "rules must be an Iterable, not int"),
         (lambda: InferenceSystem(2, None), TypeError, "rules must be an Iterable, not NoneType"),
         (lambda: InferenceSystem(2, [], None), TypeError,
@@ -359,7 +358,7 @@ class TestValidationErrors:
         (lambda: InferenceSystem(2, [rule(0)], [(0, ())]), TypeError,
          "rules and corules must be Rule objects, not tuple"),
         (lambda: InferenceSystem(2.0, [rule(0)]), TypeError,
-         "'float' object cannot be interpreted as an integer"),
+         "universe size 2.0 is not an integer"),
         (lambda: InferenceSystem(2, [rule(5)], labels=["a"]), ValueError,
          "rule 5 <- references judgment ids [5] outside universe of 2"),
         (lambda: InferenceSystem(2, [], labels=["a"]), ValueError,

@@ -86,6 +86,199 @@ MUTANTS = [
      "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
      "from .principles import CheckReport\n",
      ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
+    ("_least keeps the last rule that fires at a judgment's round", "inference.py",
+     "        for i in ready:\n",
+     "        for i in reversed(ready):\n",
+     ["tests/test_inference.py::TestEngineAgainstStepReference::test_rounds_are_kleene_stages",
+      "tests/test_inference.py::TestEngineAgainstStepReference::"
+      "test_finite_proofs_use_first_rule_firing_at_first_stage"]),
+    ("is_consistent reads system.rules", "principles.py",
+     "    for i in range(system._plain):\n",
+     "    for i in range(len(system.rules)):\n",
+     ["tests/test_compiled.py::test_queries_leave_a_builders_labels_unbuilt"]),
+    ("children makes new handles on every read", "prooftree.py",
+     "        if handles is None:  # one per node",
+     "        if True:  # one per node",
+     ["tests/test_prooftree.py::TestWhatTheBenchmarkReads::test_children_walk_counts_the_table"]),
+    ("_direct lets an option repeat", "cli.py",
+     "len(_PRED_OPTIONS.keys() & set(options)) < len(options)",
+     "len(_PRED_OPTIONS.keys() & set(options)) < len(set(options))",
+     ["tests/test_cli.py::TestDirectReader"]),
+    ("_rules pairs the conclusions in reverse", "inference.py",
+     "islice(self._heads, first, last)), 0)",
+     "reversed(self._heads[first:last])), 0)",
+     ["tests/test_compiled.py::test_rules_and_corules_are_the_rules_of_their_indices"]),
+    ("parse_system loses its arrow check", "cli.py",
+     "arrow = words[2] == ARROW",
+     "arrow = len(words) > 2",
+     ["tests/test_parse_columns.py"]),
+    ("the max axiom follows its state's candidate rules", "predicates.py",
+     "        if aut.heads[nxt] is None:\n"
+     "            heads.append(k * n + s)  # an axiom\n"
+     "            sizes.append(0)\n"
+     "        # The rule for candidate y concludes max(head, y): the head up to it, then y.\n"
+     "        heads += [k * n + s] * (k + 1)\n"
+     "        heads += range((k + 1) * n + s, c * n, n)\n"
+     "        body += range(nxt, c * n, n)\n"
+     "        sizes += ones\n",
+     "        heads += [k * n + s] * (k + 1)\n"
+     "        heads += range((k + 1) * n + s, c * n, n)\n"
+     "        body += range(nxt, c * n, n)\n"
+     "        sizes += ones\n"
+     "        if aut.heads[nxt] is None:\n"
+     "            heads.append(k * n + s)\n"
+     "            sizes.append(0)\n",
+     ["tests/test_compiled.py::test_builders_match_the_pair_references"]),
+    ("a max rule range starts one candidate late", "predicates.py",
+     "heads += range((k + 1) * n + s, c * n, n)",
+     "heads += range((k + 2) * n + s, c * n, n)",
+     ["tests/test_predicates.py::TestMaxElemSystem::test_stream_golden_judgments"]),
+    ("temporal coaxioms are counted as rules", "predicates.py",
+     "    plain = len(heads)\n    heads += coaxioms\n",
+     "    heads += coaxioms\n    plain = len(heads)\n",
+     ["tests/test_predicates.py::TestInfinitelyOftenSystem"]),
+    ("a builder formats its labels eagerly", "predicates.py",
+     "                                  scheme.labels), scheme",
+     "                                  scheme.labels()), scheme",
+     ["tests/test_compiled.py::test_queries_leave_a_builders_labels_unbuilt"]),
+    ("coaxiom offsets are not shifted", "predicates.py",
+     "    starts += [len(body)] * len(coaxioms)\n",
+     "    starts += [0] * len(coaxioms)\n",
+     ["tests/test_predicates.py::TestInfinitelyOftenSystem"]),
+    ("the colist reader blames the last bad token", "_pred.py",
+     "bad = next(t for t in tokens if _naturals_or_none((t,)) is None)",
+     "bad = [t for t in tokens if _naturals_or_none((t,)) is None][-1]",
+     ["tests/test_colist.py::test_a_literal_names_its_first_bad_token"]),
+    ("the colist reader blames the first token", "_pred.py",
+     "bad = next(t for t in tokens if _naturals_or_none((t,)) is None)",
+     "bad = tokens[0]",
+     ["tests/test_cli.py::TestParseColist::test_digits_int_rejects_are_bad_tokens"]),
+    ("_naturals_or_none lets int's ValueError through", "colist.py",
+     "        try:\n            return tuple(map(int, tokens))\n"
+     "        except ValueError:\n            pass\n",
+     "        return tuple(map(int, tokens))\n",
+     ["tests/test_cli.py::TestParseColist::test_digits_int_rejects_are_bad_tokens"]),
+    ("member takes any element", "predicates.py",
+     "    _check_naturals((x,), \"element must be a natural number\")\n"
+     "    return _temporal_system(Kind.MEMBER_OF",
+     "    return _temporal_system(Kind.MEMBER_OF",
+     ["tests/test_predicates.py::TestMemberSystem"]),
+    ("the deciders check x for every kind", "predicates.py",
+     "    if family.needs_value and x is not None:\n",
+     "    if x is not None:\n",
+     ["tests/test_predicates.py::TestDeciderArguments::"
+      "test_arguments_a_kind_does_not_take_are_ignored"]),
+    ("a system never calls its label function", "inference.py",
+     "return self._labels() if callable(self._labels) else self._labels",
+     "return self._labels",
+     ["tests/test_predicates.py::TestJudgmentScheme::test_labels_are_unique"]),
+    ("a back edge is counted for any visited child", "prooftree.py",
+     "                    if marks[c] == 1:",
+     "                    if marks[c]:",
+     ["tests/test_prooftree.py::TestCheckRational::"
+      "test_is_acyclic_agrees_with_a_topological_sort"]),
+    ("the walk drops its triple check", "prooftree.py",
+     "if not (isinstance(node, tuple) and len(node) == 3 and isinstance(node[2], tuple))",
+     "if False",
+     ["tests/test_prooftree.py::TestOneWalk::"
+      "test_a_structural_fault_is_reported_before_an_id_or_index_fault"]),
+    ("the walk drops the integer check on a child", "prooftree.py",
+     "if not (isinstance(c, int) and 0 <= c < n):",
+     "if not 0 <= c < n:",
+     ["tests/test_prooftree.py::TestMalformedProofs"]),
+    ("the walk drops the integer check on the root", "prooftree.py",
+     "if not (isinstance(root, int) and 0 <= root < n):",
+     "if not 0 <= root < n:",
+     ["tests/test_prooftree.py::TestMalformedProofs"]),
+    ("the check drops the integer check on a rule index", "prooftree.py",
+     "if not (isinstance(rule_index, int) and 0 <= rule_index < rules):",
+     "if not 0 <= rule_index < rules:",
+     ["tests/test_prooftree.py::TestMalformedProofs"]),
+    ("get reads its index without _index", "colist.py",
+     "    i = _index(i, \"index\")\n"
+     "    if isinstance(_typed(xs, (Finite, Lasso), \"xs\"), Finite):\n"
+     "        return xs.elements[i] if",
+     "    if isinstance(_typed(xs, (Finite, Lasso), \"xs\"), Finite):\n"
+     "        return xs.elements[i] if",
+     ["tests/test_colist.py::TestGet"]),
+    ("member checks its element with x < 0", "predicates.py",
+     "    _check_naturals((x,), \"element must be a natural number\")\n"
+     "    return _temporal_system(Kind.MEMBER_OF",
+     "    if x < 0:\n"
+     "        raise ValueError(f\"element must be a natural number, got {x!r}\")\n"
+     "    return _temporal_system(Kind.MEMBER_OF",
+     ["tests/test_predicates.py::TestMemberSystem"]),
+    ("_print keeps the closed stdout", "cli.py",
+     "        os.dup2(devnull, sys.stdout.fileno())\n",
+     "",
+     ["tests/test_cli.py::TestClosedStdout"]),
+    ("is_closed reads system.rules", "principles.py",
+     "inside.issuperset(system._premises(i))",
+     "inside.issuperset(system.rules[i].premises)",
+     ["tests/test_compiled.py::test_queries_leave_a_builders_labels_unbuilt"]),
+    ("the infinitely-often oracle nests its quantifiers", "predicates.py",
+     "    hits, nearest = list(_hits(p, values)), None\n"
+     "    for i in range(2 * w - 1, -1, -1):\n"
+     "        if i < w and (nearest is None or nearest > i + w):\n"
+     "            return False\n"
+     "        if hits[i]:\n"
+     "            nearest = i\n"
+     "    return w > 0\n",
+     "    hits = list(_hits(p, values))\n"
+     "    return w > 0 and all(any(hits[n] for n in range(i + 1, i + w + 1))\n"
+     "                         for i in range(w))\n",
+     ["tests/test_complexity.py::test_work_grows_linearly[spec_oracle_infoften]"]),
+    ("_greatest keeps its live judgments in a list", "inference.py",
+     "alive = set(compress(range(system.universe_size), support))",
+     "alive = list(compress(range(system.universe_size), support))",
+     ["tests/test_complexity.py::test_work_grows_linearly[coind_interpretation]"]),
+    ("a finite render copies no repeated subtree", "prooftree.py",
+     "        if key in done:\n",
+     "        if rational and key in done:\n",
+     ["tests/test_prooftree.py::TestRender::test_ladder_formats_each_node_and_depth_once"]),
+    ("_greatest takes each doomed judgment with list.remove", "inference.py",
+     "        j = doomed.pop()\n",
+     "        j = doomed[0]\n        doomed.remove(j)\n",
+     ["tests/test_complexity.py::test_work_grows_linearly[three_way_max]"]),
+    ("cli imports predicates at module level", "cli.py",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "from .predicates import Kind\n",
+     ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
+    ("cli imports prooftree at module level", "cli.py",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
+     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "from .prooftree import format_finite\n",
+     ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
+    ("the package imports predicates eagerly", "__init__.py",
+     "\n\ndef __dir__()",
+     "\nfrom . import predicates  # noqa: E402\n\n\ndef __dir__()",
+     ["tests/test_package.py::test_a_bare_import_loads_no_submodule_and_resolves_each_home"]),
+    ("_forward reads a home module's name from the module", "__init__.py",
+     "module if name == home else getattr(module, name)",
+     "getattr(module, name)",
+     ["tests/test_package.py::test_lazy_lookup_reads_an_export_a_home_module_or_nothing"]),
+    ("KINDS reordered", "cli.py",
+     'KINDS = ["member", "allpos",',
+     'KINDS = ["allpos", "member",',
+     ["tests/test_cli.py::TestRunPred::test_kind_names_are_those_of_kind"]),
+    ("prooftree defines its own StructuralError", "prooftree.py",
+     "from .inference import InferenceSystem, InternalError, StructuralError\n",
+     "from .inference import InferenceSystem, InternalError\n\n\n"
+     "class StructuralError(Exception):\n    pass\n",
+     ["tests/test_package.py::test_each_export_is_the_object_of_its_home_module"]),
+    ("__dir__ leaves out the exports", "__init__.py",
+     "set(globals()) | set(__all__) | set(_EXPORTS)",
+     "set(globals()) | set(_EXPORTS)",
+     ["tests/test_package.py::test_a_bare_import_loads_no_submodule_and_resolves_each_home"]),
+    ("parse_colist hands back a list", "_pred.py",
+     "    return Finite._valid(_naturals(pieces))\n",
+     "    return Finite._valid(list(_naturals(pieces)))\n",
+     ["tests/test_cli.py::TestParseColist::test_parse_is_the_checked_constructor"]),
+    ("_forward does not keep what it read", "__init__.py",
+     "namespace[name] = value = module if",
+     "value = module if",
+     ["tests/test_package.py::test_inference_answers_for_each_name_of_principles"]),
 ]
 
 
