@@ -81,12 +81,15 @@ class Value:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
+    def __init_subclass__(cls):  # the setters of its slots but __dict__, bound for _valid
+        cls._setters = tuple(getattr(cls, s).__set__ for s in cls.__slots__ if s != "__dict__")
+
     @classmethod
     def _valid(cls, *slots):
         """The value of ``cls`` with ``slots`` in its ``__slots__`` but ``__dict__``, unchecked."""
         value = object.__new__(cls)
-        for name, slot in zip(cls.__slots__, slots):
-            _set(value, name, slot)
+        for setter, slot in zip(cls._setters, slots):
+            setter(value, slot)
         return value
 
     def _fields(self) -> tuple:

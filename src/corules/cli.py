@@ -178,7 +178,7 @@ def parse_system(text: str) -> SystemFile:
     system = InferenceSystem._valid(len(names), heads + coheads, starts,
                                     premises + copremises, len(heads), tuple(names))
     spec = JudgmentSet._valid(len(names), spec_ids) if spec_ids is not None else None
-    return SystemFile(system, spec)
+    return SystemFile._valid(system, spec)
 
 
 def render_system(sf: SystemFile) -> str:

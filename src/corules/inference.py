@@ -44,9 +44,10 @@ An interpretation is a ``JudgmentSet``: the frozenset of ids the engine
 computes plus the universe size, so membership is O(1) and iteration is
 ascending.
 
-All values are immutable and every operation is a pure function, so
-everything here can be freely shared across threads. The names of ``principles``, once
-here, are still read here, by old callers and by reports pickled before they moved.
+All values are immutable and every operation is a pure function, so everything here can be
+shared across threads: two that read a system's pass first may both compute it (its cache
+takes no lock), with equal results. The names of ``principles``, once here, are still read
+here, by old callers and by reports pickled before they moved.
 """
 
 import operator
@@ -70,6 +71,16 @@ class StructuralError(Exception):
     ``prooftree`` raises it and re-exports it; it is defined here, beside
     InternalError, so that every command can catch it without loading
     ``prooftree``."""
+
+
+class _cached(cached_property):
+    """A ``cached_property`` without the lock Python 3.11's takes; on the class, itself."""
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        system.__dict__[self.attrname] = value = self.func(system)
+        return value
 
 
 class Rule(Value):
@@ -214,7 +225,7 @@ class InferenceSystem(Value):
         for name, value in zip(self.__slots__, (n, heads, starts, body, len(rules), labels)):
             _set(self, name, value)
 
-    @cached_property
+    @_cached
     def labels(self) -> Optional[tuple[str, ...]]:
         return self._labels() if callable(self._labels) else self._labels
 
@@ -232,15 +243,15 @@ class InferenceSystem(Value):
         deque(map(Rule.conclusion.__set__, rules, islice(self._heads, first, last)), 0)
         return rules
 
-    @cached_property
+    @_cached
     def rules(self) -> tuple[Rule, ...]:
         return self._rules(0, self._plain)
 
-    @cached_property
+    @_cached
     def corules(self) -> tuple[Rule, ...]:
         return self._rules(self._plain, len(self._heads))
 
-    @cached_property
+    @_cached
     def _users(self) -> tuple[list[int], list[int]]:
         """``(users, at)``: the rules, then corules, with premise ``j`` are
         ``users[at[j]:at[j + 1]]``, ascending."""
@@ -255,18 +266,18 @@ class InferenceSystem(Value):
             tally[p + 1] += 1
         return users, list(accumulate(tally))
 
-    @cached_property
+    @_cached
     def _ind(self) -> list[Optional[int]]:
         """The firing rules of the rules' inductive pass (see ``_least``): read only."""
         return _least(self, False)[0]
 
-    @cached_property
+    @_cached
     def _bound(self) -> tuple[list[Optional[int]], Optional[list[int]]]:
         """``(firing, waiting)`` of the corule pass, whose firing list is the bound; without
         corules that pass is the rules' pass: ``(_ind, None)``. Read only."""
         return _least(self, True) if self._plain < len(self._heads) else (self._ind, None)
 
-    @cached_property
+    @_cached
     def _gen(self) -> tuple[frozenset[int], Optional[bytearray]]:
         """``(gen, kept)``: the greatest fixed point of the rules inside the bound, and the
         rules its greatest pass keeps to the end, the witnesses of gen (see ``_greatest``).

@@ -389,6 +389,63 @@ def ind_with_corules_of(n):
     return call
 
 
+def ladder(n):
+    """``a(i+1) <- a(i) b(i)`` and ``b(i) <- a(i)``, with ``a(i)`` = 2i and ``b(i)`` =
+    2i + 1, the rules shuffled: the proof of ``a(n)`` shares every subproof, so as a
+    tree it is 2^n big."""
+    rules = [rule(0)] + [r for i in range(n) for r in (rule(2 * i + 2, 2 * i, 2 * i + 1),
+                                                       rule(2 * i + 1, 2 * i))]
+    random.Random(SEED).shuffle(rules)
+    return counted(InferenceSystem(2 * n + 2, rules))
+
+
+def finite_proof_ladder_of(n):
+    # the proof of the top rung, extracted as a table of 2n + 1 nodes, then read
+    system = ladder(n)
+
+    def call():
+        tree = extract_finite_proof(system, 2 * n)
+        assert check_finite(tree, system) and tree.depth() == 2 * n + 1
+    return call
+
+
+def rational_render_ladder_of(n):
+    # each node is printed once, and each second use of a(i) as a reference
+    system = ladder(n)
+
+    def call():
+        text = format_rational(extract_rational_proof(system, 2 * n), system)
+        assert text.count("\n") + 1 == 3 * n + 1
+    return call
+
+
+def random_blocks(n):
+    """n judgments in blocks of 5, the ids drawn at random. Each block has one axiom, 7
+    rules of one or two premises and one corule of at most one premise, drawn inside the
+    block; the rules are shuffled. Of 500 judgments, 183 are in ind, 227 in gen and 366
+    in coind."""
+    rng = random.Random(SEED)
+    ids = rng.sample(range(n), n)
+
+    def drawn(b, k):
+        block = ids[5 * b:5 * b + 5]
+        return rule(rng.choice(block), *rng.sample(block, k))
+
+    rules, corules = [], []
+    for b in range(n // 5):
+        rules += [drawn(b, 0)] + [drawn(b, rng.randint(1, 2)) for _ in range(7)]
+        corules.append(drawn(b, rng.randint(0, 1)))
+    rng.shuffle(rules)
+    return counted(InferenceSystem(n, rules, corules))
+
+
+def random_blocks_of(interpretation):
+    def prepare(n):
+        system = random_blocks(n)
+        return lambda: interpretation(system)
+    return prepare
+
+
 @pytest.mark.parametrize("prepare, n", [
     (gen_of, 1000),
     (bounded_check_of, 1000),
@@ -425,6 +482,11 @@ def ind_with_corules_of(n):
     (three_way_of(Kind.MAX_ELEM), 200),
     (ind_maxgrid_of, 200),
     (ind_with_corules_of, 1000),
+    (finite_proof_ladder_of, 500),
+    (rational_render_ladder_of, 500),
+    (random_blocks_of(ind_interpretation), 500),
+    (random_blocks_of(coind_interpretation), 500),
+    (random_blocks_of(gen_interpretation), 500),
 ], ids=["gen_interpretation", "bounded_coinduction_check",
         "extract_rational_proof+check_rational_in_gen", "format_finite", "format_rational",
         "coind_interpretation", "spec_oracle_infoften", "parse_system", "rules+corules",
@@ -438,7 +500,9 @@ def ind_with_corules_of(n):
         "decide_direct_eventually", "decide_direct_always", "decide_direct_max",
         "spec_oracle_eventually", "spec_oracle_always", "spec_oracle_max",
         "three_way_infoften", "three_way_max", "ind_interpretation_maxgrid",
-        "ind_interpretation_with_corules"])
+        "ind_interpretation_with_corules", "extract_finite_proof+check_finite+depth_ladder",
+        "extract_rational_proof+format_rational_ladder", "ind_interpretation_random",
+        "coind_interpretation_random", "gen_interpretation_random"])
 def test_work_grows_linearly(prepare, n):
     small, large = work(prepare(n)), work(prepare(2 * n))
     assert 0 < small and large <= GROWTH * small, (small, large)

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -465,6 +466,55 @@ class TestPassesFollowOnlyWhatTheyNeed:
             final = [r.premises <= gen for r in sys_.rules] + [False] * len(sys_.corules)
             assert sys_._gen[1] == bytes(final)
         assert checked >= 100
+
+
+class TestEachPassIsCachedOnce:
+    # inference._cached keeps each pass in the system's __dict__, without a lock
+
+    def test_each_pass_runs_once_per_system(self, monkeypatch):
+        calls = []
+        least, greatest = inference._least, inference._greatest
+        monkeypatch.setattr(inference, "_least", lambda system, use_corules: calls.append(
+            ("least", use_corules)) or least(system, use_corules))
+        monkeypatch.setattr(inference, "_greatest", lambda system, *args: calls.append(
+            ("greatest",)) or greatest(system, *args))
+        rng = random.Random(32)
+        for k in range(200):
+            sys_ = random_system(rng, max_universe=6, max_rules=10, max_corules=2 * (k % 2))
+            system, expected = fresh(sys_), (ind_oracle(sys_), ind_oracle(sys_, True),
+                                             gen_oracle(sys_))
+            calls.clear()
+            for _ in range(3):
+                assert (ind_interpretation(system), ind_interpretation(system, True),
+                        gen_interpretation(system)) == expected
+            # without corules the corule pass is ind's, and ind is gen
+            assert calls == [("least", False)] + [("least", True), ("greatest",)] * bool(
+                system.corules)
+
+    def test_the_descriptor_read_on_the_class_is_itself(self):
+        for name in ("labels", "rules", "corules", "_users", "_ind", "_bound", "_gen"):
+            descriptor = vars(InferenceSystem)[name]
+            assert type(descriptor) is inference._cached and descriptor.attrname == name
+            assert getattr(InferenceSystem, name) is descriptor
+
+    def test_threads_reading_a_fresh_system_agree(self):
+        # eight threads take gen of one fresh system at once: some may compute a pass
+        # that another also computes, and every answer is the same
+        rng = random.Random(33)
+        for n in (1, 50, 3000):
+            system, answers = ghost_chain(rng, n), [None] * 8
+            start = threading.Barrier(len(answers))
+
+            def read(k):
+                start.wait()
+                answers[k] = gen_interpretation(system)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(answers))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert answers == [JudgmentSet(3 * n, range(2 * n))] * len(answers)
 
 
 class TestInterpretByName:

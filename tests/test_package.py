@@ -157,11 +157,14 @@ def test_each_thing_is_said_once():
 
 
 def test_a_system_keeps_each_pass_one_way():
-    # each pass returns its evidence, and a system caches it as a cached_property: no
-    # source writes into a system's __dict__ by hand
-    system_type = corules.InferenceSystem
-    for name in ("_ind", "_bound", "_gen", "_users", "rules", "corules", "labels"):
-        assert isinstance(inspect.getattr_static(system_type, name), cached_property), name
+    # each pass returns its evidence, and a system caches it with inference._cached, a
+    # cached_property without a lock: only that descriptor writes into a system's __dict__
+    system_type, cached = corules.InferenceSystem, corules.inference._cached
+    names = ("_ind", "_bound", "_gen", "_users", "rules", "corules", "labels")
+    for name in names:
+        assert type(inspect.getattr_static(system_type, name)) is cached, name
+    assert {name for name, value in vars(system_type).items()
+            if isinstance(value, (cached_property, property))} == set(names)
     for name in ("_layers", "_rule", "_waiting", "_kept"):
         assert not hasattr(system_type, name), name
     system = system_type(3, [corules.rule(0), corules.rule(1, 2)], [corules.rule(2)])
@@ -170,8 +173,11 @@ def test_a_system_keeps_each_pass_one_way():
         query(system)
     corules.extract_rational_proof(system, 1)
     assert set(system.__dict__) == {"_ind", "_bound", "_gen", "_users"}
+    assert "__dict__[" in inspect.getsource(cached.__get__)
     for path in sorted(Path(corules.__file__).parent.glob("*.py")):
-        assert "__dict__[" not in path.read_text(encoding="utf-8"), path.name
+        text = path.read_text(encoding="utf-8")
+        assert text.count("__dict__[") == (path.name == "inference.py"), path.name
+        assert "@cached_property" not in text, path.name
 
 
 def test_a_module_answers_for_a_name_it_does_not_own_one_way(monkeypatch):

@@ -60,10 +60,22 @@ MUTANTS = [
      "cyclic = cyclic",
      ["tests/test_prooftree.py::TestExtractedProofsComeWalked", MODEL]),
     ("Value._valid fills the slots in reverse", "_value.py",
-     "zip(cls.__slots__, slots)",
-     "zip(cls.__slots__, reversed(slots))",
+     "zip(cls._setters, slots)",
+     "zip(cls._setters, reversed(slots))",
      ["tests/test_values.py::TestOneUncheckedConstructor::"
       "test_every_value_type_rebuilds_from_its_slots"]),
+    ("Value binds its slot setters in reverse", "_value.py",
+     "for s in cls.__slots__ if",
+     "for s in reversed(cls.__slots__) if",
+     ["tests/test_values.py::TestOneUncheckedConstructor"]),
+    ("the pass cache never stores its value", "inference.py",
+     "system.__dict__[self.attrname] = value = self.func(system)",
+     "value = self.func(system)",
+     ["tests/test_inference.py::TestPassesFollowOnlyWhatTheyNeed::"
+      "test_ind_of_an_axiom_free_system_builds_no_index",
+      "tests/test_inference.py::TestPassesFollowOnlyWhatTheyNeed::"
+      "test_a_pass_that_follows_a_premise_builds_the_index",
+      "tests/test_inference.py::TestEachPassIsCachedOnce::test_each_pass_runs_once_per_system"]),
     ("_gen returns its bound with corules", "inference.py",
      "        if waiting is None:\n            return bound, None\n",
      "        return bound, None\n",

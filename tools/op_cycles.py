@@ -20,9 +20,12 @@ same order. The side that goes first takes turns, and a full collection runs bef
 each cycle. Each op is timed on its own, and a cycle's time is the sum of its ops'.
 The script prints the median cycle time of each side in ms, the median of the pairs'
 ratios of the checkout's time to REV's, the interquartile range of those ratios, and
-the pairs the checkout won. Then, per op kind, it prints the median of the pairs'
-ratios of that kind's time, so a change shows where its gain or loss sits. Only the
-standard library is used.
+the pairs the checkout won. A row follows for the statistic behind ``perfbench``'s
+``op_ms_p50``: per side, the median over ops of each op's median time over the cycles,
+and the ratio of the checkout's to REV's. Then, per op kind, it prints the median and
+the interquartile range of the pairs' ratios of that kind's time, and the pairs the
+checkout won, so a change shows where its gain or loss sits, and a kind that moved can
+be told from a noisy one. Only the standard library is used.
 
 The cycles time whole ops, so they see every cost an op pays, lazily built caches
 included. ``tools/layer_times.py`` times single calls on systems whose premise index
@@ -94,15 +97,20 @@ def cycle(ops: list, modules: dict, order: list[int]) -> list[float]:
     return times
 
 
-def by_kind(kinds: list[str], pairs: list[list[list[float]]]) -> list[tuple[str, int, float]]:
-    """Per op kind, in order of first appearance: its op count and the median of the
-    pairs' ratios of the checkout's time on its ops to REV's."""
+def by_kind(kinds: list[str], pairs: list[list[list[float]]]) -> list[tuple[str, int, tuple]]:
+    """Per op kind, in order of first appearance: its op count and the ``summary`` of the
+    pairs' times on its ops."""
     ops: dict[str, list[int]] = {}
     for i, kind in enumerate(kinds):
         ops.setdefault(kind, []).append(i)
-    return [(kind, len(index), statistics.median(
-        sum(map(new.__getitem__, index)) / sum(map(old.__getitem__, index))
-        for old, new in pairs)) for kind, index in ops.items()]
+    return [(kind, len(index), summary((sum(map(old.__getitem__, index)),
+                                        sum(map(new.__getitem__, index))) for old, new in pairs))
+            for kind, index in ops.items()]
+
+
+def p50_of_medians(pairs: list[list[list[float]]], side: int) -> float:
+    """The median over ops of each op's median time on ``side``: ``op_ms_p50``'s statistic."""
+    return statistics.median(map(statistics.median, zip(*(pair[side] for pair in pairs))))
 
 
 def main() -> int:
@@ -141,8 +149,12 @@ def main() -> int:
     print(f"{workload} seed {seed}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
     print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {ratio:.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), checkout won {wins}/{len(pairs)}")
-    for kind, count, ratio in by_kind([op.kind for op in sides[0][0]], pairs):
-        print(f"  {kind}: {count} ops, ratio {ratio:.3f}")
+    old, new = (p50_of_medians(pairs, side) * 1000 for side in (0, 1))
+    print(f"op p50 of each op's median: {rev} {old:.4f} ms, checkout {new:.4f} ms, "
+          f"ratio {new / old:.3f}")
+    for kind, count, (ratio, q1, q3, wins) in by_kind([op.kind for op in sides[0][0]], pairs):
+        print(f"  {kind}: {count} ops, ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f}), "
+              f"checkout won {wins}/{len(pairs)}")
     return 0
 
 
