@@ -19,10 +19,10 @@ column of the token it blames.
 
 Each command loads only the modules it runs: importing this module loads
 ``inference`` only, all that ``ind``, ``coind`` and ``gen`` use, and ``check``
-adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``_pred`` (the command and
-its colist literals), ``predicates`` and ``colist``. ``run`` reads a plain, well-formed
-command line itself (see ``_direct``); only ``--help`` and the lines that reader
-declines load argparse. ``_pred``'s colist readers and writer, once here, are still read here.
+adds ``principles``, ``prove`` ``prooftree`` and ``pred`` ``colist`` (its literals) and
+``predicates`` (the command). ``run`` reads a plain, well-formed command line itself (see
+``_direct``); only ``--help`` and the lines that reader declines load argparse. The colist
+readers and writer, once here, are still read here.
 
 Exit codes: 0 success (for ``pred``: all routes agree on true), 1 a
 well-formed negative outcome (failed check, underivable judgment, agreed
@@ -39,9 +39,8 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import _forward
-from ._value import ParseError, Value, _UsageError, _set, _typed
-from .inference import (InferenceSystem, InternalError, JudgmentSet, StructuralError, _members,
-                        interpret)
+from .inference import (InferenceSystem, InternalError, JudgmentSet, ParseError,
+                        StructuralError, Value, _UsageError, _members, _set, _typed, interpret)
 
 ARROW = "<-"
 # The values of ``predicates.Kind``, in its order, so that building the
@@ -284,13 +283,13 @@ def _cmd_prove(ns) -> tuple[int, list[str]]:
 
 
 def _cmd_pred(ns) -> tuple[int, list[str]]:
-    from ._pred import command
+    from .predicates import _command
 
-    return command(ns)
+    return _command(ns)
 
 
 __getattr__ = _forward(globals(), dict.fromkeys(("parse_colist", "format_colist",
-                                                 "parse_candidates"), "_pred"))
+                                                 "parse_candidates"), "colist"))
 
 
 def _print(lines: list[str]) -> None:

@@ -6,11 +6,16 @@ stream finitely representable, so indexing and taking suffixes are exact.
 Each colist induces a finite suffix automaton whose states are its distinct
 suffix positions; the predicate engines in :mod:`corules.predicates` build
 their judgment universes from these states.
+
+A colist literal, as ``corules pred`` reads and prints it, is whitespace-separated naturals,
+``|`` introducing a lasso's loop: ``1 2``, ``1 2 | 3 4`` (``3 4`` forever after ``1 2``),
+``| 1`` (the constant stream) or the empty string (the empty list). ``parse_colist`` converts
+each part's tokens to ints in one pass and builds its colist unchecked.
 """
 
 from typing import Iterable, Optional, Sequence, Union
 
-from ._value import Value, _index, _set, _tuple, _typed
+from .inference import ParseError, Value, _index, _set, _tuple, _typed
 
 
 def _check_naturals(values, requirement: str) -> tuple[int, ...]:
@@ -41,6 +46,16 @@ def _naturals_or_none(tokens: Sequence[str]) -> Optional[tuple[int, ...]]:
     return None
 
 
+def _naturals(tokens: Sequence[str]) -> tuple[int, ...]:
+    """The natural numbers ``tokens`` write, converted in one pass; else the error
+    naming the first token that writes none."""
+    ns = _naturals_or_none(tokens)
+    if ns is None:
+        bad = next(t for t in tokens if _naturals_or_none((t,)) is None)
+        raise ParseError(f"not a natural number: {bad!r}", code="bad-token")
+    return ns
+
+
 class Finite(Value):
     """A finite list of naturals."""
 
@@ -65,6 +80,31 @@ class Lasso(Value):
 Colist = Union[Finite, Lasso]
 
 
+def parse_colist(text: str) -> Colist:
+    pieces = _typed(text, (str,), "text").replace("|", " | ").split()
+    separators = pieces.count("|")
+    if separators > 1:
+        raise ParseError("more than one loop separator '|'", code="extra-separator")
+
+    if separators == 1:
+        k = pieces.index("|")
+        loop = _naturals(pieces[k + 1:])
+        if not loop:
+            raise ParseError("loop declared empty", code="empty-loop")
+        return Lasso._valid(_naturals(pieces[:k]), loop)
+    return Finite._valid(_naturals(pieces))
+
+
+def format_colist(xs: Colist) -> str:
+    if isinstance(_typed(xs, (Finite, Lasso), "xs"), Finite):
+        return " ".join(map(str, xs.elements))
+    return " ".join(map(str, (*xs.prefix, "|", *xs.loop)))
+
+
+def parse_candidates(text: str) -> list[int]:
+    return list(_naturals([piece.strip() for piece in _typed(text, (str,), "text").split(",")]))
+
+
 class SuffixAutomaton(Value):
     """The suffix states of a colist, as a deterministic successor chain.
 
@@ -72,12 +112,23 @@ class SuffixAutomaton(Value):
     a lasso loop wrap back). ``heads[s]`` is the first element of that
     suffix, or None at the unique empty state of a finite colist.
     ``nexts[s]`` is the state of the tail, or None at the empty state.
-    The initial state is 0 and every state is reachable from it.
+    The initial state is 0 and every state is reachable from it. The arguments are kept as
+    given, once of one length and holding naturals and state indices, None at the same states.
     """
 
     __slots__ = __match_args__ = ("heads", "nexts")
 
-    def __init__(self, heads: tuple[Optional[int], ...], nexts: tuple[Optional[int], ...]):
+    def __init__(self, heads: Sequence[Optional[int]], nexts: Sequence[Optional[int]]):
+        n = len(_typed(heads, (Sequence,), "heads"))
+        if len(_typed(nexts, (Sequence,), "nexts")) != n:
+            raise ValueError(f"nexts must be as long as heads ({n}), not {len(nexts)}")
+        for head, state in zip(heads, nexts):
+            if (head is None) != (state is None):
+                raise ValueError("heads and nexts must be None at the same states")
+            if head is not None:
+                _check_naturals((head,), "heads must be natural numbers or None")
+                if _check_naturals((state,), "nexts must be state indices or None")[0] >= n:
+                    raise ValueError(f"nexts must be state indices below {n}, got {state!r}")
         _set(self, "heads", heads)
         _set(self, "nexts", nexts)
 
@@ -118,8 +169,8 @@ def suffix_automaton(xs: Colist) -> SuffixAutomaton:
         n = len(xs.elements)
         heads = tuple(xs.elements) + (None,)
         nexts = tuple(range(1, n + 1)) + (None,)
-        return SuffixAutomaton(heads, nexts)
+        return SuffixAutomaton._valid(heads, nexts)
     u, v = len(xs.prefix), len(xs.loop)
     heads = xs.prefix + xs.loop
     nexts = (*range(1, u + v), u)
-    return SuffixAutomaton(heads, nexts)
+    return SuffixAutomaton._valid(heads, nexts)

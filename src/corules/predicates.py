@@ -25,6 +25,9 @@ in time linear in the periodicity window), exist purely to cross-check the
 engine verdicts and share no code with the interpretations; ``three_way``
 gives all three verdicts, as ``corules pred`` prints them. ``PREDICATES`` is
 the one table of the element predicates' names that ``predicate_by_name`` reads.
+
+``_command`` is ``corules pred``: it takes the flags that its kind's row of ``FAMILIES``
+asks for, and prints the three verdicts of ``three_way``.
 """
 
 import enum
@@ -33,10 +36,10 @@ from collections.abc import Iterable
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from ._value import Value, _index, _set, _typed
-from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, _naturals_of,
-                     _naturals_or_none, suffix_automaton)
-from .inference import InferenceSystem, interpret
+from .colist import (Colist, Finite, Lasso, SuffixAutomaton, _check_naturals, _naturals,
+                     _naturals_of, _naturals_or_none, format_colist, parse_candidates,
+                     parse_colist, suffix_automaton)
+from .inference import InferenceSystem, Value, _UsageError, _index, _set, _typed, interpret
 
 
 class Kind(enum.Enum):
@@ -488,3 +491,33 @@ def three_way(kind: Kind, xs: Colist, *, x: Optional[int] = None,
     if family.computes_value:
         direct = direct == x
     return engine, direct, spec_oracle(kind, xs, x=x, predicate=predicate)
+
+
+def _flag(ns, attr: str, flag: str, kind: str, needed: bool):
+    value = getattr(ns, attr)
+    if (value is None) == needed:
+        raise _UsageError(f"pred {kind} {'requires' if needed else 'does not take'} {flag}")
+    return value
+
+
+def _command(ns) -> tuple[int, list[str]]:
+    """``corules pred``: its exit code and the lines it prints."""
+    kind = Kind(ns.kind)
+    family = FAMILIES[kind]
+    xs = parse_colist(ns.colist)
+    name = _flag(ns, "pred", "--p", kind.value, family.needs_predicate)
+    predicate = None if name is None else predicate_by_name(name)
+    x = _flag(ns, "x", "--x", kind.value, family.needs_value)
+    x = None if x is None else _naturals((x,))[0]
+    if ns.candidates is not None and not family.computes_value:
+        raise _UsageError(f"pred {kind.value} does not take --candidates")
+    candidates = None if ns.candidates is None else parse_candidates(ns.candidates)
+
+    engine, direct, oracle = three_way(kind, xs, x=x, predicate=predicate,
+                                       candidates=candidates)
+    agree = engine == direct == oracle
+    lines = [f"kind: {kind.value}", f"colist: {format_colist(xs)}"]
+    lines.extend(f"{route}: {'true' if verdict else 'false'}" for route, verdict
+                 in (("engine", engine), ("direct", direct), ("oracle", oracle)))
+    lines.append(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
+    return (0 if engine else 1) if agree else 2, lines

@@ -9,8 +9,8 @@ a rule by its index: the rules in declaration order, then the corules
 
 from typing import Iterable, Mapping, Optional
 
-from ._value import Value, _set, _tuple, _typed
-from .inference import InferenceSystem, InternalError, JudgmentSet, _members
+from .inference import (InferenceSystem, InternalError, JudgmentSet, Value, _members, _set,
+                        _tuple, _typed)
 
 # Reason tags carried by CheckReport failures.
 CLOSEDNESS = "closedness"

@@ -35,8 +35,7 @@ copies those lines after that.
 from itertools import compress
 from typing import Iterable, Optional
 
-from ._value import Value, _set, _tuple, _typed
-from .inference import InferenceSystem, InternalError, StructuralError
+from .inference import InferenceSystem, InternalError, StructuralError, Value, _set, _tuple, _typed
 
 Entry = tuple[int, int, tuple[int, ...]]  # judgment, rule index, child indices
 Table = tuple[Entry, ...]

@@ -8,6 +8,9 @@ corules and labels) and on copies of it taken at any point: ``copy.copy``,
 ``copy.deepcopy`` and pickle round trips. Each answer must equal the same query on a
 fresh system, which has built nothing yet, and the 2^n oracles of ``tests/util.py``.
 The expected proofs are read by a scan over the ``Rule`` objects, not by the checkers.
+What a system keeps is checked too: after each step, every pass a pooled system holds
+equals the same pass of a fresh system, and a system that has answered a query holds the
+pass that query read.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from corules import (
     InferenceSystem,
@@ -49,6 +52,9 @@ READINGS = {"ind": ind_interpretation, "ind+co": lambda s: ind_interpretation(s,
             "coind": coind_interpretation, "gen": gen_interpretation}
 CHECKS = {"is_closed": is_closed, "is_consistent": is_consistent,
           "bounded_coinduction_check": bounded_coinduction_check}
+# the passes a system keeps once a query has read them, and the pass each reading reads
+PASSES = ("_users", "_ind", "_bound", "_gen")
+READS = {"ind": "_ind", "ind+co": "_bound", "coind": None, "gen": "_gen"}
 COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
           "pickle": lambda s: pickle.loads(pickle.dumps(s))}
 
@@ -132,6 +138,7 @@ class SystemModel(RuleBasedStateMachine):
         for name in names:  # in turn on one system
             read = READINGS[name]
             assert read(self.pick(k)) == read(self.fresh()) == self.expected[name]
+            assert READS[name] is None or READS[name] in vars(self.pick(k))
 
     @rule(k=picks, check=st.sampled_from(sorted(CHECKS)),
           spec=st.one_of(st.integers(0, 2**MAX_UNIVERSE - 1), st.sampled_from(sorted(READINGS))))
@@ -164,6 +171,7 @@ class SystemModel(RuleBasedStateMachine):
         j = self.judgment(j)
         proof = extract_finite_proof(self.pick(k), j, allow_corules)
         assert proof == extract_finite_proof(self.fresh(), j, allow_corules)
+        assert ("_bound" if allow_corules else "_ind") in vars(self.pick(k))
         inside = self.expected["ind+co" if allow_corules else "ind"]
         assert (proof is not None) == (j in inside)
         if proof is not None:
@@ -177,6 +185,7 @@ class SystemModel(RuleBasedStateMachine):
         j = self.judgment(j)
         proof = extract_rational_proof(self.pick(k), j)
         assert proof == extract_rational_proof(self.fresh(), j)
+        assert "_gen" in vars(self.pick(k))
         assert (proof is not None) == (j in self.expected["gen"])
         if proof is not None:
             assert proof.nodes[proof.root][0] == j
@@ -214,6 +223,14 @@ class SystemModel(RuleBasedStateMachine):
         else:
             with pytest.raises(StructuralError, match="cycle"):
                 render(proof, system)
+
+    @invariant()
+    def kept_passes_are_those_of_a_fresh_system(self):
+        fresh = self.fresh()
+        for system in self.systems:
+            for name in PASSES:
+                if name in vars(system):
+                    assert vars(system)[name] == getattr(fresh, name), name
 
 
 TestSystemModel = SystemModel.TestCase

@@ -107,7 +107,7 @@ def test_a_bare_import_loads_no_submodule_and_resolves_each_home():
                           text=True, check=True)
     homes = [f"corules.{home}" for home in HOMES]
     assert done.stdout.splitlines() == [
-        "['corules'] True", str(homes), str(sorted(["corules", "corules._value", *homes]))]
+        "['corules'] True", str(homes), str(sorted(["corules", *homes]))]
 
 
 def test_public_names_are_pinned():
@@ -193,13 +193,13 @@ def test_a_module_answers_for_a_name_it_does_not_own_one_way(monkeypatch):
     for path in sorted(Path(corules.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert text.count("def __getattr__") == (path.name == "__init__.py"), path.name
-    # cli answers for the colist readers and writer of _pred with _pred's objects, and
+    # cli answers for the colist readers and writer of colist with colist's objects, and
     # keeps them
-    pred = importlib.import_module("corules._pred")
+    colist = importlib.import_module("corules.colist")
     for name in ("parse_colist", "format_colist", "parse_candidates"):
         monkeypatch.delitem(vars(cli), name, raising=False)
-        assert getattr(cli, name) is getattr(pred, name)
-        assert vars(cli)[name] is getattr(pred, name)
+        assert getattr(cli, name) is getattr(colist, name)
+        assert vars(cli)[name] is getattr(colist, name)
     # perfbench/spans.py's install reads each module's wrappable names this way
     for module in forwarding:
         assert getattr(module, "restrict", None) is None

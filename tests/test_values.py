@@ -50,7 +50,7 @@ from corules import (
     suffix_automaton,
     three_way,
 )
-from corules._value import Value
+from corules.inference import Value
 from corules.cli import (ParseError, SystemFile, format_colist, parse_candidates, parse_colist,
                          parse_system, render_system, run)
 from corules.predicates import predicate_by_name
@@ -369,6 +369,21 @@ class TestValidationErrors:
          "a label in labels must be a str, not list"),
         (lambda: InferenceSystem(2, [], labels=[1, 2]), TypeError,
          "a label in labels must be a str, not int"),
+        (lambda: SuffixAutomaton(5, 6), TypeError, "heads must be a Sequence, not int"),
+        (lambda: SuffixAutomaton((1, None), {1, None}), TypeError,
+         "nexts must be a Sequence, not set"),
+        (lambda: SuffixAutomaton([1, None], [1]), ValueError,
+         "nexts must be as long as heads (2), not 1"),
+        (lambda: SuffixAutomaton((1, 2), (1, None)), ValueError,
+         "heads and nexts must be None at the same states"),
+        (lambda: SuffixAutomaton((-1, None), (1, None)), ValueError,
+         "heads must be natural numbers or None, got -1"),
+        (lambda: SuffixAutomaton((True,), (0,)), ValueError,
+         "heads must be natural numbers or None, got True"),
+        (lambda: SuffixAutomaton((1, None), (2, None)), ValueError,
+         "nexts must be state indices below 2, got 2"),
+        (lambda: SuffixAutomaton((1, None), (1.0, None)), ValueError,
+         "nexts must be state indices or None, got 1.0"),
         (lambda: JudgmentScheme(Kind.MEMBER_OF, Finite((1,)), None), TypeError,
          "automaton must be a SuffixAutomaton, not NoneType"),
         (lambda: JudgmentScheme("x", Finite((1,)), suffix_automaton(Finite((1,)))), TypeError,
@@ -661,7 +676,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     dataclass or source-introspection machinery, no argument parser, and of
     the package only what every command uses. A command then loads only what
     it runs: ``check`` adds ``principles``, ``prove`` adds ``prooftree``, ``pred``
-    adds ``_pred``, ``colist`` and ``predicates`` and the other commands add nothing. A
+    adds ``colist`` and ``predicates`` and the other commands add nothing. A
     well-formed command line is read without ``argparse``; ``--help`` and a
     malformed command line load it."""
     root = Path(__file__).resolve().parent.parent
@@ -676,9 +691,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = corules.cli.run(sys.argv[1:])\n"
             "print(code, sorted(loaded() - before), 'argparse' in sys.modules)\n")
-    startup = ["corules", "corules._value", "corules.cli", "corules.inference"]
+    startup = ["corules", "corules.cli", "corules.inference"]
     demo = str(root / "demos" / "basics.inf")
-    pred = ["corules._pred", "corules.colist", "corules.predicates"]
+    pred = ["corules.colist", "corules.predicates"]
     for argv, added in ((["ind", demo], []), (["coind", demo], []), (["gen", demo], []),
                         (["check", demo], ["corules.principles"]),
                         (["prove", demo, "b"], ["corules.prooftree"]),

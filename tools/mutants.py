@@ -59,12 +59,12 @@ MUTANTS = [
      "cyclic = cyclic or not out[node_of[k]]",
      "cyclic = cyclic",
      ["tests/test_prooftree.py::TestExtractedProofsComeWalked", MODEL]),
-    ("Value._valid fills the slots in reverse", "_value.py",
+    ("Value._valid fills the slots in reverse", "inference.py",
      "zip(cls._setters, slots)",
      "zip(cls._setters, reversed(slots))",
      ["tests/test_values.py::TestOneUncheckedConstructor::"
       "test_every_value_type_rebuilds_from_its_slots"]),
-    ("Value binds its slot setters in reverse", "_value.py",
+    ("Value binds its slot setters in reverse", "inference.py",
      "for s in cls.__slots__ if",
      "for s in reversed(cls.__slots__) if",
      ["tests/test_values.py::TestOneUncheckedConstructor"]),
@@ -75,7 +75,8 @@ MUTANTS = [
       "test_ind_of_an_axiom_free_system_builds_no_index",
       "tests/test_inference.py::TestPassesFollowOnlyWhatTheyNeed::"
       "test_a_pass_that_follows_a_premise_builds_the_index",
-      "tests/test_inference.py::TestEachPassIsCachedOnce::test_each_pass_runs_once_per_system"]),
+      "tests/test_inference.py::TestEachPassIsCachedOnce::test_each_pass_runs_once_per_system",
+      MODEL]),
     ("_gen returns its bound with corules", "inference.py",
      "        if waiting is None:\n            return bound, None\n",
      "        return bound, None\n",
@@ -94,8 +95,8 @@ MUTANTS = [
      "premises += sorted(map(ids.__getitem__, words[3:]))",
      ["tests/test_compiled.py::test_parser_matches_the_pair_reference"]),
     ("cli imports principles at module level", "cli.py",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n",
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n"
      "from .principles import CheckReport\n",
      ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("_least keeps the last rule that fires at a judgment's round", "inference.py",
@@ -157,11 +158,11 @@ MUTANTS = [
      "    starts += [len(body)] * len(coaxioms)\n",
      "    starts += [0] * len(coaxioms)\n",
      ["tests/test_predicates.py::TestInfinitelyOftenSystem"]),
-    ("the colist reader blames the last bad token", "_pred.py",
+    ("the colist reader blames the last bad token", "colist.py",
      "bad = next(t for t in tokens if _naturals_or_none((t,)) is None)",
      "bad = [t for t in tokens if _naturals_or_none((t,)) is None][-1]",
      ["tests/test_colist.py::test_a_literal_names_its_first_bad_token"]),
-    ("the colist reader blames the first token", "_pred.py",
+    ("the colist reader blames the first token", "colist.py",
      "bad = next(t for t in tokens if _naturals_or_none((t,)) is None)",
      "bad = tokens[0]",
      ["tests/test_cli.py::TestParseColist::test_digits_int_rejects_are_bad_tokens"]),
@@ -253,13 +254,13 @@ MUTANTS = [
      "        j = doomed[0]\n        doomed.remove(j)\n",
      ["tests/test_complexity.py::test_work_grows_linearly[three_way_max]"]),
     ("cli imports predicates at module level", "cli.py",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n",
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n"
      "from .predicates import Kind\n",
      ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("cli imports prooftree at module level", "cli.py",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n",
-     "from ._value import ParseError, Value, _UsageError, _set, _typed\n"
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n",
+     "StructuralError, Value, _UsageError, _members, _set, _typed, interpret)\n"
      "from .prooftree import format_finite\n",
      ["tests/test_values.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("the package imports predicates eagerly", "__init__.py",
@@ -275,15 +276,16 @@ MUTANTS = [
      'KINDS = ["allpos", "member",',
      ["tests/test_cli.py::TestRunPred::test_kind_names_are_those_of_kind"]),
     ("prooftree defines its own StructuralError", "prooftree.py",
-     "from .inference import InferenceSystem, InternalError, StructuralError\n",
-     "from .inference import InferenceSystem, InternalError\n\n\n"
+     "from .inference import InferenceSystem, InternalError, StructuralError, Value, _set, "
+     "_tuple, _typed\n",
+     "from .inference import InferenceSystem, InternalError, Value, _set, _tuple, _typed\n\n\n"
      "class StructuralError(Exception):\n    pass\n",
      ["tests/test_package.py::test_each_export_is_the_object_of_its_home_module"]),
     ("__dir__ leaves out the exports", "__init__.py",
      "set(globals()) | set(__all__) | set(_EXPORTS)",
      "set(globals()) | set(_EXPORTS)",
      ["tests/test_package.py::test_a_bare_import_loads_no_submodule_and_resolves_each_home"]),
-    ("parse_colist hands back a list", "_pred.py",
+    ("parse_colist hands back a list", "colist.py",
      "    return Finite._valid(_naturals(pieces))\n",
      "    return Finite._valid(list(_naturals(pieces)))\n",
      ["tests/test_cli.py::TestParseColist::test_parse_is_the_checked_constructor"]),
@@ -291,6 +293,15 @@ MUTANTS = [
      "namespace[name] = value = module if",
      "value = module if",
      ["tests/test_package.py::test_inference_answers_for_each_name_of_principles"]),
+    ("_walked ignores its kept walk", "prooftree.py",
+     "        if self._walk is not None:\n            return self._walk or None\n",
+     "",
+     ["tests/test_prooftree.py::TestOneWalk::test_each_proof_walks_its_table_once"]),
+    ("SuffixAutomaton without its length check", "colist.py",
+     "        if len(_typed(nexts, (Sequence,), \"nexts\")) != n:\n"
+     "            raise ValueError(f\"nexts must be as long as heads ({n}), not {len(nexts)}\")\n",
+     "        _typed(nexts, (Sequence,), \"nexts\")\n",
+     ["tests/test_values.py::TestValidationErrors::test_construction"]),
 ]
 
 

@@ -7,25 +7,31 @@ Run from the root of a git checkout:
 It extracts the ``src`` of ``REV`` with ``git archive`` into a temporary directory
 and builds ``WORKLOAD`` (``fixpoint_large``, ``proof_shapes`` or ``small_batch``)
 from SEED (default 7, the benchmark's usual seed; give 11 to pair a held-out seed)
-with this checkout's ``perfbench/`` twice in one process: once on REV's
-``src`` and once on this checkout's. Each build imports its own ``corules``, its own
-``perfbench`` modules and its own ``tests/util.py``, and each side's modules are put
-back in ``sys.modules`` before any of its ops runs, so an import inside a call finds
-its own tree. Every op then runs once on each side, and its answer is checked as
-``perfbench`` checks it; a wrong answer or an error on either side stops the script.
+with this checkout's ``perfbench/`` three times in one process: once on REV's ``src``
+and twice on this checkout's, the second build being the A/A control. Each build
+imports its own ``corules``, its own ``perfbench`` modules and its own
+``tests/util.py``, and each side's modules are put back in ``sys.modules`` before any
+of its ops runs, so an import inside a call finds its own tree. Every op then runs
+once on each side, and its answer is checked as ``perfbench`` checks it; a wrong
+answer or an error on any side stops the script.
 
 Then CYCLES pairs (default 20) of whole op cycles follow. A cycle runs every op of
-the workload once, in an order drawn per pair, and both cycles of a pair run in the
-same order. The side that goes first takes turns, and a full collection runs before
-each cycle. Each op is timed on its own, and a cycle's time is the sum of its ops'.
-The script prints the median cycle time of each side in ms, the median of the pairs'
-ratios of the checkout's time to REV's, the interquartile range of those ratios, and
-the pairs the checkout won. A row follows for the statistic behind ``perfbench``'s
-``op_ms_p50``: per side, the median over ops of each op's median time over the cycles,
-and the ratio of the checkout's to REV's. Then, per op kind, it prints the median and
-the interquartile range of the pairs' ratios of that kind's time, and the pairs the
-checkout won, so a change shows where its gain or loss sits, and a kind that moved can
-be told from a noisy one. Only the standard library is used.
+the workload once, in an order drawn per pair, and the three cycles of a pair run in
+the same order. The three builds take their six orders in turn, and a full collection
+runs before each cycle. Each op is timed on its own, and a cycle's time is the sum of
+its ops'. The script prints the median cycle time of each side in ms, the median of
+the pairs' ratios of the checkout's time to REV's, the interquartile range of those
+ratios, and the pairs the checkout won. The A/A row reads the second build of the
+checkout against the first in the same way. Their code is the same, so how far that
+row strays from 1 is the lean a run's position and process give, which a change must
+exceed to show; the A/A build adds half to the time of the cycles. A row follows for
+the statistic behind ``perfbench``'s ``op_ms_p50``: per side, the median over ops of
+each op's median time over the cycles, and the ratio of the checkout's to REV's.
+Then, per op kind, it prints the median and the interquartile range of the pairs'
+ratios of that kind's time, the pairs the checkout won, and the kind's A/A ratio and
+IQR, so a change shows where its gain or loss sits, and a kind that moved can be told
+from a noisy one. A closed stdout (``| head``) ends the script quietly. Only the
+standard library is used.
 
 The cycles time whole ops, so they see every cost an op pays, lazily built caches
 included. ``tools/layer_times.py`` times single calls on systems whose premise index
@@ -37,6 +43,8 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
+import os
 import random
 import statistics
 import sys
@@ -127,36 +135,49 @@ def main() -> int:
         rev_tree = rev_src(rev, Path(tmp) / "rev")
         if rev_tree is None:
             return 64
-        sides = []
-        for name, src in ((rev, rev_tree), ("checkout", ROOT / "src")):
+        sides = []  # REV, the checkout, and the checkout's A/A build
+        for name, src in ((rev, rev_tree), ("checkout", ROOT / "src"), ("A/A", ROOT / "src")):
             ops, modules = build(src, workload, seed, Path(tmp))
             sys.modules.update(modules)
             sides.append((checked(name, ops), modules))
-        if [op.kind for op in sides[0][0]] != [op.kind for op in sides[1][0]]:
-            print("the two builds made different ops", file=sys.stderr)
+        kinds = [op.kind for op in sides[0][0]]
+        if any([op.kind for op in ops] != kinds for ops, _ in sides[1:]):
+            print("the builds made different ops", file=sys.stderr)
             return 1
         rng = random.Random(f"{workload}/{seed}/cycles")
+        orders = list(itertools.permutations(range(len(sides))))
         pairs: list[list[list[float]]] = []  # per pair, per side, per op
         for k in range(cycles):
-            order = rng.sample(range(len(sides[0][0])), len(sides[0][0]))
-            pair: list[list[float]] = [[], []]
-            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            order = rng.sample(range(len(kinds)), len(kinds))
+            pair: list[list[float]] = [[] for _ in sides]
+            for side in orders[k % len(orders)]:
                 pair[side] = cycle(*sides[side], order)
             pairs.append(pair)
-    totals = [(sum(old), sum(new)) for old, new in pairs]
+    change, control = [pair[:2] for pair in pairs], [pair[1:] for pair in pairs]
+    totals = [(sum(old), sum(new)) for old, new in change]
     old, new = (statistics.median(times) * 1000 for times in zip(*totals))
     ratio, q1, q3, wins = summary(totals)
-    print(f"{workload} seed {seed}: {len(sides[0][0])} ops per cycle, {len(pairs)} pairs")
+    print(f"{workload} seed {seed}: {len(kinds)} ops per cycle, {len(pairs)} pairs")
     print(f"{rev} {old:.1f} ms, checkout {new:.1f} ms, ratio {ratio:.3f} "
           f"(IQR {q1:.3f}-{q3:.3f}), checkout won {wins}/{len(pairs)}")
+    ratio, q1, q3, wins = summary((sum(old), sum(new)) for old, new in control)
+    print(f"A/A, the checkout against itself: ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f}), "
+          f"won {wins}/{len(pairs)}")
     old, new = (p50_of_medians(pairs, side) * 1000 for side in (0, 1))
     print(f"op p50 of each op's median: {rev} {old:.4f} ms, checkout {new:.4f} ms, "
           f"ratio {new / old:.3f}")
-    for kind, count, (ratio, q1, q3, wins) in by_kind([op.kind for op in sides[0][0]], pairs):
+    for (kind, count, (ratio, q1, q3, wins)), (_, _, (aa, aa1, aa3, _)) in zip(
+            by_kind(kinds, change), by_kind(kinds, control)):
         print(f"  {kind}: {count} ops, ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f}), "
-              f"checkout won {wins}/{len(pairs)}")
+              f"checkout won {wins}/{len(pairs)}; A/A {aa:.3f} ({aa1:.3f}-{aa3:.3f})")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader of stdout is gone, which is no error here
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    raise SystemExit(status)
