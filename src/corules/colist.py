@@ -113,7 +113,7 @@ class SuffixAutomaton(Value):
     suffix, or None at the unique empty state of a finite colist.
     ``nexts[s]`` is the state of the tail, or None at the empty state.
     The initial state is 0 and every state is reachable from it. The arguments are kept as
-    given, once of one length and holding naturals and state indices, None at the same states.
+    given, once checked: of one length, naturals and state indices, None at the same states.
     """
 
     __slots__ = __match_args__ = ("heads", "nexts")
