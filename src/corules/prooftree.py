@@ -16,23 +16,29 @@ render, ``is_acyclic`` (did it meet a back edge?) and ``depth``. ``children``
 only moves around the table: its handles are proofs rooted at other nodes, one
 per node, and a handle is read as any proof is. The walk raises StructuralError
 when a node is not such a triple, the root or a child index is not the index of
-a node or a node is unreachable from the root. Each check and render then raises
-it when a rule index names no rule or corule of the system or a judgment id lies
-outside its universe. A well-formed but invalid derivation is different: the
-checkers return False, for instance when a rational proof uses a corule, and
-``check_finite`` returns False for a table with a cycle, which ``format_finite``
-and ``depth`` refuse with StructuralError. A proof or system argument of another
-type raises TypeError naming it.
+a node or a node is unreachable from the root. A check or render then checks each
+rule index and judgment id against the system once per proof and system: a proof
+keeps the system it last passed, tested by identity, and an extracted proof has
+passed the system it came from, whose arrays its ids and indices are read from.
+Against any other system, even an equal one, the pass runs again and raises
+StructuralError when a rule index names no rule or corule of the system or a
+judgment id lies outside its universe. A well-formed but invalid derivation is
+different: the checkers return False, for instance when a rational proof uses a
+corule, and ``check_finite`` returns False for a table with a cycle, which
+``format_finite`` and ``depth`` refuse with StructuralError. A proof or system
+argument of another type raises TypeError naming it.
 
 Extraction and checking take time linear in the sizes of the system and of the
 proof: a check sorts a node's child judgments only when they are out of premise
 order. Both renderers are one loop. A rational render prints a repeated node as
 ``^n``. A finite render prints a shared subproof at every occurrence, so its
 text can be exponentially long, but it formats each (node, depth) pair once and
-copies those lines after that.
+copies those lines after that; a table that is a tree, with one child entry fewer
+than it has nodes, has no pair twice, so its render keeps no record of them.
 """
 
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .inference import InferenceSystem, InternalError, StructuralError, Value, _set, _tuple, _typed
@@ -50,13 +56,15 @@ class RationalProofTree(Value):
     so reading them walks nothing. A handle's readers walk from its own root."""
 
     __match_args__ = ("nodes", "root")
-    __slots__ = __match_args__ + ("_walk", "_handles")  # see _walked and children
+    # see _walked, children and _checked_walk
+    __slots__ = __match_args__ + ("_walk", "_handles", "_system")
 
     def __init__(self, nodes: Iterable[Entry], root: int = 0):
         _set(self, "nodes", _tuple(nodes, "nodes"))
         _set(self, "root", root)
         _set(self, "_walk", None)
         _set(self, "_handles", None)
+        _set(self, "_system", None)
 
     def _walked(self) -> Optional[list[int]]:
         """The post-order of the walk from ``root``, or None on a cycle: walked once,
@@ -117,10 +125,11 @@ class RationalProofTree(Value):
 
 def _checked_walk(tree: RationalProofTree,
                   system: Optional[InferenceSystem] = None) -> Optional[list[int]]:
-    """The post-order of the walk of ``tree`` from its root, or None on a cycle;
-    given the system, after one pass that checks each rule index and judgment id."""
+    """The post-order of the walk of ``tree`` from its root, or None on a cycle; given
+    a system other than the one ``tree`` last passed, after one pass that checks each
+    rule index and judgment id, and then remembers the system."""
     order = _typed(tree, (RationalProofTree,), "tree")._walked()
-    if system is not None:
+    if system is not None and tree._system is not system:
         rules = len(system._heads)
         for judgment, rule_index, _ in tree.nodes:
             if not (isinstance(rule_index, int) and 0 <= rule_index < rules):
@@ -128,6 +137,7 @@ def _checked_walk(tree: RationalProofTree,
                                       f"(system has {rules} rules and corules)")
             if not (isinstance(judgment, int) and 0 <= judgment < system.universe_size):
                 raise StructuralError(f"judgment id {judgment!r} out of range")
+        _set(tree, "_system", system)
     return order
 
 
@@ -158,7 +168,8 @@ def _matches(table: Table, system: InferenceSystem, use_corules: bool,
 def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> RationalProofTree:
     """The proof of ``j`` in which each judgment is derived by the rule ``rule_for``
     picks, one node per judgment it reaches, numbered in pre-order with premises in
-    ascending order (the root is node 0), with the walk ``_walked`` would keep."""
+    ascending order (the root is node 0), with the walk ``_walked`` would keep, and
+    passed against ``system``: its ids and rule indices are the system's own."""
     starts, body = system._starts, system._body
     # judgment -> its node, in pre-order; the post-order; per node, 1 once all below it
     # is walked; whether a back edge was met
@@ -184,7 +195,7 @@ def _proof(system: InferenceSystem, j: int, rule_for: list[Optional[int]]) -> Ra
     node, rules = node_of.__getitem__, list(map(rule_for.__getitem__, node_of))
     children = [tuple(map(node, body[starts[i]:starts[i + 1]])) for i in rules]
     return RationalProofTree._valid(tuple(zip(node_of, rules, children)), 0,
-                                    False if cyclic else order, None)
+                                    False if cyclic else order, None, system)
 
 
 def check_finite(tree: RationalProofTree, system: InferenceSystem,
@@ -266,6 +277,10 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
     if not rational:
         _finite(order)
     table, plain, labels = tree.nodes, system._plain, system.labels
+    # A finite table with one child entry fewer than it has nodes is a tree: acyclic with
+    # every node reachable, each node but the root has one parent, so no (node, depth)
+    # comes twice and none is kept.
+    memo = rational or sum(map(len, map(itemgetter(2), table))) != len(table) - 1
     lines: list[str] = []
     done: dict = {}  # rational: node -> None; finite: (node, depth) -> [first line, end]
     stack: list = [(tree.root, 0)]
@@ -276,7 +291,7 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
             continue
         ni, depth = item
         key = ni if rational else item
-        if key in done:
+        if memo and key in done:
             span = done[key]
             lines.extend(lines[span[0]:span[1]] if span else [f"{'  ' * depth}^{+ni}"])
             continue
@@ -285,9 +300,10 @@ def _render(tree: RationalProofTree, system: InferenceSystem, rational: bool) ->
         lines.append(f"{'  ' * depth}{f'{+ni}: ' if rational else ''}"
                      f"{labels[+judgment] if labels else f'j{+judgment}'}  "
                      f"[{'co' if co else ''}rule {rule_index - plain if co else +rule_index}]")
-        done[key] = None if rational else [len(lines) - 1, len(lines)]
-        if children and not rational:
-            stack.append(done[key])
+        if memo:
+            done[key] = None if rational else [len(lines) - 1, len(lines)]
+            if children and not rational:
+                stack.append(done[key])
         for c in reversed(children):
             stack.append((c, depth + 1))
     return "\n".join(lines)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -483,8 +485,9 @@ class TestMalformedProofs:
 
 class TestOneWalk:
     """A proof walks its table once, from its own root, when a reader first needs
-    it, and keeps the walk; each check and render then only checks ids and
-    indices against the system. A handle from ``children`` is read as any proof is."""
+    it, and keeps the walk; a check or render then checks ids and indices only
+    against a system the proof has not last passed (see TestOneIdPassPerSystem).
+    A handle from ``children`` is read as any proof is."""
 
     def test_each_proof_walks_its_table_once(self):
         # the walk checks each node's shape, asking its length; nothing else does
@@ -593,6 +596,95 @@ def extracted_proofs():
                           extract_rational_proof(system, j)):
                 if proof is not None:
                     yield system, proof
+
+
+class CountedIndex(int):
+    """A rule index that counts the ``index < rules`` tests made on it: only the pass
+    over ids and indices against a system makes one."""
+
+    checks = 0
+
+    def __lt__(self, other):
+        CountedIndex.checks += 1
+        return super().__lt__(other)
+
+
+def counted(system):
+    """``system``, its inductive pass's firing rules made counted indices, so that
+    both extractors hand on proofs whose rule indices count their checks."""
+    system.__dict__["_ind"] = [i if i is None else CountedIndex(i) for i in system._ind]
+    return system
+
+
+def smaller(system):
+    """A system of half the judgments of ``system`` and only its first rule."""
+    return InferenceSystem(system.universe_size // 2, system.rules[:1])
+
+
+def rebuilt_system(system):
+    return InferenceSystem(system.universe_size, system.rules, system.corules, system.labels)
+
+
+READERS = (check_finite, check_rational_in_gen, format_finite, format_rational)
+
+
+class TestOneIdPassPerSystem:
+    """A proof runs its pass over ids and rule indices once per system it is read
+    against: it remembers the system it last passed, by identity, and an extracted
+    proof has passed the system it came from. Any other system, even an equal one,
+    gets the pass, with every StructuralError it raises."""
+
+    def test_a_proof_passes_a_system_once(self):
+        for system, target in ((ab_system(), B), (ladder_system(4), 8), (chain_system(50), 49)):
+            proof = extract_finite_proof(system, target)
+            tree = RationalProofTree([(j, CountedIndex(i), c) for j, i, c in proof.nodes])
+            CountedIndex.checks = 0
+            for _ in range(2):
+                assert check_finite(tree, system) and check_rational_in_gen(tree, system)
+                assert format_finite(tree, system) == format_finite(proof, system)
+                assert format_rational(tree, system) == format_rational(proof, system)
+            assert CountedIndex.checks == len(tree.nodes)
+
+    def test_an_extracted_proof_has_passed_its_own_system(self):
+        for system, target in ((ab_system(), B), (ladder_system(4), 8), (chain_system(50), 49)):
+            system = counted(system)
+            for proof in (extract_finite_proof(system, target),
+                          extract_rational_proof(system, target)):
+                assert type(proof.nodes[0][1]) is CountedIndex
+                CountedIndex.checks = 0
+                for call in READERS:
+                    call(proof, system)
+                assert CountedIndex.checks == 0
+                again = rebuilt_system(system)  # equal, but not the same system
+                answers = [call(proof, again) for call in READERS * 2]
+                assert CountedIndex.checks == len(proof.nodes)
+                assert answers == [call(proof, system) for call in READERS * 2]
+
+    def test_a_smaller_system_still_raises(self):
+        system = chain_system(50)
+        text = "rule index 49 out of range (system has 1 rules and corules)"
+        for proof in (extract_finite_proof(system, 49), extract_rational_proof(system, 49)):
+            for call in READERS:
+                call(proof, system)  # passed against its own system, read again
+                with pytest.raises(StructuralError) as excinfo:
+                    call(proof, smaller(system))
+                assert str(excinfo.value) == text
+            for twin in (copy.copy(proof), pickle.loads(pickle.dumps(proof))):
+                assert twin == proof and hash(twin) == hash(proof) and repr(twin) == repr(proof)
+                for call in READERS:
+                    with pytest.raises(StructuralError) as excinfo:
+                        call(twin, smaller(system))
+                    assert str(excinfo.value) == text
+
+    def test_readers_answer_alike_on_an_equal_rebuilt_system(self):
+        readers = (lambda t, s: check_finite(t, s, True), check_rational_in_gen,
+                   format_finite, format_rational)
+        for system, proof in extracted_proofs():
+            own = [outcome(lambda t: call(t, system), proof) for call in readers]
+            again = rebuilt_system(system)
+            assert own == [outcome(lambda t: call(t, again), proof) for call in readers]
+            if is_acyclic(proof):
+                assert own[2] == ("returns", naive_format(proof, system))
 
 
 class TestExtractedProofsComeWalked:

@@ -298,7 +298,7 @@ class TestCoercionsAndDefaults:
         assert graph == RationalProofTree(nodes) and hash(graph) == hash((nodes, 0))
         assert not hasattr(graph, "__dict__")  # its fields are its table
         for value in (tree, graph):
-            for cache in ("_walk", "_handles"):
+            for cache in ("_walk", "_handles", "_system"):
                 with pytest.raises(AttributeError):
                     setattr(value, cache, None)
 

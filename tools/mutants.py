@@ -1,32 +1,32 @@
 """Mutation checks: each mutant is one edit of ``src``, with the tests that must catch it.
 
-Run from the root of a git checkout:
+Run from anywhere in the checkout:
 
     python tools/mutants.py [NAME ...]
 
 A mutant is ``(name, file, old text, new text, test ids)``. For each mutant (every
-one, or those named), the ``src`` of ``HEAD`` is extracted with ``git archive`` into
-a temporary directory, the old text of the mutant's file (under ``src/corules``),
-which must occur there exactly once, is replaced by the new text, and only the
-mutant's tests run: ``python -m pytest -q -x -p no:cacheprovider TEST...`` from the
-root of the checkout, with the copy's ``src`` first on ``PYTHONPATH``. A mutant is
-killed when pytest reports a failed test (exit status 1). The script prints one line
-per mutant and exits 1 if a mutant's old text is not found exactly once or a mutant
-lives (its tests pass, or pytest ends any other way, say on an unknown test id),
-else 0; 64 on an unknown name or if ``git archive`` fails. Only the standard library
+one, or those named), the checkout's ``src``, as it stands on disk, committed or
+not, is copied into a temporary directory, the old text of the mutant's file (under
+``src/corules``), which must occur there exactly once, is replaced by the new text,
+and only the mutant's tests run: ``python -m pytest -q -x -p no:cacheprovider
+TEST...`` from the root of the checkout, with the copy's ``src`` first on
+``PYTHONPATH``. A mutant is killed when pytest reports a failed test (exit status
+1). The script prints one line per mutant and exits 1 if a mutant's old text is not
+found exactly once or a mutant lives (its tests pass, or pytest ends any other way,
+say on an unknown test id), else 0; 64 on an unknown name. Only the standard library
 is used.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
 
-from _pairs import ROOT, rev_src
+from _pairs import ROOT
 
 MODEL = "tests/test_model.py"
 
@@ -246,9 +246,22 @@ MUTANTS = [
      "alive = list(compress(range(system.universe_size), support))",
      ["tests/test_complexity.py::test_work_grows_linearly[coind_interpretation]"]),
     ("a finite render copies no repeated subtree", "prooftree.py",
-     "        if key in done:\n",
-     "        if rational and key in done:\n",
+     "        if memo and key in done:\n",
+     "        if memo and rational and key in done:\n",
      ["tests/test_prooftree.py::TestRender::test_ladder_formats_each_node_and_depth_once"]),
+    ("the finite render takes every table for a tree", "prooftree.py",
+     "memo = rational or sum(map(len, map(itemgetter(2), table))) != len(table) - 1",
+     "memo = rational",
+     ["tests/test_prooftree.py::TestRender::test_ladder_formats_each_node_and_depth_once"]),
+    ("_checked_walk skips the pass once any system is remembered", "prooftree.py",
+     "if system is not None and tree._system is not system:",
+     "if system is not None and tree._system is None:",
+     ["tests/test_prooftree.py::TestOneIdPassPerSystem::test_a_smaller_system_still_raises"]),
+    ("_proof remembers no system", "prooftree.py",
+     "False if cyclic else order, None, system)",
+     "False if cyclic else order, None, None)",
+     ["tests/test_prooftree.py::TestOneIdPassPerSystem::"
+      "test_an_extracted_proof_has_passed_its_own_system"]),
     ("_greatest takes each doomed judgment with list.remove", "inference.py",
      "        j = doomed.pop()\n",
      "        j = doomed[0]\n        doomed.remove(j)\n",
@@ -305,13 +318,10 @@ MUTANTS = [
 ]
 
 
-def run(mutant: tuple, tmp: Path) -> Optional[str]:
-    """``killed``, ``LIVES`` or ``NOT FOUND``, and pytest's last line, for one mutant; None
-    if ``git archive`` fails."""
+def run(mutant: tuple, tmp: Path) -> str:
+    """``killed``, ``LIVES`` or ``NOT FOUND``, and pytest's last line, for one mutant."""
     name, file, old, new, tests = mutant
-    src = rev_src("HEAD", tmp)
-    if src is None:
-        return None
+    src = shutil.copytree(ROOT / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "corules" / file
     text = path.read_text(encoding="utf-8")
     if text.count(old) != 1:
@@ -336,8 +346,6 @@ def main(names: list[str]) -> int:
             continue
         with tempfile.TemporaryDirectory(prefix="corules-mutant-") as tmp:
             line = run(mutant, Path(tmp))
-        if line is None:
-            return 64
         print(line, flush=True)
         status |= not line.startswith("killed")
     return status

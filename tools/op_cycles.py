@@ -24,10 +24,12 @@ the pairs' ratios of the checkout's time to REV's, the interquartile range of th
 ratios, and the pairs the checkout won. The A/A row reads the second build of the
 checkout against the first in the same way. Their code is the same, so how far that
 row strays from 1 is the lean a run's position and process give, which a change must
-exceed to show; the A/A build adds half to the time of the cycles. A row follows for
-the statistic behind ``perfbench``'s ``op_ms_p50``: per side, the median over ops of
-each op's median time over the cycles, and the ratio of the checkout's to REV's.
-Then, per op kind, it prints the median and the interquartile range of the pairs'
+exceed to show; the A/A build adds half to the time of the cycles. Two rows follow for
+the statistics behind ``perfbench``'s ``op_ms_p50`` and ``op_ms_p90``: per side, the
+0.5 and the 0.9 quantile over ops of each op's median time over the cycles,
+interpolated as ``perfbench`` interpolates them, the ratio of the checkout's to REV's,
+and beside it the A/A ratio of the checkout's second build to its first. Then, per
+op kind, it prints the median and the interquartile range of the pairs'
 ratios of that kind's time, the pairs the checkout won, and the kind's A/A ratio and
 IQR, so a change shows where its gain or loss sits, and a kind that moved can be told
 from a noisy one. A closed stdout (``| head``) ends the script quietly. Only the
@@ -116,9 +118,12 @@ def by_kind(kinds: list[str], pairs: list[list[list[float]]]) -> list[tuple[str,
             for kind, index in ops.items()]
 
 
-def p50_of_medians(pairs: list[list[list[float]]], side: int) -> float:
-    """The median over ops of each op's median time on ``side``: ``op_ms_p50``'s statistic."""
-    return statistics.median(map(statistics.median, zip(*(pair[side] for pair in pairs))))
+def deciles_of_medians(pairs: list[list[list[float]]], side: int) -> list[float]:
+    """The deciles over ops of each op's median time on ``side``, interpolated between the
+    two nearest ranks as ``perfbench``'s ``percentile`` is: the fifth is ``op_ms_p50``'s
+    statistic, the ninth ``op_ms_p90``'s."""
+    return statistics.quantiles(map(statistics.median, zip(*(pair[side] for pair in pairs))),
+                                n=10, method="inclusive")
 
 
 def main() -> int:
@@ -163,9 +168,11 @@ def main() -> int:
     ratio, q1, q3, wins = summary((sum(old), sum(new)) for old, new in control)
     print(f"A/A, the checkout against itself: ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f}), "
           f"won {wins}/{len(pairs)}")
-    old, new = (p50_of_medians(pairs, side) * 1000 for side in (0, 1))
-    print(f"op p50 of each op's median: {rev} {old:.4f} ms, checkout {new:.4f} ms, "
-          f"ratio {new / old:.3f}")
+    deciles = [deciles_of_medians(pairs, side) for side in (0, 1, 2)]
+    for name, k in (("p50", 4), ("p90", 8)):
+        old, new, twin = (side[k] * 1000 for side in deciles)
+        print(f"op {name} of each op's median: {rev} {old:.4f} ms, checkout {new:.4f} ms, "
+              f"ratio {new / old:.3f}; A/A {twin / new:.3f}")
     for (kind, count, (ratio, q1, q3, wins)), (_, _, (aa, aa1, aa3, _)) in zip(
             by_kind(kinds, change), by_kind(kinds, control)):
         print(f"  {kind}: {count} ops, ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f}), "
